@@ -23,7 +23,7 @@ import sys
 
 from repro.circuits import build_circuit
 from repro.runtime import METRICS, DelayCache
-from repro.runtime.parallel import shard_certification_pairs
+from repro.runtime.parallel import shard_map
 from repro.runtime.remote import RemoteTransport
 
 from .common import render_rows, write_metrics, write_result, write_trace
@@ -49,6 +49,14 @@ def _spawn_worker(store):
     return process, announce.split()[2]
 
 
+def _shard_pairs(circuit, transport=None):
+    outputs = list(circuit.outputs)
+    found = shard_map(
+        "pairs", (circuit, "auto", None), outputs, JOBS, transport=transport
+    )
+    return {out: pair for out, pair in zip(outputs, found) if pair}
+
+
 def _assert_identical(remote, local):
     assert list(remote) == list(local)
     for out in local:
@@ -64,7 +72,7 @@ def test_remote_fleet_matches_local_pool(tmp_path, benchmark):
 
     METRICS.reset()
     with benchmark.measure("local_pool", circuit=circuit):
-        local = shard_certification_pairs(circuit, jobs=JOBS)
+        local = _shard_pairs(circuit)
 
     workers = [_spawn_worker(store) for __ in range(WORKERS)]
     transport = RemoteTransport(
@@ -74,9 +82,7 @@ def test_remote_fleet_matches_local_pool(tmp_path, benchmark):
     try:
         METRICS.reset()
         with benchmark.measure("remote_cold", circuit=circuit):
-            remote_cold = shard_certification_pairs(
-                circuit, jobs=JOBS, transport=transport
-            )
+            remote_cold = _shard_pairs(circuit, transport)
         cold_counters = {
             name: METRICS.counter(f"transport.{name}")
             for name in (
@@ -99,9 +105,7 @@ def test_remote_fleet_matches_local_pool(tmp_path, benchmark):
         # (docs/DISTRIBUTED.md §2 — long-lived workers).
         METRICS.reset()
         with benchmark.measure("remote_warm_links", circuit=circuit):
-            remote_warm = shard_certification_pairs(
-                circuit, jobs=JOBS, transport=transport
-            )
+            remote_warm = _shard_pairs(circuit, transport)
         assert METRICS.counter("transport.reconnects") == 0
         assert METRICS.counter("transport.connect_failures") == 0
         benchmark.annotate(

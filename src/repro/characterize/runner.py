@@ -8,12 +8,13 @@ warm-cache runs are value-identical):
   is the function worker processes call, so it takes only a picklable
   payload dict and rebuilds its circuit from the registry by name.
 * :func:`run_plan` — fans a job list through the sharded runtime
-  (:func:`repro.runtime.parallel.shard_characterize_jobs`, inheriting
-  its per-round timeout, bounded retries with poison isolation, and
-  serial degradation), serving repeat jobs from the content-addressed
-  :class:`~repro.runtime.cache.DelayCache` *in the parent* — cache
-  lookups happen before dispatch and stores after harvest, so hit
-  counters are deterministic and independent of worker scheduling.
+  (:func:`repro.runtime.parallel.shard_map`, label ``characterize``,
+  inheriting its per-round timeout, bounded retries with poison
+  isolation, and serial degradation), serving repeat jobs from the
+  content-addressed :class:`~repro.runtime.cache.DelayCache` *in the
+  parent* — cache lookups happen before dispatch and stores after
+  harvest, so hit counters are deterministic and independent of worker
+  scheduling.
 * :func:`run_spec` — plan + run + collate + provenance: the one-call
   entry point behind ``trued characterize run``.
 
@@ -241,11 +242,12 @@ def run_plan(
         METRICS.incr("characterize.jobs", len(plan))
         if pending:
             if jobs != 1 and len(pending) > 1:
-                from ..runtime.parallel import shard_characterize_jobs
+                from ..runtime.parallel import shard_map
 
-                fresh = shard_characterize_jobs(
+                fresh = shard_map(
+                    "characterize", None,
                     [job_payload(job) for job in pending],
-                    jobs=jobs, timeout=timeout, retries=retries,
+                    jobs, timeout=timeout, retries=retries,
                 )
             else:
                 fresh = []

@@ -16,8 +16,8 @@ Commands
   waveforms for a viewer.
 * ``convert FILE``    — netlist format conversion (.bench/.blif/.v).
 * ``serve``           — long-lived incremental what-if query service
-  (JSON-lines over stdio or ``--socket PATH``; ``--tcp HOST:PORT`` /
-  ``--async-socket PATH`` start the multi-client asyncio front-end with
+  (JSON-lines over stdio; ``--tcp HOST:PORT`` / ``--socket PATH`` start
+  the multi-client asyncio front-end, one session per connection, with
   admission control and request coalescing; see ``docs/INCREMENTAL.md``).
 * ``loadgen``         — concurrent client fleet against a timing server
   (or a self-hosted in-process one): p50/p95/p99 latency, throughput,
@@ -530,9 +530,10 @@ def cmd_worker(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    if args.tcp or args.async_socket:
-        # The asyncio front-end: many concurrent sessions over one shared
-        # warm pool and delay cache, with admission control + coalescing.
+    if args.tcp or args.socket:
+        # The asyncio front-end: one session per connection, all over one
+        # shared warm pool and delay cache, with admission control +
+        # coalescing.
         from .serve import run_server
 
         tcp = _parse_tcp(args.tcp) if args.tcp else None
@@ -545,26 +546,28 @@ def cmd_serve(args) -> int:
             jobs=args.jobs,
             timeout=args.timeout,
             tcp=tcp,
-            unix_path=args.async_socket,
+            unix_path=args.socket,
             max_pending=args.max_pending,
             workers=args.workers,
             preload=args.netlist,
             announce=announce,
         )
 
-    from .incremental import QueryService, WarmPool, serve_stdio, serve_unix
+    from .incremental import QueryService, serve_stdio
+    from .runtime.transport import LocalPoolTransport
 
-    pool = None
-    if args.jobs != 1:
-        pool = WarmPool(jobs=args.jobs, timeout=args.timeout)
-    service = QueryService(
-        engine_name=args.engine, jobs=args.jobs, pool=pool
-    )
-    if args.netlist:
-        service.preload(args.netlist)
-    if args.socket:
-        return serve_unix(service, args.socket)
-    return serve_stdio(service)
+    transport = LocalPoolTransport(args.jobs) if args.jobs != 1 else None
+    try:
+        service = QueryService(
+            engine_name=args.engine, jobs=args.jobs, transport=transport,
+            timeout=args.timeout,
+        )
+        if args.netlist:
+            service.preload(args.netlist)
+        return serve_stdio(service)
+    finally:
+        if transport is not None:
+            transport.close()
 
 
 def cmd_loadgen(args) -> int:
@@ -745,18 +748,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="preload this netlist before serving",
     )
     p.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="serve one session at a time on a unix domain socket "
-        "instead of stdio",
-    )
-    p.add_argument(
         "--tcp", default=None, metavar="HOST:PORT",
-        help="serve many concurrent sessions over TCP (asyncio "
-        "front-end with admission control and request coalescing; "
-        "PORT 0 picks an ephemeral port, announced on stderr)",
+        help="serve many concurrent sessions over TCP, one per "
+        "connection (asyncio front-end with admission control and "
+        "request coalescing; PORT 0 picks an ephemeral port, announced "
+        "on stderr)",
     )
     p.add_argument(
-        "--async-socket", default=None, metavar="PATH",
+        "--socket", default=None, metavar="PATH",
         help="like --tcp but on a unix domain socket (combinable "
         "with --tcp to listen on both)",
     )
@@ -772,17 +771,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timeout", type=float, default=None, metavar="S",
         help="per-request parallel-round timeout for the warm pool; "
-        "timed-out work degrades to in-process serial execution",
+        "failed or timed-out work finishes in-process, without a "
+        "retry round",
     )
     p.add_argument(
         "--max-pending", type=int, default=64, metavar="N",
-        help="admission-queue bound for --tcp/--async-socket: requests "
+        help="admission-queue bound for --tcp/--socket: requests "
         "beyond N in flight get an immediate 'busy' response "
         "(default: 64)",
     )
     p.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="request-execution threads for --tcp/--async-socket "
+        help="request-execution threads for --tcp/--socket "
         "(default: 1, which maximises coalescing opportunities)",
     )
     p.set_defaults(func=cmd_serve)
@@ -801,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--socket", default=None, metavar="PATH",
-        help="target a running ``trued serve --async-socket`` server",
+        help="target a running ``trued serve --socket`` server",
     )
     p.add_argument(
         "--clients", type=int, default=4, metavar="N",

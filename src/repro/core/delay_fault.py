@@ -215,11 +215,12 @@ class PathFaultGenerator:
                 tasks.append((len(tasks), tuple(path), rising,
                               strength.value, strong))
         if jobs != 1 and self._shardable and len(tasks) > 1:
-            from ..runtime.parallel import shard_fault_tests
+            from ..runtime.parallel import shard_map
 
-            outcomes = shard_fault_tests(
-                self.circuit, tasks, engine_name=self._engine_name,
-                jobs=jobs, timeout=timeout, retries=retries,
+            outcomes = shard_map(
+                "faults", (self.circuit, self._engine_name),
+                [task[1:] for task in tasks], jobs,
+                timeout=timeout, retries=retries,
             )
         else:
             outcomes = []

@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..network.circuit import Circuit
 from ..network.gates import GateType
+from ..runtime.metrics import METRICS
 from ..sim.event_sim import EventSimulator
 from .vectors import VectorPair
 
@@ -224,12 +225,13 @@ def monte_carlo_delay(
     if jobs != 1:
         spec = getattr(delay_model, "spec", None)
         if spec is not None:
-            from ..runtime.parallel import shard_monte_carlo
+            from ..runtime.parallel import shard_map
 
-            samples = shard_monte_carlo(
-                circuit, list(pairs), num_samples, seed, spec, jobs,
-                timeout=timeout, retries=retries,
+            samples = shard_map(
+                "monte-carlo", (circuit, list(pairs), seed, spec),
+                range(num_samples), jobs, timeout=timeout, retries=retries,
             )
+            METRICS.incr("monte_carlo.samples", num_samples)
             return StatisticalTimingResult(samples, len(pairs))
     from ..runtime.parallel import sample_seed
 

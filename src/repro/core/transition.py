@@ -557,12 +557,16 @@ def collect_certification_pairs(
         and constraint is None
         and len(circuit.outputs) > 1
     ):
-        from ..runtime.parallel import shard_certification_pairs
+        from ..runtime.parallel import shard_map
 
-        result = shard_certification_pairs(
-            circuit, engine_name=engine_name, input_times=input_times,
-            jobs=jobs, timeout=timeout, retries=retries,
+        outputs = list(circuit.outputs)
+        found = shard_map(
+            "pairs", (circuit, engine_name, input_times), outputs, jobs,
+            timeout=timeout, retries=retries,
         )
+        result = {
+            out: pair for out, pair in zip(outputs, found) if pair is not None
+        }
     elif analysis is None:
         from .floating import with_bdd_fallback
 

@@ -2,7 +2,7 @@
 
 ``run_sweep`` is the engine behind ``trued fuzz run``: it enumerates a
 deterministic scenario stream, fans the scenarios across worker
-processes (:func:`repro.runtime.parallel.shard_fuzz_scenarios`), renders
+processes (:func:`repro.runtime.parallel.shard_map`), renders
 one canonical verdict line per (scenario, oracle), and — for every
 failure — shrinks the scenario and writes a self-contained
 ``.repro.json`` that ``trued fuzz replay`` can re-execute anywhere.
@@ -79,7 +79,7 @@ def execute_scenario_payload(
     scenario_data: Dict, config: Dict
 ) -> List[Dict]:
     """Worker entry point: run one scenario's oracles from picklable
-    dicts (see :func:`repro.runtime.parallel.shard_fuzz_scenarios`)."""
+    dicts (the ``fuzz`` task kind of :mod:`repro.runtime.parallel`)."""
     scenario = Scenario.from_dict(scenario_data)
     verdicts = run_scenario(
         scenario,
@@ -205,12 +205,13 @@ def run_sweep(
             "plant": plant,
         }
         if jobs != 1 and len(scenarios) > 1:
-            from ..runtime.parallel import shard_fuzz_scenarios
+            from ..runtime.parallel import shard_map
 
-            verdict_dicts = shard_fuzz_scenarios(
-                [s.to_dict() for s in scenarios],
+            verdict_dicts = shard_map(
+                "fuzz",
                 config,
-                jobs=jobs,
+                [s.to_dict() for s in scenarios],
+                jobs,
                 timeout=timeout,
                 retries=retries,
             )

@@ -14,24 +14,20 @@ results (design reference: ``docs/INCREMENTAL.md``):
   :class:`~repro.incremental.engine.IncrementalTimingEngine`: consumes the
   circuit's edit journal, marks dirty fanout cones, reuses clean-cone
   results, and caches per-cone answers under content fingerprints;
-* :mod:`repro.incremental.pool` — a warm process pool reused across
-  service requests;
 * :mod:`repro.incremental.service` — the ``repro serve`` JSON-lines
-  query service (stdio or unix socket; the multi-client asyncio
-  front-end lives in :mod:`repro.serve` and runs one
+  query service (stdio; the multi-client asyncio front-end behind
+  ``--tcp`` / ``--socket`` lives in :mod:`repro.serve` and runs one
   :class:`~repro.incremental.service.QueryService` per connection).
 """
 
 from .cones import KINDS, ConeResult, evaluate_cone, extract_cone
 from .engine import IncrementalResult, IncrementalTimingEngine, cold_query
-from .pool import WarmPool
 from .service import (
     QueryService,
     iter_request_lines,
     prepare_unix_socket_path,
     serve_stdio,
     serve_stream,
-    serve_unix,
 )
 
 __all__ = [
@@ -42,11 +38,9 @@ __all__ = [
     "IncrementalResult",
     "IncrementalTimingEngine",
     "cold_query",
-    "WarmPool",
     "QueryService",
     "iter_request_lines",
     "prepare_unix_socket_path",
     "serve_stdio",
     "serve_stream",
-    "serve_unix",
 ]

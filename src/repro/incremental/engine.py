@@ -28,8 +28,9 @@ re-analysing only what an edit could have changed:
 
 3. **Fan-out** — with ``jobs != 1`` the dirty cones run through the
    fault-tolerant sharded runtime
-   (:func:`~repro.runtime.parallel.shard_cone_queries`), or through an
-   attached :class:`~repro.incremental.pool.WarmPool` (the long-lived
+   (:func:`~repro.runtime.parallel.shard_map`, label ``cones``), on a
+   per-query pool or on a caller-owned
+   :class:`~repro.runtime.transport.LocalPoolTransport` (the long-lived
    query service's warm workers).  All execution routes are
    result-identical.
 
@@ -46,7 +47,7 @@ runs inside its own :func:`~repro.runtime.metrics.metrics_scope` /
 :func:`~repro.runtime.tracing.tracer_scope`, so per-session counters and
 span trees never interleave even though every engine shares one process
 (and, optionally, one :class:`~repro.runtime.cache.DelayCache` and one
-:class:`~repro.incremental.pool.WarmPool`).
+:class:`~repro.runtime.transport.LocalPoolTransport`).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class IncrementalTimingEngine:
         engine_name: str = "auto",
         jobs: int = 1,
         cache: Optional[DelayCache] = None,
-        pool=None,
+        transport=None,
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
     ):
@@ -104,7 +105,9 @@ class IncrementalTimingEngine:
         #: (the process-global cache is disabled by default and keyed for
         #: whole-circuit results anyway).
         self.cache = cache if cache is not None else DelayCache()
-        self.pool = pool
+        #: Where sharded cone rounds run: ``None`` builds a pool per
+        #: query; a caller-owned transport keeps its workers warm.
+        self.transport = transport
         self.timeout = timeout
         self.retries = retries
         self._cursor = circuit.journal_length
@@ -222,16 +225,17 @@ class IncrementalTimingEngine:
         return results
 
     def _run_cones(self, cones, kind: str) -> Dict[str, ConeResult]:
-        """Dispatch cone evaluations: warm pool > sharded > serial."""
-        if len(cones) > 1 and self.pool is not None:
-            return self.pool.run_cones(cones, kind, self.engine_name)
+        """Dispatch cone evaluations: sharded when ``jobs != 1``, else
+        serial."""
         if len(cones) > 1 and self.jobs != 1:
-            from ..runtime.parallel import shard_cone_queries
+            from ..runtime.parallel import shard_map
 
-            return shard_cone_queries(
-                cones, kind, self.engine_name, jobs=self.jobs,
+            results = shard_map(
+                "cones", (kind, self.engine_name), cones, self.jobs,
                 timeout=self.timeout, retries=self.retries,
+                transport=self.transport,
             )
+            return {result.output: result for result in results}
         computed = {}
         for cone in cones:
             result = evaluate_cone(cone, kind, self.engine_name)

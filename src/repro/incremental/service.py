@@ -1,7 +1,9 @@
 """The long-lived what-if timing query service (``repro serve``).
 
-A JSON-lines request loop over stdio (default) or a unix domain socket:
-one request object per line in, one response object per line out.
+A JSON-lines request loop: one request object per line in, one response
+object per line out.  :func:`serve_stdio` runs one session over stdio;
+the multi-client front-end (:mod:`repro.serve`, ``--tcp`` / ``--socket``)
+runs one :class:`QueryService` per connection.
 
 Requests (``op`` selects the action)::
 
@@ -26,11 +28,11 @@ serve-protocol job does.
 
 The service keeps an :class:`~repro.incremental.engine.IncrementalTimingEngine`
 attached to the loaded circuit across requests, so an edit/query session
-pays only for dirty cones, and a :class:`~repro.incremental.pool.WarmPool`
-(``--jobs N``) keeps worker processes warm between requests.  Signals
-(SIGINT/SIGTERM) and the ``shutdown`` op both end the loop gracefully:
-the in-flight request completes, the pool drains, a unix socket file is
-removed.
+pays only for dirty cones, and a caller-owned
+:class:`~repro.runtime.transport.LocalPoolTransport` (``--jobs N``) keeps
+worker processes warm between requests.  Signals (SIGINT/SIGTERM) and
+the ``shutdown`` op both end the stdio loop gracefully: the in-flight
+request completes before the loop returns.
 """
 
 from __future__ import annotations
@@ -50,15 +52,14 @@ from ..network.verilog_io import load_verilog
 from ..runtime.cache import DelayCache
 from ..runtime.metrics import METRICS
 from ..runtime.tracing import TRACER
+from ..runtime.transport import LocalPoolTransport
 from ..serve.framing import (
     ProtocolError,
-    bound_unix_socket,
     iter_request_lines,
     prepare_unix_socket_path,
 )
 from .cones import KINDS
 from .engine import IncrementalTimingEngine
-from .pool import WarmPool
 
 __all__ = [
     "QueryService",
@@ -67,7 +68,6 @@ __all__ = [
     "prepare_unix_socket_path",
     "serve_stream",
     "serve_stdio",
-    "serve_unix",
 ]
 
 
@@ -93,18 +93,26 @@ ServiceError = ProtocolError
 
 
 class QueryService:
-    """Request dispatch and session state for one serve loop."""
+    """Request dispatch and session state for one serve loop.
+
+    With ``jobs != 1`` dirty cones shard over ``transport`` (``None``
+    builds a pool per query) with a ``timeout``-second round limit.  The
+    service is latency-first: a failed round is not retried, its cones
+    finish in-process.
+    """
 
     def __init__(
         self,
         engine_name: str = "auto",
         jobs: int = 1,
-        pool: Optional[WarmPool] = None,
+        transport: Optional[LocalPoolTransport] = None,
         cache: Optional[DelayCache] = None,
+        timeout: Optional[float] = None,
     ):
         self.engine_name = engine_name
         self.jobs = jobs
-        self.pool = pool
+        self.transport = transport
+        self.timeout = timeout
         #: Cone-result cache handed to every engine this service builds.
         #: ``None`` keeps the engine's private per-load default; the
         #: multi-client server passes one shared content-addressed cache
@@ -200,8 +208,8 @@ class QueryService:
             # shares one pool across sessions): drain the pool so no
             # worker is left computing cones of the detached circuit, and
             # drop the old engine's memo so its references die with it.
-            if self.pool is not None:
-                self.pool.drain()
+            if self.transport is not None:
+                self.transport.drain()
             self.engine.invalidate()
             self._reloads += 1
             METRICS.incr("service.reloads")
@@ -210,7 +218,9 @@ class QueryService:
             engine_name=self.engine_name,
             jobs=self.jobs,
             cache=self.cache,
-            pool=self.pool,
+            transport=self.transport,
+            timeout=self.timeout,
+            retries=0,
         )
         return {
             "circuit": circuit.name,
@@ -313,8 +323,8 @@ class QueryService:
         if self.engine is not None:
             result["circuit"] = self.engine.circuit.name
             result["revision"] = self.engine.circuit.revision
-        if self.pool is not None:
-            result["pool"] = self.pool.stats()
+        if self.transport is not None:
+            result["pool"] = self.transport.stats()
         return result
 
     def _op_shutdown(self, request):
@@ -323,10 +333,10 @@ class QueryService:
 
 
 # ----------------------------------------------------------------------
-# Transports (JSON-lines framing shared via repro.serve.framing)
+# The stdio loop (JSON-lines framing shared via repro.serve.framing)
 # ----------------------------------------------------------------------
 def serve_stream(service: QueryService, reader, writer) -> None:
-    """Drive the request loop over text streams (stdio or a socket file)."""
+    """Drive the request loop over text streams."""
     for line in iter_request_lines(reader):
         if not line.strip():
             continue
@@ -351,37 +361,5 @@ def _install_signal_handlers(service: QueryService) -> None:
 
 def serve_stdio(service: QueryService) -> int:
     _install_signal_handlers(service)
-    try:
-        serve_stream(service, sys.stdin, sys.stdout)
-    finally:
-        if service.pool is not None:
-            service.pool.shutdown()
-    return 0
-
-
-def serve_unix(service: QueryService, path: str) -> int:
-    """Accept connections on a unix socket, one session at a time.
-
-    Sequential sessions share the service state (loaded circuit, warm
-    pool, memoised cones), so a reconnecting client resumes where it
-    left off.  Endpoint lifecycle — probe-and-remove a stale file from a
-    hard-killed predecessor, refuse to steal a live listener, unlink the
-    socket file on *every* exit path including interpreter teardown —
-    comes from :func:`repro.serve.framing.bound_unix_socket`.
-    """
-    _install_signal_handlers(service)
-    try:
-        with bound_unix_socket(path, backlog=1) as server:
-            while not service.shutdown_requested:
-                try:
-                    connection, __ = server.accept()
-                except OSError:
-                    break
-                with connection:
-                    reader = connection.makefile("r", encoding="utf-8")
-                    writer = connection.makefile("w", encoding="utf-8")
-                    serve_stream(service, reader, writer)
-    finally:
-        if service.pool is not None:
-            service.pool.shutdown()
+    serve_stream(service, sys.stdin, sys.stdout)
     return 0

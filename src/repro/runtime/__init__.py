@@ -7,9 +7,10 @@ circuit content plus a handful of parameters.  This package exploits that:
   :class:`~repro.network.circuit.Circuit`, so analyses are keyable;
 * :mod:`repro.runtime.cache` — two-tier (memory LRU + optional disk)
   result cache keyed by ``(fingerprint, kind, engine, constraint, params)``;
-* :mod:`repro.runtime.parallel` — a fault-tolerant sharder for the
-  per-output / per-path / per-sample fan-out of the delay cores
-  (per-chunk timeouts, poison-isolation retries, serial degradation);
+* :mod:`repro.runtime.parallel` — :func:`shard_map`, the one
+  fault-tolerant sharder for every per-item fan-out (per-chunk
+  timeouts, poison-isolation retries, serial degradation) over the
+  :data:`TASK_KINDS` registry;
 * :mod:`repro.runtime.transport` — the :class:`ShardTransport`
   interface behind the sharder: the in-host process pool, or
   :mod:`repro.runtime.remote`'s long-lived ``trued worker`` hosts over
@@ -43,19 +44,17 @@ from .fingerprint import (
 )
 from .metrics import GLOBAL_METRICS, METRICS, Metrics, current_metrics, metrics_scope
 from .parallel import (
+    TASK_KINDS,
     execution_policy,
-    resolve_jobs,
     set_execution_policy,
-    shard_certification_pairs,
-    shard_cone_queries,
-    shard_fault_tests,
-    shard_monte_carlo,
+    shard_map,
 )
 from .tracing import GLOBAL_TRACER, TRACER, Span, Tracer, current_tracer, tracer_scope
 from .transport import (
     ChunkResult,
     LocalPoolTransport,
     ShardTransport,
+    resolve_jobs,
     resolve_transport,
     set_transport_policy,
     transport_policy,
@@ -87,16 +86,14 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "tracer_scope",
+    "TASK_KINDS",
     "execution_policy",
-    "resolve_jobs",
     "set_execution_policy",
-    "shard_certification_pairs",
-    "shard_cone_queries",
-    "shard_fault_tests",
-    "shard_monte_carlo",
+    "shard_map",
     "ChunkResult",
     "LocalPoolTransport",
     "ShardTransport",
+    "resolve_jobs",
     "resolve_transport",
     "set_transport_policy",
     "transport_policy",

@@ -22,11 +22,12 @@ otherwise be trusted on faith; this hook makes each one reproducible in CI:
     ``cache.disk_corrupt``) and the chunk retries.  The local pool
     transport carries results in memory, so this kind is a no-op there.
 
-Task indices count every task the sharded runner ever submits within one
-process (retry tasks continue the numbering), so an injected
-crash/hang/corrupt-result fires exactly once instead of following the
-retried work around forever.  ``corrupt-cache`` fires once per token per
-process for the same reason.
+Task indices number the tasks of one sharded run from 0 (retry tasks
+continue the numbering), so an injected crash/hang/corrupt-result fires
+once per run instead of following the retried work around forever.
+Every run starts again at 0: a long-lived process such as the query
+service meets the fault once in each sharded query.  ``corrupt-cache``
+fires once per token per process.
 """
 
 from __future__ import annotations

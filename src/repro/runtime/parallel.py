@@ -1,12 +1,18 @@
 """Fault-tolerant process-pool sharding for the embarrassingly parallel
 delay queries.
 
-Three fan-outs in the cores are independent per item:
+Six fan-outs are independent per item; each is one :data:`TASK_KINDS`
+label run through the one entry point, :func:`shard_map`:
 
-* per-output certification pairs (``collect_certification_pairs``),
-* per-path / per-direction delay-fault tests
+* ``pairs`` — per-output certification pairs
+  (``collect_certification_pairs``),
+* ``faults`` — per-path / per-direction delay-fault tests
   (``PathFaultGenerator.generate_for_longest_paths``),
-* per-sample Monte Carlo replays (``monte_carlo_delay``).
+* ``cones`` — per-output dirty-cone queries of the incremental engine,
+* ``monte-carlo`` — per-sample Monte Carlo replays
+  (``monte_carlo_delay``),
+* ``characterize`` — characterization jobs (``run_plan``),
+* ``fuzz`` — fuzz scenarios (``run_sweep``).
 
 Each worker process rebuilds its analysis from a pickled :class:`Circuit`
 — engines are constructed with a canonical variable order (the analyses
@@ -37,17 +43,18 @@ or long-lived ``trued worker`` hosts over sockets
 ``docs/DISTRIBUTED.md``).  The retry/degrade machinery above sits on
 top of the interface, so every transport inherits the same guarantee.
 
-Workers return ``(result, counters, gauges)``; the parent folds counters
-additively and gauges max-wise into the global metrics, and attributes
-them to a per-chunk trace span tagged with the worker's pid, host, and
-transport.
+Every worker takes ``(context, [(index, item), ...])`` — the context
+shared by the whole run, then its chunk of indexed items — and returns
+``([(index, result), ...], counters, gauges)``.  The parent folds
+counters additively and gauges max-wise into the global metrics,
+attributes them to a per-chunk trace span tagged with the worker's pid,
+host, and transport, and merges results by index.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .faults import worker_fault
 from .metrics import METRICS, engine_peak_nodes
@@ -57,20 +64,9 @@ from .transport import (
     WORKER_DIED,
     ChunkResult,
     ShardTransport,
-    _call_worker,  # noqa: F401  (back-compat: pool entry point lived here)
+    resolve_jobs,
     resolve_transport,
 )
-
-
-def resolve_jobs(jobs: Optional[int], task_count: Optional[int] = None) -> int:
-    """Normalise a ``--jobs`` value: ``0``/``None``/negative mean "all
-    cores"; never more workers than tasks."""
-    if jobs is None or jobs <= 0:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, int(jobs))
-    if task_count is not None:
-        jobs = min(jobs, max(1, task_count))
-    return jobs
 
 
 def _chunk_round_robin(items: Sequence, jobs: int) -> List[list]:
@@ -135,7 +131,7 @@ def _harvest_chunk(
         worker=chunk_result.worker, host=chunk_result.host,
         transport=transport_name,
     )
-    results.append(chunk_result.result)
+    results.extend(chunk_result.result)
 
 
 def _record_failure(index: int, chunk: list, reason: str, label: str) -> None:
@@ -160,41 +156,38 @@ def _record_failure(index: int, chunk: list, reason: str, label: str) -> None:
 
 
 def _run_sharded(
+    label: str,
     worker,
     items: Sequence,
     make_payload,
     jobs: int,
-    *,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    label: str = "shard",
-    transport: Optional[ShardTransport] = None,
+    timeout: Optional[float],
+    retries: Optional[int],
+    transport: Optional[ShardTransport],
 ) -> list:
     """Run ``worker`` over round-robin chunks of ``items`` with timeouts,
     poison-isolation retries, and serial degradation.
 
     ``make_payload(chunk)`` rebuilds a worker payload for any sub-list of
-    ``items`` (needed to re-chunk on retry); ``worker`` must return a
-    ``(result, counters, gauges)`` triple.  Returns the per-chunk results
-    at whatever granularity execution ended up using — callers must merge
-    order-insensitively (all six shard queries already do).
+    ``items`` (needed to re-chunk on retry).  Returns every chunk's
+    ``(index, result)`` entries in completion order; :func:`shard_map`
+    restores item order.
 
-    ``transport`` picks the execution substrate (an explicit
-    :class:`~repro.runtime.transport.ShardTransport` wins; otherwise the
-    process-wide ``--transport`` policy applies).  The round/retry/
-    degrade loop is transport-agnostic, so every substrate inherits the
-    jobs-invariance guarantee.
+    Task indices — what fault injection keys on — count from 0 in every
+    run, and retry tasks continue the numbering, so an injected fault
+    fires once per run.  ``transport`` picks the execution substrate (an
+    explicit :class:`~repro.runtime.transport.ShardTransport` wins;
+    otherwise the process-wide ``--transport`` policy applies).  The
+    round/retry/degrade loop is transport-agnostic, so every substrate
+    inherits the jobs-invariance guarantee.
     """
     timeout, retries = _resolve_policy(timeout, retries)
-    chunks = _chunk_round_robin(list(items), jobs)
+    chunks = _chunk_round_robin(items, jobs)
     if not chunks:
         return []
     fault = worker_fault()
-    next_index = 0
-    tasks: List[Tuple[int, list]] = []
-    for chunk in chunks:
-        tasks.append((next_index, chunk))
-        next_index += 1
+    tasks: List[Tuple[int, list]] = list(enumerate(chunks))
+    next_index = len(tasks)
     results: list = []
     failed: List[Tuple[int, list, str]] = []
     transport, owned = resolve_transport(transport, jobs)
@@ -236,13 +229,57 @@ def _run_sharded(
             result, counters, gauges = worker(make_payload(remainder))
         METRICS.merge_counters(counters)
         METRICS.merge_gauges(gauges)
-        results.append(result)
+        results.extend(result)
         return results
     finally:
         if owned:
             transport.close()
 
 
+def shard_map(
+    label: str,
+    context,
+    items: Sequence,
+    jobs: int,
+    *,
+    timeout: Optional[float] = None,
+    retries: Optional[int] = None,
+    transport: Optional[ShardTransport] = None,
+) -> list:
+    """Run the ``label`` task kind over ``items`` across workers.
+
+    Returns one result per item, in item order, whatever the chunking,
+    retries, or degradation — so the list equals the serial computation
+    for every ``jobs`` value.  ``context`` is what every item of the run
+    shares (a circuit, an engine name, a config); it and the items must
+    pickle.  ``jobs`` is the worker count (``0`` = all cores, never more
+    than items); ``timeout``/``retries`` default to the process-wide
+    execution policy.  The run is timed as the ``parallel.<label>``
+    phase and its chunks as ``<label>.chunk`` spans.
+    """
+    worker = TASK_KINDS.get(label)
+    if worker is None:
+        raise ValueError(
+            f"unknown shard task kind {label!r} "
+            f"(expected one of {sorted(TASK_KINDS)})"
+        )
+    indexed = list(enumerate(items))
+
+    def make_payload(chunk):
+        return (context, list(chunk))
+
+    with METRICS.phase(f"parallel.{label}"):
+        merged = _run_sharded(
+            label, worker, indexed, make_payload,
+            resolve_jobs(jobs, len(indexed)), timeout, retries, transport,
+        )
+    merged.sort(key=lambda entry: entry[0])
+    return [result for __, result in merged]
+
+
+# ----------------------------------------------------------------------
+# The task kinds: worker(payload) with payload = (context, [(index, item)])
+# ----------------------------------------------------------------------
 def _engine_counters(prefix: str, engine) -> Dict[str, int]:
     return {f"{prefix}.sat_probes": getattr(engine, "num_sat_checks", 0)}
 
@@ -253,13 +290,14 @@ def _engine_gauges(engine) -> Dict[str, int]:
     return {} if peak is None else {"boolfn.peak_nodes": peak}
 
 
-# ----------------------------------------------------------------------
-# Per-output certification pairs
-# ----------------------------------------------------------------------
 def _pairs_worker(payload):
-    circuit, engine_name, input_times, outputs = payload
+    """Items are primary outputs; a result is ``(time, pair)``, or
+    ``None`` for an output that can never transition."""
+    (circuit, engine_name, input_times), tasks = payload
     from ..core.floating import with_bdd_fallback
     from ..core.transition import TransitionAnalysis, pairs_for_outputs
+
+    outputs = [out for __, out in tasks]
 
     def run(eng):
         fresh = TransitionAnalysis(circuit, eng, engine_name, input_times)
@@ -269,58 +307,27 @@ def _pairs_worker(payload):
     analysis, pairs = with_bdd_fallback(run, None, engine_name)
     counters = _engine_counters("pairs", analysis.engine)
     counters["pairs.functions_built"] = analysis.num_functions()
-    return pairs, counters, _engine_gauges(analysis.engine)
+    return (
+        [(index, pairs.get(out)) for index, out in tasks],
+        counters,
+        _engine_gauges(analysis.engine),
+    )
 
 
-def shard_certification_pairs(
-    circuit,
-    engine_name: str = "auto",
-    input_times: Optional[Dict[str, int]] = None,
-    jobs: int = 2,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
-):
-    """Per-output certification pairs, one worker per output chunk.
-
-    Only the unconstrained query is sharded (constraint builders are
-    closures and do not cross process boundaries); the caller falls back
-    to its serial loop otherwise.
-    """
-    outputs = list(circuit.outputs)
-    jobs = resolve_jobs(jobs, len(outputs))
-
-    def make_payload(chunk):
-        return (circuit, engine_name, input_times, list(chunk))
-
-    with METRICS.phase("parallel.certification_pairs"):
-        results = _run_sharded(
-            _pairs_worker, outputs, make_payload, jobs,
-            timeout=timeout, retries=retries, label="pairs",
-            transport=transport,
-        )
-    merged: Dict[str, Tuple[int, object]] = {}
-    for pairs in results:
-        merged.update(pairs)
-    # Re-impose output declaration order on the merged dict.
-    return {out: merged[out] for out in outputs if out in merged}
-
-
-# ----------------------------------------------------------------------
-# Path-delay-fault coverage over the K longest paths
-# ----------------------------------------------------------------------
 def _fault_worker(payload):
-    circuit, engine_name, tasks = payload
+    """Items are ``(path, rising, strength-value, strong)``; a result is
+    ``(fault, test-or-None)``."""
+    (circuit, engine_name), tasks = payload
     from ..core.delay_fault import PathFault, PathFaultGenerator, TestStrength
 
     generator = PathFaultGenerator(circuit, engine_name=engine_name)
     results = []
-    for index, path, rising, strength_value, strong in tasks:
+    for index, (path, rising, strength_value, strong) in tasks:
         fault = PathFault(list(path), rising)
         test = generator.generate(
             fault, TestStrength(strength_value), strong
         )
-        results.append((index, fault, test))
+        results.append((index, (fault, test)))
     return (
         results,
         _engine_counters("faults", generator.engine),
@@ -328,97 +335,22 @@ def _fault_worker(payload):
     )
 
 
-def shard_fault_tests(
-    circuit,
-    tasks: Sequence[Tuple[int, Sequence[str], bool, str, bool]],
-    engine_name: str = "auto",
-    jobs: int = 2,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
-):
-    """Run fault-test generation tasks across workers.
-
-    ``tasks`` entries are ``(index, path, rising, strength-value, strong)``;
-    the return value is ``[(fault, test-or-None)]`` sorted by ``index`` so
-    the merge is deterministic regardless of worker timing.
-    """
-    jobs = resolve_jobs(jobs, len(tasks))
-
-    def make_payload(chunk):
-        return (circuit, engine_name, list(chunk))
-
-    with METRICS.phase("parallel.fault_tests"):
-        results = _run_sharded(
-            _fault_worker, list(tasks), make_payload, jobs,
-            timeout=timeout, retries=retries, label="faults",
-            transport=transport,
-        )
-    merged = []
-    for entries in results:
-        merged.extend(entries)
-    merged.sort(key=lambda item: item[0])
-    return [(fault, test) for __, fault, test in merged]
-
-
-# ----------------------------------------------------------------------
-# Per-output cone delay queries (the incremental engine's fan-out)
-# ----------------------------------------------------------------------
 def _cone_worker(payload):
-    kind, engine_name, cones = payload
+    """Items are extracted single-output cone circuits
+    (:func:`repro.incremental.cones.extract_cone`); a result is the
+    cone's :class:`~repro.incremental.cones.ConeResult`."""
+    (kind, engine_name), tasks = payload
     from ..incremental.cones import evaluate_cone
 
     results = []
     checks = 0
-    for cone in cones:
+    for index, cone in tasks:
         result = evaluate_cone(cone, kind, engine_name)
         checks += result.checks
-        results.append(result)
+        results.append((index, result))
     return results, {"incremental.cone_checks": checks}, {}
 
 
-def shard_cone_queries(
-    cones: Sequence,
-    kind: str,
-    engine_name: str = "auto",
-    jobs: int = 2,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
-):
-    """Evaluate single-output cone circuits across workers.
-
-    ``cones`` are the extracted fanin-cone subcircuits of the dirty
-    outputs (:func:`repro.incremental.cones.extract_cone`); each is a
-    self-contained analysis, so per-cone results are independent of
-    chunking and worker count.  Returns ``{output: ConeResult}`` in the
-    given cone order.
-    """
-    jobs = resolve_jobs(jobs, len(cones))
-
-    def make_payload(chunk):
-        return (kind, engine_name, list(chunk))
-
-    with METRICS.phase("parallel.cone_queries"):
-        results = _run_sharded(
-            _cone_worker, list(cones), make_payload, jobs,
-            timeout=timeout, retries=retries, label="cones",
-            transport=transport,
-        )
-    merged = {}
-    for chunk in results:
-        for result in chunk:
-            merged[result.output] = result
-    return {
-        cone.outputs[0]: merged[cone.outputs[0]]
-        for cone in cones
-        if cone.outputs[0] in merged
-    }
-
-
-# ----------------------------------------------------------------------
-# Monte Carlo delay sampling
-# ----------------------------------------------------------------------
 def sample_seed(seed: int, index: int) -> str:
     """Seed of the ``index``-th Monte Carlo sub-stream.
 
@@ -431,7 +363,10 @@ def sample_seed(seed: int, index: int) -> str:
 
 
 def _monte_carlo_worker(payload):
-    circuit, pairs, indices, seed, model_spec = payload
+    """Items are sample indices; a result is that sample's delay, drawn
+    from its own seeded sub-stream, so the sample list is independent of
+    chunking (the serial path draws the same sub-streams)."""
+    (circuit, pairs, seed, model_spec), tasks = payload
     from ..core.statistical import (
         resolve_delay_model,
         sample_delay_once,
@@ -449,8 +384,8 @@ def _monte_carlo_worker(payload):
         # chunk; settled values are delay-independent, so every sample
         # reuses them.
         initials = settle_pair_initials(circuit, pairs)
-        for index in indices:
-            rng = random.Random(sample_seed(seed, index))
+        for index, sample in tasks:
+            rng = random.Random(sample_seed(seed, sample))
             samples.append(
                 (
                     index,
@@ -462,139 +397,49 @@ def _monte_carlo_worker(payload):
     return samples, chunk_metrics.snapshot()["counters"], {}
 
 
-def shard_monte_carlo(
-    circuit,
-    pairs: Sequence,
-    num_samples: int,
-    seed: int,
-    model_spec: Tuple,
-    jobs: int = 2,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
-) -> List[int]:
-    """Monte Carlo samples across workers with per-sample seeded
-    sub-streams and an index-ordered merge: the returned sample list is a
-    pure function of ``(circuit, pairs, num_samples, seed, model_spec)``,
-    independent of ``jobs`` and of scheduling (the serial path in
-    :func:`repro.core.statistical.monte_carlo_delay` draws from the same
-    sub-streams)."""
-    jobs = resolve_jobs(jobs, num_samples)
-    pair_list = list(pairs)
-
-    def make_payload(chunk):
-        return (circuit, pair_list, list(chunk), seed, model_spec)
-
-    with METRICS.phase("parallel.monte_carlo"):
-        results = _run_sharded(
-            _monte_carlo_worker, range(num_samples), make_payload, jobs,
-            timeout=timeout, retries=retries, label="monte-carlo",
-            transport=transport,
-        )
-    METRICS.incr("monte_carlo.samples", num_samples)
-    merged = [delay for chunk in results for delay in chunk]
-    merged.sort(key=lambda item: item[0])
-    return [delay for __, delay in merged]
-
-
-# ----------------------------------------------------------------------
-# Characterization jobs (spec-driven circuit x corner x analysis fan-out)
-# ----------------------------------------------------------------------
 def _characterize_worker(payload):
-    tasks = payload
+    """Items are :func:`repro.characterize.runner.job_payload` dicts (each
+    names its registry circuit, so payloads stay small); a result is the
+    job's result dict.  Caching is the parent's job."""
+    __, tasks = payload
     from ..characterize.runner import execute_payload
 
     from .metrics import metrics_scope
 
-    results = []
     # Scoped counters: pool processes are reused across chunks, so the
     # chunk's wordsim/engine accounting must fold back exactly once.
     with metrics_scope() as chunk_metrics:
-        for index, job in tasks:
-            results.append((index, execute_payload(job)))
+        results = [(index, execute_payload(job)) for index, job in tasks]
     return results, chunk_metrics.snapshot()["counters"], {}
 
 
-def shard_characterize_jobs(
-    payloads: Sequence[Dict],
-    jobs: int = 2,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
-) -> List[Dict]:
-    """Run characterization job payloads across workers.
-
-    ``payloads`` are the picklable dicts of
-    :func:`repro.characterize.runner.job_payload`; each one names its
-    circuit (rebuilt from the registry inside the worker), so payloads
-    stay small and chunk-independent.  Results come back in payload
-    order (index-merged), making the datasheet identical to a serial
-    run; caching is the *caller's* job (the parent checks the cache
-    before dispatch), so workers always compute.
-    """
-    jobs = resolve_jobs(jobs, len(payloads))
-    tasks = list(enumerate(payloads))
-
-    def make_payload(chunk):
-        return list(chunk)
-
-    with METRICS.phase("parallel.characterize_jobs"):
-        results = _run_sharded(
-            _characterize_worker, tasks, make_payload, jobs,
-            timeout=timeout, retries=retries, label="characterize",
-            transport=transport,
-        )
-    merged = [entry for chunk in results for entry in chunk]
-    merged.sort(key=lambda item: item[0])
-    return [result for __, result in merged]
-
-
 def _fuzz_worker(payload):
-    tasks, config = payload
+    """Items are ``Scenario.to_dict`` payloads (self-contained, with
+    embedded BENCH text); the context is the oracle config (``oracles``,
+    ``oracle_jobs``, ``plant``); a result is the scenario's ordered
+    verdict-dict list."""
+    config, tasks = payload
     from ..fuzz.runner import execute_scenario_payload
 
     from .metrics import metrics_scope
 
-    results = []
     with metrics_scope() as chunk_metrics:
-        for index, scenario_data in tasks:
-            results.append(
-                (index, execute_scenario_payload(scenario_data, config))
-            )
+        results = [
+            (index, execute_scenario_payload(scenario_data, config))
+            for index, scenario_data in tasks
+        ]
     return results, chunk_metrics.snapshot()["counters"], {}
 
 
-def shard_fuzz_scenarios(
-    scenarios: Sequence[Dict],
-    config: Dict,
-    jobs: int = 2,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
-) -> List[List[Dict]]:
-    """Run fuzz scenarios (as ``Scenario.to_dict`` payloads) across
-    workers.
-
-    ``config`` carries the oracle selection (``oracles``, ``oracle_jobs``,
-    ``plant``).  Scenarios are self-contained (embedded BENCH text), so
-    payloads never reference registry state.  Results come back
-    index-merged — each entry is the scenario's ordered verdict-dict
-    list — making the sweep's verdict stream byte-identical to a serial
-    run, which is exactly what the ``jobs`` differential oracle and the
-    CI determinism check rely on.
-    """
-    jobs = resolve_jobs(jobs, len(scenarios))
-    tasks = list(enumerate(scenarios))
-
-    def make_payload(chunk):
-        return (list(chunk), dict(config))
-
-    with METRICS.phase("parallel.fuzz_scenarios"):
-        results = _run_sharded(
-            _fuzz_worker, tasks, make_payload, jobs,
-            timeout=timeout, retries=retries, label="fuzz",
-            transport=transport,
-        )
-    merged = [entry for chunk in results for entry in chunk]
-    merged.sort(key=lambda item: item[0])
-    return [verdicts for __, verdicts in merged]
+#: Label -> worker for every fan-out :func:`shard_map` runs.  The labels
+#: name the phases (``parallel.<label>``), chunk spans (``<label>.chunk``)
+#: and fault-injection trace events, and they are the job catalogue a
+#: ``trued worker`` announces and serves (:mod:`repro.runtime.remote`).
+TASK_KINDS: Dict[str, Callable] = {
+    "pairs": _pairs_worker,
+    "faults": _fault_worker,
+    "cones": _cone_worker,
+    "monte-carlo": _monte_carlo_worker,
+    "characterize": _characterize_worker,
+    "fuzz": _fuzz_worker,
+}

@@ -8,11 +8,12 @@ In one paragraph: the parent keeps a long-lived JSON-lines connection
 results never ride the wire* — they travel through the shared
 content-addressed :class:`~repro.runtime.cache.DelayCache` directory
 (NFS or local disk), and the socket carries only artifact tokens, job
-labels, counters, and provenance.  A request names a job kind (the same
-six labels the sharded runner uses), a monotonically increasing task
-index (fault injection keys on it, exactly as in-host), the payload
-token, and the active fault spec; the response carries the result token
-plus the worker's counters/gauges/host/pid for span attribution.
+labels, counters, and provenance.  A request names a job kind (a
+:data:`~repro.runtime.parallel.TASK_KINDS` label — the worker's job
+catalogue *is* that registry), the task index (fault injection keys on
+it, exactly as in-host), the payload token, and the active fault spec;
+the response carries the result token plus the worker's
+counters/gauges/host/pid for span attribution.
 
 Failure containment is inherited, not reimplemented: this transport only
 *reports* per-task outcomes (:class:`~repro.runtime.transport.ChunkResult`
@@ -35,7 +36,7 @@ import socket
 import sys
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..serve.framing import (
     ProtocolError,
@@ -49,45 +50,15 @@ from ..serve.framing import (
 from .cache import DelayCache, resolve_cache
 from .faults import inject_worker_fault, parse_fault_spec, result_corruption_fault
 from .metrics import METRICS
+from .parallel import TASK_KINDS
 from .transport import TIMEOUT, WORKER_DIED, ChunkResult, ShardTransport
 
 #: Version negotiated in the hello handshake (docs/DISTRIBUTED.md §4.1).
-#: Bump on any incompatible message change; a parent refuses a worker
-#: speaking a different version.
-PROTOCOL_VERSION = 1
-
-#: Extra job kinds registered at runtime (tests, extensions).
-_EXTRA_JOBS: Dict[str, Callable] = {}
-
-
-def register_job_kind(label: str, fn: Callable) -> None:
-    """Register an additional chunk-job kind (worker-side extension hook).
-
-    ``fn`` must follow the sharded-worker contract: one picklable payload
-    in, a ``(result, counters, gauges)`` triple out.
-    """
-    _EXTRA_JOBS[label] = fn
-
-
-def job_kinds() -> Dict[str, Callable]:
-    """Label -> worker-function map for every job a worker can run.
-
-    The six built-in labels are exactly the sharded runner's span labels,
-    so a trace from a remote run lines up with a local one.  Imported
-    lazily — the worker functions pull in the analysis cores.
-    """
-    from . import parallel
-
-    kinds = {
-        "pairs": parallel._pairs_worker,
-        "faults": parallel._fault_worker,
-        "cones": parallel._cone_worker,
-        "monte-carlo": parallel._monte_carlo_worker,
-        "characterize": parallel._characterize_worker,
-        "fuzz": parallel._fuzz_worker,
-    }
-    kinds.update(_EXTRA_JOBS)
-    return kinds
+#: Bump on any incompatible message or artifact change; a parent refuses
+#: a worker speaking a different version.  Version 2: every payload
+#: artifact is ``(context, [(index, item), ...])`` and every result
+#: artifact ``[(index, result), ...]``, whatever the job label.
+PROTOCOL_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -246,8 +217,6 @@ class RemoteTransport(ShardTransport):
 
     # -- the round ------------------------------------------------------
     def run_round(self, worker, make_payload, tasks, timeout, fault, label):
-        if label not in job_kinds():
-            return self._run_local_fallback(worker, make_payload, tasks)
         METRICS.incr("transport.rounds")
         links = self._ensure_links()
         if not links:
@@ -325,32 +294,6 @@ class RemoteTransport(ShardTransport):
                 METRICS.incr("transport.worker_failures")
         return completed, failed
 
-    def _run_local_fallback(self, worker, make_payload, tasks):
-        """A job kind the workers don't know runs inline in this process
-        (serially, no fault injection — a crash fault must not kill the
-        parent).  Counted so an operator can see the transport was
-        bypassed; results are identical by the worker-function contract.
-        """
-        completed: List[ChunkResult] = []
-        failed: List[Tuple[int, list, str]] = []
-        for index, chunk in tasks:
-            METRICS.incr("transport.local_fallback")
-            start = time.perf_counter()
-            try:
-                result, counters, gauges = worker(make_payload(chunk))
-            except Exception as error:
-                failed.append((index, chunk, repr(error)))
-                continue
-            completed.append(
-                ChunkResult(
-                    index=index, chunk=chunk, result=result,
-                    counters=counters, gauges=gauges,
-                    worker=os.getpid(), host="local",
-                    elapsed=time.perf_counter() - start,
-                )
-            )
-        return completed, failed
-
     def close(self) -> None:
         for link in self._links.values():
             link.close()
@@ -374,7 +317,7 @@ def _handle_request(request: dict, cache: DelayCache) -> Tuple[dict, bool]:
                 "protocol": PROTOCOL_VERSION,
                 "host": socket.gethostname(),
                 "pid": os.getpid(),
-                "jobs": sorted(job_kinds()),
+                "jobs": sorted(TASK_KINDS),
             },
             True,
         )
@@ -392,7 +335,7 @@ def _handle_request(request: dict, cache: DelayCache) -> Tuple[dict, bool]:
 
 def _handle_chunk(request: dict, cache: DelayCache) -> dict:
     label = request.get("job")
-    fn = job_kinds().get(label)
+    fn = TASK_KINDS.get(label)
     task = int(request.get("task", -1))
     if fn is None:
         return {"ok": False, "task": task, "error": f"unknown job {label!r}"}

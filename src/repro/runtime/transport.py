@@ -5,8 +5,9 @@ robin chunking, per-round timeouts, bounded retries with poison
 isolation, serial degradation, and the deterministic merge.  This module
 owns the execution substrate behind one interface:
 
-* :class:`LocalPoolTransport` — the original in-host
-  ``ProcessPoolExecutor``, rebuilt when workers die or hang;
+* :class:`LocalPoolTransport` — the in-host ``ProcessPoolExecutor``,
+  rebuilt when workers die or hang; one instance can also live across
+  runs (the query service's warm pool);
 * :class:`~repro.runtime.remote.RemoteTransport` — long-lived ``trued
   worker`` processes on other hosts, spoken to over JSON-lines sockets
   with the content-addressed disk cache as the artifact store
@@ -28,6 +29,8 @@ library callers can override per call by passing a transport instance.
 from __future__ import annotations
 
 import os
+import signal
+import threading
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -97,6 +100,33 @@ class ShardTransport:
 # ----------------------------------------------------------------------
 # In-host process pool
 # ----------------------------------------------------------------------
+def resolve_jobs(jobs: Optional[int], task_count: Optional[int] = None) -> int:
+    """Normalise a ``--jobs`` value: ``0``/``None``/negative mean "all
+    cores"; never more workers than tasks."""
+    if jobs is None or jobs <= 0:
+        jobs = os.cpu_count() or 1
+    jobs = max(1, int(jobs))
+    if task_count is not None:
+        jobs = min(jobs, max(1, task_count))
+    return jobs
+
+
+def _detach_worker_signals() -> None:
+    """Pool-worker initializer: drop the parent's signal plumbing.
+
+    A worker forked from an asyncio server (``trued serve --tcp`` /
+    ``--socket``) inherits the event loop's wakeup fd on CPython before
+    3.12.  When :func:`_kill_pool` terminated such a worker, its SIGTERM
+    was written into the server's self-pipe and the server ran its own
+    SIGTERM handler: one failed round shut the whole server down.  A
+    forked worker also inherits the parent's Python-level SIGTERM
+    handler, which would turn :func:`_kill_pool`'s terminate into a
+    no-op for a hung worker; the default disposition lets it die.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _call_worker(args):
     """Pool entry point (runs in the worker process): apply any injected
     fault for this task, then clock the real worker."""
@@ -129,27 +159,52 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 class LocalPoolTransport(ShardTransport):
     """The in-host ``ProcessPoolExecutor`` substrate.
 
-    The pool survives across rounds of one sharded run but is killed and
-    lazily rebuilt (``parallel.pool_restarts``) whenever a round sees a
-    dead or hung worker — a hung worker never drains the call queue on
-    its own, so the only safe recovery is a fresh pool.
+    ``jobs`` is the worker count (``0`` = all cores, as
+    :func:`resolve_jobs`).  The pool is built lazily at that size and
+    survives across rounds, and across sharded runs when the caller owns
+    the transport (the query service keeps one for its lifetime).  A
+    round that sees a dead or hung worker kills the pool
+    (``parallel.pool_restarts``) and the next round rebuilds it — a hung
+    worker never drains the call queue on its own, so the only safe
+    recovery is a fresh pool.
+
+    Rounds are serialised under a lock, so one transport can serve
+    concurrent callers (the multi-client server's sessions): the
+    kill/rebuild bookkeeping stays race-free and results do not depend
+    on how many callers share the pool.
     """
 
     name = "local"
 
     def __init__(self, jobs: int):
-        self.jobs = max(1, int(jobs))
+        self.jobs = resolve_jobs(jobs)
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._lock = threading.RLock()
+        self.rounds = 0
+        self.builds = 0
+        self.degraded_rounds = 0
+        self.drains = 0
 
-    def _ensure_pool(self, task_count: int) -> ProcessPoolExecutor:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, max(1, task_count))
+                max_workers=self.jobs, initializer=_detach_worker_signals
             )
+            self.builds += 1
         return self._pool
 
     def run_round(self, worker, make_payload, tasks, timeout, fault, label):
-        pool = self._ensure_pool(len(tasks))
+        with self._lock:
+            self.rounds += 1
+            completed, failed = self._run_round(
+                worker, make_payload, tasks, timeout, fault
+            )
+            if failed:
+                self.degraded_rounds += 1
+            return completed, failed
+
+    def _run_round(self, worker, make_payload, tasks, timeout, fault):
+        pool = self._ensure_pool()
         futures: Dict[object, Tuple[int, list]] = {}
         completed: List[ChunkResult] = []
         failed: List[FailedTask] = []
@@ -195,10 +250,37 @@ class LocalPoolTransport(ShardTransport):
             self._pool = None
         return completed, failed
 
+    def drain(self) -> None:
+        """Block until no round is in flight (a no-op on an idle pool).
+
+        Reloading a query-service session calls this before detaching
+        its engine, so no worker is still evaluating cones of a circuit
+        the session no longer serves.  The workers stay warm: draining
+        is about round completion, not teardown.
+        """
+        with self._lock:
+            self.drains += 1
+            METRICS.incr("transport.drains")
+
+    def stats(self) -> Dict[str, object]:
+        """Pool accounting, reported by the service ``stats`` and server
+        ``server_stats`` ops.  ``degraded_rounds`` counts rounds in which
+        some task failed; ``restarts`` counts pool builds after the
+        first."""
+        return {
+            "jobs": self.jobs,
+            "live": self._pool is not None,
+            "rounds": self.rounds,
+            "restarts": max(0, self.builds - 1),
+            "degraded_rounds": self.degraded_rounds,
+            "drains": self.drains,
+        }
+
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        with self._lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
 
 
 # ----------------------------------------------------------------------

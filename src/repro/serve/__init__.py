@@ -1,11 +1,11 @@
-"""The multi-client async timing server (``trued serve --tcp``).
+"""The multi-client async timing server (``trued serve --tcp`` /
+``--socket``).
 
-:mod:`repro.incremental.service` answers one client at a time over stdio
-or a unix socket.  This package puts an asyncio front-end on the same
-JSON-lines protocol so *many* concurrent sessions multiplex over one
-process — and over one shared :class:`~repro.incremental.pool.WarmPool`
-and one shared content-addressed
-:class:`~repro.runtime.cache.DelayCache`:
+:mod:`repro.incremental.service` answers one client over stdio.  This
+package puts an asyncio front-end on the same JSON-lines protocol so
+*many* concurrent sessions multiplex over one process — and over one
+shared :class:`~repro.runtime.transport.LocalPoolTransport` and one
+shared content-addressed :class:`~repro.runtime.cache.DelayCache`:
 
 * :mod:`repro.serve.server` — :class:`TimingServer`: per-session circuit
   namespaces (each connection owns a

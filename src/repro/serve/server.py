@@ -15,14 +15,14 @@ exactly the single-client one in :mod:`repro.incremental.service`; see
 
 * **Bounded admission with backpressure.**  Requests that need compute
   enter a FIFO queue drained by ``workers`` executor threads (default 1:
-  parallelism lives *inside* a request, across the dirty cones of the
-  shared :class:`~repro.incremental.pool.WarmPool`).  When
-  ``max_pending`` requests are already queued or executing, new compute
-  requests are rejected immediately with ``{"ok": false, "error":
-  "busy", "busy": true}`` — no request id is consumed, so a client can
-  simply retry.  This is the bounded-concurrency manager shape: admit,
-  queue, run-behind-a-semaphore, shed load explicitly instead of
-  stalling the socket.
+  parallelism lives *inside* a request, across the dirty cones sharded
+  over the shared :class:`~repro.runtime.transport.LocalPoolTransport`).
+  When ``max_pending`` requests are already queued or executing, new
+  compute requests are rejected immediately with ``{"ok": false,
+  "error": "busy", "busy": true}`` — no request id is consumed, so a
+  client can simply retry.  This is the bounded-concurrency manager
+  shape: admit, queue, run-behind-a-semaphore, shed load explicitly
+  instead of stalling the socket.
 
 * **Cross-client request coalescing.**  ``query``/``certify`` answers
   are pure functions of (circuit content fingerprint, kind, engine), so
@@ -53,12 +53,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..incremental.pool import WarmPool
 from ..incremental.service import QueryService
 from ..runtime.cache import DelayCache
 from ..runtime.fingerprint import circuit_fingerprint
 from ..runtime.metrics import Metrics, metrics_scope
 from ..runtime.tracing import Tracer, tracer_scope
+from ..runtime.transport import LocalPoolTransport
 from .framing import MAX_LINE_BYTES, prepare_unix_socket_path
 
 
@@ -119,22 +119,23 @@ class TimingServer:
         max_pending: int = 64,
         workers: int = 1,
         cache: Optional[DelayCache] = None,
-        pool: Optional[WarmPool] = None,
+        transport: Optional[LocalPoolTransport] = None,
         preload: Optional[str] = None,
     ) -> None:
         self.engine_name = engine_name
         self.jobs = jobs
+        self.timeout = timeout
         self.max_pending = max(1, int(max_pending))
         self.workers = max(1, int(workers))
         #: Shared across sessions: cone results are content-addressed, so
         #: one client's computation warms every other client's cache.
         self.cache = cache if cache is not None else DelayCache()
-        self._owns_pool = pool is None and jobs != 1
-        self.pool = (
-            pool
-            if pool is not None
-            else (WarmPool(jobs=jobs, timeout=timeout) if jobs != 1 else None)
-        )
+        #: The pool every session's dirty cones shard over (``jobs != 1``);
+        #: built here unless the caller passes (and then owns) one.
+        self._owns_transport = transport is None and jobs != 1
+        if self._owns_transport:
+            transport = LocalPoolTransport(jobs)
+        self.transport = transport
         self.preload = preload
         self.stats_counters = ServerStats()
         self._pending = 0
@@ -232,8 +233,8 @@ class TimingServer:
             except OSError:
                 pass
             self._unix_path = None
-        if self._owns_pool and self.pool is not None:
-            self.pool.shutdown()
+        if self._owns_transport:
+            self.transport.close()
 
     # ------------------------------------------------------------------
     # Sessions
@@ -245,8 +246,9 @@ class TimingServer:
         service = QueryService(
             engine_name=self.engine_name,
             jobs=self.jobs,
-            pool=self.pool,
+            transport=self.transport,
             cache=self.cache,
+            timeout=self.timeout,
         )
         return _Session(f"session-{self._session_count:04d}", service)
 
@@ -463,8 +465,8 @@ class TimingServer:
             "workers": self.workers,
         }
         result["coalesce_in_flight"] = len(self._inflight)
-        if self.pool is not None:
-            result["pool"] = self.pool.stats()
+        if self.transport is not None:
+            result["pool"] = self.transport.stats()
         return result
 
 
@@ -479,7 +481,7 @@ def run_server(
     preload: Optional[str] = None,
     announce=None,
 ) -> int:
-    """Blocking entry point for ``trued serve --tcp`` (and async unix).
+    """Blocking entry point for ``trued serve --tcp`` / ``--socket``.
 
     ``announce(address_string)`` is called once per bound transport —
     the CLI prints to stderr so stdout stays free, and tests capture the

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 
 from repro.network import Circuit, CircuitBuilder, GateType, loads_bench
+from repro.runtime import shard_map
 from repro.sim import EventSimulator, all_input_vectors
 
 C17_BENCH = """
@@ -27,6 +28,16 @@ G23 = NAND(G16, G19)
 
 def c17() -> Circuit:
     return loads_bench(C17_BENCH, "c17")
+
+
+def shard_pairs(circuit: Circuit, jobs: int, **kwargs):
+    """Per-output certification pairs straight through the sharded
+    runner, as ``collect_certification_pairs`` maps them."""
+    outputs = list(circuit.outputs)
+    found = shard_map(
+        "pairs", (circuit, "auto", None), outputs, jobs, **kwargs
+    )
+    return {out: pair for out, pair in zip(outputs, found) if pair}
 
 
 def tiny_and_or() -> Circuit:

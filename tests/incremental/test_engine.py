@@ -6,10 +6,9 @@ from repro.circuits.generators import random_logic
 from repro.incremental import (
     IncrementalTimingEngine,
     KINDS,
-    WarmPool,
     cold_query,
 )
-from repro.runtime import DelayCache
+from repro.runtime import DelayCache, LocalPoolTransport
 
 from tests.helpers import c17
 
@@ -92,10 +91,13 @@ def test_sharded_and_warm_pool_routes_are_result_identical():
     )
     serial = cold_query(circuit, "transition").record_json()
     assert cold_query(circuit, "transition", jobs=2).record_json() == serial
-    with WarmPool(jobs=2) as pool:
-        engine = IncrementalTimingEngine(circuit, pool=pool)
+    pool = LocalPoolTransport(jobs=2)
+    try:
+        engine = IncrementalTimingEngine(circuit, jobs=2, transport=pool)
         assert engine.query("transition").record_json() == serial
         assert pool.stats()["rounds"] >= 1
+    finally:
+        pool.close()
 
 
 def test_engine_accepts_external_cache_and_invalidate():

@@ -6,20 +6,17 @@ import os
 import socket
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
 
 from repro.incremental import (
     QueryService,
-    WarmPool,
     prepare_unix_socket_path,
     serve_stream,
-    serve_unix,
 )
 from repro.incremental.service import ServiceError
-from repro.runtime import METRICS
+from repro.runtime import METRICS, LocalPoolTransport
 
 from tests.helpers import C17_BENCH
 
@@ -126,10 +123,13 @@ def test_degraded_warm_pool_round_preserves_records():
     os.environ["REPRO_FAULT_INJECT"] = "crash:0"
     try:
         session = (SERVICE_DIR / "session.jsonl").read_text().splitlines()
-        with WarmPool(jobs=2, timeout=60) as pool:
-            service = QueryService(jobs=2, pool=pool)
+        pool = LocalPoolTransport(jobs=2)
+        try:
+            service = QueryService(jobs=2, transport=pool, timeout=60)
             writer = io.StringIO()
             serve_stream(service, iter(session), writer)
+        finally:
+            pool.close()
         degraded = [
             normalize_line(line, strip_stats=True)
             for line in writer.getvalue().splitlines()
@@ -190,8 +190,9 @@ def test_reload_drains_pool_and_counts():
     """Regression: 'load' on an already-loaded session replaces the
     engine without draining warm-pool state; now it drains the pool,
     invalidates the engine, and 'stats' reports the reload."""
-    with WarmPool(jobs=2, timeout=60) as pool:
-        service = QueryService(jobs=2, pool=pool)
+    pool = LocalPoolTransport(jobs=2)
+    try:
+        service = QueryService(jobs=2, transport=pool, timeout=60)
         responses = []
         reader = iter(
             [
@@ -213,6 +214,8 @@ def test_reload_drains_pool_and_counts():
         )
         assert responses[4]["result"]["reloads"] == 1
         assert pool.stats()["drains"] == 1
+    finally:
+        pool.close()
 
 
 def test_stale_socket_file_is_probed_and_removed(tmp_path):
@@ -237,33 +240,3 @@ def test_live_socket_is_not_stolen(tmp_path):
     finally:
         listener.close()
         os.unlink(path)
-
-
-def test_unix_socket_transport(tmp_path):
-    path = str(tmp_path / "serve.sock")
-    service = QueryService()
-    thread = threading.Thread(
-        target=serve_unix, args=(service, path), daemon=True
-    )
-    thread.start()
-    for __ in range(200):
-        if os.path.exists(path):
-            break
-        thread.join(0.05)
-    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    client.connect(path)
-    with client:
-        reader = client.makefile("r", encoding="utf-8")
-        writer = client.makefile("w", encoding="utf-8")
-        for request in (
-            {"op": "load", "bench": C17_BENCH},
-            {"op": "query", "kind": "transition"},
-            {"op": "shutdown"},
-        ):
-            writer.write(json.dumps(request) + "\n")
-            writer.flush()
-        responses = [json.loads(reader.readline()) for __ in range(3)]
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert not os.path.exists(path)  # graceful shutdown removed the socket
-    assert responses[1]["result"]["record"]["delay"] == 3

@@ -11,10 +11,10 @@ from repro.core import (
     monte_carlo_delay,
     uniform_variation,
 )
-from repro.runtime import resolve_jobs, shard_certification_pairs
+from repro.runtime import metrics_scope, resolve_jobs
 from repro.runtime.parallel import _chunk_round_robin, sample_seed
 
-from tests.helpers import c17
+from tests.helpers import c17, shard_pairs
 
 
 def test_resolve_jobs_normalises():
@@ -41,7 +41,7 @@ def test_sample_seed_is_stable_and_distinct():
 def test_sharded_certification_pairs_match_serial():
     circuit = c17()
     serial = collect_certification_pairs(circuit, jobs=1)
-    sharded = shard_certification_pairs(circuit, jobs=2)
+    sharded = shard_pairs(circuit, jobs=2)
     assert list(sharded) == list(serial)  # declaration order preserved
     for out in serial:
         t_serial, pair_serial = serial[out]
@@ -91,3 +91,21 @@ def test_fault_coverage_sharded_matches_serial():
     assert [str(f) for f in serial.untestable] == [
         str(f) for f in sharded.untestable
     ]
+
+
+def test_consecutive_runs_number_their_tasks_from_zero(monkeypatch):
+    """Task indices restart at 0 in every run: under ``crash:0`` each of
+    two runs loses its own task 0 and still returns the jobs=1 result.
+    The serve crash replays rely on this (every query's first round
+    degrades the same way)."""
+    circuit = c17()
+    serial = collect_certification_pairs(circuit, jobs=1)
+    monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
+    for __ in range(2):
+        with metrics_scope() as metrics:
+            assert shard_pairs(circuit, jobs=2, retries=0) == serial
+        # Numbering carried over from the first run would give the
+        # second run tasks 2 and 3, and the fault would not fire.  (The
+        # crash may also take the other chunk down with the pool.)
+        assert metrics.counter("parallel.chunk_failures") >= 1
+        assert metrics.counter("transport.degraded") == 1

@@ -3,10 +3,10 @@
 Two layers of coverage.  The raw-socket tests speak the worker protocol
 by hand — a real `trued worker` subprocess on one side, a test-owned
 socket on the other — and hold every op to its section of the spec
-(docs/DISTRIBUTED.md §4).  The end-to-end tests drive the six-label
-sharded runner through `RemoteTransport` against one- and two-worker
-fleets and assert the headline guarantee of §5: byte-identical results
-to `--jobs 1` through crashes, corrupt artifacts, and total fleet loss.
+(docs/DISTRIBUTED.md §4).  The end-to-end tests drive `shard_map`
+through `RemoteTransport` against one- and two-worker fleets and assert
+the headline guarantee of §5: byte-identical results to `--jobs 1`
+through crashes, corrupt artifacts, and total fleet loss.
 
 Crash faults here always run inside *subprocess* workers — an injected
 `os._exit` in a threaded in-process worker would take pytest with it.
@@ -25,13 +25,11 @@ import pytest
 from repro.core import collect_certification_pairs
 from repro.runtime.cache import DelayCache
 from repro.runtime.metrics import metrics_scope
-from repro.runtime.parallel import shard_certification_pairs
+from repro.runtime.parallel import TASK_KINDS, shard_map
 from repro.runtime.remote import (
     PROTOCOL_VERSION,
     RemoteTransport,
-    _EXTRA_JOBS,
-    job_kinds,
-    register_job_kind,
+    _handle_request,
     run_worker,
 )
 from repro.serve.framing import (
@@ -41,7 +39,7 @@ from repro.serve.framing import (
     send_json_line,
 )
 
-from tests.helpers import c17
+from tests.helpers import c17, shard_pairs
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +116,7 @@ def _transport(hosts, store, **kwargs):
 # ----------------------------------------------------------------------
 def test_hello_handshake_and_job_catalogue(worker):
     """§4.1: hello returns the protocol version, worker identity, and
-    the job catalogue — the six sharded-runner labels."""
+    the job catalogue — the sharded runner's task kinds."""
     sock, r, w = _connect(worker)
     with sock:
         send_json_line(w, {"op": "hello", "protocol": PROTOCOL_VERSION})
@@ -127,7 +125,8 @@ def test_hello_handshake_and_job_catalogue(worker):
     assert hello["protocol"] == PROTOCOL_VERSION
     assert hello["pid"] > 0
     assert hello["host"]
-    assert set(hello["jobs"]) >= {
+    assert hello["jobs"] == sorted(TASK_KINDS)
+    assert set(hello["jobs"]) == {
         "pairs", "faults", "cones", "monte-carlo", "characterize", "fuzz",
     }
 
@@ -231,7 +230,9 @@ def test_chunk_round_trip_by_hand(worker, store):
     provenance fields the parent turns into span attribution."""
     cache = DelayCache(cache_dir=store, enabled=True)
     circuit = c17()
-    token = cache.put_artifact((circuit, "auto", None, list(circuit.outputs)))
+    token = cache.put_artifact(
+        ((circuit, "auto", None), list(enumerate(circuit.outputs)))
+    )
     sock, r, w = _connect(worker)
     with sock:
         send_json_line(
@@ -251,9 +252,9 @@ def test_chunk_round_trip_by_hand(worker, store):
     assert reply["host"]
     assert reply["elapsed_ms"] >= 0
     assert isinstance(reply["counters"], dict)
-    result = cache.get_artifact(reply["result"])  # out -> (time, pair)
+    result = cache.get_artifact(reply["result"])  # [(index, (time, pair))]
     serial = collect_certification_pairs(circuit, jobs=1)
-    assert set(result) == set(serial)
+    assert {circuit.outputs[i]: pair for i, pair in result} == serial
 
 
 # ----------------------------------------------------------------------
@@ -267,9 +268,7 @@ def test_two_worker_fleet_is_byte_identical_to_serial(fleet, store):
     transport = _transport(fleet, store)
     try:
         with metrics_scope() as metrics:
-            sharded = shard_certification_pairs(
-                circuit, jobs=4, transport=transport
-            )
+            sharded = shard_pairs(circuit, jobs=4, transport=transport)
             assert metrics.counter("transport.remote_chunks") > 0
             assert metrics.counter("transport.rounds") >= 1
             assert metrics.counter("transport.artifact_pushes") > 0
@@ -292,9 +291,7 @@ def test_worker_crash_retries_on_the_survivor(fleet, store, monkeypatch):
     transport = _transport(fleet, store)
     try:
         with metrics_scope() as metrics:
-            sharded = shard_certification_pairs(
-                circuit, jobs=4, transport=transport
-            )
+            sharded = shard_pairs(circuit, jobs=4, transport=transport)
             assert metrics.counter("transport.worker_failures") >= 1
             assert metrics.counter("parallel.retries") >= 1
             assert metrics.counter("transport.degraded") == 0
@@ -317,9 +314,7 @@ def test_lone_worker_crash_degrades_to_serial(store, monkeypatch):
     transport = _transport([endpoint], store)
     try:
         with metrics_scope() as metrics:
-            sharded = shard_certification_pairs(
-                circuit, jobs=4, transport=transport
-            )
+            sharded = shard_pairs(circuit, jobs=4, transport=transport)
             assert metrics.counter("transport.degraded") == 1
             assert metrics.counter("parallel.serial_fallback_items") > 0
             assert metrics.counter("transport.connect_failures") >= 1
@@ -347,9 +342,7 @@ def test_corrupt_result_artifact_is_quarantined_and_retried(
     transport = _transport([worker], store)
     try:
         with metrics_scope() as metrics:
-            sharded = shard_certification_pairs(
-                circuit, jobs=4, transport=transport
-            )
+            sharded = shard_pairs(circuit, jobs=4, transport=transport)
             assert metrics.counter("cache.disk_corrupt") >= 1
             assert metrics.counter("parallel.retries") >= 1
             assert metrics.counter("transport.degraded") == 0
@@ -376,9 +369,7 @@ def test_unreachable_fleet_degrades_to_serial(store):
     transport = _transport(["127.0.0.1:1"], store, connect_timeout=0.25)
     try:
         with metrics_scope() as metrics:
-            sharded = shard_certification_pairs(
-                circuit, jobs=2, transport=transport
-            )
+            sharded = shard_pairs(circuit, jobs=2, transport=transport)
             assert metrics.counter("transport.connect_failures") >= 1
             assert metrics.counter("transport.degraded") == 1
     finally:
@@ -388,45 +379,40 @@ def test_unreachable_fleet_degrades_to_serial(store):
 
 
 # ----------------------------------------------------------------------
-# Job-kind registry and the local fallback
+# The job catalogue is the sharded runner's task-kind registry
 # ----------------------------------------------------------------------
-def test_register_job_kind_extends_the_catalogue():
-    """§4.1: registered extension jobs appear in the hello catalogue's
-    source of truth."""
+def test_task_kinds_is_the_hello_catalogue(monkeypatch, store):
+    """§4.1: a kind added to `TASK_KINDS` is announced by hello — the
+    worker has no catalogue of its own."""
 
     def echo(payload):
         return payload, {}, {}
 
-    register_job_kind("echo-test", echo)
-    try:
-        assert job_kinds()["echo-test"] is echo
-    finally:
-        del _EXTRA_JOBS["echo-test"]
-    assert "echo-test" not in job_kinds()
+    monkeypatch.setitem(TASK_KINDS, "echo-test", echo)
+    hello, keep_running = _handle_request(
+        {"op": "hello"}, DelayCache(cache_dir=store, enabled=True)
+    )
+    assert keep_running
+    assert "echo-test" in hello["jobs"]
+    assert hello["jobs"] == sorted(TASK_KINDS)
 
 
-def test_unknown_label_runs_inline_local_fallback(store):
-    """§5: a label the workers don't know bypasses the fleet entirely —
-    the round runs inline in the parent (`transport.local_fallback`),
-    with no connection ever attempted."""
+def test_unknown_label_is_rejected_before_any_transport_runs(store):
+    """§5: `shard_map` only runs registered task kinds, so an unknown
+    label is a caller error raised in the parent — no round starts and
+    no connection is ever attempted."""
     transport = _transport(["127.0.0.1:1"], store, connect_timeout=0.25)
     try:
         with metrics_scope() as metrics:
-            completed, failed = transport.run_round(
-                lambda payload: ([v + 1 for v in payload], {"n": 1}, {}),
-                lambda chunk: chunk,
-                [(0, [1, 2]), (1, [3])],
-                None,
-                None,
-                "not-a-real-label",
-            )
-            assert metrics.counter("transport.local_fallback") == 2
+            with pytest.raises(ValueError, match="unknown shard task kind"):
+                shard_map(
+                    "not-a-real-label", None, [1, 2, 3], 2,
+                    transport=transport,
+                )
+            assert metrics.counter("transport.rounds") == 0
             assert metrics.counter("transport.connect_failures") == 0
     finally:
         transport.close()
-    assert failed == []
-    assert sorted(c.result for c in completed) == [[2, 3], [4]]
-    assert all(c.host == "local" for c in completed)
 
 
 def test_remote_transport_requires_a_shared_store(monkeypatch):
@@ -442,15 +428,16 @@ def test_remote_transport_requires_a_shared_store(monkeypatch):
 # ----------------------------------------------------------------------
 # In-process worker over a unix socket (§2 + §6 --socket lifecycle)
 # ----------------------------------------------------------------------
-def test_threaded_worker_over_unix_socket(tmp_path, store):
-    """§2/§6: a worker on a unix socket serves registered extension jobs
-    end-to-end.  The worker runs in a thread here (both sides must share
-    `_EXTRA_JOBS`), so no crash faults — see the module docstring."""
+def test_threaded_worker_over_unix_socket(tmp_path, store, monkeypatch):
+    """§2/§6: a worker on a unix socket serves task kinds end-to-end.
+    The worker runs in a thread here (both sides must share the
+    test-registered `TASK_KINDS` entry), so no crash faults — see the
+    module docstring."""
 
     def doubler(payload):
         return [v * 2 for v in payload], {"doubler.chunks": 1}, {}
 
-    register_job_kind("doubler-test", doubler)
+    monkeypatch.setitem(TASK_KINDS, "doubler-test", doubler)
     path = str(tmp_path / "worker.sock")
     announce = io.StringIO()
     thread = threading.Thread(
@@ -487,7 +474,6 @@ def test_threaded_worker_over_unix_socket(tmp_path, store):
         assert by_index[0].host == socket.gethostname()
         assert by_index[0].worker == os.getpid()
     finally:
-        del _EXTRA_JOBS["doubler-test"]
         # §4.5: shutdown ends the accept loop and the thread.
         sock, r, w = _connect(f"unix://{path}")
         with sock:

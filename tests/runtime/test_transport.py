@@ -7,6 +7,8 @@ into: per-task outcome coverage, reuse after failure, ownership rules,
 and the `--transport`/`--hosts` policy validation.
 """
 
+import os
+
 import pytest
 
 from repro.runtime.transport import (
@@ -66,6 +68,45 @@ def test_local_pool_is_reused_across_rounds():
         assert transport._pool is pool
     finally:
         transport.close()
+
+
+def test_local_jobs_zero_means_all_cores():
+    """`LocalPoolTransport(0)` follows `--jobs 0`: one worker per core."""
+    assert LocalPoolTransport(jobs=0).jobs == (os.cpu_count() or 1)
+    assert LocalPoolTransport(jobs=-3).jobs == (os.cpu_count() or 1)
+    assert LocalPoolTransport(jobs=2).jobs == 2
+
+
+def test_local_pool_is_sized_to_jobs_not_to_the_first_round():
+    """A long-lived transport whose first round has one task still runs
+    `jobs` workers, so later, wider rounds get them all."""
+    transport = LocalPoolTransport(jobs=3)
+    try:
+        _run(transport, [(0, [1])])
+        assert transport._pool._max_workers == 3
+    finally:
+        transport.close()
+
+
+def test_local_stats_count_rounds_failures_restarts_and_drains():
+    from repro.runtime.faults import parse_fault_spec
+
+    transport = LocalPoolTransport(jobs=1)
+    try:
+        assert transport.stats() == {
+            "jobs": 1, "live": False, "rounds": 0, "restarts": 0,
+            "degraded_rounds": 0, "drains": 0,
+        }
+        _run(transport, [(0, [1])], fault=parse_fault_spec("crash:0"))
+        _run(transport, [(0, [2])])
+        transport.drain()
+        assert transport.stats() == {
+            "jobs": 1, "live": True, "rounds": 2, "restarts": 1,
+            "degraded_rounds": 1, "drains": 1,
+        }
+    finally:
+        transport.close()
+    assert transport.stats()["live"] is False
 
 
 def test_local_crash_reports_worker_died_and_rebuilds(monkeypatch):

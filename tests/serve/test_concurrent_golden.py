@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.incremental import QueryService, WarmPool, serve_stream
+from repro.incremental import QueryService, serve_stream
+from repro.runtime import LocalPoolTransport
 from repro.runtime.metrics import metrics_scope
 from repro.runtime.tracing import tracer_scope
 from repro.serve import TimingServer
@@ -87,8 +88,8 @@ def golden_run(script, jobs):
             service = QueryService(jobs=1)
             pool = None
         else:
-            pool = WarmPool(jobs=jobs, timeout=60)
-            service = QueryService(jobs=jobs, pool=pool)
+            pool = LocalPoolTransport(jobs=jobs)
+            service = QueryService(jobs=jobs, transport=pool, timeout=60)
         writer = io.StringIO()
         try:
             serve_stream(
@@ -96,7 +97,7 @@ def golden_run(script, jobs):
             )
         finally:
             if pool is not None:
-                pool.shutdown()
+                pool.close()
     return [
         normalize_line(line, strip_stats=False)
         for line in writer.getvalue().splitlines()
