@@ -275,7 +275,9 @@ def validate_tests_by_fault_injection(
     state is computed in one pass of the word-level kernel, cross-checked
     lane-vs-scalar (``check=True``), and reused by the baseline replay
     *and* every slowed replay — settled values do not depend on delays,
-    so a delay-only re-annotation shares the state.
+    so a delay-only re-annotation shares the state.  A slowed replay is a
+    ``delays=`` annotation of the simulator: ``circuit`` is never copied
+    or edited.
     """
     from ..sim.event_sim import EventSimulator
     from ..sim.wordsim import batch_settle
@@ -298,9 +300,10 @@ def validate_tests_by_fault_injection(
             continue
         valid = True
         for name in test.fault.path[1:]:
-            slowed = circuit.copy()
-            slowed.set_delay(name, circuit.node(name).delay + extra_delay)
-            result = EventSimulator(slowed).simulate_transition(
+            slowed = EventSimulator(
+                circuit, delays={name: circuit.node(name).delay + extra_delay}
+            )
+            result = slowed.simulate_transition(
                 test.pair.v_prev, test.pair.v_next, initial=initial
             )
             slowed_time = result.waveforms[output].last_event_time

@@ -164,6 +164,11 @@ def sample_delay_once(
     worst observed delay.  Shared by the serial loop and the workers of
     :mod:`repro.runtime.parallel`.
 
+    The drawn delays are a ``delays=`` annotation of one
+    :class:`~repro.sim.event_sim.EventSimulator` over the circuit's
+    compiled program: the circuit is neither copied nor edited, and the
+    replays equal those of a copy re-annotated with ``set_delay``.
+
     ``initials`` optionally carries the pairs' settled ``v_-1`` states
     (see :func:`settle_pair_initials`); absent, they are computed here —
     either way the samples are bit-identical to a scalar-settle replay.
@@ -172,10 +177,10 @@ def sample_delay_once(
         nominal = _nominal_delays(circuit)
     if initials is None:
         initials = settle_pair_initials(circuit, pairs)
-    sample_circuit = circuit.copy()
-    for name, nom in nominal.items():
-        sample_circuit.set_delay(name, delay_model(rng, nom))
-    simulator = EventSimulator(sample_circuit)
+    simulator = EventSimulator(
+        circuit,
+        delays={name: delay_model(rng, nom) for name, nom in nominal.items()},
+    )
     worst = 0
     for pair, initial in zip(pairs, initials):
         worst = max(

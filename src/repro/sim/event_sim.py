@@ -17,32 +17,63 @@ Semantics
 * **Clocked mode**: `simulate_clocked` applies a vector every ``period``
   units *without* waiting for internal nodes to settle — the regime of
   Theorem 3.1.
+
+Representation
+--------------
+The event loop runs over the integer slots of the circuit's compiled
+program (:func:`repro.sim.wordsim.program_for`, shared with the
+word-level kernel): node values, pending events and recorded event times
+are lists indexed by slot, gate evaluation is the program's
+pre-resolved ``(kind, inverting, fanins)`` entry, and slots are
+topologically ordered, so the per-timestamp evaluation heap holds plain
+slot numbers.  A slot's recorded events are only their times: every
+event flips the value, so values follow from the initial one.
+:class:`~repro.sim.waveform.Waveform` objects are built only when a
+result's ``waveforms`` is read; ``TransitionResult.delay`` reads the
+output slots directly.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..network.circuit import Circuit
-from ..network.gates import GateType, evaluate_gate
 from .logic_sim import settle
 from .waveform import Waveform, WaveformSet
+from .wordsim import ALL, ANY, ONE, program_for
 
 
-@dataclass
 class TransitionResult:
     """Outcome of simulating one vector pair in single-stepping mode."""
 
-    waveforms: WaveformSet
-    outputs: List[str]
+    def __init__(self, session: "TimingSession"):
+        self._session = session
+        self._waveforms: Optional[WaveformSet] = None
+
+    @property
+    def outputs(self) -> List[str]:
+        return list(self._session._program.outputs)
+
+    @property
+    def waveforms(self) -> WaveformSet:
+        """Every node's waveform (built on first access)."""
+        if self._waveforms is None:
+            self._waveforms = self._session.waveforms
+        return self._waveforms
 
     @property
     def delay(self) -> int:
         """Time of the last transition at any primary output (0 if none) —
         the measured transition delay of this vector pair."""
-        return self.waveforms.last_event_time(self.outputs)
+        times = self._session._times
+        latest = 0
+        for slot in self._session._program.output_slots:
+            recorded = times[slot]
+            if recorded and recorded[-1] > latest:
+                latest = recorded[-1]
+        return latest
 
     def output_values(self) -> Dict[str, bool]:
         return {name: self.waveforms[name].final for name in self.outputs}
@@ -69,28 +100,25 @@ class TimingSession:
     in :mod:`repro.fsm.sequential`."""
 
     def __init__(self, simulator: "EventSimulator", initial: Dict[str, bool]):
-        self._sim = simulator
+        program, delays = simulator._compiled()
+        self._program = program
+        self._delays = delays
+        self._initial = dict(initial)
         self.now = 0
-        self.current = dict(initial)
-        self._projected = dict(initial)
-        self.waveforms = WaveformSet(
-            {name: Waveform(initial[name]) for name in initial}
-        )
-        self._events: Dict[int, Dict[str, bool]] = {}
+        self._current = list(map(self._initial.__getitem__, program.order))
+        # The value each gate is heading to once its scheduled events
+        # land; a re-evaluation that matches it schedules nothing.
+        self._projected = list(self._current)
+        # Event times recorded per slot (None until the first event).
+        self._times: List[Optional[List[int]]] = [None] * len(self._current)
+        # Pending events: time -> {slot: value}, plus a heap of the times.
+        self._pending: Dict[int, Dict[int, bool]] = {}
         self._heap: List[int] = []
         # Highest timestamp whose batch is already committed; injections
         # at or below this must merge, never queue a second batch.
         self._drained = -1
 
     # ------------------------------------------------------------------
-    def _schedule(self, time: int, node: str, value: bool) -> None:
-        bucket = self._events.get(time)
-        if bucket is None:
-            bucket = {}
-            self._events[time] = bucket
-            heapq.heappush(self._heap, time)
-        bucket[node] = value
-
     def inject(self, time: int, changes: Dict[str, bool]) -> None:
         """Schedule primary-input changes at ``time`` (>= now).
 
@@ -105,77 +133,107 @@ class TimingSession:
         ``time`` coalesces to no event at all, and downstream projections
         are recomputed accordingly.
         """
+        slots = self._program.slots
+        self._inject_slots(
+            time, {slots[name]: bool(value) for name, value in changes.items()}
+        )
+
+    def _inject_slots(self, time: int, changes: Dict[int, bool]) -> None:
+        """:meth:`inject` over slots; the session takes ``changes`` over."""
         if time < self.now:
             raise ValueError("cannot inject into the past")
+        bucket = self._pending.get(time)
+        if bucket is None:
+            self._pending[time] = changes
+            heappush(self._heap, time)
+        else:
+            bucket.update(changes)
         if time <= self._drained:
-            self._apply_batch(
-                time, {node: bool(value) for node, value in changes.items()}
-            )
-            return
-        for node, value in changes.items():
-            self._schedule(time, node, bool(value))
+            # Every batch left pending is later than the drained time, so
+            # this commits the merged batch alone.
+            self.advance(until=time)
 
     def value_at_sample(self, name: str) -> bool:
         """Current (edge-inclusive) value of a signal."""
-        return self.current[name]
-
-    def _apply_batch(self, t: int, changes: Dict[str, bool]) -> None:
-        """Commit one timestamp's batch: apply all changes at ``t`` before
-        re-evaluating any gate (the zero-width glitch filter), cascade
-        zero-delay gates within the timestamp, and schedule the rest."""
-        circuit = self._sim.circuit
-        fanouts = self._sim._fanouts
-        topo_index = self._sim._topo_index
-        current, projected = self.current, self._projected
-        waveforms = self.waveforms
-        self.now = max(self.now, t)
-        self._drained = max(self._drained, t)
-        eval_heap: List[Tuple[int, str]] = []
-        queued = set()
-        for node, value in changes.items():
-            if circuit.node(node).gate_type == GateType.INPUT:
-                projected[node] = value
-            if current[node] == value:
-                continue
-            current[node] = value
-            waveforms[node].append(t, value)
-            for fo in fanouts[node]:
-                if fo not in queued:
-                    queued.add(fo)
-                    heapq.heappush(eval_heap, (topo_index[fo], fo))
-        # Evaluate affected gates in topological order; zero-delay
-        # gates cascade within the same timestamp.
-        while eval_heap:
-            __, gate = heapq.heappop(eval_heap)
-            queued.discard(gate)
-            node = circuit.node(gate)
-            value = evaluate_gate(
-                node.gate_type, [current[f] for f in node.fanins]
-            )
-            if node.delay == 0:
-                if value != current[gate]:
-                    current[gate] = value
-                    projected[gate] = value
-                    waveforms[gate].append(t, value)
-                    for fo in fanouts[gate]:
-                        if fo not in queued:
-                            queued.add(fo)
-                            heapq.heappush(eval_heap, (topo_index[fo], fo))
-            else:
-                if value != projected[gate]:
-                    projected[gate] = value
-                    self._schedule(t + node.delay, gate, value)
+        return self._current[self._program.slots[name]]
 
     def advance(self, until: Optional[int] = None) -> int:
         """Process events up to and including time ``until`` (or to
-        quiescence).  Returns the simulation time reached."""
-        while self._heap:
-            t = self._heap[0]
-            if until is not None and t > until:
-                break
-            heapq.heappop(self._heap)
-            changes = self._events.pop(t)
-            self._apply_batch(t, changes)
+        quiescence).  Returns the simulation time reached.
+
+        Each timestamp's batch applies all of its changes at that time
+        ``t`` before re-evaluating any gate (the zero-width glitch
+        filter), cascades zero-delay gates within ``t``, and schedules
+        the rest.
+        """
+        program = self._program
+        gates, fanouts, delays = program.gates, program.fanouts, self._delays
+        current, projected, times = self._current, self._projected, self._times
+        pending, heap = self._pending, self._heap
+        value_of = current.__getitem__
+        while heap and (until is None or heap[0] <= until):
+            t = heappop(heap)
+            changes = pending.pop(t)
+            if t > self.now:
+                self.now = t
+            if t > self._drained:
+                self._drained = t
+            evaluate: List[int] = []
+            for slot, value in changes.items():
+                if current[slot] == value:
+                    continue
+                current[slot] = value
+                recorded = times[slot]
+                if recorded is None:
+                    times[slot] = [t]
+                elif recorded and recorded[-1] == t:
+                    # Flipping back within one timestamp cancels its event.
+                    recorded.pop()
+                else:
+                    recorded.append(t)
+                evaluate.extend(fanouts[slot])
+            # Evaluate affected gates in topological (= slot) order;
+            # zero-delay gates cascade within the same timestamp.  A gate
+            # queued twice pops twice in a row: the repeat is skipped.
+            heapify(evaluate)
+            last = -1
+            while evaluate:
+                gate = heappop(evaluate)
+                if gate == last:
+                    continue
+                last = gate
+                kind, inverting, fanins = gates[gate]
+                if kind == ALL:
+                    value = all(map(value_of, fanins)) != inverting
+                elif kind == ANY:
+                    value = any(map(value_of, fanins)) != inverting
+                elif kind == ONE:
+                    value = value_of(fanins[0]) != inverting
+                else:  # PARITY
+                    value = (sum(map(value_of, fanins)) & 1) != inverting
+                delay = delays[gate]
+                if delay == 0:
+                    if value != current[gate]:
+                        current[gate] = value
+                        projected[gate] = value
+                        recorded = times[gate]
+                        if recorded is None:
+                            times[gate] = [t]
+                        elif recorded and recorded[-1] == t:
+                            recorded.pop()
+                        else:
+                            recorded.append(t)
+                        for fanout in fanouts[gate]:
+                            heappush(evaluate, fanout)
+                elif value != projected[gate]:
+                    projected[gate] = value
+                    at = t + delay
+                    bucket = pending.get(at)
+                    if bucket is None:
+                        pending[at] = {gate: value}
+                        heappush(heap, at)
+                    else:
+                        bucket[gate] = value
         if until is not None:
             self.now = max(self.now, until)
             self._drained = max(self._drained, until)
@@ -185,35 +243,61 @@ class TimingSession:
     def quiescent(self) -> bool:
         return not self._heap
 
+    @property
+    def waveforms(self) -> WaveformSet:
+        """Every node's waveform so far, keyed like the initial state."""
+        slots, times = self._program.slots, self._times
+        waveforms = {}
+        for name, initial in self._initial.items():
+            events = []
+            value = bool(initial)
+            for t in times[slots[name]] or ():
+                value = not value
+                events.append((t, value))
+            waveforms[name] = Waveform(initial, events)
+        return WaveformSet(waveforms)
+
 
 class EventSimulator:
-    """Event-driven transport-delay simulator for a fixed circuit."""
+    """Event-driven transport-delay simulator for a fixed circuit.
 
-    def __init__(self, circuit: Circuit):
+    ``delays`` optionally re-annotates gate delays by name for this
+    simulator only — the circuit and its journal are untouched, and the
+    replays equal those of a copy with ``set_delay`` applied per entry.
+    Journalled edits to the circuit made later are seen by the next
+    replay; an annotated delay keeps overriding its gate's.
+    """
+
+    def __init__(
+        self, circuit: Circuit, delays: Optional[Mapping[str, int]] = None
+    ):
         circuit.validate()
         self.circuit = circuit
-        self._order = circuit.topological_order()
-        self._topo_index = {name: i for i, name in enumerate(self._order)}
-        self._fanouts = circuit.fanouts()
+        self._annotation = dict(delays or {})
+        for name, delay in self._annotation.items():
+            if delay < 0:
+                raise ValueError("delay must be non-negative")
+            circuit.node(name)  # KeyError for an unknown node
+        self._program = None
+        self._delays: List[int] = []
+
+    def _compiled(self):
+        """The circuit's current program and this simulator's per-slot
+        delays over it."""
+        program = program_for(self.circuit)
+        if program is not self._program:
+            delays = program.delays
+            if self._annotation:
+                delays = list(delays)
+                for name, delay in self._annotation.items():
+                    delays[program.slots[name]] = delay
+            self._program, self._delays = program, delays
+        return program, self._delays
 
     # ------------------------------------------------------------------
     def session(self, initial_inputs: Dict[str, bool]) -> TimingSession:
         """Open a stateful session, settled under ``initial_inputs``."""
         return TimingSession(self, settle(self.circuit, initial_inputs))
-
-    def _run(
-        self,
-        initial: Dict[str, bool],
-        stimuli: Dict[int, Dict[str, bool]],
-        horizon: Optional[int] = None,
-    ) -> WaveformSet:
-        """Core loop: from a settled state, apply input changes at the given
-        times and propagate until quiescence (or ``horizon``)."""
-        session = TimingSession(self, initial)
-        for time, changes in stimuli.items():
-            session.inject(time, changes)
-        session.advance(until=horizon)
-        return session.waveforms
 
     # ------------------------------------------------------------------
     def simulate_transition(
@@ -238,12 +322,22 @@ class EventSimulator:
         """
         if initial is None:
             initial = settle(self.circuit, v_prev)
-        stimuli: Dict[int, Dict[str, bool]] = {}
-        for name in self.circuit.inputs:
-            time = (input_times or {}).get(name, 0)
-            stimuli.setdefault(time, {})[name] = bool(v_next[name])
-        waveforms = self._run(initial, stimuli)
-        return TransitionResult(waveforms, self.circuit.outputs)
+        session = TimingSession(self, initial)
+        program = session._program
+        if input_times:
+            stimuli: Dict[int, Dict[int, bool]] = {}
+            for name, slot in zip(program.inputs, program.input_slots):
+                time = input_times.get(name, 0)
+                stimuli.setdefault(time, {})[slot] = bool(v_next[name])
+        else:
+            stimuli = {0: dict(zip(
+                program.input_slots,
+                map(bool, map(v_next.__getitem__, program.inputs)),
+            ))}
+        for time, changes in stimuli.items():
+            session._inject_slots(time, changes)
+        session.advance()
+        return TransitionResult(session)
 
     def measure_pair_delay(
         self,
@@ -277,21 +371,19 @@ class EventSimulator:
             raise ValueError("need at least one vector")
         if period <= 0:
             raise ValueError("period must be positive")
-        initial = settle(self.circuit, vectors[0])
-        stimuli: Dict[int, Dict[str, bool]] = {}
+        session = self.session(vectors[0])
         for k, vector in enumerate(vectors[1:], start=1):
-            at = (k - 1) * period
-            stimuli.setdefault(at, {})
-            for name in self.circuit.inputs:
-                stimuli[at][name] = bool(vector[name])
-        waveforms = self._run(initial, stimuli)
+            session.inject(
+                (k - 1) * period,
+                {name: vector[name] for name in self.circuit.inputs},
+            )
+        session.advance()
+        waveforms = session.waveforms
+        outputs = self.circuit.outputs
         sampled: List[Dict[str, bool]] = []
         for k in range(1, len(vectors)):
             sample_time = k * period
             sampled.append(
-                {
-                    out: waveforms[out].value_at(sample_time)
-                    for out in self.circuit.outputs
-                }
+                {out: waveforms[out].value_at(sample_time) for out in outputs}
             )
-        return ClockedResult(waveforms, self.circuit.outputs, period, sampled)
+        return ClockedResult(waveforms, outputs, period, sampled)

@@ -136,6 +136,19 @@ class TestBatchValidation:
             True
         ] * len(coverage.tests)
 
+    def test_validation_leaves_the_circuit_untouched(self):
+        """Slowed replays are delay annotations of the simulator: the
+        caller's circuit gains no journal entry, revision or delay."""
+        circuit = c17()
+        gen = PathFaultGenerator(circuit, engine=BddEngine())
+        coverage = gen.generate_for_longest_paths(5)
+        delays = {node.name: node.delay for node in circuit.nodes()}
+        revision = circuit.revision
+        validate_tests_by_fault_injection(circuit, coverage.tests)
+        assert circuit.journal() == ()
+        assert circuit.revision == revision
+        assert {node.name: node.delay for node in circuit.nodes()} == delays
+
 
 class TestCoverageRuns:
     def test_c17_longest_paths(self):

@@ -21,6 +21,7 @@ from repro.core import (
     uniform_variation,
 )
 from repro.runtime import METRICS
+from repro.runtime.cache import DelayCache
 from repro.runtime.faults import (
     FaultSpec,
     parse_fault_spec,
@@ -78,22 +79,32 @@ class TestSpecParsing:
 # ----------------------------------------------------------------------
 # Degradation paths (real worker processes)
 # ----------------------------------------------------------------------
+#: The result cache stays out of these tests: with ``REPRO_CACHE_DIR``
+#: set, the ``jobs=1`` reference would store its answer on disk and the
+#: ``jobs=2`` call would be served from it without ever sharding.
+NO_CACHE = DelayCache(enabled=False)
+
+
 class TestDegradationPaths:
     def test_killed_worker_is_retried_and_result_identical(self, monkeypatch):
-        serial = collect_certification_pairs(c17(), jobs=1)
+        serial = collect_certification_pairs(c17(), jobs=1, cache=NO_CACHE)
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1")
         before = METRICS.counter("parallel.retries")
-        sharded = collect_certification_pairs(c17(), jobs=2)
+        sharded = collect_certification_pairs(
+            c17(), jobs=2, cache=NO_CACHE
+        )
         assert METRICS.counter("parallel.retries") > before
         assert_pairs_equal(serial, sharded)
 
     def test_hung_worker_times_out_and_result_identical(self, monkeypatch):
-        serial = collect_certification_pairs(c17(), jobs=1)
+        serial = collect_certification_pairs(c17(), jobs=1, cache=NO_CACHE)
         monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:0")
         # Bounded even if the terminate-on-timeout cleanup were to fail.
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "10")
         before = METRICS.counter("parallel.chunk_timeouts")
-        sharded = collect_certification_pairs(c17(), jobs=2, timeout=1.0)
+        sharded = collect_certification_pairs(
+            c17(), jobs=2, timeout=1.0, cache=NO_CACHE
+        )
         assert METRICS.counter("parallel.chunk_timeouts") > before
         assert_pairs_equal(serial, sharded)
 
@@ -121,10 +132,12 @@ class TestDegradationPaths:
     def test_exhausted_retries_degrade_to_serial_in_process(
         self, monkeypatch
     ):
-        serial = collect_certification_pairs(c17(), jobs=1)
+        serial = collect_certification_pairs(c17(), jobs=1, cache=NO_CACHE)
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
         before = METRICS.counter("parallel.serial_fallback_items")
-        sharded = collect_certification_pairs(c17(), jobs=2, retries=0)
+        sharded = collect_certification_pairs(
+            c17(), jobs=2, retries=0, cache=NO_CACHE
+        )
         assert METRICS.counter("parallel.serial_fallback_items") > before
         assert_pairs_equal(serial, sharded)
 
