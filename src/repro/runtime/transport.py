@@ -32,6 +32,7 @@ import os
 import signal
 import threading
 import time
+from contextlib import contextmanager
 from concurrent.futures import CancelledError, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -122,9 +123,33 @@ def _detach_worker_signals() -> None:
     forked worker also inherits the parent's Python-level SIGTERM
     handler, which would turn :func:`_kill_pool`'s terminate into a
     no-op for a hung worker; the default disposition lets it die.
+
+    Workers are forked with SIGTERM blocked (:func:`_sigterm_blocked`),
+    so a terminate that lands before this initializer runs — the pool
+    breaking while a worker still starts up — stays pending instead of
+    reaching the inherited plumbing.  Unblocking it here, after the
+    reset, delivers it with the default disposition.
     """
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
+@contextmanager
+def _sigterm_blocked():
+    """Block SIGTERM in the calling thread while the pool forks workers
+    from it; they inherit the mask until :func:`_detach_worker_signals`
+    lifts it.  A SIGTERM for this process meanwhile is delivered to
+    another thread or, once the mask is restored, to this one."""
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def _call_worker(args):
@@ -210,11 +235,14 @@ class LocalPoolTransport(ShardTransport):
         failed: List[FailedTask] = []
         pool_dead = False
         try:
-            for index, chunk in tasks:
-                future = pool.submit(
-                    _call_worker, (worker, index, fault, make_payload(chunk))
-                )
-                futures[future] = (index, chunk)
+            # The first submit forks the pool's workers.
+            with _sigterm_blocked():
+                for index, chunk in tasks:
+                    future = pool.submit(
+                        _call_worker,
+                        (worker, index, fault, make_payload(chunk)),
+                    )
+                    futures[future] = (index, chunk)
         except BrokenProcessPool:
             pool_dead = True
             submitted = {index for index, __ in futures.values()}

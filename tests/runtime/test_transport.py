@@ -7,10 +7,13 @@ into: per-task outcome coverage, reuse after failure, ownership rules,
 and the `--transport`/`--hosts` policy validation.
 """
 
+import multiprocessing
 import os
+import signal
 
 import pytest
 
+from repro.runtime import transport as transport_module
 from repro.runtime.transport import (
     TIMEOUT,
     WORKER_DIED,
@@ -84,6 +87,56 @@ def test_local_pool_is_sized_to_jobs_not_to_the_first_round():
     try:
         _run(transport, [(0, [1])])
         assert transport._pool._max_workers == 3
+    finally:
+        transport.close()
+
+
+#: The real initializer, kept before any test swaps the module's name.
+_DETACH = transport_module._detach_worker_signals
+_STARTUP_MASK = None
+
+
+def _recording_initializer():
+    global _STARTUP_MASK
+    _STARTUP_MASK = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    _DETACH()
+
+
+def _signal_state_worker(payload):
+    state = [
+        signal.SIGTERM in _STARTUP_MASK,
+        signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, []),
+        signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+    ]
+    return state, {}, {}
+
+
+@pytest.mark.skipif(
+    not hasattr(signal, "pthread_sigmask"), reason="needs POSIX signal masks"
+)
+def test_local_workers_are_forked_with_sigterm_blocked_until_detached(
+    monkeypatch,
+):
+    """A terminate that reaches a worker before its initializer resets
+    the inherited signal plumbing must stay pending, not run the
+    parent's handler (an asyncio server's wakeup fd would shut the
+    server down).  The initializer lifts the block, so terminate still
+    kills a hung worker, and the caller's own mask is left as it was."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers are not forked from the caller")
+    monkeypatch.setattr(
+        transport_module, "_detach_worker_signals", _recording_initializer
+    )
+    caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    transport = LocalPoolTransport(jobs=1)
+    try:
+        completed, failed = transport.run_round(
+            _signal_state_worker, lambda chunk: chunk, [(0, [])], None,
+            None, "signals",
+        )
+        assert failed == []
+        assert completed[0].result == [True, False, True]
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == caller_mask
     finally:
         transport.close()
 
