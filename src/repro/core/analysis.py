@@ -1,0 +1,363 @@
+"""What the symbolic delay analyses share (Secs. IV, V and V-F).
+
+Floating delay (:mod:`.floating`), transition delay by symbolic simulation
+(:mod:`.transition`) and bounded delay (:mod:`.bounded`) ask one question
+per time point ``t``: is some output's predicate — still unsettled,
+transitioning, possibly transitioning — satisfiable at ``t``, inside the
+Lemma 5.1 windows?  Only the per-(signal, t) recurrence behind the
+predicate differs; everything else lives here:
+
+* :class:`SymbolicAnalysis` — circuit validation, the engine, the
+  canonical variable order, the windows ``[earliest, latest]`` under fixed
+  (or, overriding :meth:`~SymbolicAnalysis.delay_bounds`, ``[d_l, d_u]``)
+  gate delays, and the ``v_-1``/``v_0`` settle functions;
+* :class:`Query` — one query's care set and ``#check`` count, the
+  per-time-point :meth:`~Query.probe` (the one place the engine's
+  ``prefers_batching`` decides the check policy) and the top-down search
+  with witness attribution;
+* :func:`pair_delay_certificate` — the top-down delay search of the
+  transition and bounded analyses, as a certificate;
+* :func:`cached_delay` — the runtime-cache entry point of the
+  ``compute_*`` functions, with the ``auto`` BDD-overflow fallback
+  (:func:`with_bdd_fallback`).
+
+See ``docs/ALGORITHMS.md`` ("What the three analyses share").
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from ..boolfn.bdd import BddOverflow
+from ..boolfn.interface import SatEngine, make_engine
+from ..network.circuit import Circuit
+from ..network.gates import GateType, gate_function
+from ..runtime.cache import resolve_cache
+from ..runtime.metrics import METRICS, record_engine_metrics
+from .vectors import (
+    AttributionError,
+    DelayCertificate,
+    VectorPair,
+    canonical_input_order,
+    cur_var,
+    prev_var,
+)
+
+#: A satisfying assignment returned by ``engine.sat_one``.
+Model = Dict[str, bool]
+
+
+def with_bdd_fallback(compute, engine, engine_name: str):
+    """Run ``compute(engine)``; under the ``auto`` policy a BDD node-budget
+    overflow falls back to the SAT engine (the paper's Sec. V-G pragmatics
+    for multiplier-like circuits)."""
+    try:
+        return compute(engine)
+    except BddOverflow:
+        if engine is not None or engine_name != "auto":
+            raise
+        return compute(SatEngine())
+
+
+def cached(store, circuit: Circuit, kind: str, engine_name: str,
+           constraint, params: Dict[str, object], produce: Callable[[], object]):
+    """``produce()``, served from and stored into the result cache
+    ``store`` under the key of (circuit, kind, engine, constraint,
+    params); ``store=None`` bypasses the cache."""
+    if store is None:
+        return produce()
+    token = store.token(circuit, kind, engine_name, constraint, params)
+    hit = store.get(token)
+    if hit is not None:
+        return hit
+    result = produce()
+    store.put(token, result)
+    return result
+
+
+def cached_delay(analysis_cls, compute, circuit: Circuit, engine,
+                 engine_name: str, constraint,
+                 params: Optional[Dict[str, object]], cache):
+    """The entry point of ``compute_floating_delay``,
+    ``compute_transition_delay`` and ``compute_bounded_transition_delay``:
+    ``compute(engine)`` inside the ``core.<kind>`` METRICS phase of
+    ``analysis_cls``, under the BDD-overflow fallback, served from the
+    runtime cache under the class's ``mode`` when no explicit ``engine``
+    is passed and ``params`` is not None (None marks inputs the cache
+    cannot key)."""
+    store = (
+        resolve_cache(cache)
+        if engine is None and params is not None
+        else None
+    )
+
+    def produce():
+        with METRICS.phase(f"core.{analysis_cls.kind}"):
+            return with_bdd_fallback(compute, engine, engine_name)
+
+    return cached(store, circuit, analysis_cls.mode, engine_name, constraint,
+                  params, produce)
+
+
+class SymbolicAnalysis:
+    """The state every symbolic delay analysis of a circuit shares.
+
+    Subclasses define the per-(output, t) :meth:`predicate` a search asks
+    about, and may narrow :meth:`eligible`.  Functions are built lazily and
+    memoised in ``_memo``, so a search pays only for the times it touches.
+    """
+
+    #: Certificate mode (also the result-cache kind).
+    mode = ""
+    #: METRICS counter prefix and ``core.<kind>`` phase name.
+    kind = ""
+    #: Whether the variables span the doubled vector-pair space
+    #: (``a@-``/``a@0``, Sec. V-C) or one input vector.
+    pair_space = True
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        engine=None,
+        engine_name: str = "auto",
+        input_times: Optional[Dict[str, int]] = None,
+    ):
+        circuit.validate()
+        self.circuit = circuit
+        self.engine = engine or make_engine(engine_name, circuit.num_gates)
+        # Declare the input variables up front, in canonical cone order, so
+        # engine state (BDD variable order, AIG signature streams) — and
+        # hence the witnesses sat_one picks — is a function of the circuit
+        # content alone: a fresh worker-process analysis matches a serial
+        # run, without the BDD blowup declaration order would cause on
+        # arithmetic circuits (see canonical_input_order).
+        for name in canonical_input_order(circuit):
+            if self.pair_space:
+                self.engine.var(prev_var(name))
+                self.engine.var(cur_var(name))
+            else:
+                self.engine.var(name)
+        #: Per-input clock time: the input's new value takes effect then
+        #: (Sec. V-C: "the inputs need not be clocked at the same time").
+        self.input_times = dict(input_times or {})
+        # Lemma 5.1 windows: earliest possible change (lower delay bounds)
+        # and latest settle (upper bounds) of every signal.
+        self._early: Dict[str, int] = {}
+        self._late: Dict[str, int] = {}
+        for name in circuit.topological_order():
+            node = circuit.node(name)
+            if node.gate_type == GateType.INPUT:
+                early = late = self.input_times.get(name, 0)
+            elif not node.fanins:
+                early = late = 0
+            else:
+                lo, hi = self.delay_bounds(name)
+                early = lo + min(self._early[f] for f in node.fanins)
+                late = hi + max(self._late[f] for f in node.fanins)
+            self._early[name] = early
+            self._late[name] = late
+        self._memo: Dict[Tuple[str, int], object] = {}
+        self._initial: Dict[str, int] = {}
+        self._final: Dict[str, int] = {}
+
+    # ------------------------------------------------------------------
+    def delay_bounds(self, name: str) -> Tuple[int, int]:
+        """``(d_l, d_u)`` of a gate: its fixed delay, twice."""
+        delay = self.circuit.node(name).delay
+        return delay, delay
+
+    def earliest(self, name: str) -> int:
+        """delta_f of Lemma 5.1 — no event before this time."""
+        return self._early[name]
+
+    def latest(self, name: str) -> int:
+        """Delta_f of Lemma 5.1 — no event after this time."""
+        return self._late[name]
+
+    def horizon(self) -> int:
+        """The latest time any primary output can change."""
+        if not self.circuit.outputs:
+            raise ValueError("circuit has no outputs")
+        return max(self.latest(out) for out in self.circuit.outputs)
+
+    def initial_function(self, name: str) -> int:
+        """Settled value under ``v_-1`` (a function of the ``@-`` vars)."""
+        return self._settled_function(name, self._initial, prev_var)
+
+    def final_function(self, name: str) -> int:
+        """Settled value under ``v_0`` (a function of the ``@0`` vars)."""
+        return self._settled_function(name, self._final, cur_var)
+
+    def _settled_function(self, name: str, memo: Dict[str, int],
+                          var_name: Callable[[str], str]) -> int:
+        cached_fn = memo.get(name)
+        if cached_fn is not None:
+            return cached_fn
+        node = self.circuit.node(name)
+        if node.gate_type == GateType.INPUT:
+            result = self.engine.var(var_name(name))
+        else:
+            result = gate_function(
+                self.engine,
+                node.gate_type,
+                [self._settled_function(f, memo, var_name)
+                 for f in node.fanins],
+            )
+        memo[name] = result
+        return result
+
+    def num_functions(self) -> int:
+        """How many in-window (signal, time) functions were built."""
+        return len(self._memo)
+
+    def care_set(self, constraint=None) -> int:
+        """The function a constraint builder restricts the admissible
+        vectors (or pairs) to; ``const1`` without one."""
+        if constraint is None:
+            return self.engine.const1
+        return constraint(self.engine, self.engine.var)
+
+    def completion(self, model: Model) -> Model:
+        """A model completed the way certificates report it: every input
+        variable the model leaves free pinned to False."""
+        inputs = self.circuit.inputs
+        if self.pair_space:
+            return VectorPair.from_model(model, inputs).to_model()
+        return {name: bool(model.get(name, False)) for name in inputs}
+
+    # -- the per-time-point question -----------------------------------
+    def eligible(self, t: int, outputs: Optional[Sequence[str]] = None
+                 ) -> List[str]:
+        """The outputs (default: all) whose window admits an event at
+        ``t``, in order."""
+        if outputs is None:
+            outputs = self.circuit.outputs
+        return [
+            out for out in outputs
+            if self._early[out] <= t <= self._late[out]
+        ]
+
+    def predicate(self, name: str, t: int) -> int:
+        """The function a search asks to be satisfiable at ``t``."""
+        raise NotImplementedError
+
+    def output_value(self, name: str, t: int, pair: VectorPair) -> bool:
+        """The value output ``name`` settles to after its event at ``t``
+        under ``pair`` (pair-space analyses)."""
+        raise NotImplementedError
+
+
+class Query:
+    """One delay query over an analysis: its care set and the number of
+    satisfiability checks it made (the '#check' column).
+
+    Every check the delay searches make goes through :meth:`probe` or
+    :meth:`first_of`.
+    """
+
+    def __init__(self, analysis: SymbolicAnalysis, care: Optional[int] = None):
+        self.analysis = analysis
+        self.engine = analysis.engine
+        self.care = self.engine.const1 if care is None else care
+        self.checks = 0
+
+    def satisfiable(self, function: int) -> Optional[Model]:
+        """One counted check: a model of ``function``, or None."""
+        self.checks += 1
+        return self.engine.sat_one(function)
+
+    def first_of(self, t: int, outputs: Iterable[str]
+                 ) -> Optional[Tuple[Model, str]]:
+        """One check per output, in order: ``(model, output)`` for the
+        first output whose predicate holds at ``t`` under the care set."""
+        engine, analysis = self.engine, self.analysis
+        for out in outputs:
+            model = self.satisfiable(
+                engine.and_(self.care, analysis.predicate(out, t))
+            )
+            if model is not None:
+                return model, out
+        return None
+
+    def probe(self, t: int, outputs: Optional[Sequence[str]] = None
+              ) -> Optional[Tuple[Model, Optional[str]]]:
+        """Is some eligible output's predicate satisfiable at ``t``?
+
+        The '#check' policy: an engine that prefers batching (SAT) gets one
+        check of the disjunction over the eligible outputs, and the output
+        is left to :meth:`attribute` (``None`` in the result); otherwise
+        (BDDs) one check per output, stopping at the first that holds.
+        With one eligible output the two policies make the same check.
+        """
+        eligible = self.analysis.eligible(t, outputs)
+        batch = getattr(self.engine, "prefers_batching", True)
+        if not batch or len(eligible) < 2:
+            return self.first_of(t, eligible)
+        combined = self.engine.or_many(
+            self.analysis.predicate(out, t) for out in eligible
+        )
+        model = self.satisfiable(self.engine.and_(self.care, combined))
+        return None if model is None else (model, None)
+
+    def attribute(self, model: Model, t: int,
+                  outputs: Optional[Sequence[str]] = None) -> str:
+        """The first eligible output whose predicate the model satisfies
+        under the *reported* don't-care completion.  A batched witness
+        satisfying none of them would make the certificate mis-name the
+        output, so that raises instead."""
+        analysis = self.analysis
+        env = analysis.completion(model)
+        for out in analysis.eligible(t, outputs):
+            if self.engine.evaluate(analysis.predicate(out, t), env):
+                return out
+        raise AttributionError(
+            f"{analysis.mode} witness at t={t} satisfies no eligible "
+            f"output's predicate of {analysis.circuit.name!r} under the "
+            "reported don't-care completion"
+        )
+
+    def top_down(self, times: Iterable[int],
+                 outputs: Optional[Sequence[str]] = None
+                 ) -> Optional[Tuple[int, Model, str]]:
+        """Probe ``times`` (descending) and stop at the first that holds:
+        ``(t, model, output)``, or None if none does — the paper's "is the
+        delay >= delta?" asked top-down (Sec. V-D)."""
+        for t in times:
+            found = self.probe(t, outputs)
+            if found is not None:
+                model, out = found
+                if out is None:
+                    out = self.attribute(model, t, outputs)
+                return t, model, out
+        return None
+
+
+def pair_delay_certificate(analysis: SymbolicAnalysis, upper: Optional[int],
+                           constraint) -> DelayCertificate:
+    """The latest time point ``t <= upper`` at which some output's
+    predicate is satisfiable, with its witness pair — the top-down search
+    of the transition and bounded analyses.  ``upper`` defaults to (and is
+    clamped to) the latest output window; ``delay=0`` means no pair
+    excites any output event."""
+    query = Query(analysis, analysis.care_set(constraint))
+    latest = analysis.horizon()
+    upper = latest if upper is None else min(upper, latest)
+    found = query.top_down(range(upper, 0, -1))
+    delay, out, value, pair = 0, None, None, None
+    if found is not None:
+        delay, model, out = found
+        pair = VectorPair.from_model(model, analysis.circuit.inputs)
+        value = analysis.output_value(out, delay, pair)
+    record_engine_metrics(
+        analysis.kind, analysis.engine, analysis.num_functions(),
+        query.checks,
+    )
+    return DelayCertificate(
+        mode=analysis.mode,
+        delay=delay,
+        output=out,
+        value=value,
+        pair=pair,
+        checks=query.checks,
+        extra={"functions_built": analysis.num_functions()},
+    )

@@ -26,20 +26,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from ..boolfn.interface import make_engine
 from ..network.circuit import Circuit
-from ..network.gates import GateType, gate_function, gate_settle
-from ..runtime.cache import resolve_cache
-from ..runtime.metrics import METRICS, record_engine_metrics
+from ..network.gates import GateType, gate_settle
+from .analysis import SymbolicAnalysis, cached_delay, pair_delay_certificate
 from .transition import PairConstraintBuilder
-from .vectors import (
-    AttributionError,
-    DelayCertificate,
-    VectorPair,
-    canonical_input_order,
-    cur_var,
-    prev_var,
-)
+from .vectors import DelayCertificate, VectorPair
 
 Bounds = Callable[[str], Tuple[int, int]]
 
@@ -77,8 +68,11 @@ def _bounds_cache_id(bounds: Optional[Bounds]) -> Optional[str]:
     return None
 
 
-class BoundedAnalysis:
+class BoundedAnalysis(SymbolicAnalysis):
     """Guaranteed-value symbolic waveforms under delay bounds."""
+
+    mode = "bounded-transition"
+    kind = "bounded"
 
     def __init__(
         self,
@@ -88,81 +82,17 @@ class BoundedAnalysis:
         engine_name: str = "auto",
         input_times: Optional[Dict[str, int]] = None,
     ):
-        circuit.validate()
-        self.circuit = circuit
-        self.engine = engine or make_engine(engine_name, circuit.num_gates)
-        # Canonical doubled-variable order, as in TransitionAnalysis: makes
-        # witnesses independent of which signal's functions build first.
-        for name in canonical_input_order(circuit):
-            self.engine.var(prev_var(name))
-            self.engine.var(cur_var(name))
         self.bounds = bounds or monotone_speedup_bounds(circuit)
-        self.input_times = dict(input_times or {})
         for name in circuit.gate_names():
             lo, hi = self.bounds(name)
             if not (0 <= lo <= hi):
                 raise ValueError(f"bad delay bounds for {name!r}: [{lo}, {hi}]")
-        # Earliest possible change (lower bounds) / latest settle (upper).
-        self._early: Dict[str, int] = {}
-        self._late: Dict[str, int] = {}
-        for name in circuit.topological_order():
-            node = circuit.node(name)
-            if node.gate_type == GateType.INPUT:
-                t_clk = self.input_times.get(name, 0)
-                self._early[name] = t_clk
-                self._late[name] = t_clk
-            elif not node.fanins:
-                self._early[name] = 0
-                self._late[name] = 0
-            else:
-                lo, hi = self.bounds(name)
-                self._early[name] = lo + min(
-                    self._early[f] for f in node.fanins
-                )
-                self._late[name] = hi + max(self._late[f] for f in node.fanins)
-        self._initial: Dict[str, int] = {}
-        self._final: Dict[str, int] = {}
-        self._memo: Dict[Tuple[str, int], Tuple[int, int]] = {}
+        super().__init__(circuit, engine, engine_name, input_times)
         self._force_memo: Dict[Tuple[str, int], Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
-    def earliest(self, name: str) -> int:
-        return self._early[name]
-
-    def latest(self, name: str) -> int:
-        return self._late[name]
-
-    def initial_function(self, name: str) -> int:
-        cached = self._initial.get(name)
-        if cached is not None:
-            return cached
-        node = self.circuit.node(name)
-        if node.gate_type == GateType.INPUT:
-            result = self.engine.var(prev_var(name))
-        else:
-            result = gate_function(
-                self.engine,
-                node.gate_type,
-                [self.initial_function(f) for f in node.fanins],
-            )
-        self._initial[name] = result
-        return result
-
-    def final_function(self, name: str) -> int:
-        cached = self._final.get(name)
-        if cached is not None:
-            return cached
-        node = self.circuit.node(name)
-        if node.gate_type == GateType.INPUT:
-            result = self.engine.var(cur_var(name))
-        else:
-            result = gate_function(
-                self.engine,
-                node.gate_type,
-                [self.final_function(f) for f in node.fanins],
-            )
-        self._final[name] = result
-        return result
+    def delay_bounds(self, name: str) -> Tuple[int, int]:
+        return self.bounds(name)
 
     def guaranteed_pair(self, name: str, t: int) -> Tuple[int, int]:
         """``(U1_t, U0_t)`` for the signal (lazy, memoised)."""
@@ -217,8 +147,10 @@ class BoundedAnalysis:
         )
         return engine.not_(stable)
 
-    def num_functions(self) -> int:
-        return len(self._memo)
+    predicate = possibly_transitioning
+
+    def output_value(self, name: str, t: int, pair: VectorPair) -> bool:
+        return bool(self.circuit.evaluate(pair.v_next)[name])
 
 
 def compute_bounded_transition_delay(
@@ -243,126 +175,20 @@ def compute_bounded_transition_delay(
     or ``analysis`` is supplied and ``bounds`` is either the default or a
     callable tagged with a ``cache_id``.
     """
-    from .floating import with_bdd_fallback
-
-    if analysis is None:
-        store = None
-        token = None
-        bounds_id = _bounds_cache_id(bounds)
-        if engine is None and bounds_id is not None:
-            store = resolve_cache(cache)
-            token = store.token(
-                circuit,
-                "bounded-transition",
-                engine_name,
-                constraint,
-                {
-                    "input_times": input_times or {},
-                    "upper": upper,
-                    "bounds": bounds_id,
-                },
-            )
-            cached = store.get(token)
-            if cached is not None:
-                return cached
-        with METRICS.phase("core.bounded"):
-            result = with_bdd_fallback(
-                lambda eng: compute_bounded_transition_delay(
-                    circuit,
-                    bounds=bounds,
-                    engine_name=engine_name,
-                    upper=upper,
-                    constraint=constraint,
-                    input_times=input_times,
-                    analysis=BoundedAnalysis(
-                        circuit, bounds, eng, engine_name, input_times
-                    ),
-                ),
-                engine,
-                engine_name,
-            )
-        if store is not None:
-            store.put(token, result)
-        return result
-    engine = analysis.engine
-    outputs = circuit.outputs
-    if not outputs:
-        raise ValueError("circuit has no outputs")
-    care = engine.const1
-    if constraint is not None:
-        care = constraint(engine, engine.var)
-    latest = max(analysis.latest(o) for o in outputs)
-    if upper is None:
-        upper = latest
-    upper = min(upper, latest)
-    checks = 0
-    for t in range(upper, 0, -1):
-        # One satisfiability check per time point (cf. transition search).
-        eligible = [
-            out
-            for out in outputs
-            if analysis.earliest(out) <= t <= analysis.latest(out)
-        ]
-        if not eligible:
-            continue
-        if not getattr(engine, "prefers_batching", True):
-            model, out = None, None
-            for candidate in eligible:
-                checks += 1
-                model = engine.sat_one(
-                    engine.and_(
-                        care, analysis.possibly_transitioning(candidate, t)
-                    )
-                )
-                if model is not None:
-                    out = candidate
-                    break
-            if model is None:
-                continue
-            pair = VectorPair.from_model(model, circuit.inputs)
-        else:
-            combined = engine.or_many(
-                analysis.possibly_transitioning(out, t) for out in eligible
-            )
-            checks += 1
-            model = engine.sat_one(engine.and_(care, combined))
-            if model is None:
-                continue
-            pair = VectorPair.from_model(model, circuit.inputs)
-            env = pair.to_model()
-            out = None
-            for candidate in eligible:
-                if engine.evaluate(
-                    analysis.possibly_transitioning(candidate, t), env
-                ):
-                    out = candidate
-                    break
-            if out is None:
-                # Same invariant as the fixed-delay search: the witness
-                # must re-satisfy some candidate under the completion the
-                # certificate reports, or the output name would be wrong.
-                raise AttributionError(
-                    f"bounded witness at t={t} excites none of the "
-                    f"eligible outputs of {circuit.name!r} under the "
-                    "reported don't-care completion"
-                )
-        value = circuit.evaluate(pair.v_next)[out]
-        record_engine_metrics(
-            "bounded", engine, analysis.num_functions(), checks
-        )
-        return DelayCertificate(
-            mode="bounded-transition",
-            delay=t,
-            output=out,
-            value=bool(value),
-            pair=pair,
-            checks=checks,
-            extra={"functions_built": analysis.num_functions()},
-        )
-    record_engine_metrics("bounded", engine, analysis.num_functions(), checks)
-    return DelayCertificate(
-        mode="bounded-transition",
-        delay=0,
-        checks=checks,
-        extra={"functions_built": analysis.num_functions()},
+    if analysis is not None:
+        return pair_delay_certificate(analysis, upper, constraint)
+    bounds_id = _bounds_cache_id(bounds)
+    return cached_delay(
+        BoundedAnalysis,
+        lambda eng: pair_delay_certificate(
+            BoundedAnalysis(circuit, bounds, eng, engine_name, input_times),
+            upper, constraint,
+        ),
+        circuit, engine, engine_name, constraint,
+        None if bounds_id is None else {
+            "input_times": input_times or {},
+            "upper": upper,
+            "bounds": bounds_id,
+        },
+        cache,
     )

@@ -30,6 +30,7 @@ from ..runtime.cache import resolve_cache
 from ..runtime.fingerprint import circuit_fingerprint
 from ..runtime.metrics import METRICS
 from ..sim.event_sim import EventSimulator
+from .analysis import with_bdd_fallback
 from .clocking import theorem31_min_period
 from .floating import compute_floating_delay
 from .statistical import StatisticalTimingResult, monte_carlo_delay
@@ -38,7 +39,7 @@ from .transition import (
     TransitionAnalysis,
     collect_certification_pairs,
     compute_transition_delay,
-    extend_floating_witness,
+    witness_extension,
 )
 from .vectors import DelayCertificate, VectorPair, batch_pair_states
 
@@ -116,6 +117,48 @@ class CertificationReport:
         return "\n".join(lines)
 
 
+def _transition_certificate(
+    circuit: Circuit,
+    floating: DelayCertificate,
+    analysis: TransitionAnalysis,
+    constraint: Optional[PairConstraintBuilder],
+) -> DelayCertificate:
+    """Step 2's transition certificate, on one analysis.
+
+    Fast path (Sec. VIII mode agreement): if the floating witness extends
+    to a vector pair exciting a transition at exactly delta, then
+    t.d. == f.d. after a few heavily-restricted checks; otherwise the
+    transition delay is searched top-down from delta.  The fast path's
+    checks count toward the certificate whether or not it succeeds.
+    """
+    pair, checks = witness_extension(
+        circuit, floating, analysis, constraint=constraint
+    )
+    if pair is None:
+        transition = compute_transition_delay(
+            circuit, upper=floating.delay, constraint=constraint,
+            analysis=analysis,
+        )
+        transition.checks += checks
+        return transition
+    replay = EventSimulator(circuit).simulate_transition(
+        pair.v_prev, pair.v_next
+    )
+    critical = max(
+        circuit.outputs,
+        key=lambda out: replay.waveforms[out].last_event_time or 0,
+    )
+    return DelayCertificate(
+        mode="transition",
+        delay=floating.delay,
+        output=critical,
+        value=replay.waveforms[critical].final,
+        pair=pair,
+        checks=checks,
+        extra={"mode_agreement_fast_path": True},
+    )
+
+
 def certify(
     circuit: Circuit,
     accurate_circuit: Optional[Circuit] = None,
@@ -180,53 +223,32 @@ def certify(
         circuit, engine_name=engine_name, constraint=floating_constraint
     )
 
-    # Step 2: transition delay, queried downward from delta, plus vectors.
-    # Fast path (Sec. VIII mode agreement): if the floating witness extends
-    # to a vector pair exciting a transition at exactly delta, then
-    # t.d. == f.d. with one cheap, heavily-restricted check.
-    analysis = TransitionAnalysis(circuit, engine_name=engine_name)
-    agreement_pair = extend_floating_witness(
-        circuit, floating, analysis=analysis, constraint=constraint
-    )
-    if agreement_pair is not None:
-        replay = EventSimulator(circuit).simulate_transition(
-            agreement_pair.v_prev, agreement_pair.v_next
+    # Step 2: transition delay, queried downward from delta, plus vectors
+    # — on one analysis, under the auto BDD->SAT overflow fallback.
+    shard_pairs = per_output_pairs and jobs != 1 and constraint is None
+
+    def transition_step(engine):
+        analysis = TransitionAnalysis(circuit, engine, engine_name)
+        transition = _transition_certificate(
+            circuit, floating, analysis, constraint
         )
-        critical = max(
-            circuit.outputs,
-            key=lambda out: replay.waveforms[out].last_event_time or 0,
-        )
-        transition = DelayCertificate(
-            mode="transition",
-            delay=floating.delay,
-            output=critical,
-            value=replay.waveforms[critical].final,
-            pair=agreement_pair,
-            checks=1,
-            extra={"mode_agreement_fast_path": True},
-        )
-    else:
-        transition = compute_transition_delay(
-            circuit,
-            upper=floating.delay,
-            constraint=constraint,
-            analysis=analysis,
-        )
-    pairs: Dict[str, Tuple[int, VectorPair]] = {}
-    if per_output_pairs:
-        if jobs != 1 and constraint is None:
-            # Fan the per-output queries across workers; canonical engine
-            # variable order makes the result identical to the serial
-            # shared-analysis path.
-            pairs = collect_certification_pairs(
-                circuit, engine_name=engine_name, jobs=jobs,
-                timeout=timeout, retries=retries,
-            )
-        else:
+        pairs: Dict[str, Tuple[int, VectorPair]] = {}
+        if per_output_pairs and not shard_pairs:
             pairs = collect_certification_pairs(
                 circuit, analysis=analysis, constraint=constraint
             )
-    elif transition.pair is not None and transition.output is not None:
+        return transition, pairs
+
+    transition, pairs = with_bdd_fallback(transition_step, None, engine_name)
+    if shard_pairs:
+        # Fan the per-output queries across workers; canonical engine
+        # variable order makes the result identical to the serial
+        # shared-analysis path.
+        pairs = collect_certification_pairs(
+            circuit, engine_name=engine_name, jobs=jobs,
+            timeout=timeout, retries=retries,
+        )
+    elif not per_output_pairs and transition.pair is not None:
         pairs = {transition.output: (transition.delay, transition.pair)}
 
     notes: List[str] = []

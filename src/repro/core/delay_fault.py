@@ -92,9 +92,7 @@ class PathFaultGenerator:
         # only transparent when the engine is generator-owned and the care
         # set is unrestricted (constraints are unpicklable closures).
         self._shardable = engine is None and constraint is None
-        self._care = self.engine.const1
-        if constraint is not None:
-            self._care = constraint(self.engine, self.engine.var)
+        self._care = self.analysis.care_set(constraint)
 
     # ------------------------------------------------------------------
     def test_constraint(

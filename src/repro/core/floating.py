@@ -26,27 +26,13 @@ the negation one step earlier is the floating-delay witness vector.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..boolfn.bdd import BddOverflow
-from ..boolfn.interface import SatEngine, make_engine
 from ..network.circuit import Circuit
 from ..network.gates import GateType, gate_settle
-from ..runtime.cache import resolve_cache
-from ..runtime.metrics import METRICS, record_engine_metrics
-from .vectors import AttributionError, DelayCertificate, canonical_input_order
-
-
-def with_bdd_fallback(compute, engine, engine_name: str):
-    """Run ``compute(engine)``; under the ``auto`` policy a BDD node-budget
-    overflow falls back to the SAT engine (the paper's Sec. V-G pragmatics
-    for multiplier-like circuits)."""
-    try:
-        return compute(engine)
-    except BddOverflow:
-        if engine is not None or engine_name != "auto":
-            raise
-        return compute(SatEngine())
+from ..runtime.metrics import record_engine_metrics
+from .analysis import Query, SymbolicAnalysis, cached_delay
+from .vectors import DelayCertificate
 
 #: Signature of an optional care-set builder: given the engine and a
 #: variable-lookup function, return a function handle constraining the
@@ -54,70 +40,30 @@ def with_bdd_fallback(compute, engine, engine_name: str):
 ConstraintBuilder = Callable[[object, Callable[[str], int]], int]
 
 
-class FloatingAnalysis:
+class FloatingAnalysis(SymbolicAnalysis):
     """Settling characteristic functions for a circuit.
 
     Functions are built lazily and memoised, so querying only the times a
-    delay search touches costs only those functions.
+    delay search touches costs only those functions.  The predicate a
+    search probes at ``t`` is "still unsettled at ``t``" (an event after
+    ``t``), so an output is eligible at every ``t`` before its latest
+    settle time.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        engine=None,
-        engine_name: str = "auto",
-        input_times: Optional[Dict[str, int]] = None,
-    ):
-        circuit.validate()
-        self.circuit = circuit
-        self.engine = engine or make_engine(engine_name, circuit.num_gates)
-        # Declare the input variables up front, in canonical cone order:
-        # pins engine state (and hence sat_one witnesses) to the circuit
-        # content so worker-process analyses match serial runs, without
-        # the BDD blowup a declaration-order would cause on arithmetic
-        # circuits (see canonical_input_order).
-        for name in canonical_input_order(circuit):
-            self.engine.var(name)
-        self.input_times = dict(input_times or {})
-        self._delta: Dict[str, int] = {}
-        self._Delta: Dict[str, int] = {}
-        for name in circuit.topological_order():
-            node = circuit.node(name)
-            if node.gate_type == GateType.INPUT:
-                t_clk = self.input_times.get(name, 0)
-                self._delta[name] = t_clk
-                self._Delta[name] = t_clk
-            elif not node.fanins:
-                self._delta[name] = 0
-                self._Delta[name] = 0
-            else:
-                self._delta[name] = node.delay + min(
-                    self._delta[f] for f in node.fanins
-                )
-                self._Delta[name] = node.delay + max(
-                    self._Delta[f] for f in node.fanins
-                )
-        self._memo: Dict[Tuple[str, int], Tuple[int, int]] = {}
+    mode = kind = "floating"
+    pair_space = False
 
     # ------------------------------------------------------------------
-    def earliest(self, name: str) -> int:
-        """delta: shortest graphical delay to the signal."""
-        return self._delta[name]
-
-    def latest(self, name: str) -> int:
-        """Delta: longest graphical delay to the signal."""
-        return self._Delta[name]
-
     def settled_pair(self, name: str, t: int) -> Tuple[int, int]:
         """``(S1_t, S0_t)`` for signal ``name`` (lazy, memoised)."""
-        t = max(min(t, self._Delta[name]), self._delta[name] - 1)
+        t = max(min(t, self._late[name]), self._early[name] - 1)
         key = (name, t)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         engine = self.engine
         node = self.circuit.node(name)
-        if t < self._delta[name]:
+        if t < self._early[name]:
             result = (engine.const0, engine.const0)
         elif node.gate_type == GateType.INPUT:
             var = engine.var(name)
@@ -143,9 +89,13 @@ class FloatingAnalysis:
     def unsettled(self, name: str, t: int) -> int:
         return self.engine.not_(self.settled(name, t))
 
-    def num_functions(self) -> int:
-        """How many (signal, time) characteristic pairs were built."""
-        return len(self._memo)
+    def eligible(self, t: int, outputs: Optional[Sequence[str]] = None
+                 ) -> List[str]:
+        if outputs is None:
+            outputs = self.circuit.outputs
+        return [out for out in outputs if t < self._late[out]]
+
+    predicate = unsettled
 
 
 def compute_floating_delay(
@@ -182,118 +132,55 @@ def compute_floating_delay(
     global (pass a disabled :class:`~repro.runtime.cache.DelayCache` to
     opt out for one call).
     """
-    store = resolve_cache(cache) if engine is None else None
-    token = None
-    if store is not None:
-        token = store.token(
-            circuit,
-            "floating",
-            engine_name,
-            constraint,
-            {
-                "input_times": input_times or {},
-                "upper": upper,
-                "search": search,
-            },
-        )
-        cached = store.get(token)
-        if cached is not None:
-            return cached
-    with METRICS.phase("core.floating"):
-        result = with_bdd_fallback(
-            lambda eng: _compute_floating_delay(
-                circuit, eng, engine_name, constraint, input_times, upper,
-                search
-            ),
-            engine,
-            engine_name,
-        )
-    if store is not None:
-        store.put(token, result)
-    return result
+    return cached_delay(
+        FloatingAnalysis,
+        lambda eng: _floating_delay(
+            FloatingAnalysis(circuit, eng, engine_name, input_times),
+            constraint, upper, search,
+        ),
+        circuit, engine, engine_name, constraint,
+        {"input_times": input_times or {}, "upper": upper, "search": search},
+        cache,
+    )
 
 
-def _compute_floating_delay(
-    circuit: Circuit,
-    engine,
-    engine_name: str,
+def _floating_delay(
+    analysis: FloatingAnalysis,
     constraint: Optional[ConstraintBuilder],
-    input_times: Optional[Dict[str, int]],
     upper: Optional[int],
     search: str,
 ) -> DelayCertificate:
-    analysis = FloatingAnalysis(circuit, engine, engine_name, input_times)
+    circuit = analysis.circuit
     engine = analysis.engine
-    care = engine.const1
-    if constraint is not None:
-        care = constraint(engine, engine.var)
-    outputs = circuit.outputs
-    if not outputs:
-        raise ValueError("circuit has no outputs")
+    query = Query(analysis, analysis.care_set(constraint))
+    horizon = analysis.horizon()
     if upper is None:
-        upper = max(analysis.latest(o) for o in outputs)
-    lowest = min(analysis.earliest(o) for o in outputs)
-    checks = 0
-
-    def attribute(model: Dict[str, bool], t: int) -> str:
-        """The output the witness leaves unsettled at time ``t``."""
-        env = {name: bool(model.get(name, False)) for name in circuit.inputs}
-        for out in outputs:
-            if t < analysis.latest(out) and engine.evaluate(
-                analysis.unsettled(out, t), env
-            ):
-                return out
-        raise AttributionError(
-            f"floating witness at t={t} leaves no eligible output of "
-            f"{circuit.name!r} unsettled"
-        )
-
-    def witness_at(t: int):
-        """A ``(model, output-or-None)`` pair not settled by time ``t``,
-        or None.  Attribution is deferred (``output`` may be None) on the
-        batched path — the delay searches attribute only the final
-        witness, which keeps the probe loop cheap on large circuits."""
-        nonlocal checks
-        eligible = [out for out in outputs if t < analysis.latest(out)]
-        if not eligible:
-            return None
-        if not getattr(engine, "prefers_batching", True):
-            for out in eligible:
-                checks += 1
-                model = engine.sat_one(
-                    engine.and_(care, analysis.unsettled(out, t))
-                )
-                if model is not None:
-                    return model, out
-            return None
-        combined = engine.or_many(
-            analysis.unsettled(out, t) for out in eligible
-        )
-        checks += 1
-        model = engine.sat_one(engine.and_(care, combined))
-        if model is None:
-            return None
-        return model, None
+        upper = horizon
+    lowest = min(analysis.earliest(o) for o in circuit.outputs)
 
     if constraint is not None:
         # Emptiness probe only when a care set was actually supplied —
         # on const1 it is trivially SAT and would inflate the '#check'
         # column of every combinational run.
-        checks += 1
-        if engine.sat_one(care) is None:
+        if query.satisfiable(query.care) is None:
             # The care set admits no vector at all (e.g. an FSM with no
             # reachable states): no event can ever be excited.
-            return DelayCertificate(mode="floating", delay=0, checks=checks)
+            return DelayCertificate(
+                mode="floating", delay=0, checks=query.checks
+            )
 
     if search == "auto":
         search = (
             "ascending" if getattr(engine, "prefers_batching", True) else "linear"
         )
 
-    best: Optional[Tuple[Dict[str, bool], str, int]] = None
+    # A probe at t asks for a vector not settled by t: ``(model, output)``
+    # with the output attributed only for the final witness (None on the
+    # batched path), which keeps the probe loop cheap on large circuits.
+    best: Optional[Tuple[Dict[str, bool], Optional[str], int]] = None
     if search == "ascending":
         for t in range(lowest - 1, upper):
-            result = witness_at(t)
+            result = query.probe(t)
             if result is None:
                 break
             best = (result[0], result[1], t + 1)
@@ -301,15 +188,15 @@ def _compute_floating_delay(
         # Largest t in [lowest-1, upper-1] with a witness; delay = t + 1.
         # A witness always exists at lowest-1 (outputs cannot settle before
         # their earliest arrival), so bisect with that as the low anchor.
-        found = witness_at(upper - 1)
+        found = query.probe(upper - 1)
         if found is not None:
             best = (found[0], found[1], upper)
         else:
             low, high = lowest - 1, upper - 1
-            low_witness = witness_at(low)
+            low_witness = query.probe(low)
             while low_witness is not None and high - low > 1:
                 mid = (low + high) // 2
-                result = witness_at(mid)
+                result = query.probe(mid)
                 if result is not None:
                     low, low_witness = mid, result
                 else:
@@ -318,29 +205,28 @@ def _compute_floating_delay(
                 best = (low_witness[0], low_witness[1], low + 1)
     else:
         for t in range(upper, lowest - 1, -1):
-            result = witness_at(t - 1)
+            result = query.probe(t - 1)
             if result is not None:
                 best = (result[0], result[1], t)
                 break
 
-    record_engine_metrics("floating", engine, analysis.num_functions(), checks)
+    record_engine_metrics(
+        "floating", engine, analysis.num_functions(), query.checks
+    )
     if best is None:
         # Every output settled as early as possible.
         return DelayCertificate(
-            mode="floating", delay=max(0, lowest), checks=checks
+            mode="floating", delay=max(0, lowest), checks=query.checks
         )
     model, out, delay = best
     if out is None:
-        out = attribute(model, delay - 1)
-    witness = {
-        name: bool(model.get(name, False)) for name in circuit.inputs
-    }
-    value = circuit.evaluate(witness)[out]
+        out = query.attribute(model, delay - 1)
+    witness = analysis.completion(model)
     return DelayCertificate(
         mode="floating",
         delay=delay,
         output=out,
-        value=value,
+        value=circuit.evaluate(witness)[out],
         witness=witness,
-        checks=checks,
+        checks=query.checks,
     )

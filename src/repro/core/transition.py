@@ -26,19 +26,24 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..boolfn.interface import make_engine
 from ..network.circuit import Circuit
 from ..network.gates import GateType, gate_function
 from ..runtime.cache import resolve_cache
-from ..runtime.metrics import METRICS, record_engine_metrics
+from ..runtime.metrics import METRICS
+from .analysis import (
+    Query,
+    SymbolicAnalysis,
+    cached,
+    cached_delay,
+    pair_delay_certificate,
+    with_bdd_fallback,
+)
 from .vectors import (
     AttributionError,
     DelayCertificate,
     VectorPair,
     batch_pair_states,
-    canonical_input_order,
     cur_var,
-    prev_var,
 )
 
 #: Optional constraint builder over the doubled space: called with the
@@ -47,105 +52,21 @@ from .vectors import (
 PairConstraintBuilder = Callable[[object, Callable[[str], int]], int]
 
 
-class TransitionAnalysis:
+class TransitionAnalysis(SymbolicAnalysis):
     """Symbolic waveforms of a circuit over all input vector pairs."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        engine=None,
-        engine_name: str = "auto",
-        input_times: Optional[Dict[str, int]] = None,
-    ):
-        circuit.validate()
-        self.circuit = circuit
-        self.engine = engine or make_engine(engine_name, circuit.num_gates)
-        # Pre-declare the doubled variables in canonical cone order so
-        # engine state (BDD variable order, AIG signature streams) — and
-        # hence the witnesses sat_one picks — is a function of the circuit
-        # content alone, identical between a serial run and a fresh
-        # worker-process analysis (see canonical_input_order).
-        for name in canonical_input_order(circuit):
-            self.engine.var(prev_var(name))
-            self.engine.var(cur_var(name))
-        #: Per-input clock time: ``a@0`` takes effect at this time
-        #: (Sec. V-C: "the inputs need not be clocked at the same time").
-        self.input_times = dict(input_times or {})
-        self._delta: Dict[str, int] = {}
-        self._Delta: Dict[str, int] = {}
-        for name in circuit.topological_order():
-            node = circuit.node(name)
-            if node.gate_type == GateType.INPUT:
-                t_clk = self.input_times.get(name, 0)
-                self._delta[name] = t_clk
-                self._Delta[name] = t_clk
-            elif not node.fanins:
-                self._delta[name] = 0
-                self._Delta[name] = 0
-            else:
-                self._delta[name] = node.delay + min(
-                    self._delta[f] for f in node.fanins
-                )
-                self._Delta[name] = node.delay + max(
-                    self._Delta[f] for f in node.fanins
-                )
-        self._memo: Dict[Tuple[str, int], int] = {}
-        self._initial: Dict[str, int] = {}
-        self._final: Dict[str, int] = {}
-
-    # ------------------------------------------------------------------
-    def earliest(self, name: str) -> int:
-        """delta_f of Lemma 5.1 — no transition before this time."""
-        return self._delta[name]
-
-    def latest(self, name: str) -> int:
-        """Delta_f of Lemma 5.1 — no transition after this time."""
-        return self._Delta[name]
-
-    def initial_function(self, name: str) -> int:
-        """Settled value under ``v_-1`` (a function of the ``@-`` vars)."""
-        cached = self._initial.get(name)
-        if cached is not None:
-            return cached
-        node = self.circuit.node(name)
-        if node.gate_type == GateType.INPUT:
-            result = self.engine.var(prev_var(name))
-        else:
-            result = gate_function(
-                self.engine,
-                node.gate_type,
-                [self.initial_function(f) for f in node.fanins],
-            )
-        self._initial[name] = result
-        return result
-
-    def final_function(self, name: str) -> int:
-        """Settled value under ``v_0`` (a function of the ``@0`` vars)."""
-        cached = self._final.get(name)
-        if cached is not None:
-            return cached
-        node = self.circuit.node(name)
-        if node.gate_type == GateType.INPUT:
-            result = self.engine.var(cur_var(name))
-        else:
-            result = gate_function(
-                self.engine,
-                node.gate_type,
-                [self.final_function(f) for f in node.fanins],
-            )
-        self._final[name] = result
-        return result
+    mode = kind = "transition"
 
     def function_at(self, name: str, t: int) -> int:
         """``f_t``: the value of signal ``name`` on interval ``[t, t+1)``."""
-        if t < self._delta[name]:
+        if t < self._early[name]:
             return self.initial_function(name)
-        if t >= self._Delta[name]:
+        if t >= self._late[name]:
             return self.final_function(name)
         key = (name, t)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
+        cached_fn = self._memo.get(key)
+        if cached_fn is not None:
+            return cached_fn
         node = self.circuit.node(name)
         if node.gate_type == GateType.INPUT:
             # Inside the window only for clocked inputs at exactly t_clk,
@@ -167,11 +88,18 @@ class TransitionAnalysis:
             self.function_at(name, t - 1), self.function_at(name, t)
         )
 
+    predicate = transition_predicate
+
+    def output_value(self, name: str, t: int, pair: VectorPair) -> bool:
+        return bool(
+            self.engine.evaluate(self.function_at(name, t), pair.to_model())
+        )
+
     def possible_transition_times(self, name: str) -> List[int]:
         """All time points at which some vector pair makes ``name``
         transition — the ``e_{i,j}`` windows of Fig. 4."""
         times = []
-        for t in range(self._delta[name], self._Delta[name] + 1):
+        for t in range(self._early[name], self._late[name] + 1):
             predicate = self.transition_predicate(name, t)
             if self.engine.sat_one(predicate) is not None:
                 times.append(t)
@@ -204,10 +132,6 @@ class TransitionAnalysis:
             return None
         return VectorPair.from_model(model, self.circuit.inputs)
 
-    def num_functions(self) -> int:
-        """Number of in-window interval functions built so far."""
-        return len(self._memo)
-
 
 def compute_transition_delay(
     circuit: Circuit,
@@ -231,129 +155,17 @@ def compute_transition_delay(
     is served from the runtime cache (keyed by circuit fingerprint; see
     :mod:`repro.runtime.cache`).
     """
-    from .floating import with_bdd_fallback
-
-    if analysis is None:
-        store = resolve_cache(cache) if engine is None else None
-        token = None
-        if store is not None:
-            token = store.token(
-                circuit,
-                "transition",
-                engine_name,
-                constraint,
-                {"input_times": input_times or {}, "upper": upper},
-            )
-            cached = store.get(token)
-            if cached is not None:
-                return cached
-        with METRICS.phase("core.transition"):
-            result = with_bdd_fallback(
-                lambda eng: compute_transition_delay(
-                    circuit,
-                    engine_name=engine_name,
-                    upper=upper,
-                    constraint=constraint,
-                    input_times=input_times,
-                    analysis=TransitionAnalysis(
-                        circuit, eng, engine_name, input_times
-                    ),
-                ),
-                engine,
-                engine_name,
-            )
-        if store is not None:
-            store.put(token, result)
-        return result
-    engine = analysis.engine
-    outputs = circuit.outputs
-    if not outputs:
-        raise ValueError("circuit has no outputs")
-    care = engine.const1
-    if constraint is not None:
-        care = constraint(engine, engine.var)
-    latest = max(analysis.latest(o) for o in outputs)
-    if upper is None:
-        upper = latest
-    upper = min(upper, latest)
-    checks = 0
-    for t in range(upper, 0, -1):
-        # One satisfiability check per time point: the transition
-        # predicates of all eligible outputs are folded into a disjunction
-        # and the critical output recovered from the witness.
-        eligible = [
-            out
-            for out in outputs
-            if analysis.earliest(out) <= t <= analysis.latest(out)
-        ]
-        if not eligible:
-            continue
-        if not getattr(engine, "prefers_batching", True):
-            model, out = None, None
-            for candidate in eligible:
-                checks += 1
-                model = engine.sat_one(
-                    engine.and_(
-                        care, analysis.transition_predicate(candidate, t)
-                    )
-                )
-                if model is not None:
-                    out = candidate
-                    break
-            if model is None:
-                continue
-            pair = VectorPair.from_model(model, circuit.inputs)
-            env = pair.to_model()
-        else:
-            combined = engine.or_many(
-                analysis.transition_predicate(out, t) for out in eligible
-            )
-            checks += 1
-            model = engine.sat_one(engine.and_(care, combined))
-            if model is None:
-                continue
-            # Attribute the critical output under the *same* don't-care
-            # completion the certificate reports (VectorPair pins absent
-            # variables to False).  A witness that satisfies the batched
-            # disjunction but none of the candidates under this completion
-            # would mean the certificate mis-names the output — raise
-            # rather than silently report eligible[0].
-            pair = VectorPair.from_model(model, circuit.inputs)
-            env = pair.to_model()
-            out = None
-            for candidate in eligible:
-                if engine.evaluate(
-                    analysis.transition_predicate(candidate, t), env
-                ):
-                    out = candidate
-                    break
-            if out is None:
-                raise AttributionError(
-                    f"transition witness at t={t} excites none of the "
-                    f"eligible outputs of {circuit.name!r} under the "
-                    "reported don't-care completion"
-                )
-        value = engine.evaluate(analysis.function_at(out, t), env)
-        record_engine_metrics(
-            "transition", engine, analysis.num_functions(), checks
-        )
-        return DelayCertificate(
-            mode="transition",
-            delay=t,
-            output=out,
-            value=bool(value),
-            pair=pair,
-            checks=checks,
-            extra={"functions_built": analysis.num_functions()},
-        )
-    record_engine_metrics(
-        "transition", engine, analysis.num_functions(), checks
-    )
-    return DelayCertificate(
-        mode="transition",
-        delay=0,
-        checks=checks,
-        extra={"functions_built": analysis.num_functions()},
+    if analysis is not None:
+        return pair_delay_certificate(analysis, upper, constraint)
+    return cached_delay(
+        TransitionAnalysis,
+        lambda eng: pair_delay_certificate(
+            TransitionAnalysis(circuit, eng, engine_name, input_times),
+            upper, constraint,
+        ),
+        circuit, engine, engine_name, constraint,
+        {"input_times": input_times or {}, "upper": upper},
+        cache,
     )
 
 
@@ -370,33 +182,20 @@ def query_delay_at_least(
     >= delta?" — returns a witness vector pair exciting an output
     transition at some time ``t >= delta``, or None.
 
-    Searches the candidate times top-down, so a positive answer also
-    reveals the latest excitable time (replay the pair to observe it).
+    Runs the transition-delay search top-down and stops at ``delta``, so a
+    positive answer is exactly the pair :func:`compute_transition_delay`
+    certifies, and it reveals the latest excitable time (replay the pair
+    to observe it).
     """
     if delta < 1:
         raise ValueError("delta must be at least 1")
     if analysis is None:
         analysis = TransitionAnalysis(circuit, engine, engine_name, input_times)
-    engine = analysis.engine
-    care = engine.const1
-    if constraint is not None:
-        care = constraint(engine, engine.var)
-    latest = max(analysis.latest(out) for out in circuit.outputs)
-    for t in range(latest, delta - 1, -1):
-        eligible = [
-            out
-            for out in circuit.outputs
-            if analysis.earliest(out) <= t <= analysis.latest(out)
-        ]
-        if not eligible:
-            continue
-        combined = engine.or_many(
-            analysis.transition_predicate(out, t) for out in eligible
-        )
-        model = engine.sat_one(engine.and_(care, combined))
-        if model is not None:
-            return VectorPair.from_model(model, circuit.inputs)
-    return None
+    query = Query(analysis, analysis.care_set(constraint))
+    found = query.top_down(range(analysis.horizon(), delta - 1, -1))
+    if found is None:
+        return None
+    return VectorPair.from_model(found[1], circuit.inputs)
 
 
 def extend_floating_witness(
@@ -415,8 +214,23 @@ def extend_floating_witness(
     much cheaper than an unrestricted transition check because the whole
     ``@0`` half of the doubled space is pinned to the witness vector.
     """
+    return witness_extension(
+        circuit, floating_cert, analysis, engine_name, constraint
+    )[0]
+
+
+def witness_extension(
+    circuit: Circuit,
+    floating_cert,
+    analysis: Optional[TransitionAnalysis] = None,
+    engine_name: str = "auto",
+    constraint: Optional[PairConstraintBuilder] = None,
+) -> Tuple[Optional[VectorPair], int]:
+    """:func:`extend_floating_witness` with its cost: ``(pair or None,
+    checks)``.  One check per output in window, the floating witness's
+    own output first."""
     if floating_cert.witness is None or floating_cert.delay <= 0:
-        return None
+        return None, 0
     if analysis is None:
         analysis = TransitionAnalysis(circuit, engine_name=engine_name)
     engine = analysis.engine
@@ -427,16 +241,16 @@ def extend_floating_witness(
             literal = engine.not_(literal)
         pinned = engine.and_(pinned, literal)
     if constraint is not None:
-        pinned = engine.and_(pinned, constraint(engine, engine.var))
+        pinned = engine.and_(pinned, analysis.care_set(constraint))
     t = floating_cert.delay
-    for out in circuit.outputs:
-        if not analysis.earliest(out) <= t <= analysis.latest(out):
-            continue
-        predicate = engine.and_(pinned, analysis.transition_predicate(out, t))
-        model = engine.sat_one(predicate)
-        if model is not None:
-            return VectorPair.from_model(model, circuit.inputs)
-    return None
+    outputs = sorted(
+        circuit.outputs, key=lambda out: out != floating_cert.output
+    )
+    query = Query(analysis, pinned)
+    found = query.first_of(t, analysis.eligible(t, outputs))
+    if found is None:
+        return None, query.checks
+    return VectorPair.from_model(found[0], circuit.inputs), query.checks
 
 
 def pairs_for_outputs(
@@ -445,22 +259,41 @@ def pairs_for_outputs(
     outputs: Sequence[str],
 ) -> Dict[str, Tuple[int, VectorPair]]:
     """The per-output query loop: latest satisfiable transition time and a
-    witness pair for each of ``outputs``.  Shared by the serial path and
-    the worker processes of :mod:`repro.runtime.parallel`."""
-    engine = analysis.engine
-    circuit = analysis.circuit
+    witness pair for each of ``outputs`` — the top-down search restricted
+    to one output at a time.  Shared by the serial path and the worker
+    processes of :mod:`repro.runtime.parallel`."""
+    query = Query(analysis, care)
     result: Dict[str, Tuple[int, VectorPair]] = {}
     for out in outputs:
-        for t in range(analysis.latest(out), analysis.earliest(out) - 1, -1):
-            predicate = engine.and_(care, analysis.transition_predicate(out, t))
-            model = engine.sat_one(predicate)
-            if model is not None:
-                result[out] = (
-                    t,
-                    VectorPair.from_model(model, circuit.inputs),
-                )
-                break
+        found = query.top_down(
+            range(analysis.latest(out), analysis.earliest(out) - 1, -1),
+            [out],
+        )
+        if found is not None:
+            t, model, __ = found
+            result[out] = (
+                t, VectorPair.from_model(model, analysis.circuit.inputs)
+            )
     return result
+
+
+def fresh_certification_pairs(
+    circuit: Circuit,
+    engine_name: str,
+    input_times: Optional[Dict[str, int]],
+    outputs: Sequence[str],
+    constraint: Optional[PairConstraintBuilder] = None,
+) -> Tuple[TransitionAnalysis, Dict[str, Tuple[int, VectorPair]]]:
+    """:func:`pairs_for_outputs` on a fresh analysis, under the ``auto``
+    BDD-overflow fallback: ``(analysis, pairs)``.  The serial path of
+    :func:`collect_certification_pairs` and the ``pairs`` shard worker."""
+
+    def run(engine):
+        analysis = TransitionAnalysis(circuit, engine, engine_name, input_times)
+        care = analysis.care_set(constraint)
+        return analysis, pairs_for_outputs(analysis, care, outputs)
+
+    return with_bdd_fallback(run, None, engine_name)
 
 
 def validate_certification_pairs(
@@ -537,55 +370,31 @@ def collect_certification_pairs(
     :mod:`repro.runtime.parallel`), and both are served from the runtime
     cache when no ``analysis`` is supplied.
     """
-    store = None
-    token = None
-    if analysis is None:
-        store = resolve_cache(cache)
-        token = store.token(
-            circuit,
-            "certification-pairs",
-            engine_name,
-            constraint,
-            {"input_times": input_times or {}},
-        )
-        cached = store.get(token)
-        if cached is not None:
-            return cached
-    if (
-        jobs != 1
-        and analysis is None
-        and constraint is None
-        and len(circuit.outputs) > 1
-    ):
-        from ..runtime.parallel import shard_map
-
-        outputs = list(circuit.outputs)
-        found = shard_map(
-            "pairs", (circuit, engine_name, input_times), outputs, jobs,
-            timeout=timeout, retries=retries,
-        )
-        result = {
-            out: pair for out, pair in zip(outputs, found) if pair is not None
-        }
-    elif analysis is None:
-        from .floating import with_bdd_fallback
-
-        def run(eng):
-            fresh = TransitionAnalysis(circuit, eng, engine_name, input_times)
-            care = fresh.engine.const1
-            if constraint is not None:
-                care = constraint(fresh.engine, fresh.engine.var)
-            with METRICS.phase("core.certification_pairs"):
-                return pairs_for_outputs(fresh, care, circuit.outputs)
-
-        result = with_bdd_fallback(run, None, engine_name)
-    else:
-        engine = analysis.engine
-        care = engine.const1
-        if constraint is not None:
-            care = constraint(engine, engine.var)
+    if analysis is not None:
+        care = analysis.care_set(constraint)
         with METRICS.phase("core.certification_pairs"):
-            result = pairs_for_outputs(analysis, care, circuit.outputs)
-    if store is not None:
-        store.put(token, result)
-    return result
+            return pairs_for_outputs(analysis, care, circuit.outputs)
+
+    def produce():
+        if jobs != 1 and constraint is None and len(circuit.outputs) > 1:
+            from ..runtime.parallel import shard_map
+
+            outputs = list(circuit.outputs)
+            found = shard_map(
+                "pairs", (circuit, engine_name, input_times), outputs, jobs,
+                timeout=timeout, retries=retries,
+            )
+            return {
+                out: pair
+                for out, pair in zip(outputs, found) if pair is not None
+            }
+        with METRICS.phase("core.certification_pairs"):
+            return fresh_certification_pairs(
+                circuit, engine_name, input_times, circuit.outputs,
+                constraint,
+            )[1]
+
+    return cached(
+        resolve_cache(cache), circuit, "certification-pairs", engine_name,
+        constraint, {"input_times": input_times or {}}, produce,
+    )

@@ -20,7 +20,6 @@ from typing import Callable, List
 from ..core.vectors import cur_var, prev_var
 from ..network.symbolic import circuit_functions
 from ..runtime.fingerprint import circuit_fingerprint
-from .machine import Fsm
 from .synth import FsmLogic
 
 

@@ -39,8 +39,10 @@ from .metrics import METRICS
 #: meaning (e.g. a certificate field is redefined).  "2": Monte Carlo
 #: samples became jobs-invariant (the serial path now draws from the same
 #: per-sample sub-streams as the sharded path), so any cached report that
-#: embeds a sample list from the old serial stream is orphaned.
-CACHE_SCHEMA = "2"
+#: embeds a sample list from the old serial stream is orphaned.  "3":
+#: certify's transition certificate counts every check of the
+#: mode-agreement fast path (it used to report 1 whatever it spent).
+CACHE_SCHEMA = "3"
 
 
 def constraint_cache_id(constraint) -> Optional[str]:

@@ -294,17 +294,11 @@ def _pairs_worker(payload):
     """Items are primary outputs; a result is ``(time, pair)``, or
     ``None`` for an output that can never transition."""
     (circuit, engine_name, input_times), tasks = payload
-    from ..core.floating import with_bdd_fallback
-    from ..core.transition import TransitionAnalysis, pairs_for_outputs
+    from ..core.transition import fresh_certification_pairs
 
-    outputs = [out for __, out in tasks]
-
-    def run(eng):
-        fresh = TransitionAnalysis(circuit, eng, engine_name, input_times)
-        return fresh, pairs_for_outputs(fresh, fresh.engine.const1, outputs)
-
-    # Mirror the serial path's auto BDD->SAT overflow fallback.
-    analysis, pairs = with_bdd_fallback(run, None, engine_name)
+    analysis, pairs = fresh_certification_pairs(
+        circuit, engine_name, input_times, [out for __, out in tasks]
+    )
     counters = _engine_counters("pairs", analysis.engine)
     counters["pairs.functions_built"] = analysis.num_functions()
     return (

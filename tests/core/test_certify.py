@@ -1,7 +1,10 @@
+import pytest
 
+from repro.boolfn.interface import BddEngine, SatEngine
 from repro.core import Verdict, certify
 from repro.network import refined_delay_annotation, scale_delays
-from repro.circuits import carry_skip_adder, fig2_circuit
+from repro.circuits import build_circuit, carry_skip_adder, fig2_circuit
+from repro.runtime.cache import DelayCache
 
 from tests.helpers import c17
 
@@ -66,3 +69,23 @@ class TestCertifyFlow:
         report = certify(c, accurate_circuit=accurate)
         assert report.verdict == Verdict.CERTIFIED
         assert report.accurate_replay_delay == report.model_replay_delay
+
+
+class TestCheckAccounting:
+    @pytest.mark.parametrize("name", ["fig2", "csa12", "csa16"])
+    def test_reported_checks_equal_engine_checks(self, name, monkeypatch):
+        """Every satisfiability check the flow makes — the mode-agreement
+        fast path's included, whether or not it succeeds — is reported in
+        the floating or the transition certificate."""
+        calls = []
+        for cls in (BddEngine, SatEngine):
+            def counted(engine, f, original=cls.sat_one):
+                calls.append(f)
+                return original(engine, f)
+
+            monkeypatch.setattr(cls, "sat_one", counted)
+        report = certify(
+            scale_delays(build_circuit(name), 2), per_output_pairs=False,
+            cache=DelayCache(enabled=False),
+        )
+        assert len(calls) == report.floating.checks + report.transition.checks

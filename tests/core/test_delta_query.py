@@ -1,16 +1,33 @@
 """The Sec. V-D query form: "is the delay >= delta?"."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.boolfn import BddEngine
+from repro.boolfn.interface import SatEngine
 from repro.core import (
     compute_transition_delay,
     query_delay_at_least,
 )
 from repro.sim import EventSimulator
-from repro.circuits import carry_skip_adder, fig2_circuit
+from repro.circuits import build_circuit, carry_skip_adder, fig2_circuit
 
 from tests.helpers import c17, random_circuit
+
+ENGINES = {"bdd": BddEngine, "sat": SatEngine}
+
+
+def assert_query_matches_search(circuit, engine_cls):
+    """For 1 <= delta <= t.d. the query answers with exactly the pair the
+    top-down transition-delay search certifies; above t.d. it answers
+    None."""
+    cert = compute_transition_delay(circuit, engine=engine_cls())
+    for delta in range(1, cert.delay + 2):
+        pair = query_delay_at_least(circuit, delta, engine=engine_cls())
+        if delta <= cert.delay:
+            assert pair == cert.pair, delta
+        else:
+            assert pair is None
 
 
 class TestQuery:
@@ -60,3 +77,17 @@ class TestQuery:
     def test_rejects_non_positive_delta(self):
         with pytest.raises(ValueError):
             query_delay_at_least(c17(), 0, engine=BddEngine())
+
+
+class TestQueryJoinsTheSearch:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("name", ["c17", "c499", "fig1", "fig5"])
+    def test_registry_circuits(self, name, engine):
+        assert_query_matches_search(build_circuit(name), ENGINES[engine])
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_random_circuits(self, engine, seed):
+        circuit = random_circuit(seed, num_inputs=4, num_gates=8)
+        assert_query_matches_search(circuit, ENGINES[engine])

@@ -5,11 +5,12 @@ import pytest
 from repro.boolfn import BddEngine, BddOverflow
 from repro.boolfn.interface import SatEngine, make_engine
 from repro.core import (
-    compute_bounded_transition_delay,
+    Verdict,
+    certify,
     compute_floating_delay,
     compute_transition_delay,
 )
-from repro.core.floating import with_bdd_fallback
+from repro.core.analysis import with_bdd_fallback
 from repro.circuits import array_multiplier
 
 from tests.helpers import c17
@@ -60,12 +61,31 @@ class TestEndToEndFallback:
 
         monkeypatch.setattr(interface, "make_engine", tiny)
         monkeypatch.setattr(
-            "repro.core.transition.make_engine", tiny
+            "repro.core.analysis.make_engine", tiny
         )
         mult = array_multiplier(5)
         cert = compute_transition_delay(mult)
         reference = compute_transition_delay(mult, engine=SatEngine())
         assert cert.delay == reference.delay
+
+    def test_certify_on_capped_multiplier(self, monkeypatch):
+        # The certify flow's own transition step (mode-agreement fast
+        # path, transition search, per-output pairs) falls back too.
+        import repro.boolfn.interface as interface
+
+        original = interface.make_engine
+
+        def tiny(engine="auto", circuit_size=0, max_bdd_nodes=None):
+            return original(engine, circuit_size, max_bdd_nodes=5_000)
+
+        monkeypatch.setattr(interface, "make_engine", tiny)
+        monkeypatch.setattr("repro.core.analysis.make_engine", tiny)
+        mult = array_multiplier(5)
+        assert compute_floating_delay(mult).delay == 20
+        assert compute_transition_delay(mult).delay == 20
+        report = certify(mult)
+        assert report.verdict == Verdict.CERTIFIED
+        assert report.transition.delay == 20
 
     def test_explicit_bdd_raises_on_overflow(self):
         mult = array_multiplier(8)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network import Circuit, GateType
+from repro.network import GateType
 
 from tests.helpers import c17, tiny_and_or
 

@@ -8,7 +8,6 @@ from repro.sim import (
     ZERO,
     bounded_transition_analysis,
     fixed_bounds,
-    monotone_bounds,
     pair_bounded_delay,
     ternary_gate,
     ternary_settle,
