@@ -38,7 +38,7 @@ from repro.fsm import (
     reachable_states_constraint,
     transition_pair_constraint,
 )
-from repro.runtime import METRICS, TRACER
+from repro.runtime import METRICS
 from repro.sta import render_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -132,7 +132,7 @@ def write_trace(name: str) -> Path:
     attribution and retry/degradation events) next to the metrics record."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.trace.json"
-    TRACER.export(path)
+    METRICS.export(path)
     return path
 
 

@@ -11,7 +11,7 @@ keep the familiar ``benchmark.pedantic(fn, ...)`` call shape and gain:
 * warmup/repeat control from the ``trued bench run`` driver via
   ``REPRO_BENCH_REPEATS`` / ``REPRO_BENCH_WARMUP`` (suite-declared
   ``rounds`` are the fallback when the env is absent);
-* opt-in profiling via ``REPRO_BENCH_PROFILE=cprofile|spans``.
+* opt-in profiling via ``REPRO_BENCH_PROFILE=cprofile``.
 
 The proxy's extensions over pytest-benchmark's API:
 

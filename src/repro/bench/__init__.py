@@ -10,7 +10,7 @@ suite run into a versioned, machine-comparable record:
 * :mod:`repro.bench.recorder` — :class:`~repro.bench.recorder.BenchRecorder`,
   the per-suite collector every benchmark is migrated onto: wall clock,
   ``#check`` counters, cache hit rates, peak RSS, and trace-span rollups
-  pulled from :mod:`repro.runtime.tracing`;
+  pulled from :mod:`repro.runtime.metrics`;
 * :mod:`repro.bench.runner` — suite discovery and the subprocess runner
   behind ``trued bench run`` (warmup + repeat control);
 * :mod:`repro.bench.compare` — noise-aware two-run comparison with
@@ -18,8 +18,8 @@ suite run into a versioned, machine-comparable record:
   of ``trued bench compare`` (non-zero exit on regression);
 * :mod:`repro.bench.report` — markdown rendering for records and
   comparison reports;
-* :mod:`repro.bench.profiling` — opt-in ``--profile cprofile|spans``
-  hooks that fold top-N cumulative frames into the trace tree.
+* :mod:`repro.bench.profiling` — the opt-in ``--profile cprofile`` hook
+  that folds top-N cumulative frames into the trace tree.
 
 Methodology (warmup/repeats, thresholds, how to read ``compare`` output):
 ``docs/BENCHMARKS.md``.

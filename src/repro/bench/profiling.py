@@ -1,23 +1,19 @@
-"""Opt-in profiling hooks for benchmark cases (``--profile``).
+"""Opt-in profiling hook for benchmark cases (``--profile cprofile``).
 
-Two modes, both folding their findings into the span tree of
-:data:`repro.runtime.TRACER` so ``trued <cmd> --metrics`` and the
-exported ``--trace`` JSON show where the time went:
-
-* ``cprofile`` — wraps the measured block in :mod:`cProfile` and folds
-  the top-N frames *by cumulative time* into the trace tree as
-  ``profile:<module>:<function>`` child spans of the case span.  Frames
-  are restricted to this package's own modules, which is where the hot
-  paths live (``core/floating.py``, ``core/transition.py``,
-  ``incremental/engine.py``, ``runtime/parallel.py``, the Boolean
-  engines); stdlib noise is dropped.
-* ``spans`` — no profiler overhead; relies on the span rollups the
-  recorder collects anyway, but marks the case so readers know the
-  rollup was the intended profile.
+``cprofile`` wraps the measured block in :mod:`cProfile` and folds the
+top-N frames *by cumulative time* into the span tree of
+:data:`repro.runtime.METRICS` as ``profile:<module>:<function>`` child
+spans of the case span, so ``trued <cmd> --metrics`` and the exported
+``--trace`` JSON show where the time went.  A frame's call count and own
+time are span attributes, not counters, so they never reach the counter
+totals or the bench record's counter deltas.  Frames are restricted to
+this package's own modules, which is where the hot paths live
+(``core/floating.py``, ``core/transition.py``, ``incremental/engine.py``,
+``runtime/parallel.py``, the Boolean engines); stdlib noise is dropped.
 
 The context manager yields a list that is populated *in place* on exit
-with ``{"site", "calls", "cumulative_ms", "own_ms"}`` dicts (empty for
-``spans``/off), so callers can close over it before the data exists.
+with ``{"site", "calls", "cumulative_ms", "own_ms"}`` dicts (empty when
+profiling is off), so callers can close over it before the data exists.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ import pstats
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
-from ..runtime.tracing import TRACER
+from ..runtime.metrics import METRICS
 
 #: Top-N cumulative frames folded into the trace tree.
 TOP_FRAMES = 10
@@ -70,7 +66,7 @@ def top_frames(profile: cProfile.Profile, top: int = TOP_FRAMES) -> List[dict]:
 def profile_block(mode: Optional[str], top: int = TOP_FRAMES) \
         -> Iterator[List[dict]]:
     """Profile the block according to ``mode`` and fold the result into
-    the current trace span.  Yields the (initially empty) frame list."""
+    the innermost open span.  Yields the (initially empty) frame list."""
     frames: List[dict] = []
     if mode == "cprofile":
         profile = cProfile.Profile()
@@ -81,19 +77,15 @@ def profile_block(mode: Optional[str], top: int = TOP_FRAMES) \
             profile.disable()
             frames.extend(top_frames(profile, top=top))
             for frame in frames:
-                TRACER.add_span(
+                METRICS.add_span(
                     f"profile:{frame['site']}",
                     elapsed=frame["cumulative_ms"] / 1000,
-                    counters={"calls": frame["calls"]},
+                    calls=frame["calls"],
                     own_ms=frame["own_ms"],
                 )
-    elif mode == "spans":
-        # The recorder's span rollup *is* the profile; just mark intent.
-        TRACER.event("profile", mode="spans")
-        yield frames
     elif mode in (None, "", "off"):
         yield frames
     else:
         raise ValueError(
-            f"unknown profile mode {mode!r} (expected cprofile|spans)"
+            f"unknown profile mode {mode!r} (expected cprofile)"
         )

@@ -13,8 +13,8 @@ is one named measurement; each repeat of a case captures
   kernel never lowers it, so the per-case value is "peak so far" — still
   the honest upper bound for the case),
 * a rollup of the trace spans opened underneath the case span (name,
-  call count, total milliseconds), pulled from
-  :data:`repro.runtime.TRACER`.
+  call count, total milliseconds), pulled from the span tree of
+  :data:`repro.runtime.METRICS`.
 
 Per-metric medians across repeats become the case record; the raw
 samples ride along so the noise is inspectable (schema in
@@ -29,8 +29,7 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from ..runtime.fingerprint import circuit_fingerprint
-from ..runtime.metrics import METRICS
-from ..runtime.tracing import Span, TRACER
+from ..runtime.metrics import METRICS, Span
 from .profiling import profile_block
 from .schema import SCHEMA_VERSION, dump_record, median
 
@@ -95,7 +94,7 @@ class BenchRecorder:
 
     ``repeats``/``warmup`` are the *defaults* for :meth:`run`; the bench
     runner overrides them per invocation through the fixture layer.
-    ``profile`` is ``None``, ``"cprofile"`` or ``"spans"`` (see
+    ``profile`` is ``None`` or ``"cprofile"`` (see
     :mod:`repro.bench.profiling`).
     """
 
@@ -238,7 +237,7 @@ class _Measurement:
 
     def __enter__(self):
         self._before = METRICS.snapshot()["counters"]
-        self._span_cm = TRACER.span(f"bench.{self._case.name}")
+        self._span_cm = METRICS.span(f"bench.{self._case.name}")
         self._span = self._span_cm.__enter__()
         self._profile_cm = profile_block(self._recorder.profile)
         self._frames = self._profile_cm.__enter__()

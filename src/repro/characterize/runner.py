@@ -31,7 +31,6 @@ from typing import Dict, List, Optional
 from ..circuits.registry import build_circuit
 from ..runtime.cache import resolve_cache
 from ..runtime.metrics import METRICS
-from ..runtime.tracing import TRACER
 from .collate import collate
 from .plan import Job, plan_jobs
 from .spec import CharacterizeSpec
@@ -222,7 +221,7 @@ def run_plan(
     results: Dict[str, Dict[str, object]] = {}
     pending: List[Job] = []
     tokens: Dict[str, Optional[str]] = {}
-    with METRICS.phase("characterize.plan"):
+    with METRICS.span("characterize.plan"):
         for job in plan:
             token = store.token(
                 circuits[job.circuit],
@@ -252,7 +251,7 @@ def run_plan(
             else:
                 fresh = []
                 for job in pending:
-                    with TRACER.span(
+                    with METRICS.span(
                         "characterize.job",
                         spec=spec.spec_id,
                         corner=job.corner,
@@ -286,7 +285,7 @@ def run_spec(
     )
     before = {name: METRICS.counter(name) for name in counter_names}
     start = time.perf_counter()
-    with TRACER.span("characterize.run", spec=spec.spec_id):
+    with METRICS.span("characterize.run", spec=spec.spec_id):
         plan = plan_jobs(spec)
         results = run_plan(
             spec, plan, jobs=jobs, cache=cache,

@@ -74,7 +74,6 @@ from .network import (
 )
 from .runtime import (
     METRICS,
-    TRACER,
     configure_cache,
     set_execution_policy,
     set_transport_policy,
@@ -974,9 +973,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 1)",
     )
     b.add_argument(
-        "--profile", choices=["cprofile", "spans"], default=None,
-        help="per-case profiling: fold top cumulative frames (cprofile) "
-        "or the span rollup (spans) into the trace tree and the record",
+        "--profile", choices=["cprofile"], default=None,
+        help="per-case profiling: fold the top cumulative frames into "
+        "the trace tree and the record",
     )
     b.add_argument(
         "--out", default="benchmarks/results", metavar="DIR",
@@ -1159,9 +1158,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_runtime(args) -> None:
-    # One trace tree per invocation: the root "session" span covers every
-    # phase/chunk span the command records.
-    TRACER.reset()
+    # One recorder state per invocation: fresh totals, and a root
+    # "session" span covering every span the command records.
+    METRICS.reset()
     set_execution_policy(
         timeout=getattr(args, "timeout", None),
         retries=getattr(args, "retries", None),
@@ -1193,10 +1192,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         trace_path = getattr(args, "trace", None)
         if trace_path:
-            TRACER.export(trace_path)
+            METRICS.export(trace_path)
         if getattr(args, "metrics", False):
             print(METRICS.report(), file=sys.stderr)
-            print(TRACER.render(), file=sys.stderr)
+            print(METRICS.render(), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -80,7 +80,7 @@ def cached_delay(analysis_cls, compute, circuit: Circuit, engine,
                  params: Optional[Dict[str, object]], cache):
     """The entry point of ``compute_floating_delay``,
     ``compute_transition_delay`` and ``compute_bounded_transition_delay``:
-    ``compute(engine)`` inside the ``core.<kind>`` METRICS phase of
+    ``compute(engine)`` inside the ``core.<kind>`` METRICS span of
     ``analysis_cls``, under the BDD-overflow fallback, served from the
     runtime cache under the class's ``mode`` when no explicit ``engine``
     is passed and ``params`` is not None (None marks inputs the cache
@@ -92,7 +92,7 @@ def cached_delay(analysis_cls, compute, circuit: Circuit, engine,
     )
 
     def produce():
-        with METRICS.phase(f"core.{analysis_cls.kind}"):
+        with METRICS.span(f"core.{analysis_cls.kind}"):
             return with_bdd_fallback(compute, engine, engine_name)
 
     return cached(store, circuit, analysis_cls.mode, engine_name, constraint,
@@ -109,7 +109,7 @@ class SymbolicAnalysis:
 
     #: Certificate mode (also the result-cache kind).
     mode = ""
-    #: METRICS counter prefix and ``core.<kind>`` phase name.
+    #: METRICS counter prefix and ``core.<kind>`` span name.
     kind = ""
     #: Whether the variables span the doubled vector-pair space
     #: (``a@-``/``a@0``, Sec. V-C) or one input vector.

@@ -275,7 +275,7 @@ def certify(
     # kernel; each event replay starts from its precomputed state.
     pair_list = [pair for __, pair in pairs.values()]
     simulator = EventSimulator(circuit)
-    with METRICS.phase("certify.replay"):
+    with METRICS.span("certify.replay"):
         initials, __ = batch_pair_states(circuit, pair_list)
         model_replay = max(
             simulator.measure_pair_delay(
@@ -295,7 +295,7 @@ def certify(
         # delay-independent, but batch against the accurate circuit anyway
         # in case its structure was edited too.
         accurate_simulator = EventSimulator(accurate_circuit)
-        with METRICS.phase("certify.replay"):
+        with METRICS.span("certify.replay"):
             accurate_initials, __ = batch_pair_states(
                 accurate_circuit, pair_list
             )
@@ -326,7 +326,7 @@ def certify(
 
     statistics: Optional[StatisticalTimingResult] = None
     if statistical_samples > 0:
-        with METRICS.phase("certify.statistical"):
+        with METRICS.span("certify.statistical"):
             statistics = monte_carlo_delay(
                 accurate_circuit if accurate_circuit is not None else circuit,
                 [pair for __, pair in pairs.values()],

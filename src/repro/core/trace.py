@@ -53,7 +53,7 @@ def trace_critical_chain(
     (default: the output with the latest event).  Returns None when the
     pair produces no output event at all."""
     if result is None:
-        with METRICS.phase("trace.replay"):
+        with METRICS.span("trace.replay"):
             result = EventSimulator(circuit).simulate_transition(
                 pair.v_prev, pair.v_next
             )

@@ -322,7 +322,7 @@ def validate_certification_pairs(
     )
     simulator = EventSimulator(circuit)
     observed: Dict[str, int] = {}
-    with METRICS.phase("core.validate_pairs"):
+    with METRICS.span("core.validate_pairs"):
         for (out, (predicted, pair)), initial in zip(entries, initials):
             replay = simulator.simulate_transition(
                 pair.v_prev, pair.v_next, initial=initial
@@ -372,7 +372,7 @@ def collect_certification_pairs(
     """
     if analysis is not None:
         care = analysis.care_set(constraint)
-        with METRICS.phase("core.certification_pairs"):
+        with METRICS.span("core.certification_pairs"):
             return pairs_for_outputs(analysis, care, circuit.outputs)
 
     def produce():
@@ -388,7 +388,7 @@ def collect_certification_pairs(
                 out: pair
                 for out, pair in zip(outputs, found) if pair is not None
             }
-        with METRICS.phase("core.certification_pairs"):
+        with METRICS.span("core.certification_pairs"):
             return fresh_certification_pairs(
                 circuit, engine_name, input_times, circuit.outputs,
                 constraint,

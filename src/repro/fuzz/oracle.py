@@ -38,7 +38,7 @@ from ..incremental.engine import IncrementalTimingEngine, cold_query
 from ..network.circuit import Circuit
 from ..network.gates import GateType
 from ..runtime.cache import DelayCache
-from ..runtime.metrics import metrics_scope
+from ..runtime.metrics import METRICS
 from ..sim import batch_settle, settle
 from .scenario import Scenario, apply_edits, materialize
 
@@ -256,17 +256,27 @@ def _oracle_wordsim(scenario: Scenario, oracle_jobs: int, plant):
     return True, f"lanes=16 ones={ones}", "", "", 0
 
 
+def _counters_since(before: Dict[str, int]) -> Dict[str, int]:
+    """How far each counter moved since ``before``, an earlier
+    ``METRICS.snapshot()["counters"]`` (counters first seen since are
+    kept even at zero)."""
+    return {
+        name: value - before.get(name, 0)
+        for name, value in METRICS.snapshot()["counters"].items()
+        if name not in before or value != before[name]
+    }
+
+
 def _oracle_cache(scenario: Scenario, oracle_jobs: int, plant):
     circuit = edited_circuit(scenario)
     store = DelayCache(memory_items=64)
     cold_t = compute_transition_delay(circuit, cache=store)
     cold_f = compute_floating_delay(circuit, cache=store)
-    with metrics_scope() as warm_metrics:
-        warm_t = compute_transition_delay(circuit, cache=store)
-        warm_f = compute_floating_delay(circuit, cache=store)
-    hits = warm_metrics.counter("cache.memory_hits") + warm_metrics.counter(
-        "cache.disk_hits"
-    )
+    before = METRICS.snapshot()["counters"]
+    warm_t = compute_transition_delay(circuit, cache=store)
+    warm_f = compute_floating_delay(circuit, cache=store)
+    warm = _counters_since(before)
+    hits = warm.get("cache.memory_hits", 0) + warm.get("cache.disk_hits", 0)
     checks = cold_t.checks + cold_f.checks
     expected = _canonical_certificate(cold_t) + _canonical_certificate(cold_f)
     actual = _canonical_certificate(warm_t) + _canonical_certificate(warm_f)
@@ -305,26 +315,22 @@ def run_oracle(
 ) -> OracleVerdict:
     """Run one oracle against one scenario.
 
-    The oracle body executes inside its own :func:`metrics_scope`; on a
-    mismatch the verdict carries the scope's counter snapshot (engine
-    ``#check`` counters, cache hit/miss counters, shard accounting), so
-    the divergence's accounting survives into the ``.repro.json``.
+    The oracle records into the caller's :data:`METRICS`, so its spans
+    stay in the caller's trace; on a mismatch the verdict carries the
+    counters the oracle moved (engine ``#check`` counters, cache hit/miss
+    counters, shard accounting), so the divergence's accounting survives
+    into the ``.repro.json``.
     """
     if oracle not in _ORACLE_FUNCS:
         raise ValueError(
             f"unknown oracle {oracle!r} "
             f"(expected one of {', '.join(ORACLES)})"
         )
-    with metrics_scope() as metrics:
-        ok, detail, expected, actual, checks = _ORACLE_FUNCS[oracle](
-            scenario, oracle_jobs, plant
-        )
-    captured: Dict[str, int] = {}
-    if not ok:
-        captured = {
-            name: int(value)
-            for name, value in metrics.snapshot()["counters"].items()
-        }
+    before = METRICS.snapshot()["counters"]
+    ok, detail, expected, actual, checks = _ORACLE_FUNCS[oracle](
+        scenario, oracle_jobs, plant
+    )
+    captured = {} if ok else _counters_since(before)
     return OracleVerdict(
         scenario_id=scenario.scenario_id,
         oracle=oracle,

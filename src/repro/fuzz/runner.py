@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..runtime.metrics import METRICS
-from ..runtime.tracing import TRACER
 from .oracle import ORACLES, OracleVerdict, run_oracle, run_scenario
 from .scenario import Scenario, scenario_for
 from .shrink import ShrinkResult, shrink_scenario
@@ -145,7 +144,7 @@ def _shrink_failure(
         ).ok
 
     try:
-        with TRACER.span(
+        with METRICS.span(
             "fuzz.shrink",
             scenario=scenario.scenario_id,
             oracle=failure.oracle,
@@ -190,10 +189,8 @@ def run_sweep(
             f"(expected from {', '.join(ORACLES)})"
         )
     report = SweepReport(seed=seed, count=count, oracles=ordered)
-    with TRACER.span(
-        "fuzz.sweep", seed=seed, count=count, jobs=jobs
-    ), METRICS.phase("fuzz.sweep"):
-        with METRICS.phase("fuzz.generate"):
+    with METRICS.span("fuzz.sweep", seed=seed, count=count, jobs=jobs):
+        with METRICS.span("fuzz.generate"):
             scenarios = [
                 scenario_for(seed, index, size=size, max_edits=max_edits)
                 for index in range(count)
@@ -222,7 +219,7 @@ def run_sweep(
         else:
             per_scenario = []
             for scenario in scenarios:
-                with METRICS.phase("fuzz.oracles"):
+                with METRICS.span("fuzz.oracles"):
                     per_scenario.append(
                         run_scenario(
                             scenario,
@@ -243,11 +240,9 @@ def run_sweep(
             failure = failed[0]
             shrink = None
             if shrink_failures:
-                with METRICS.phase("fuzz.shrink"):
-                    shrink = _shrink_failure(
-                        scenario, failure, oracle_jobs, plant,
-                        shrink_budget,
-                    )
+                shrink = _shrink_failure(
+                    scenario, failure, oracle_jobs, plant, shrink_budget,
+                )
             minimal = shrink.scenario if shrink is not None else scenario
             envelope = _repro_envelope(
                 minimal, failure, ordered, oracle_jobs, plant, shrink
@@ -285,7 +280,7 @@ def replay_repro(
         if oracle_jobs is None
         else oracle_jobs
     )
-    with TRACER.span(
+    with METRICS.span(
         "fuzz.replay", scenario=scenario.scenario_id, oracle=failure.oracle
     ):
         verdict = run_oracle(

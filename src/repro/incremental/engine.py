@@ -40,11 +40,10 @@ recomputation exactly (the acceptance test diffs the JSON).  Volatile
 accounting (dirty counts, reuse counts, '#check' totals) travels
 separately in the ``stats`` field.
 
-Observability here goes through the ``METRICS``/``TRACER`` context
-proxies (:mod:`repro.runtime.metrics` / :mod:`repro.runtime.tracing`):
-under the multi-client server (:mod:`repro.serve`) each session's engine
-runs inside its own :func:`~repro.runtime.metrics.metrics_scope` /
-:func:`~repro.runtime.tracing.tracer_scope`, so per-session counters and
+Observability here goes through the ``METRICS`` context proxy
+(:mod:`repro.runtime.metrics`): under the multi-client server
+(:mod:`repro.serve`) each session's engine runs inside its own
+:func:`~repro.runtime.metrics.metrics_scope`, so per-session counters and
 span trees never interleave even though every engine shares one process
 (and, optionally, one :class:`~repro.runtime.cache.DelayCache` and one
 :class:`~repro.runtime.transport.LocalPoolTransport`).
@@ -60,7 +59,6 @@ from ..network.circuit import Circuit
 from ..runtime.cache import DelayCache
 from ..runtime.fingerprint import cone_fingerprint, node_cone_fingerprints
 from ..runtime.metrics import METRICS
-from ..runtime.tracing import TRACER
 from .cones import KINDS, ConeResult, evaluate_cone, extract_cone
 
 
@@ -166,7 +164,7 @@ class IncrementalTimingEngine:
         outputs = self.circuit.outputs
         if not outputs:
             raise ValueError("circuit has no outputs")
-        with TRACER.span(
+        with METRICS.span(
             "incremental.query", kind=kind, circuit=self.circuit.name
         ):
             self._consume_journal()

@@ -51,7 +51,6 @@ from ..network.gates import GateType
 from ..network.verilog_io import load_verilog
 from ..runtime.cache import DelayCache
 from ..runtime.metrics import METRICS
-from ..runtime.tracing import TRACER
 from ..runtime.transport import LocalPoolTransport
 from ..serve.framing import (
     ProtocolError,
@@ -162,7 +161,7 @@ class QueryService:
             if not isinstance(request, dict):
                 raise ServiceError("request must be a JSON object")
             op = request.get("op")
-            with TRACER.span("service.request", id=trace_id, op=str(op)):
+            with METRICS.span("service.request", id=trace_id, op=str(op)):
                 result = self._dispatch(request)
             response: Dict[str, object] = {
                 "id": trace_id, "ok": True, "result": result,

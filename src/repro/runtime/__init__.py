@@ -16,11 +16,10 @@ circuit content plus a handful of parameters.  This package exploits that:
   :mod:`repro.runtime.remote`'s long-lived ``trued worker`` hosts over
   JSON-lines sockets with the disk cache as the shared artifact store
   (``docs/DISTRIBUTED.md``);
-* :mod:`repro.runtime.metrics` — counters and phase timers threaded
-  through the cores and reported by the CLI and the benchmark harness;
-* :mod:`repro.runtime.tracing` — hierarchical execution spans (nested
-  phases, worker attribution, retry/degradation events), exported as
-  JSON by the CLI ``--trace``;
+* :mod:`repro.runtime.metrics` — the one recorder threaded through the
+  cores: counters, gauges and timed spans, kept both as flat totals
+  (``--metrics``, bench records) and as the span tree with worker
+  attribution and retry/degradation events (``--trace``);
 * :mod:`repro.runtime.faults` — deterministic fault injection
   (``REPRO_FAULT_INJECT``) so every degradation path is exercised in CI.
 """
@@ -42,14 +41,20 @@ from .fingerprint import (
     node_cone_fingerprints,
     params_token,
 )
-from .metrics import GLOBAL_METRICS, METRICS, Metrics, current_metrics, metrics_scope
+from .metrics import (
+    GLOBAL_METRICS,
+    METRICS,
+    Metrics,
+    Span,
+    current_metrics,
+    metrics_scope,
+)
 from .parallel import (
     TASK_KINDS,
     execution_policy,
     set_execution_policy,
     shard_map,
 )
-from .tracing import GLOBAL_TRACER, TRACER, Span, Tracer, current_tracer, tracer_scope
 from .transport import (
     ChunkResult,
     LocalPoolTransport,
@@ -78,14 +83,9 @@ __all__ = [
     "GLOBAL_METRICS",
     "METRICS",
     "Metrics",
+    "Span",
     "current_metrics",
     "metrics_scope",
-    "GLOBAL_TRACER",
-    "TRACER",
-    "Span",
-    "Tracer",
-    "current_tracer",
-    "tracer_scope",
     "TASK_KINDS",
     "execution_policy",
     "set_execution_policy",

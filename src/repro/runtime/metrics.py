@@ -1,83 +1,174 @@
-"""Lightweight runtime counters and phase timers.
+"""One recorder for counters, gauges, spans and events.
 
-A single :data:`METRICS` instance is threaded through the
-delay cores, the cache, the sharder, the trace replayer, the CLI, and the
-benchmark harness.  Everything is plain dict arithmetic — cheap enough to
-stay enabled unconditionally.
+A :class:`Metrics` instance keeps two views of the same accounting:
 
-:data:`METRICS` is *context-scoped* (mirroring :data:`TRACER`): a proxy
-resolving, per call, to the :class:`Metrics` installed in the current
-:mod:`contextvars` context — by default the process-global
-:data:`GLOBAL_METRICS`, so CLI commands, tests, and worker processes see
-singleton semantics.  The multi-client timing server installs one
-instance per session with :func:`metrics_scope`, so concurrent sessions
-never interleave counter deltas.
+* flat totals — named counters, max-gauges and cumulative wall time per
+  span name (``snapshot()``, the ``--metrics`` report, bench records);
+* the span tree — nested timed regions, each holding the counters,
+  gauges and events recorded while it was the innermost open span, plus
+  the pre-measured chunk spans of worker processes (``--trace`` JSON,
+  the ``--metrics`` outline).
 
-The default instance additionally mirrors every counter, gauge, and phase
-onto the current span of :data:`~repro.runtime.tracing.TRACER`, which is
-where the *hierarchical* view (nested phases, worker attribution,
-retry/degradation events) lives; this module keeps the cheap flat
-aggregates for golden reports and assertions.
+Every call writes both views at once, so summing the counters over the
+tree gives exactly the totals.  Instrumented code uses the one
+context-scoped proxy :data:`METRICS`: it resolves, per call, to the
+instance installed in the current :mod:`contextvars` context — by
+default the process-global :data:`GLOBAL_METRICS`, which the CLI resets
+once per invocation.  :func:`metrics_scope` installs another instance
+where isolation is the point: each timing-server session, and the
+shard-worker bodies whose counters travel back in the chunk result.
+
+Everything is plain dict arithmetic — cheap enough to stay enabled
+unconditionally.  Schemas are in ``docs/RUNTIME.md``.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
-from .tracing import TRACER
+
+class Span:
+    """One node of the trace tree.
+
+    ``elapsed`` is wall-clock seconds; ``counters``/``gauges`` hold the
+    accounting attributed to exactly this span (children carry their own);
+    ``events`` are point-in-time markers (retries, timeouts, degradations).
+    """
+
+    __slots__ = (
+        "name", "attrs", "counters", "gauges", "events", "children",
+        "elapsed",
+    )
+
+    def __init__(self, name: str, attrs: Optional[dict] = None) -> None:
+        self.name = name
+        self.attrs: Dict[str, object] = dict(attrs or {})
+        self.counters: Dict[str, int] = {}
+        self.gauges: Dict[str, int] = {}
+        self.events: List[dict] = []
+        self.children: List["Span"] = []
+        self.elapsed = 0.0
+
+    def to_dict(self) -> dict:
+        data: Dict[str, object] = {
+            "name": self.name,
+            "elapsed_ms": round(self.elapsed * 1000, 3),
+        }
+        if self.attrs:
+            data["attrs"] = dict(self.attrs)
+        if self.counters:
+            data["counters"] = dict(self.counters)
+        if self.gauges:
+            data["gauges"] = dict(self.gauges)
+        if self.events:
+            data["events"] = [dict(event) for event in self.events]
+        data["children"] = [child.to_dict() for child in self.children]
+        return data
+
+
+def _add(totals: Dict[str, int], name: str, amount: int) -> None:
+    totals[name] = totals.get(name, 0) + amount
+
+
+def _raise(gauges: Dict[str, int], name: str, value: int) -> None:
+    if value > gauges.get(name, 0):
+        gauges[name] = value
 
 
 class Metrics:
-    """Named counters, max-gauges, and cumulative phase wall times.
+    """Flat totals and the span tree, written together.
 
-    ``mirror_to_trace`` duplicates the recording onto the global
-    :data:`~repro.runtime.tracing.TRACER` span stack; only the module
-    global :data:`METRICS` enables it (throwaway instances in tests stay
-    self-contained).
+    The root span, named ``session``, opens at construction (or
+    :meth:`reset`) and is closed at export time, so it always covers
+    every span recorded in between.
     """
 
-    def __init__(self, mirror_to_trace: bool = False) -> None:
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, int] = {}
         self._phases: Dict[str, float] = {}
-        self._mirror = bool(mirror_to_trace)
+        self._root = Span("session")
+        self._started = time.perf_counter()
+        self._stack: List[Span] = [self._root]
 
-    # -- counters -----------------------------------------------------
+    @property
+    def root(self) -> Span:
+        return self._root
+
+    # -- counters and gauges (totals + the innermost open span) -------
     def incr(self, name: str, amount: int = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + amount
-        if self._mirror:
-            TRACER.incr(name, amount)
+        _add(self._counters, name, amount)
+        _add(self._stack[-1].counters, name, amount)
 
     def counter(self, name: str) -> int:
         return self._counters.get(name, 0)
 
-    # -- gauges (high-water marks, e.g. peak BDD nodes) ---------------
     def gauge_max(self, name: str, value: int) -> None:
-        if value > self._gauges.get(name, 0):
-            self._gauges[name] = value
-        if self._mirror:
-            TRACER.gauge_max(name, value)
+        """Raise a high-water mark (e.g. peak BDD nodes)."""
+        _raise(self._gauges, name, value)
+        _raise(self._stack[-1].gauges, name, value)
 
     def gauge(self, name: str) -> int:
         return self._gauges.get(name, 0)
 
-    # -- phase timing -------------------------------------------------
+    # -- spans and events ---------------------------------------------
     @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        span = TRACER.span(name) if self._mirror else nullcontext()
+    def span(self, name: str, **attrs) -> Iterator[Span]:
+        """Time the block as a child of the innermost open span; on close
+        (exceptions included) its wall time also adds to the flat total
+        for ``name``."""
+        child = Span(name, attrs)
+        self._stack[-1].children.append(child)
+        self._stack.append(child)
         start = time.perf_counter()
         try:
-            with span:
-                yield
+            yield child
         finally:
             elapsed = time.perf_counter() - start
+            child.elapsed += elapsed
             self._phases[name] = self._phases.get(name, 0.0) + elapsed
+            self._stack.pop()
 
     def phase_seconds(self, name: str) -> float:
+        """Cumulative wall time of every closed span named ``name``."""
         return self._phases.get(name, 0.0)
+
+    def add_span(
+        self,
+        name: str,
+        elapsed: float,
+        counters: Optional[Dict[str, int]] = None,
+        gauges: Optional[Dict[str, int]] = None,
+        **attrs,
+    ) -> Span:
+        """Attach an already-measured child span — a worker chunk clocked
+        in another process — and fold its counters (added) and gauges
+        (max) into the totals and onto that span only.
+
+        Its time stays out of the per-name totals: chunks of one round
+        overlap, so their sum is not wall time.
+        """
+        child = Span(name, attrs)
+        child.elapsed = float(elapsed)
+        for counter, amount in (counters or {}).items():
+            _add(self._counters, counter, amount)
+            _add(child.counters, counter, amount)
+        for gauge, value in (gauges or {}).items():
+            _raise(self._gauges, gauge, value)
+            _raise(child.gauges, gauge, value)
+        self._stack[-1].children.append(child)
+        return child
+
+    def event(self, name: str, **attrs) -> None:
+        """Record a point-in-time marker on the innermost open span."""
+        self._stack[-1].events.append({"event": name, **attrs})
 
     # -- reporting ----------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, object]]:
@@ -87,23 +178,9 @@ class Metrics:
             "phases": dict(self._phases),
         }
 
-    def merge_counters(self, counters: Dict[str, int]) -> None:
-        """Fold counters returned by a worker process into this instance."""
-        for name, amount in counters.items():
-            self.incr(name, amount)
-
-    def merge_gauges(self, gauges: Dict[str, int]) -> None:
-        """Fold worker gauges (max-fold, mirroring :meth:`gauge_max`)."""
-        for name, value in gauges.items():
-            self.gauge_max(name, value)
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._phases.clear()
-
     def report(self) -> str:
-        """Aligned plain-text report, stable order for golden output."""
+        """Aligned plain-text report of the totals, stable order for
+        golden output."""
         lines = ["runtime metrics"]
         if self._counters:
             lines.append("  counters:")
@@ -126,11 +203,54 @@ class Metrics:
             lines.append("  (no activity recorded)")
         return "\n".join(lines)
 
+    def finalize(self) -> Span:
+        """Close the root over everything recorded so far (idempotent —
+        the root only ever grows)."""
+        self._root.elapsed = time.perf_counter() - self._started
+        return self._root
 
-#: The default (process-global) metrics instance.
-GLOBAL_METRICS = Metrics(mirror_to_trace=True)
+    def export(self, path) -> None:
+        """Write the tree as JSON (the ``--trace FILE`` document)."""
+        document = json.dumps(self.finalize().to_dict(), indent=2)
+        with open(path, "w") as handle:
+            handle.write(document + "\n")
 
-#: The metrics of the *current execution context*; everything outside an
+    def render(self) -> str:
+        """Indented plain-text tree (the ``--metrics`` outline)."""
+        self.finalize()
+        lines = ["execution trace"]
+
+        def describe(mapping: Dict[str, object]) -> str:
+            return ", ".join(f"{k}={v}" for k, v in sorted(mapping.items()))
+
+        def walk(span: Span, depth: int) -> None:
+            pad = "  " * depth
+            line = f"{pad}{span.name}  {span.elapsed * 1000:.1f} ms"
+            if span.attrs:
+                line += f"  [{describe(span.attrs)}]"
+            lines.append(line)
+            for name, value in sorted(span.counters.items()):
+                lines.append(f"{pad}  . {name} = {value}")
+            for name, value in sorted(span.gauges.items()):
+                lines.append(f"{pad}  ^ {name} = {value}")
+            for event in span.events:
+                rest = {k: v for k, v in event.items() if k != "event"}
+                line = f"{pad}  ! {event['event']}"
+                if rest:
+                    line += f"  [{describe(rest)}]"
+                lines.append(line)
+            for child in span.children:
+                walk(child, depth + 1)
+
+        walk(self._root, 1)
+        return "\n".join(lines)
+
+
+#: The default (process-global) recorder; the CLI resets it per
+#: invocation.  Worker processes have their own (discarded) instance.
+GLOBAL_METRICS = Metrics()
+
+#: The recorder of the *current execution context*; everything outside an
 #: explicit :func:`metrics_scope` resolves to :data:`GLOBAL_METRICS`.
 _METRICS_VAR: ContextVar[Metrics] = ContextVar(
     "repro_metrics", default=GLOBAL_METRICS
@@ -144,19 +264,17 @@ def current_metrics() -> Metrics:
 
 @contextmanager
 def metrics_scope(metrics: Optional[Metrics] = None) -> Iterator[Metrics]:
-    """Install ``metrics`` (default: a fresh mirroring instance) as
-    :data:`METRICS` for the duration of the block, in this context only.
+    """Install ``metrics`` (default: a fresh instance) as :data:`METRICS`
+    for the duration of the block, in this context only.
 
-    Scopes nest; concurrent asyncio tasks or threads that each enter
-    their own scope accumulate into disjoint instances.  Session-scoped
-    instances mirror onto whatever :data:`~repro.runtime.tracing.TRACER`
-    resolves to, so pair this with
-    :func:`~repro.runtime.tracing.tracer_scope` for fully isolated
-    observability (the timing server does exactly that per session).
+    Scopes nest, and — because the backing store is a
+    :class:`~contextvars.ContextVar` — concurrent asyncio tasks or
+    threads that each enter their own scope record into disjoint
+    instances.  A new thread starts outside every scope: it must enter
+    the scope itself, which is what the timing server's compute
+    executor does per session.
     """
-    metrics = (
-        metrics if metrics is not None else Metrics(mirror_to_trace=True)
-    )
+    metrics = metrics if metrics is not None else Metrics()
     token = _METRICS_VAR.set(metrics)
     try:
         yield metrics
@@ -165,12 +283,12 @@ def metrics_scope(metrics: Optional[Metrics] = None) -> Iterator[Metrics]:
 
 
 class _MetricsProxy:
-    """Context-resolving face of the metrics singleton.
+    """Context-resolving face of the recorder.
 
-    Attribute access — ``METRICS.incr``, ``METRICS.snapshot``,
-    ``METRICS.reset`` — forwards to :func:`current_metrics`, so every
-    existing call site transparently records into the session's instance
-    when one is scoped, and into :data:`GLOBAL_METRICS` otherwise.
+    Attribute access — ``METRICS.incr``, ``METRICS.span``,
+    ``METRICS.snapshot`` — forwards to :func:`current_metrics`, so every
+    call site records into the session's instance when one is scoped,
+    and into :data:`GLOBAL_METRICS` otherwise.
     """
 
     __slots__ = ()
@@ -182,7 +300,7 @@ class _MetricsProxy:
         return f"<METRICS proxy -> {_METRICS_VAR.get()!r}>"
 
 
-#: Context-scoped metrics proxy (see module docstring).
+#: Context-scoped recorder proxy (see module docstring).
 METRICS = _MetricsProxy()
 
 

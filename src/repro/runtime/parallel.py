@@ -32,9 +32,8 @@ retries are exhausted the remaining items run serially in-process.  A
 ``jobs=N`` run therefore never produces less than the serial run:
 worker death degrades throughput, not results.  Every degradation step
 is counted in :data:`~repro.runtime.metrics.METRICS` and recorded as an
-event on the current :data:`~repro.runtime.tracing.TRACER` span; the
-deterministic fault hooks in :mod:`repro.runtime.faults` exercise each
-path in CI.
+event on its innermost open span; the deterministic fault hooks in
+:mod:`repro.runtime.faults` exercise each path in CI.
 
 *Where* a round runs is a :class:`~repro.runtime.transport.ShardTransport`
 (:mod:`repro.runtime.transport`): the in-host process pool by default,
@@ -45,20 +44,21 @@ top of the interface, so every transport inherits the same guarantee.
 
 Every worker takes ``(context, [(index, item), ...])`` — the context
 shared by the whole run, then its chunk of indexed items — and returns
-``([(index, result), ...], counters, gauges)``.  The parent folds
-counters additively and gauges max-wise into the global metrics,
-attributes them to a per-chunk trace span tagged with the worker's pid,
-host, and transport, and merges results by index.
+``([(index, result), ...], counters, gauges)``.  The parent folds each
+chunk with one :meth:`~repro.runtime.metrics.Metrics.add_span` call —
+counters added and gauges max-folded into the totals and onto a
+per-chunk span tagged with the worker's pid, host, and transport — and
+merges results by index.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .faults import worker_fault
 from .metrics import METRICS, engine_peak_nodes
-from .tracing import TRACER
 from .transport import (
     TIMEOUT,
     WORKER_DIED,
@@ -119,12 +119,10 @@ def _resolve_policy(
 def _harvest_chunk(
     chunk_result: ChunkResult, label: str, transport_name: str, results: list
 ) -> None:
-    """Fold one completed chunk into metrics/tracing and the result list
-    (always on the caller's thread — transports never touch METRICS or
-    TRACER for completed work)."""
-    METRICS.merge_counters(chunk_result.counters)
-    METRICS.merge_gauges(chunk_result.gauges)
-    TRACER.add_span(
+    """Fold one completed chunk into the recorder and the result list
+    (always on the caller's thread — transports never touch METRICS for
+    completed work)."""
+    METRICS.add_span(
         f"{label}.chunk", chunk_result.elapsed,
         counters=chunk_result.counters, gauges=chunk_result.gauges,
         chunk=chunk_result.index, items=len(chunk_result.chunk),
@@ -139,17 +137,17 @@ def _record_failure(index: int, chunk: list, reason: str, label: str) -> None:
     event vocabulary (chunk-timeout / worker-died / chunk-error)."""
     if reason == TIMEOUT:
         METRICS.incr("parallel.chunk_timeouts")
-        TRACER.event(
+        METRICS.event(
             "chunk-timeout", label=label, chunk=index, items=len(chunk)
         )
     elif reason == WORKER_DIED:
         METRICS.incr("parallel.chunk_failures")
-        TRACER.event(
+        METRICS.event(
             "worker-died", label=label, chunk=index, items=len(chunk)
         )
     else:
         METRICS.incr("parallel.chunk_failures")
-        TRACER.event(
+        METRICS.event(
             "chunk-error", label=label, chunk=index, items=len(chunk),
             error=reason,
         )
@@ -213,7 +211,7 @@ def _run_sharded(
                     tasks.append((next_index, [item]))
                     next_index += 1
             METRICS.incr("parallel.retries", len(tasks))
-            TRACER.event(
+            METRICS.event(
                 "retry", label=label, attempt=attempt + 1, tasks=len(tasks)
             )
         # Degradation of last resort: whatever still fails after the retry
@@ -224,11 +222,13 @@ def _run_sharded(
         remainder = [item for __, chunk, __reason in failed for item in chunk]
         METRICS.incr("parallel.serial_fallback_items", len(remainder))
         METRICS.incr("transport.degraded")
-        TRACER.event("degrade-serial", label=label, items=len(remainder))
-        with TRACER.span(f"{label}.serial-fallback", items=len(remainder)):
-            result, counters, gauges = worker(make_payload(remainder))
-        METRICS.merge_counters(counters)
-        METRICS.merge_gauges(gauges)
+        METRICS.event("degrade-serial", label=label, items=len(remainder))
+        start = time.perf_counter()
+        result, counters, gauges = worker(make_payload(remainder))
+        METRICS.add_span(
+            f"{label}.serial-fallback", time.perf_counter() - start,
+            counters=counters, gauges=gauges, items=len(remainder),
+        )
         results.extend(result)
         return results
     finally:
@@ -255,7 +255,7 @@ def shard_map(
     pickle.  ``jobs`` is the worker count (``0`` = all cores, never more
     than items); ``timeout``/``retries`` default to the process-wide
     execution policy.  The run is timed as the ``parallel.<label>``
-    phase and its chunks as ``<label>.chunk`` spans.
+    span and its chunks as ``<label>.chunk`` spans.
     """
     worker = TASK_KINDS.get(label)
     if worker is None:
@@ -268,7 +268,7 @@ def shard_map(
     def make_payload(chunk):
         return (context, list(chunk))
 
-    with METRICS.phase(f"parallel.{label}"):
+    with METRICS.span(f"parallel.{label}"):
         merged = _run_sharded(
             label, worker, indexed, make_payload,
             resolve_jobs(jobs, len(indexed)), timeout, retries, transport,
@@ -426,7 +426,7 @@ def _fuzz_worker(payload):
 
 
 #: Label -> worker for every fan-out :func:`shard_map` runs.  The labels
-#: name the phases (``parallel.<label>``), chunk spans (``<label>.chunk``)
+#: name the run spans (``parallel.<label>``), chunk spans (``<label>.chunk``)
 #: and fault-injection trace events, and they are the job catalogue a
 #: ``trued worker`` announces and serves (:mod:`repro.runtime.remote`).
 TASK_KINDS: Dict[str, Callable] = {

@@ -22,10 +22,9 @@ per-round timeout / bounded-retry / poison-isolation / degrade-to-serial
 machinery it applies to the local pool — a lost worker, a hung socket,
 or a corrupt result artifact can cost throughput, never results.
 
-Threads in this module do socket I/O *only*.  Artifact pushes/fetches,
-metrics, and tracing all happen on the calling thread, because
-:data:`~repro.runtime.metrics.METRICS` and
-:data:`~repro.runtime.tracing.TRACER` are context-scoped and do not
+Threads in this module do socket I/O *only*.  Artifact pushes/fetches
+and all recording happen on the calling thread, because
+:data:`~repro.runtime.metrics.METRICS` is context-scoped and does not
 follow into helper threads.
 """
 

@@ -75,9 +75,9 @@ class ShardTransport:
     submitted task exactly once, and must be callable again after any
     failure (the retry rounds reuse the same transport).  It runs on the
     caller's thread; implementations may use helper threads for I/O but
-    must confine :data:`~repro.runtime.metrics.METRICS` /
-    :data:`~repro.runtime.tracing.TRACER` access to the calling thread —
-    both are context-scoped and do not follow into new threads.
+    must confine :data:`~repro.runtime.metrics.METRICS` access to the
+    calling thread — it is context-scoped and does not follow into new
+    threads.
     """
 
     #: Span/metrics attribution tag (``transport=`` on chunk spans).

@@ -12,10 +12,8 @@ shared content-addressed :class:`~repro.runtime.cache.DelayCache`:
   :class:`~repro.incremental.service.QueryService` with its own
   :class:`~repro.incremental.engine.IncrementalTimingEngine`), a bounded
   admission queue with explicit ``busy`` backpressure, cross-client
-  request coalescing keyed on circuit content fingerprints, and
-  session-scoped metrics/tracing contexts
-  (:func:`~repro.runtime.metrics.metrics_scope` /
-  :func:`~repro.runtime.tracing.tracer_scope`);
+  request coalescing keyed on circuit content fingerprints, and a
+  session-scoped recorder (:func:`~repro.runtime.metrics.metrics_scope`);
 * :mod:`repro.serve.loadgen` — the ``trued loadgen`` client fleet:
   N concurrent scripted sessions with p50/p95/p99 latency, throughput,
   and coalescing accounting (the ``serve_load`` benchmark suite records

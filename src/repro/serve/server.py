@@ -7,8 +7,7 @@ exactly the single-client one in :mod:`repro.incremental.service`; see
 * **Per-session namespaces.**  Every accepted connection owns a
   :class:`~repro.incremental.service.QueryService` — its own loaded
   circuit, engine, request-id counter — plus a session-scoped
-  :class:`~repro.runtime.metrics.Metrics` and
-  :class:`~repro.runtime.tracing.Tracer` installed via contextvars
+  :class:`~repro.runtime.metrics.Metrics` installed via contextvars
   around every computation, so concurrent sessions never interleave
   counter deltas or trace spans.  Responses on one connection are
   byte-identical to the same script on a single-client transport.
@@ -57,7 +56,6 @@ from ..incremental.service import QueryService
 from ..runtime.cache import DelayCache
 from ..runtime.fingerprint import circuit_fingerprint
 from ..runtime.metrics import Metrics, metrics_scope
-from ..runtime.tracing import Tracer, tracer_scope
 from ..runtime.transport import LocalPoolTransport
 from .framing import MAX_LINE_BYTES, prepare_unix_socket_path
 
@@ -88,13 +86,12 @@ class ServerStats:
 class _Session:
     """One connection's namespace: service state + observability scope."""
 
-    __slots__ = ("name", "service", "metrics", "tracer")
+    __slots__ = ("name", "service", "metrics")
 
     def __init__(self, name: str, service: QueryService) -> None:
         self.name = name
         self.service = service
-        self.metrics = Metrics(mirror_to_trace=True)
-        self.tracer = Tracer()
+        self.metrics = Metrics()
 
 
 @dataclass
@@ -405,12 +402,11 @@ class TimingServer:
             future.set_result(("error", response.get("error")))
 
     async def _run_in_executor(self, session: _Session, fn):
-        """Run ``fn`` on a compute thread under the session's
-        metrics/tracing scope (contextvars do not cross thread
-        boundaries on their own)."""
+        """Run ``fn`` on a compute thread under the session's recorder
+        scope (contextvars do not cross thread boundaries on their own)."""
 
         def scoped():
-            with metrics_scope(session.metrics), tracer_scope(session.tracer):
+            with metrics_scope(session.metrics):
                 return fn()
 
         return await self._loop.run_in_executor(self._executor, scoped)

@@ -7,20 +7,12 @@ pass over the gates evaluates every lane at once, so N vectors cost one
 traversal of the circuit plus O(N) bitwise work instead of N scalar
 ``settle`` traversals.
 
-Two interchangeable backends compute byte-identical results:
-
-* **pure-int** — each signal is one arbitrary-width Python int; CPython's
-  big-int bitwise ops are C loops over 30-bit limbs, which beats numpy's
-  per-op dispatch overhead for the narrow batches the delay cores issue;
-* **numpy** — each signal is an array of uint64 lanes (64 vectors per
-  lane, N lanes per array), which wins once batches grow to thousands of
-  vectors.  When numpy is not installed the kernel silently runs pure-int.
-
-``auto`` (the default) picks numpy only for batches of at least
-:data:`NUMPY_MIN_WIDTH` bits; ``REPRO_WORDSIM_BACKEND=numpy|int|auto``
-forces a choice process-wide and ``REPRO_WORDSIM_CHECK=1`` cross-checks
-every batch settle against the scalar evaluator (lane-vs-scalar
-byte-identity, used by the validation paths and CI).
+Each signal is one arbitrary-width Python int; CPython's big-int bitwise
+ops are C loops over 30-bit limbs, so even a batch of thousands of lanes
+costs one pass of C-level word operations per gate.
+``REPRO_WORDSIM_CHECK=1`` cross-checks every batch settle against the
+scalar evaluator (lane-vs-scalar byte-identity, used by the validation
+paths and CI).
 
 Consumers: witness/vector-pair validation (:mod:`repro.core.vectors`,
 :mod:`repro.core.certify`), Monte Carlo replay
@@ -44,20 +36,8 @@ from ..network.circuit import Circuit
 from ..network.gates import GateType, validate_arity
 from ..runtime.metrics import METRICS
 
-try:  # numpy is optional: the pure-int backend is always available.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    _np = None
-
-#: Lane width of one uint64 word — the historical ``simulate_words`` unit.
+#: Default lane width — the historical 64-bit ``simulate_words`` unit.
 WORD_BITS = 64
-_WORD_MASK = (1 << WORD_BITS) - 1
-
-#: Minimum batch width (in bit lanes) before ``auto`` prefers numpy: below
-#: this, one big-int op on the whole word is cheaper than one numpy call.
-NUMPY_MIN_WIDTH = 4096
-
-_BACKENDS = ("auto", "int", "numpy")
 
 #: Gate kinds of the compiled program (dispatch resolved once per circuit,
 #: not per call): a gate's value is its kind's function of the fanin
@@ -77,10 +57,6 @@ _KINDS = {
     GateType.XOR: (PARITY, False),
     GateType.XNOR: (PARITY, True),
 }
-
-
-def _env_backend() -> str:
-    return os.environ.get("REPRO_WORDSIM_BACKEND", "") or "auto"
 
 
 def _env_check() -> bool:
@@ -165,15 +141,13 @@ class CircuitProgram:
         self.output_slots = [slots[name] for name in self.outputs]
         self.inputs = circuit.inputs
         self.input_slots = [slots[name] for name in self.inputs]
-        self._kernels: Dict[str, "WordKernel"] = {}
+        self._kernel: Optional["WordKernel"] = None
 
-    def kernel(self, backend: str = "auto") -> "WordKernel":
-        """The word-level kernel over this program for a backend."""
-        kernel = self._kernels.get(backend)
-        if kernel is None:
-            kernel = WordKernel(self.circuit, backend=backend)
-            self._kernels[backend] = kernel
-        return kernel
+    def kernel(self) -> "WordKernel":
+        """The word-level kernel over this program."""
+        if self._kernel is None:
+            self._kernel = WordKernel(self.circuit)
+        return self._kernel
 
 
 def program_for(circuit: Circuit) -> CircuitProgram:
@@ -192,37 +166,15 @@ def program_for(circuit: Circuit) -> CircuitProgram:
 
 
 class WordKernel:
-    """A circuit's compiled program evaluated bit-parallel on one backend.
+    """A circuit's compiled program evaluated bit-parallel.
 
     The program (:class:`CircuitProgram`) is the circuit's shared cached
     compilation; compiling validates the circuit.
     """
 
-    def __init__(self, circuit: Circuit, backend: str = "auto"):
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown wordsim backend {backend!r}; "
-                f"expected one of {_BACKENDS}"
-            )
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.backend = backend
         self.program = program_for(circuit)
-
-    # ------------------------------------------------------------------
-    def resolved_backend(self, width: int) -> str:
-        """The backend one call of the given lane width will run on."""
-        backend = self.backend
-        if backend == "auto":
-            backend = _env_backend()
-        if backend == "auto":
-            backend = (
-                "numpy"
-                if _np is not None and width >= NUMPY_MIN_WIDTH
-                else "int"
-            )
-        if backend == "numpy" and _np is None:
-            backend = "int"
-        return backend
 
     def _load_inputs(
         self, input_words: Dict[str, int], mask: int
@@ -261,10 +213,7 @@ class WordKernel:
             raise ValueError("width must be at least 1")
         mask = (1 << width) - 1
         values = self._load_inputs(input_words, mask)
-        if self.resolved_backend(width) == "numpy":
-            self._run_numpy(values, width, mask)
-        else:
-            self._run_int(values, mask)
+        self._run(values, mask)
         METRICS.incr("wordsim.batches")
         METRICS.incr("wordsim.lanes", width)
         METRICS.incr(
@@ -273,7 +222,7 @@ class WordKernel:
         )
         return dict(zip(self.program.order, values))
 
-    def _run_int(self, values: List[int], mask: int) -> None:
+    def _run(self, values: List[int], mask: int) -> None:
         for slot, gate in enumerate(self.program.gates):
             if gate is None:
                 continue
@@ -294,51 +243,6 @@ class WordKernel:
             if inverting:
                 word ^= mask
             values[slot] = word
-
-    def _run_numpy(self, values: List[int], width: int, mask: int) -> None:
-        """Evaluate on uint64 lane arrays, then fold back to ints.
-
-        Lane arrays hold ``ceil(width / 64)`` uint64 words per signal; the
-        top lane's dead bits are cleared by the final mask.
-        """
-        lanes = (width + WORD_BITS - 1) // WORD_BITS
-        num_bytes = lanes * 8
-        ones = _np.full(lanes, _WORD_MASK, dtype=_np.uint64)
-        gates = self.program.gates
-        arrays: List[object] = [None] * len(values)
-        for slot in self.program.input_slots:
-            arrays[slot] = _np.frombuffer(
-                int(values[slot]).to_bytes(num_bytes, "little"), dtype="<u8"
-            )
-        for slot, gate in enumerate(gates):
-            if gate is None:
-                continue
-            kind, inverting, fanins = gate
-            if not fanins:  # a constant: the empty AND
-                word = ones
-            else:
-                word = arrays[fanins[0]]
-                if kind == ALL:
-                    for f in fanins[1:]:
-                        word = word & arrays[f]
-                elif kind == ANY:
-                    for f in fanins[1:]:
-                        word = word | arrays[f]
-                elif kind == PARITY:
-                    for f in fanins[1:]:
-                        word = word ^ arrays[f]
-            if inverting:
-                word = word ^ ones
-            arrays[slot] = word
-        for slot, gate in enumerate(gates):
-            if gate is not None:
-                values[slot] = (
-                    int.from_bytes(
-                        arrays[slot].astype("<u8", copy=False).tobytes(),
-                        "little",
-                    )
-                    & mask
-                )
 
     # ------------------------------------------------------------------
     def settle_batch(
@@ -393,10 +297,10 @@ class WordKernel:
         )
 
 
-def kernel_for(circuit: Circuit, backend: str = "auto") -> WordKernel:
+def kernel_for(circuit: Circuit) -> WordKernel:
     """The word-level kernel for a circuit over its cached program, so it
     too is rebuilt after any journalled edit."""
-    return program_for(circuit).kernel(backend)
+    return program_for(circuit).kernel()
 
 
 def simulate_words(
@@ -407,7 +311,7 @@ def simulate_words(
 
     The unified kernel entry point — this is the public name historically
     exported by :mod:`repro.sim.logic_sim`, now validated (gate arity,
-    missing/unknown inputs) and backend-accelerated.
+    missing/unknown inputs).
     """
     return kernel_for(circuit).simulate(input_words, width=width)
 

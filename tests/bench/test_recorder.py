@@ -94,13 +94,14 @@ def test_cprofile_mode_captures_in_package_frames():
 
 
 def test_profile_block_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="unknown profile mode"):
-        with profile_block("flamegraph"):
-            pass
+    for mode in ("flamegraph", "spans"):
+        with pytest.raises(ValueError, match="unknown profile mode"):
+            with profile_block(mode):
+                pass
 
 
 def test_profile_off_modes_yield_empty_frames():
-    for mode in (None, "", "off", "spans"):
+    for mode in (None, "", "off"):
         with profile_block(mode) as frames:
             pass
         assert frames == []
@@ -118,3 +119,5 @@ def test_profiled_case_lands_in_the_record():
     assert {"site", "calls", "cumulative_ms", "own_ms"} <= set(
         case["profile"][0]
     )
+    # Frame call counts are span attributes, never counters.
+    assert "calls" not in case["counters"]

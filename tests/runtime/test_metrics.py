@@ -1,4 +1,5 @@
-"""Metrics: counters, gauges, phase timers, worker fold-in, reporting."""
+"""Metrics totals: counters, gauges, span wall times, worker fold-in,
+reporting, and scopes."""
 
 from repro.runtime import Metrics
 
@@ -21,10 +22,10 @@ def test_gauge_keeps_the_high_water_mark():
 
 def test_phase_times_accumulate_and_survive_exceptions():
     m = Metrics()
-    with m.phase("work"):
+    with m.span("work"):
         pass
     try:
-        with m.phase("work"):
+        with m.span("work"):
             raise RuntimeError("boom")
     except RuntimeError:
         pass
@@ -33,9 +34,14 @@ def test_phase_times_accumulate_and_survive_exceptions():
 
 
 def test_merge_counters_folds_worker_results():
+    """A worker chunk's counters merge into the totals through the one
+    call that attaches its span."""
     m = Metrics()
     m.incr("pairs.sat_probes", 3)
-    m.merge_counters({"pairs.sat_probes": 2, "pairs.functions_built": 7})
+    m.add_span(
+        "pairs.chunk", 0.1,
+        counters={"pairs.sat_probes": 2, "pairs.functions_built": 7},
+    )
     assert m.counter("pairs.sat_probes") == 5
     assert m.counter("pairs.functions_built") == 7
 
@@ -44,11 +50,12 @@ def test_reset_clears_everything():
     m = Metrics()
     m.incr("a")
     m.gauge_max("b", 1)
-    with m.phase("c"):
+    with m.span("c"):
         pass
     m.reset()
     snap = m.snapshot()
     assert snap == {"counters": {}, "gauges": {}, "phases": {}}
+    assert m.root.children == [] and m.root.counters == {}
 
 
 def test_report_is_stable_and_readable():
@@ -60,7 +67,7 @@ def test_report_is_stable_and_readable():
     assert report.index("alpha") < report.index("zeta")
     assert "counters:" in report
     m.gauge_max("nodes", 9)
-    with m.phase("slow"):
+    with m.span("slow"):
         pass
     report = m.report()
     assert "gauges:" in report and "phases:" in report and "ms" in report
@@ -69,8 +76,10 @@ def test_report_is_stable_and_readable():
 def test_merge_gauges_keeps_the_max_across_workers():
     m = Metrics()
     m.gauge_max("boolfn.peak_nodes", 40)
-    m.merge_gauges({"boolfn.peak_nodes": 56, "other.peak": 3})
-    m.merge_gauges({"boolfn.peak_nodes": 12})
+    m.add_span(
+        "pairs.chunk", 0.1, gauges={"boolfn.peak_nodes": 56, "other.peak": 3}
+    )
+    m.add_span("pairs.chunk", 0.1, gauges={"boolfn.peak_nodes": 12})
     assert m.gauge("boolfn.peak_nodes") == 56
     assert m.gauge("other.peak") == 3
 
@@ -103,7 +112,8 @@ def test_metrics_scope_crosses_threads_only_when_entered_inside():
         # Fresh thread => fresh context => the global instance.
         seen["before"] = current_metrics() is session
         with metrics_scope(session):
-            METRICS.incr("thread.probe")
+            with METRICS.span("thread.span"):
+                METRICS.incr("thread.probe")
             seen["inside"] = current_metrics() is session
 
     with metrics_scope(session):
@@ -112,3 +122,4 @@ def test_metrics_scope_crosses_threads_only_when_entered_inside():
         thread.join()
     assert seen == {"before": False, "inside": True}
     assert session.counter("thread.probe") == 1
+    assert session.root.children[0].counters == {"thread.probe": 1}

@@ -17,7 +17,6 @@ import pytest
 from repro.incremental import QueryService, serve_stream
 from repro.runtime import LocalPoolTransport
 from repro.runtime.metrics import metrics_scope
-from repro.runtime.tracing import tracer_scope
 from repro.serve import TimingServer
 
 from tests.helpers import C17_BENCH
@@ -83,7 +82,7 @@ def golden_run(script, jobs):
     """The single-client reference: same script through serve_stream,
     under a throwaway observability scope (exactly what each server
     session gets)."""
-    with metrics_scope(), tracer_scope():
+    with metrics_scope():
         if jobs == 1:
             service = QueryService(jobs=1)
             pool = None

@@ -146,6 +146,23 @@ class TestTracingAndFaultTolerance:
         err = capsys.readouterr().err
         assert "execution trace" in err
 
+    def test_each_invocation_starts_fresh_totals_and_tree(
+        self, bench_file, capsys
+    ):
+        """Two in-process invocations: the second one's totals and tree
+        both count only its own work."""
+        import re
+
+        argv = ["delays", bench_file, "--metrics", "--no-cache"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        totals = re.findall(r"^\s+floating\.checks\s+(\d+)$", err, re.M)
+        tree = re.findall(r"\. floating\.checks = (\d+)$", err, re.M)
+        assert totals == ["1"]
+        assert tree == ["1"]
+
     def test_vectors_jobs4_with_injected_crash_match_jobs1(
         self, bench_file, tmp_path, monkeypatch
     ):
