@@ -3,20 +3,38 @@
 One of the two Boolean-function engines used by the symbolic delay
 computations (Sec. V-G of the paper): "we could have used reduced, ordered
 Binary Decision Diagram representations for these functions".  The manager
-uses a unique table for canonicity, an ``ite`` core with memoisation, and
-raises :class:`BddOverflow` past a configurable node budget so the caller can
-fall back to the SAT engine (the paper's multiplier pragmatics).
+uses a unique table for canonicity and raises :class:`BddOverflow` past a
+configurable node budget so the caller can fall back to the SAT engine (the
+paper's multiplier pragmatics).
 
 Nodes are small integers: ``0`` is FALSE, ``1`` is TRUE; internal nodes index
 parallel arrays.  Variable order is creation order.
+
+Each operator has its own memoised recursion (Bryant's apply): ``not_``,
+``and_``, ``or_`` and ``xor_``, each with its own terminal cases and its own
+computed table of finished results.  The binary tables are keyed on the
+ordered argument pair, so ``and_(f, g)`` and ``and_(g, f)`` share one entry.
+``xnor_``, ``implies`` and ``ite`` are built from them.
+
+There are no complement edges.  They would make ``not_`` constant-time and
+roughly halve the node count, but every apply step would then carry the
+edges' parity bookkeeping; in pure Python that cost more per step than the
+fewer steps saved, and the what-if, Table II/III and certification workloads
+all ran slower with them.  Without them a negation is one memoised walk,
+whose entries are stored both ways (``not_`` is an involution).
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Iterator, List, Optional, Tuple
 
 FALSE = 0
 TRUE = 1
+#: The terminals' level: below every variable's (a variable's level is
+#: its index in creation order), so a walk that compares levels stops at
+#: a terminal without a special case.
+_TERMINAL_LEVEL = sys.maxsize
 
 
 class BddOverflow(Exception):
@@ -27,12 +45,16 @@ class BddManager:
     """A shared-node ROBDD manager."""
 
     def __init__(self, max_nodes: Optional[int] = None):
-        # Parallel node arrays; entries 0/1 are the terminals (level = inf).
-        self._var: List[int] = [-1, -1]
+        # Parallel node arrays; entries 0/1 are the terminals.
+        self._var: List[int] = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
         self._lo: List[int] = [FALSE, TRUE]
         self._hi: List[int] = [FALSE, TRUE]
         self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
+        # Computed tables: finished apply results per operator.
+        self._not_cache: Dict[int, int] = {}
+        self._and_cache: Dict[Tuple[int, int], int] = {}
+        self._or_cache: Dict[Tuple[int, int], int] = {}
+        self._xor_cache: Dict[Tuple[int, int], int] = {}
         self._names: List[str] = []
         self._name_to_index: Dict[str, int] = {}
         self.max_nodes = max_nodes
@@ -64,10 +86,6 @@ class BddManager:
     def has_var(self, name: str) -> bool:
         return name in self._name_to_index
 
-    def _level(self, node: int) -> int:
-        var = self._var[node]
-        return len(self._names) + 1 if var < 0 else var
-
     def _mk(self, var: int, lo: int, hi: int) -> int:
         if lo == hi:
             return lo
@@ -85,54 +103,110 @@ class BddManager:
         return node
 
     # ------------------------------------------------------------------
-    # ITE core and derived operators
+    # Apply: one memoised recursion per operator
     # ------------------------------------------------------------------
-    def ite(self, f: int, g: int, h: int) -> int:
-        """If-then-else: f·g + f'·h."""
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
-            return f
-        key = (f, g, h)
-        cached = self._ite_cache.get(key)
-        if cached is not None:
-            return cached
-        top = min(self._level(f), self._level(g), self._level(h))
-        f_lo, f_hi = self._cofactors(f, top)
-        g_lo, g_hi = self._cofactors(g, top)
-        h_lo, h_hi = self._cofactors(h, top)
-        lo = self.ite(f_lo, g_lo, h_lo)
-        hi = self.ite(f_hi, g_hi, h_hi)
-        result = self._mk(top, lo, hi)
-        self._ite_cache[key] = result
-        return result
-
-    def _cofactors(self, node: int, level: int) -> Tuple[int, int]:
-        if self._level(node) != level:
-            return node, node
-        return self._lo[node], self._hi[node]
+    # Each binary recursion orders its arguments (the operators commute,
+    # so one computed-table entry serves both orders) and answers its
+    # terminal cases; both arguments are then internal nodes.  It splits
+    # on the top variable of the two: an argument at that level
+    # contributes its cofactors, the other passes through unchanged.
 
     def not_(self, f: int) -> int:
-        return self.ite(f, FALSE, TRUE)
+        if f <= TRUE:
+            return TRUE - f
+        result = self._not_cache.get(f)
+        if result is not None:
+            return result
+        result = self._mk(
+            self._var[f], self.not_(self._lo[f]), self.not_(self._hi[f])
+        )
+        self._not_cache[f] = result
+        self._not_cache[result] = f
+        return result
 
     def and_(self, f: int, g: int) -> int:
-        return self.ite(f, g, FALSE)
+        if f > g:
+            f, g = g, f
+        if f == FALSE or f == g:
+            return f
+        if f == TRUE:
+            return g
+        key = (f, g)
+        result = self._and_cache.get(key)
+        if result is not None:
+            return result
+        var, lo, hi = self._var, self._lo, self._hi
+        f_var, g_var = var[f], var[g]
+        if f_var == g_var:
+            result = self._mk(
+                f_var, self.and_(lo[f], lo[g]), self.and_(hi[f], hi[g])
+            )
+        elif f_var < g_var:
+            result = self._mk(f_var, self.and_(lo[f], g), self.and_(hi[f], g))
+        else:
+            result = self._mk(g_var, self.and_(f, lo[g]), self.and_(f, hi[g]))
+        self._and_cache[key] = result
+        return result
 
     def or_(self, f: int, g: int) -> int:
-        return self.ite(f, TRUE, g)
+        if f > g:
+            f, g = g, f
+        if f == FALSE or f == g:
+            return g
+        if f == TRUE:
+            return TRUE
+        key = (f, g)
+        result = self._or_cache.get(key)
+        if result is not None:
+            return result
+        var, lo, hi = self._var, self._lo, self._hi
+        f_var, g_var = var[f], var[g]
+        if f_var == g_var:
+            result = self._mk(
+                f_var, self.or_(lo[f], lo[g]), self.or_(hi[f], hi[g])
+            )
+        elif f_var < g_var:
+            result = self._mk(f_var, self.or_(lo[f], g), self.or_(hi[f], g))
+        else:
+            result = self._mk(g_var, self.or_(f, lo[g]), self.or_(f, hi[g]))
+        self._or_cache[key] = result
+        return result
 
     def xor_(self, f: int, g: int) -> int:
-        return self.ite(f, self.not_(g), g)
+        if f > g:
+            f, g = g, f
+        if f == g:
+            return FALSE
+        if f == FALSE:
+            return g
+        if f == TRUE:
+            return self.not_(g)
+        key = (f, g)
+        result = self._xor_cache.get(key)
+        if result is not None:
+            return result
+        var, lo, hi = self._var, self._lo, self._hi
+        f_var, g_var = var[f], var[g]
+        if f_var == g_var:
+            result = self._mk(
+                f_var, self.xor_(lo[f], lo[g]), self.xor_(hi[f], hi[g])
+            )
+        elif f_var < g_var:
+            result = self._mk(f_var, self.xor_(lo[f], g), self.xor_(hi[f], g))
+        else:
+            result = self._mk(g_var, self.xor_(f, lo[g]), self.xor_(f, hi[g]))
+        self._xor_cache[key] = result
+        return result
 
     def xnor_(self, f: int, g: int) -> int:
-        return self.ite(f, g, self.not_(g))
+        return self.not_(self.xor_(f, g))
 
     def implies(self, f: int, g: int) -> int:
-        return self.ite(f, g, TRUE)
+        return self.or_(self.not_(f), g)
+
+    def ite(self, f: int, g: int, h: int) -> int:
+        """If-then-else: f·g + f'·h."""
+        return self.or_(self.and_(f, g), self.and_(self.not_(f), h))
 
     def and_many(self, fs) -> int:
         result = TRUE
@@ -211,13 +285,11 @@ class BddManager:
             cache[node] = result
             return result
 
-        top_gap = self._level(f) if f > TRUE else num_vars
-        scale = 1 << min(top_gap, num_vars)
         if f == TRUE:
             return 1 << num_vars
         if f == FALSE:
             return 0
-        return count(f) * scale
+        return count(f) << min(self._var[f], num_vars)
 
     def _gap(self, parent: int, child: int, num_vars: int) -> int:
         parent_level = self._var[parent]
@@ -263,7 +335,7 @@ class BddManager:
         cache: Dict[int, int] = {}
 
         def walk(node: int) -> int:
-            if node <= TRUE or self._var[node] > target:
+            if self._var[node] > target:
                 return node
             if node in cache:
                 return cache[node]

@@ -139,30 +139,146 @@ class TestOverflow:
                 f = small.or_(f, small.and_(small.var(f"a{i}"), small.var(f"b{i}")))
 
 
+NAMES = ["a", "b", "c", "d", "e"]
+#: Row ``r`` of a truth table assigns NAMES[i] bit ``len(NAMES) - 1 - i``
+#: of ``r``.
+BITS = {name: 1 << (len(NAMES) - 1 - i) for i, name in enumerate(NAMES)}
+ROWS = range(1 << len(NAMES))
+ENVS = [{name: bool(r & bit) for name, bit in BITS.items()} for r in ROWS]
+METHODS = {
+    "not": "not_", "and": "and_", "or": "or_", "xor": "xor_",
+    "xnor": "xnor_", "implies": "implies", "ite": "ite",
+}
+expressions = st.recursive(
+    st.sampled_from(NAMES),
+    lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub),
+        st.tuples(
+            st.sampled_from(["and", "or", "xor", "xnor", "implies"]), sub, sub
+        ),
+        st.tuples(st.just("ite"), sub, sub, sub),
+    ),
+    max_leaves=16,
+)
+
+
+def value(expr, env) -> bool:
+    if isinstance(expr, str):
+        return env[expr]
+    op, *args = expr
+    x = [value(arg, env) for arg in args]
+    if op == "not":
+        return not x[0]
+    if op == "and":
+        return x[0] and x[1]
+    if op == "or":
+        return x[0] or x[1]
+    if op == "xor":
+        return x[0] != x[1]
+    if op == "xnor":
+        return x[0] == x[1]
+    if op == "implies":
+        return (not x[0]) or x[1]
+    return x[1] if x[0] else x[2]
+
+
+def build(mgr, expr) -> int:
+    if isinstance(expr, str):
+        return mgr.var(expr)
+    op, *args = expr
+    return getattr(mgr, METHODS[op])(*(build(mgr, arg) for arg in args))
+
+
+def subexpressions(expr):
+    yield expr
+    if not isinstance(expr, str):
+        for arg in expr[1:]:
+            yield from subexpressions(arg)
+
+
+def table_of(mgr, f):
+    return [mgr.evaluate(f, env) for env in ENVS]
+
+
+def greedy_witness(table):
+    """``sat_one``'s rule by brute force over a truth table: fix the
+    lowest-index variable the remaining function depends on, True when
+    that leaves it satisfiable, until the function is constant."""
+    if not any(table):
+        return None
+    model = {}
+    rows = list(ROWS)
+    while True:
+        support = [
+            name for name in NAMES
+            if name not in model
+            and any(table[r] != table[r ^ BITS[name]] for r in rows)
+        ]
+        if not support:
+            return model
+        name = support[0]
+        high = [r for r in rows if r & BITS[name]]
+        model[name] = any(table[r] for r in high)
+        rows = high if model[name] else [r for r in rows if not r & BITS[name]]
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_random_expressions_match_truth_table(data):
+@given(expressions, st.integers(min_value=2, max_value=48))
+def test_random_expressions_match_truth_table(expr, budget):
     mgr = BddManager()
-    names = ["a", "b", "c", "d"]
-    variables = {n: mgr.var(n) for n in names}
+    for name in NAMES:
+        mgr.var(name)
+    for sub in subexpressions(expr):
+        f = build(mgr, sub)
+        table = [value(sub, env) for env in ENVS]
+        assert table_of(mgr, f) == table
+        # Canonicity: the same function built another way is the same
+        # handle.
+        assert mgr.not_(mgr.not_(f)) == f
+        if not isinstance(sub, str) and len(sub) == 3:
+            g, h = build(mgr, sub[1]), build(mgr, sub[2])
+            for op in ("and_", "or_", "xor_", "xnor_"):
+                assert getattr(mgr, op)(g, h) == getattr(mgr, op)(h, g)
+            assert mgr.or_(g, h) == mgr.not_(
+                mgr.and_(mgr.not_(g), mgr.not_(h))
+            )
+            assert mgr.xor_(g, h) == mgr.or_(
+                mgr.and_(g, mgr.not_(h)), mgr.and_(mgr.not_(g), h)
+            )
+        # The witness rule the golden certificates depend on.
+        assert mgr.sat_one(f) == greedy_witness(table)
 
-    def build(depth):
-        op = data.draw(st.sampled_from(["var", "and", "or", "xor", "not"]))
-        if depth == 0 or op == "var":
-            name = data.draw(st.sampled_from(names))
-            return variables[name], lambda env, n=name: env[n]
-        if op == "not":
-            f, ef = build(depth - 1)
-            return mgr.not_(f), lambda env: not ef(env)
-        f, ef = build(depth - 1)
-        g, eg = build(depth - 1)
-        if op == "and":
-            return mgr.and_(f, g), lambda env: ef(env) and eg(env)
-        if op == "or":
-            return mgr.or_(f, g), lambda env: ef(env) or eg(env)
-        return mgr.xor_(f, g), lambda env: ef(env) != eg(env)
+    f = build(mgr, expr)
+    table = [value(expr, env) for env in ENVS]
+    assert mgr.sat_count(f) == sum(table)
+    for name, bit in BITS.items():
+        low = [table[r & ~bit] for r in ROWS]
+        high = [table[r | bit] for r in ROWS]
+        assert table_of(mgr, mgr.restrict(f, name, False)) == low
+        assert table_of(mgr, mgr.restrict(f, name, True)) == high
+        assert table_of(mgr, mgr.exists(f, [name])) == [
+            lo or hi for lo, hi in zip(low, high)
+        ]
+        assert table_of(mgr, mgr.forall(f, [name])) == [
+            lo and hi for lo, hi in zip(low, high)
+        ]
+    assert mgr.exists(f, NAMES) == (TRUE if any(table) else FALSE)
+    assert mgr.forall(f, NAMES) == (TRUE if all(table) else FALSE)
 
-    f, ef = build(4)
-    for bits in itertools.product([False, True], repeat=4):
-        env = dict(zip(names, bits))
-        assert mgr.evaluate(f, env) == ef(env)
+    # Node budget: a capped manager building the same function holds at
+    # most ``budget`` nodes, and overflows exactly when the uncapped one
+    # needs more.
+    reference = BddManager()
+    for name in NAMES:
+        reference.var(name)
+    build(reference, expr)
+    capped = BddManager(max_nodes=budget)
+    try:
+        for name in NAMES:
+            capped.var(name)
+        build(capped, expr)
+    except BddOverflow:
+        assert reference.num_nodes > budget
+        assert capped.num_nodes == budget
+    else:
+        assert capped.num_nodes == reference.num_nodes <= budget

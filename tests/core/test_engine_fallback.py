@@ -2,8 +2,10 @@
 
 import pytest
 
+import repro.boolfn.interface as interface
 from repro.boolfn import BddEngine, BddOverflow
-from repro.boolfn.interface import SatEngine, make_engine
+from repro.boolfn.interface import SatEngine
+from repro.runtime.cache import DelayCache
 from repro.core import (
     Verdict,
     certify,
@@ -48,42 +50,56 @@ class TestWithBddFallback:
             with_bdd_fallback(compute, None, "bdd")
 
 
+#: A BDD node budget that ``array_multiplier(5)``'s floating and transition
+#: analyses both exceed, so the auto policy must fall back to SAT.
+CAPPED_BDD_NODES = 5_000
+
+
+@pytest.fixture
+def capped_auto(monkeypatch):
+    """Cap the auto policy's BDDs at :data:`CAPPED_BDD_NODES`, turn the
+    result cache off, and count the SAT fallbacks: returns the list that
+    each fallback's engine is appended to."""
+    original = interface.make_engine
+
+    def capped(engine="auto", circuit_size=0, max_bdd_nodes=None):
+        return original(engine, circuit_size, max_bdd_nodes=CAPPED_BDD_NODES)
+
+    fallbacks = []
+
+    class CountingSatEngine(SatEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fallbacks.append(self)
+
+    monkeypatch.setattr(interface, "make_engine", capped)
+    monkeypatch.setattr("repro.core.analysis.make_engine", capped)
+    monkeypatch.setattr("repro.core.analysis.SatEngine", CountingSatEngine)
+    # A cached answer would skip the analysis, and with it the fallback.
+    monkeypatch.setattr(
+        "repro.runtime.cache._GLOBAL", DelayCache(enabled=False)
+    )
+    return fallbacks
+
+
 class TestEndToEndFallback:
-    def test_transition_on_capped_multiplier(self, monkeypatch):
-        # Force a tiny BDD budget through make_engine's default path by
-        # monkeypatching, then verify the auto flow still answers.
-        import repro.boolfn.interface as interface
-
-        original = interface.make_engine
-
-        def tiny(engine="auto", circuit_size=0, max_bdd_nodes=None):
-            return original(engine, circuit_size, max_bdd_nodes=20_000)
-
-        monkeypatch.setattr(interface, "make_engine", tiny)
-        monkeypatch.setattr(
-            "repro.core.analysis.make_engine", tiny
-        )
+    def test_transition_on_capped_multiplier(self, capped_auto):
         mult = array_multiplier(5)
         cert = compute_transition_delay(mult)
+        assert len(capped_auto) == 1
         reference = compute_transition_delay(mult, engine=SatEngine())
         assert cert.delay == reference.delay
 
-    def test_certify_on_capped_multiplier(self, monkeypatch):
+    def test_certify_on_capped_multiplier(self, capped_auto):
         # The certify flow's own transition step (mode-agreement fast
         # path, transition search, per-output pairs) falls back too.
-        import repro.boolfn.interface as interface
-
-        original = interface.make_engine
-
-        def tiny(engine="auto", circuit_size=0, max_bdd_nodes=None):
-            return original(engine, circuit_size, max_bdd_nodes=5_000)
-
-        monkeypatch.setattr(interface, "make_engine", tiny)
-        monkeypatch.setattr("repro.core.analysis.make_engine", tiny)
         mult = array_multiplier(5)
         assert compute_floating_delay(mult).delay == 20
         assert compute_transition_delay(mult).delay == 20
+        assert len(capped_auto) == 2
         report = certify(mult)
+        # One more for each of its floating and transition steps.
+        assert len(capped_auto) == 4
         assert report.verdict == Verdict.CERTIFIED
         assert report.transition.delay == 20
 
