@@ -105,7 +105,10 @@ class ConeResult:
 
 
 def evaluate_cone(
-    cone: Circuit, kind: str, engine_name: str = "auto"
+    cone: Circuit,
+    kind: str,
+    engine_name: str = "auto",
+    upper: Optional[int] = None,
 ) -> ConeResult:
     """Compute one cone's delay of the given kind.
 
@@ -113,7 +116,10 @@ def evaluate_cone(
     incremental engine caches at the cone level itself, and double
     caching under whole-circuit keys would only duplicate storage.  The
     auto BDD→SAT overflow fallback still applies (it lives inside the
-    cores).
+    cores).  ``upper`` is a proven upper bound on the floating delay that
+    the floating search starts from (the topological delay when None);
+    any bound at least the floating delay yields the same certificate,
+    with fewer checks the tighter it is.  Other kinds ignore it.
     """
     if kind not in KINDS:
         raise ValueError(
@@ -130,7 +136,7 @@ def evaluate_cone(
     no_cache = DelayCache(enabled=False)
     if kind == "floating":
         cert = compute_floating_delay(
-            cone, engine_name=engine_name, cache=no_cache
+            cone, engine_name=engine_name, upper=upper, cache=no_cache
         )
         return ConeResult(
             output=output,

@@ -26,7 +26,15 @@ re-analysing only what an edit could have changed:
    an edit (or loading a different circuit sharing a cone) hits the cache
    without recomputation.
 
-3. **Fan-out** — with ``jobs != 1`` the dirty cones run through the
+3. **Floating bounds** — floating delay is monotone in gate delays
+   (paper Secs. II and IV), so a dirty cone whose output was last served
+   floating delay ``F_old`` and has seen only delay edits since is
+   searched from ``F_old`` plus the sum of its gates' delay increases
+   (capped at the cone's topological delay) instead of from the
+   topological delay.  The bound is at least the new floating delay, so
+   the search returns the identical certificate with fewer checks.
+
+4. **Fan-out** — with ``jobs != 1`` the dirty cones run through the
    fault-tolerant sharded runtime
    (:func:`~repro.runtime.parallel.shard_map`, label ``cones``), on a
    per-query pool or on a caller-owned
@@ -117,6 +125,17 @@ class IncrementalTimingEngine:
         self._pending_dirty: Dict[str, Set[str]] = {
             kind: set() for kind in KINDS
         }
+        #: The floating delay each output was served at the last floating
+        #: query, and every node's delay at that query (one snapshot
+        #: serves them all: see :meth:`_floating_bound`).  The snapshot is
+        #: taken here and brought up to date by each floating query,
+        #: which replays the journal from ``_served_cursor``.  An output
+        #: leaves ``_served_floating`` once a structural edit reaches it.
+        self._served_floating: Dict[str, int] = {}
+        self._served_delays: Dict[str, int] = {
+            node.name: node.delay for node in circuit.nodes()
+        }
+        self._served_cursor = circuit.journal_length
 
     # ------------------------------------------------------------------
     # Journal consumption / dirty marking
@@ -136,21 +155,30 @@ class IncrementalTimingEngine:
         if not edits:
             return
         self._cursor = self.circuit.journal_length
-        fanouts = self.circuit.fanouts()
-        dirty: Set[str] = set()
-        stack = [edit.name for edit in edits if edit.name in self.circuit]
-        while stack:
-            name = stack.pop()
-            if name in dirty:
-                continue
-            dirty.add(name)
-            stack.extend(fanouts.get(name, ()))
+        dirty = self._forward_closure(edit.name for edit in edits)
         for kind in KINDS:
             memo = self._memo[kind]
             for out in list(memo):
                 if out in dirty or out not in self.circuit:
                     del memo[out]
             self._pending_dirty[kind] |= dirty
+        restructured = [edit.name for edit in edits if edit.op != "set_delay"]
+        if restructured and self._served_floating:
+            for out in self._forward_closure(restructured):
+                self._served_floating.pop(out, None)
+
+    def _forward_closure(self, names) -> Set[str]:
+        """The live ``names`` and every node they reach."""
+        fanouts = self.circuit.fanouts()
+        closure: Set[str] = set()
+        stack = [name for name in names if name in self.circuit]
+        while stack:
+            name = stack.pop()
+            if name in closure:
+                continue
+            closure.add(name)
+            stack.extend(fanouts.get(name, ()))
+        return closure
 
     # ------------------------------------------------------------------
     # Queries
@@ -186,7 +214,53 @@ class IncrementalTimingEngine:
             if to_eval:
                 memo.update(self._evaluate(kind, to_eval, stats))
             record = self._aggregate(kind, outputs, memo)
+            if kind == "floating":
+                self._remember_floating(outputs, memo)
         return IncrementalResult(record=record, stats=stats)
+
+    def _remember_floating(self, outputs, memo) -> None:
+        """Keep what a later floating query bounds its searches with: the
+        delay served per output, and the node delays they were served
+        under (re-reading only the nodes journalled since the last
+        floating query)."""
+        circuit = self.circuit
+        delays = self._served_delays
+        for edit in circuit.edits_since(self._served_cursor):
+            if edit.name in circuit:
+                delays[edit.name] = circuit.node(edit.name).delay
+            else:
+                delays.pop(edit.name, None)
+        self._served_cursor = circuit.journal_length
+        self._served_floating = {out: memo[out][1].delay for out in outputs}
+
+    def _floating_bound(self, cone: Circuit) -> Optional[int]:
+        """An upper bound on the cone's floating delay from its output's
+        last served one, or None when there is none.
+
+        Floating delay is monotone in gate delays: slowing one gate by
+        ``k`` raises it by at most ``k``, and speeding a gate up never
+        raises it (``docs/ALGORITHMS.md``, "Floating delay").  The served
+        delay ``F_old`` held under the snapshot delays, and only delay
+        edits reached the output since, so the cone holds the same gates
+        and ``F_old`` plus their summed increases bounds the new delay.
+        The snapshot is the last floating query's; it covers every served
+        output, since consuming the journal evicts the memo of every
+        output an edit reaches, so each output served by that query was
+        either re-analysed under its delays or had an unchanged cone.
+        A node the snapshot lacks was added by ``add_gate``, which is not
+        journalled, so its earlier delay is unknown and there is no bound.
+        """
+        served = self._served_floating.get(cone.outputs[0])
+        if served is None:
+            return None
+        before = self._served_delays
+        slower = 0
+        for node in cone.nodes():
+            delay = before.get(node.name)
+            if delay is None:
+                return None
+            slower += max(0, node.delay - delay)
+        return min(served + slower, cone.topological_delay())
 
     def _evaluate(
         self, kind: str, outs, stats: Dict[str, int]
@@ -214,8 +288,12 @@ class IncrementalTimingEngine:
         cones = [
             extract_cone(self.circuit, out) for out, __, __ in to_compute
         ]
-        computed = self._run_cones(cones, kind)
-        for (out, fp, token), cone in zip(to_compute, cones):
+        bounds = [
+            self._floating_bound(cone) if kind == "floating" else None
+            for cone in cones
+        ]
+        computed = self._run_cones(list(zip(cones, bounds)), kind)
+        for out, fp, token in to_compute:
             result = computed[out]
             stats["checks"] += result.checks
             self.cache.put(token, result)
@@ -223,8 +301,8 @@ class IncrementalTimingEngine:
         return results
 
     def _run_cones(self, cones, kind: str) -> Dict[str, ConeResult]:
-        """Dispatch cone evaluations: sharded when ``jobs != 1``, else
-        serial."""
+        """Dispatch ``(cone, upper)`` evaluations: sharded when
+        ``jobs != 1``, else serial."""
         if len(cones) > 1 and self.jobs != 1:
             from ..runtime.parallel import shard_map
 
@@ -235,8 +313,8 @@ class IncrementalTimingEngine:
             )
             return {result.output: result for result in results}
         computed = {}
-        for cone in cones:
-            result = evaluate_cone(cone, kind, self.engine_name)
+        for cone, upper in cones:
+            result = evaluate_cone(cone, kind, self.engine_name, upper)
             METRICS.incr("incremental.cone_checks", result.checks)
             computed[result.output] = result
         return computed
@@ -260,11 +338,13 @@ class IncrementalTimingEngine:
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop every memoised result (the cone cache survives — it is
-        content-addressed and can never serve a stale entry)."""
+        """Drop every memoised result and served floating delay (the cone
+        cache survives — it is content-addressed and can never serve a
+        stale entry)."""
         for kind in KINDS:
             self._memo[kind].clear()
             self._pending_dirty[kind].clear()
+        self._served_floating.clear()
         self._cursor = self.circuit.journal_length
 
 

@@ -330,16 +330,17 @@ def _fault_worker(payload):
 
 
 def _cone_worker(payload):
-    """Items are extracted single-output cone circuits
-    (:func:`repro.incremental.cones.extract_cone`); a result is the
-    cone's :class:`~repro.incremental.cones.ConeResult`."""
+    """Items are ``(cone, upper)``: an extracted single-output cone circuit
+    (:func:`repro.incremental.cones.extract_cone`) and the floating-delay
+    bound its search starts from (None for none); a result is the cone's
+    :class:`~repro.incremental.cones.ConeResult`."""
     (kind, engine_name), tasks = payload
     from ..incremental.cones import evaluate_cone
 
     results = []
     checks = 0
-    for index, cone in tasks:
-        result = evaluate_cone(cone, kind, engine_name)
+    for index, (cone, upper) in tasks:
+        result = evaluate_cone(cone, kind, engine_name, upper)
         checks += result.checks
         results.append((index, result))
     return results, {"incremental.cone_checks": checks}, {}

@@ -2,6 +2,9 @@
 
 * every ``search`` strategy (linear / binary / ascending) computes the
   same floating delay,
+* floating delay moves by at most the summed delay increases (and
+  decreases) of a delay-only edit batch, and a search seeded with that
+  bound returns the unseeded certificate,
 * cached recomputation returns the same certificate as a cold run,
 * ``jobs=1`` and ``jobs=4`` certification-pair collection agree pair for
   pair (exercised symbolically at the shard level; the process-pool path
@@ -11,6 +14,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.boolfn import BddEngine
+from repro.circuits.generators import random_logic
 from repro.core import (
     TransitionAnalysis,
     collect_certification_pairs,
@@ -18,6 +22,7 @@ from repro.core import (
     compute_transition_delay,
     pairs_for_outputs,
 )
+from repro.fuzz.generate import random_gate_circuit
 from repro.runtime import DelayCache
 
 from tests.helpers import exhaustive_floating_delay, random_circuit
@@ -39,6 +44,58 @@ def test_search_strategies_agree_on_the_floating_delay(seed):
     # The integer-speedup oracle is a lower bound on the floating delay
     # (same convention as tests/test_properties.py).
     assert exhaustive_floating_delay(circuit) <= delays["linear"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=SEEDS,
+    logic=st.booleans(),
+    engine_name=st.sampled_from(("bdd", "sat")),
+    edits=st.lists(
+        st.tuples(st.integers(0, 10_000), st.integers(-2, 3)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_delay_edits_move_the_floating_delay_within_their_bound(
+    seed, logic, engine_name, edits
+):
+    """Floating delay is monotone in gate delays: a delay-only edit batch
+    raises it by at most the summed increases and lowers it by at most
+    the summed decreases, so ``F_old`` plus the increases is an upper
+    bound the search can start from (the incremental engine's seeded
+    floating search) without changing the certificate."""
+    if logic:
+        circuit = random_logic(
+            num_inputs=4, num_outputs=3, num_gates=10, seed=seed
+        )
+    else:
+        circuit = random_gate_circuit(
+            seed, num_inputs=4, num_gates=8, max_delay=3, num_outputs=3
+        )
+    no_cache = DelayCache(enabled=False)
+    old = compute_floating_delay(
+        circuit, engine_name=engine_name, cache=no_cache
+    ).delay
+    gates = circuit.gate_names()
+    before = {gate: circuit.node(gate).delay for gate in gates}
+    for pick, step in edits:
+        gate = gates[pick % len(gates)]
+        circuit.set_delay(gate, max(0, circuit.node(gate).delay + step))
+    raised = sum(max(0, circuit.node(g).delay - before[g]) for g in gates)
+    lowered = sum(max(0, before[g] - circuit.node(g).delay) for g in gates)
+
+    cold = compute_floating_delay(
+        circuit, engine_name=engine_name, cache=no_cache
+    )
+    assert old - lowered <= cold.delay <= old + raised
+    seeded = compute_floating_delay(
+        circuit, engine_name=engine_name, cache=no_cache,
+        upper=min(old + raised, circuit.topological_delay()),
+    )
+    assert (seeded.delay, seeded.output, seeded.value, seeded.witness) == (
+        cold.delay, cold.output, cold.value, cold.witness
+    )
+    assert seeded.checks <= cold.checks
 
 
 @settings(max_examples=25, deadline=None)

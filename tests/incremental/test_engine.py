@@ -8,6 +8,7 @@ from repro.incremental import (
     KINDS,
     cold_query,
 )
+from repro.network import Circuit, GateType
 from repro.runtime import DelayCache, LocalPoolTransport
 
 from tests.helpers import c17
@@ -48,6 +49,12 @@ def test_acceptance_single_gate_edit_on_200_gate_circuit(kind):
     assert incremental.stats["evaluated_cones"] < len(circuit.outputs)
     if kind != "topological":  # topological queries perform no checks
         assert incremental.stats["checks"] < cold.stats["checks"]
+    if kind == "floating":
+        # Each dirty cone's search starts from its last floating delay
+        # plus 2, so it probes at most 3 time points.
+        assert incremental.stats["checks"] <= (
+            3 * incremental.stats["evaluated_cones"]
+        )
 
 
 def test_reverted_edit_hits_the_cone_cache():
@@ -81,6 +88,76 @@ def test_structural_edit_byte_identity():
     circuit.rewire(gate, fanins)
     incremental = engine.query("floating")
     assert incremental.record_json() == (
+        cold_query(circuit, "floating").record_json()
+    )
+
+
+def slow_buffer_circuit(y_fanins=("a", "b")):
+    """Output ``y = AND(*y_fanins)`` with delay 1 next to ``slow``, ``a``
+    through a delay-5 buffer: reading ``a`` and ``b``, ``y`` settles by 1;
+    rewired to read ``slow``, it settles by 6 with no delay edit at
+    all."""
+    circuit = Circuit("slow-buffer")
+    for name in ("a", "b"):
+        circuit.add_input(name)
+    circuit.add_gate("slow", GateType.BUF, ["a"], 5)
+    circuit.add_gate("y", GateType.AND, list(y_fanins), 1)
+    circuit.set_outputs(["y"])
+    return circuit
+
+
+def test_floating_bound_follows_lowered_then_raised_delays():
+    """The delays the last floating answer was served under move with
+    every floating query: lowering ``slow`` from 5 to 2 and raising it to
+    4 must count the raise from 2, not from 5 (the cone cache cannot
+    answer: no state repeats)."""
+    circuit = slow_buffer_circuit(("slow", "b"))
+    engine = IncrementalTimingEngine(circuit)
+    assert engine.query("floating").delay == 6
+    circuit.set_delay("slow", 2)
+    assert engine.query("floating").delay == 3
+    circuit.set_delay("slow", 4)
+    requery = engine.query("floating")
+    assert requery.delay == 5
+    assert requery.record_json() == (
+        cold_query(circuit, "floating").record_json()
+    )
+
+
+@pytest.mark.parametrize("between", ["transition", "invalidate"])
+def test_structural_edit_drops_the_served_floating_delay(between):
+    """A rewire changes a cone without any delay increase, so the last
+    served floating delay bounds nothing: it must be dropped, also when
+    another kind's query consumes the edit first and when ``invalidate``
+    skips the journal."""
+    circuit = slow_buffer_circuit()
+    engine = IncrementalTimingEngine(circuit)
+    assert engine.query("floating").delay == 1
+    circuit.rewire("y", ["slow", "b"])
+    if between == "transition":
+        engine.query("transition")
+    else:
+        engine.invalidate()
+    requery = engine.query("floating")
+    assert requery.delay == 6
+    assert requery.record_json() == (
+        cold_query(circuit, "floating").record_json()
+    )
+
+
+def test_gate_added_outside_the_journal_gets_no_floating_bound():
+    """``add_gate`` is not journalled, so the engine never saw the new
+    gate's earlier delay and cannot bound a cone that contains it."""
+    circuit = slow_buffer_circuit()
+    engine = IncrementalTimingEngine(circuit)
+    engine.query("floating")
+    circuit.add_gate("late", GateType.BUF, ["a"], 1)
+    circuit.rewire("y", ["late", "b"])
+    assert engine.query("floating").delay == 2
+    circuit.set_delay("late", 4)
+    requery = engine.query("floating")
+    assert requery.delay == 5
+    assert requery.record_json() == (
         cold_query(circuit, "floating").record_json()
     )
 

@@ -34,17 +34,20 @@ def test_random_edit_sequences_match_cold_rebuild(
         seed, num_inputs=5, num_gates=15, max_delay=2, num_outputs=3
     )
     engine = IncrementalTimingEngine(circuit)
-    engine.query("transition")
+    for kind in ("transition", "floating"):
+        engine.query(kind)
     rng = random.Random(f"prop-edit:{edit_seed}")
     for __ in range(num_edits):
         edit = random_edit(circuit, rng, max_delay=3)
         if edit is not None:
             apply_edits(circuit, [edit])
         circuit.validate()
-        incremental = engine.query("transition")
-        assert incremental.record_json() == (
-            cold_query(circuit, "transition").record_json()
-        )
+        # Floating re-queries start from the last served floating delay
+        # when only delay edits reached the output since.
+        for kind in ("transition", "floating"):
+            assert engine.query(kind).record_json() == (
+                cold_query(circuit, kind).record_json()
+            )
     # After the whole sequence every kind agrees with a fresh rebuild.
     for kind in KINDS:
         assert engine.query(kind).record_json() == (
@@ -55,12 +58,16 @@ def test_random_edit_sequences_match_cold_rebuild(
 @pytest.mark.parametrize("kind", ["floating", "transition"])
 def test_fixed_edit_sequence_matches_cold_rebuild_at_jobs_4(kind):
     """The sharded route under a fixed what-if session: jobs=4 equals the
-    serial from-scratch rebuild byte for byte."""
+    serial from-scratch rebuild byte for byte, and after delay-only edits
+    (which bound the floating searches) it makes the serial engine's
+    checks on the same cones."""
     circuit = random_logic(
         num_inputs=8, num_gates=80, num_outputs=6, seed=23
     )
     engine = IncrementalTimingEngine(circuit, jobs=4)
+    serial = IncrementalTimingEngine(circuit)
     engine.query(kind)
+    serial.query(kind)
     gates = circuit.gate_names()
     circuit.set_delay(gates[3], 3)
     circuit.replace_gate(gates[40], delay=0)
@@ -70,3 +77,18 @@ def test_fixed_edit_sequence_matches_cold_rebuild_at_jobs_4(kind):
     incremental = engine.query(kind)
     cold = cold_query(circuit, kind)  # serial reference
     assert incremental.record_json() == cold.record_json()
+    serial.query(kind)  # serves the answers the sharded engine serves
+
+    for step_a, step_b in ((2, 0), (1, -1), (-2, 2)):
+        for step, edited in ((step_a, gates[5:15]), (step_b, gates[20:30])):
+            for gate in edited:
+                delay = circuit.node(gate).delay
+                circuit.set_delay(gate, max(0, delay + step))
+        sharded, expected = engine.query(kind), serial.query(kind)
+        assert sharded.record_json() == expected.record_json()
+        assert sharded.record_json() == (
+            cold_query(circuit, kind).record_json()
+        )
+        assert sharded.stats["evaluated_cones"] > 1
+        for field in ("checks", "evaluated_cones"):
+            assert sharded.stats[field] == expected.stats[field]
