@@ -207,23 +207,16 @@ class Aig:
         the functional constraints of every AND node in the cones;
         ``lit_to_cnfvar[l]`` is the *signed* CNF literal equivalent to AIG
         literal ``l``.
+
+        CNF variable ``i`` is the ``i``-th cone node in index (topological)
+        order, after one constant variable if a literal in ``lits`` is a
+        constant.  Node ``n = a & b`` contributes ``(-n, a)``, ``(-n, b)``,
+        ``(n, -a, -b)`` in node order.  :meth:`and_` folds constants away,
+        so no AND node has a constant fanin.
         """
-        cnf = Cnf()
-        node_var: Dict[int, int] = {}
-        name_var: Dict[str, int] = {}
-
-        def cnf_var(node: int) -> int:
-            var = node_var.get(node)
-            if var is not None:
-                return var
-            var = cnf.new_var()
-            node_var[node] = var
-            name = self._var_of_node.get(node)
-            if name is not None:
-                name_var[name] = var
-            return var
-
-        # Collect cone nodes in topological (index) order.
+        fanin0, fanin1 = self._fanin0, self._fanin1
+        # Collect cone nodes in topological (index) order.  Variable nodes
+        # (and the constant node 0) have fanin -1.
         seen = set()
         stack = [lit >> 1 for lit in lits]
         cone: List[int] = []
@@ -233,44 +226,50 @@ class Aig:
                 continue
             seen.add(node)
             cone.append(node)
-            if node in self._var_of_node:
-                continue
-            stack.append(self._fanin0[node] >> 1)
-            stack.append(self._fanin1[node] >> 1)
+            f0 = fanin0[node]
+            if f0 >= 0:
+                stack.append(f0 >> 1)
+                stack.append(fanin1[node] >> 1)
         cone.sort()
 
-        def signed(aig_lit: int) -> int:
-            if aig_lit == CONST0:
-                return -const_var
-            if aig_lit == CONST1:
-                return const_var
-            var = cnf_var(aig_lit >> 1)
-            return -var if aig_lit & 1 else var
-
-        needs_const = any(
-            self._fanin0[n] in (CONST0, CONST1) or self._fanin1[n] in (CONST0, CONST1)
-            for n in cone
-            if n not in self._var_of_node
-        ) or any(lit in (CONST0, CONST1) for lit in lits)
-        const_var = 0
-        if needs_const:
-            const_var = cnf.new_var()
-            cnf.add_clause([const_var])  # const_var == TRUE
-
+        const_var = 1 if any(lit in (CONST0, CONST1) for lit in lits) else 0
+        cnf = Cnf(const_var + len(cone))
+        # Every literal below is a variable allocated here, so the clauses
+        # are appended without Cnf.add_clause's range checks.
+        clauses = cnf.clauses
+        if const_var:
+            clauses.append((const_var,))  # const_var == TRUE
+        node_var = {node: var for var, node in enumerate(cone, const_var + 1)}
+        var_of_node = self._var_of_node
+        name_var = {
+            var_of_node[node]: var for node, var in node_var.items()
+            if fanin0[node] < 0
+        }
         for node in cone:
-            if node in self._var_of_node:
-                cnf_var(node)
+            f0 = fanin0[node]
+            if f0 < 0:
                 continue
-            out = cnf_var(node)
-            a = signed(self._fanin0[node])
-            b = signed(self._fanin1[node])
-            cnf.add_clause([-out, a])
-            cnf.add_clause([-out, b])
-            cnf.add_clause([out, -a, -b])
+            out = node_var[node]
+            a = node_var[f0 >> 1]
+            if f0 & 1:
+                a = -a
+            f1 = fanin1[node]
+            b = node_var[f1 >> 1]
+            if f1 & 1:
+                b = -b
+            clauses.append((-out, a))
+            clauses.append((-out, b))
+            clauses.append((out, -a, -b))
 
         lit_map: Dict[int, int] = {}
         for lit in lits:
-            lit_map[lit] = signed(lit)
+            if lit == CONST0:
+                lit_map[lit] = -const_var
+            elif lit == CONST1:
+                lit_map[lit] = const_var
+            else:
+                var = node_var[lit >> 1]
+                lit_map[lit] = -var if lit & 1 else var
         return cnf, lit_map, name_var
 
     def sat_one(self, lit: int) -> Optional[Dict[str, bool]]:

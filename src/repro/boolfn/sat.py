@@ -8,16 +8,20 @@ watching, 1UIP learning, VSIDS-style activities, phase saving and Luby
 restarts.  It is deliberately self-contained pure Python.
 
 Variables are external positive integers (1-based, DIMACS convention), as in
-:class:`repro.boolfn.cnf.Cnf`.
+:class:`repro.boolfn.cnf.Cnf`.  Internally variable ``v`` (0-based) has the
+literals ``2v`` (positive) and ``2v + 1`` (negative), and the solver keeps
+one value per internal literal, so reading a literal's value is one list
+index.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .cnf import Cnf
 
+#: Value of an unassigned literal; an assigned one is 1 (true) or 0 (false).
 _UNASSIGNED = -1
 
 
@@ -52,18 +56,27 @@ class SatSolver:
 
     ``solve(assumptions=...)`` answers the query under temporary unit
     assumptions, which is how delay queries re-use one solver instance.
+    Clauses may be added between solves.
+
+    The search is deterministic.  It decides the unassigned variable of
+    highest activity (lowest index on ties) in its saved phase (False at
+    first), watches the first two literals of each clause, visits a watch
+    list in order, learns the 1UIP clause and restarts after
+    ``100 * luby(i)`` conflicts.
     """
 
     def __init__(self):
         self._num_vars = 0
-        # Per-variable state (index = internal var, 0-based).
-        self._value: List[int] = []      # _UNASSIGNED / 0 / 1
+        # Per internal literal (2v / 2v+1).
+        self._values: List[int] = []     # 1 / 0 / _UNASSIGNED
+        self._watches: List[List[List[int]]] = []  # clauses watching it
+        # Per variable (index = internal var, 0-based).
         self._level: List[int] = []
         self._reason: List[Optional[List[int]]] = []
         self._activity: List[float] = []
-        self._phase: List[int] = []      # saved phase per var
-        # Watches indexed by internal literal (2v / 2v+1).
-        self._watches: List[List[List[int]]] = []
+        self._phase: List[int] = []      # saved phase, as the literal to decide
+        self._seen: List[bool] = []      # conflict-analysis marks, all False
+        self._queued: List[bool] = []    # has an entry with its current key
         self._clauses: List[List[int]] = []
         self._learned: List[List[int]] = []
         self._trail: List[int] = []      # internal literals, assignment order
@@ -71,7 +84,12 @@ class SatSolver:
         self._qhead = 0
         self._var_inc = 1.0
         self._var_decay = 0.95
-        self._heap: List[tuple] = []     # lazy max-activity heap of (-act, var)
+        # Lazy max-activity heap of (-activity, var): every unassigned
+        # variable has an entry keyed by its current activity; entries of
+        # assigned variables and older keys are skipped when popped.  A
+        # variable is ``_queued`` from the push of such an entry until one
+        # of its entries is popped.
+        self._heap: List[tuple] = []
         self._ok = True                  # False once root-level conflict found
         self.num_conflicts = 0
         self.num_decisions = 0
@@ -82,37 +100,42 @@ class SatSolver:
     # ------------------------------------------------------------------
     def new_var(self) -> int:
         """Allocate a fresh variable; returns the external (1-based) index."""
-        self._num_vars += 1
-        self._value.append(_UNASSIGNED)
-        self._level.append(0)
-        self._reason.append(None)
-        self._activity.append(0.0)
-        self._phase.append(0)
-        self._watches.append([])
-        self._watches.append([])
-        heapq.heappush(self._heap, (0.0, self._num_vars - 1))
+        self.ensure_vars(self._num_vars + 1)
         return self._num_vars
 
     def ensure_vars(self, n: int) -> None:
         """Allocate variables until ``n`` external variables exist."""
-        while self._num_vars < n:
-            self.new_var()
+        first = self._num_vars
+        count = n - first
+        if count <= 0:
+            return
+        self._num_vars = n
+        self._values.extend([_UNASSIGNED] * (2 * count))
+        self._watches.extend([] for _ in range(2 * count))
+        self._level.extend([0] * count)
+        self._reason.extend([None] * count)
+        self._activity.extend([0.0] * count)
+        self._phase.extend(range(2 * first + 1, 2 * n, 2))
+        self._seen.extend([False] * count)
+        self._queued.extend([True] * count)
+        # Every existing entry is below (0.0, first), so appending the new
+        # entries in index order keeps the heap property.
+        self._heap.extend((0.0, var) for var in range(first, n))
 
     @staticmethod
     def _to_internal(lit: int) -> int:
         var = abs(lit) - 1
         return 2 * var + (1 if lit < 0 else 0)
 
-    @staticmethod
-    def _to_external(ilit: int) -> int:
-        var = (ilit >> 1) + 1
-        return -var if ilit & 1 else var
-
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause (external literals). Returns False if the database
-        became unsatisfiable at the root level."""
+        became unsatisfiable at the root level.
+
+        The solver first returns to decision level 0, so a clause added
+        after a satisfiable ``solve()`` binds every later solve."""
         if not self._ok:
             return False
+        self._backtrack(0)
         seen: Dict[int, None] = {}
         internal: List[int] = []
         for lit in lits:
@@ -126,24 +149,22 @@ class SatSolver:
                 continue
             seen[ilit] = None
             internal.append(ilit)
-        # Drop root-level-false literals; detect root-level-satisfied clause.
+        # At level 0 every assigned literal is fixed: drop the false ones,
+        # and the clause if one is true.
+        values = self._values
         filtered: List[int] = []
         for ilit in internal:
-            val = self._lit_value(ilit)
-            if val == 1 and self._level[ilit >> 1] == 0:
+            val = values[ilit]
+            if val == 1:
                 return True
-            if val == 0 and self._level[ilit >> 1] == 0:
-                continue
-            filtered.append(ilit)
+            if val == _UNASSIGNED:
+                filtered.append(ilit)
         if not filtered:
             self._ok = False
             return False
         if len(filtered) == 1:
-            if not self._enqueue(filtered[0], None):
-                self._ok = False
-                return False
-            conflict = self._propagate()
-            if conflict is not None:
+            self._assign(filtered[0], None)
+            if self._propagate() is not None:
                 self._ok = False
                 return False
             return True
@@ -153,116 +174,199 @@ class SatSolver:
         return True
 
     def add_cnf(self, cnf: Cnf) -> bool:
-        """Load every clause of a :class:`Cnf`. Returns False on root conflict."""
+        """Load every clause of a :class:`Cnf`. Returns False on root conflict.
+
+        While nothing is assigned, a 2- or 3-literal clause over distinct
+        variables passes every check of :meth:`add_clause` unchanged, so it
+        is attached as it stands (a :class:`Cnf` holds only literals of its
+        own variables).  Any other clause goes through :meth:`add_clause`."""
         self.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses:
-            if not self.add_clause(clause):
+        clauses, watches, trail = self._clauses, self._watches, self._trail
+        fresh = self._ok and not trail
+        for lits in cnf.clauses:
+            if fresh:
+                size = len(lits)
+                if size == 2:
+                    a, b = lits
+                    if a != b and a != -b:
+                        clause = [
+                            2 * a - 2 if a > 0 else -2 * a - 1,
+                            2 * b - 2 if b > 0 else -2 * b - 1,
+                        ]
+                        clauses.append(clause)
+                        watches[clause[0]].append(clause)
+                        watches[clause[1]].append(clause)
+                        continue
+                elif size == 3:
+                    a, b, c = lits
+                    x, y, z = abs(a), abs(b), abs(c)
+                    if x != y and y != z and z != x:
+                        clause = [
+                            2 * a - 2 if a > 0 else -2 * a - 1,
+                            2 * b - 2 if b > 0 else -2 * b - 1,
+                            2 * c - 2 if c > 0 else -2 * c - 1,
+                        ]
+                        clauses.append(clause)
+                        watches[clause[0]].append(clause)
+                        watches[clause[1]].append(clause)
+                        continue
+            if not self.add_clause(lits):
                 return False
+            fresh = not trail
         return True
 
     # ------------------------------------------------------------------
     # Assignment machinery
     # ------------------------------------------------------------------
-    def _lit_value(self, ilit: int) -> int:
-        val = self._value[ilit >> 1]
-        if val == _UNASSIGNED:
-            return _UNASSIGNED
-        return val ^ (ilit & 1)
-
     def _attach(self, clause: List[int]) -> None:
         # watches[l] holds the clauses in which literal l is watched.
         self._watches[clause[0]].append(clause)
         self._watches[clause[1]].append(clause)
 
-    def _enqueue(self, ilit: int, reason: Optional[List[int]]) -> bool:
-        val = self._lit_value(ilit)
-        if val == 0:
-            return False
-        if val == 1:
-            return True
+    def _assign(self, ilit: int, reason: Optional[List[int]]) -> None:
+        """Make the unassigned literal ``ilit`` true at the current level."""
+        values = self._values
+        values[ilit] = 1
+        values[ilit ^ 1] = 0
         var = ilit >> 1
-        self._value[var] = 1 - (ilit & 1)
-        self._level[var] = self.decision_level
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(ilit)
-        return True
 
     @property
     def decision_level(self) -> int:
         return len(self._trail_lim)
 
     def _propagate(self) -> Optional[List[int]]:
-        """Unit propagation; returns the conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            p = self._trail[self._qhead]
-            self._qhead += 1
-            self.num_propagations += 1
-            false_lit = p ^ 1
-            watchlist = self._watches[false_lit]
-            new_watchlist: List[List[int]] = []
-            i = 0
-            n = len(watchlist)
-            while i < n:
-                clause = watchlist[i]
-                i += 1
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+        """Unit propagation; returns the conflicting clause or None.
+
+        A clause in ``watches[l]`` has ``l`` as its literal 0 or 1.  When
+        ``l`` becomes false the clause is swapped so that ``l`` is literal
+        1, then kept if literal 0 is true, moved to the first literal from
+        index 2 on that is not false, or else kept and either assigns
+        literal 0 or is the conflict."""
+        trail = self._trail
+        values = self._values
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        depth = len(self._trail_lim)
+        qhead = start = self._qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchlist = iter(watches[false_lit])
+            kept: List[List[int]] = []
+            keep = kept.append
+            for clause in watchlist:
                 first = clause[0]
-                if self._lit_value(first) == 1:
-                    new_watchlist.append(clause)
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                val = values[first]
+                if val == 1:
+                    keep(clause)
                     continue
-                moved = False
-                for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(clause)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                new_watchlist.append(clause)
-                if not self._enqueue(first, clause):
+                size = len(clause)
+                if size == 3:
+                    lit = clause[2]
+                    if values[lit]:  # true or unassigned: watch it
+                        clause[1] = lit
+                        clause[2] = false_lit
+                        watches[lit].append(clause)
+                        continue
+                elif size > 3:
+                    moved = False
+                    for k in range(2, size):
+                        lit = clause[k]
+                        if values[lit]:
+                            clause[1] = lit
+                            clause[k] = false_lit
+                            watches[lit].append(clause)
+                            moved = True
+                            break
+                    if moved:
+                        continue
+                keep(clause)
+                if val == 0:
                     # Conflict: keep the remaining watches and report.
-                    new_watchlist.extend(watchlist[i:])
-                    self._watches[false_lit] = new_watchlist
-                    self._qhead = len(self._trail)
+                    kept.extend(watchlist)
+                    watches[false_lit] = kept
+                    self._qhead = len(trail)
+                    self.num_propagations += qhead - start
                     return clause
-            self._watches[false_lit] = new_watchlist
+                values[first] = 1
+                values[first ^ 1] = 0
+                var = first >> 1
+                level[var] = depth
+                reason[var] = clause
+                trail.append(first)
+            watches[false_lit] = kept
+        self._qhead = qhead
+        self.num_propagations += qhead - start
         return None
 
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
-    def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(self._num_vars):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        heapq.heappush(self._heap, (-self._activity[var], var))
+    def _rescale(self) -> None:
+        """Scale every activity and the bump increment by 1e-100, and
+        re-key the heap so it orders by the scaled activities."""
+        activity = self._activity
+        for var in range(self._num_vars):
+            activity[var] *= 1e-100
+        self._var_inc *= 1e-100
+        values = self._values
+        queued = self._queued
+        heap = self._heap
+        heap.clear()
+        for var in range(self._num_vars):
+            queued[var] = values[2 * var] == _UNASSIGNED
+            if queued[var]:
+                heap.append((-activity[var], var))
+        heapify(heap)
 
     def _analyze(self, conflict: List[int]) -> tuple:
-        """1UIP learning. Returns (learned clause, backtrack level)."""
+        """1UIP learning. Returns (learned clause, backtrack level).
+
+        Every variable met at a level above 0 is bumped once.  The learned
+        clause is the negated UIP followed by the lower-level literals in
+        the order they were met, with the first one of the highest of
+        those levels swapped into position 1."""
+        seen = self._seen
+        level = self._level
+        activity = self._activity
+        heap = self._heap
+        queued = self._queued
+        trail = self._trail
+        depth = len(self._trail_lim)
+        var_inc = self._var_inc
         learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * self._num_vars
         counter = 0
-        p: Optional[int] = None
-        index = len(self._trail) - 1
+        index = len(trail) - 1
         reason: List[int] = conflict
+        start = 0
         while True:
-            start = 0 if p is None else 1
             for k in range(start, len(reason)):
                 q = reason[k]
                 var = q >> 1
-                if not seen[var] and self._level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump(var)
-                    if self._level[var] == self.decision_level:
+                    act = activity[var] + var_inc
+                    activity[var] = act
+                    if act > 1e100:
+                        self._rescale()
+                        var_inc = self._var_inc
+                        act = activity[var]
+                    heappush(heap, (-act, var))
+                    queued[var] = True
+                    if level[var] == depth:
                         counter += 1
                     else:
                         learned.append(q)
             while True:
-                p = self._trail[index]
+                p = trail[index]
                 index -= 1
                 if seen[p >> 1]:
                     break
@@ -270,47 +374,67 @@ class SatSolver:
             seen[p >> 1] = False
             if counter == 0:
                 break
-            reason_clause = self._reason[p >> 1]
-            assert reason_clause is not None
+            reason = self._reason[p >> 1]
             # Put p first so the skip (start=1) drops it from resolution.
-            if reason_clause[0] != p:
-                reason_clause = [p] + [lit for lit in reason_clause if lit != p]
-            reason = reason_clause
+            if reason[0] != p:
+                reason = [p] + [lit for lit in reason if lit != p]
+            start = 1
+        for k in range(1, len(learned)):
+            seen[learned[k] >> 1] = False
         learned[0] = p ^ 1
         if len(learned) == 1:
             bt_level = 0
         else:
             # Second-highest level among learned literals.
             max_i = 1
+            bt_level = level[learned[1] >> 1]
             for k in range(2, len(learned)):
-                if self._level[learned[k] >> 1] > self._level[learned[max_i] >> 1]:
-                    max_i = k
+                lit_level = level[learned[k] >> 1]
+                if lit_level > bt_level:
+                    max_i, bt_level = k, lit_level
             learned[1], learned[max_i] = learned[max_i], learned[1]
-            bt_level = self._level[learned[1] >> 1]
-        self._var_inc /= self._var_decay
+        self._var_inc = var_inc / self._var_decay
         return learned, bt_level
 
     def _backtrack(self, level: int) -> None:
-        if self.decision_level <= level:
+        """Undo every level above ``level``, saving each variable's phase
+        and giving it a heap entry again unless it has a current one."""
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
-        for ilit in reversed(self._trail[limit:]):
+        trail = self._trail
+        values = self._values
+        phase = self._phase
+        activity = self._activity
+        heap = self._heap
+        queued = self._queued
+        limit = trail_lim[level]
+        for i in range(len(trail) - 1, limit - 1, -1):
+            ilit = trail[i]
             var = ilit >> 1
-            self._phase[var] = self._value[var]
-            self._value[var] = _UNASSIGNED
-            self._reason[var] = None
-            heapq.heappush(self._heap, (-self._activity[var], var))
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+            phase[var] = ilit
+            values[ilit] = _UNASSIGNED
+            values[ilit ^ 1] = _UNASSIGNED
+            if not queued[var]:
+                heappush(heap, (-activity[var], var))
+                queued[var] = True
+        del trail[limit:]
+        del trail_lim[level:]
+        self._qhead = limit
 
     def _pick_branch_var(self) -> Optional[int]:
-        while self._heap:
-            __, var = heapq.heappop(self._heap)
-            if self._value[var] == _UNASSIGNED:
+        """The unassigned variable of highest activity, lowest index on
+        ties; None when every variable is assigned."""
+        heap = self._heap
+        values = self._values
+        queued = self._queued
+        while heap:
+            var = heappop(heap)[1]
+            queued[var] = False
+            if values[2 * var] == _UNASSIGNED:
                 return var
         for var in range(self._num_vars):
-            if self._value[var] == _UNASSIGNED:
+            if values[2 * var] == _UNASSIGNED:
                 return var
         return None
 
@@ -322,76 +446,85 @@ class SatSolver:
         if not self._ok:
             return False
         self._backtrack(0)
-        conflict = self._propagate()
-        if conflict is not None:
+        if self._propagate() is not None:
             self._ok = False
             return False
         internal_assumptions = []
         for lit in assumptions:
             self.ensure_vars(abs(lit))
             internal_assumptions.append(self._to_internal(lit))
+        num_assumed = len(internal_assumptions)
+        trail = self._trail
+        trail_lim = self._trail_lim
+        values = self._values
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        propagate = self._propagate
         restart = 1
         budget = 100 * luby(restart)
         conflicts_here = 0
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
+            depth = len(trail_lim)
             if conflict is not None:
                 self.num_conflicts += 1
                 conflicts_here += 1
-                if self.decision_level == 0:
+                if depth == 0:
                     self._ok = False
                     return False
-                if self.decision_level <= len(internal_assumptions):
+                if depth <= num_assumed:
                     # Conflict forced by the assumptions alone.
                     self._backtrack(0)
                     return False
                 learned, bt_level = self._analyze(conflict)
-                bt_level = max(bt_level, len(internal_assumptions))
-                if bt_level >= self.decision_level:
-                    bt_level = self.decision_level - 1
+                bt_level = max(bt_level, num_assumed)
+                if bt_level >= depth:
+                    bt_level = depth - 1
                 self._backtrack(bt_level)
                 if len(learned) == 1:
                     self._backtrack(0)
-                    if not self._enqueue(learned[0], None):
-                        self._ok = False
-                        return False
+                    self._assign(learned[0], None)
                 else:
                     self._learned.append(learned)
                     self._attach(learned)
-                    self._enqueue(learned[0], learned)
-                if conflicts_here >= budget and self.decision_level > len(
-                    internal_assumptions
-                ):
-                    self._backtrack(len(internal_assumptions))
+                    self._assign(learned[0], learned)
+                if conflicts_here >= budget and len(trail_lim) > num_assumed:
+                    self._backtrack(num_assumed)
                     restart += 1
                     budget = 100 * luby(restart)
                     conflicts_here = 0
                 continue
             # Assumption decisions first.
-            if self.decision_level < len(internal_assumptions):
-                ilit = internal_assumptions[self.decision_level]
-                val = self._lit_value(ilit)
+            if depth < num_assumed:
+                ilit = internal_assumptions[depth]
+                val = values[ilit]
                 if val == 0:
                     self._backtrack(0)
                     return False
-                self._trail_lim.append(len(self._trail))
+                trail_lim.append(len(trail))
                 if val == _UNASSIGNED:
-                    self._enqueue(ilit, None)
+                    self._assign(ilit, None)
                 continue
             var = self._pick_branch_var()
             if var is None:
                 return True
             self.num_decisions += 1
-            self._trail_lim.append(len(self._trail))
-            ilit = 2 * var + (1 if self._phase[var] == 0 else 0)
-            self._enqueue(ilit, None)
+            trail_lim.append(len(trail))
+            ilit = phase[var]
+            values[ilit] = 1
+            values[ilit ^ 1] = 0
+            level[var] = depth + 1
+            reason[var] = None
+            trail.append(ilit)
 
     def model(self) -> Dict[int, bool]:
         """The satisfying assignment found by the last successful solve()."""
+        values = self._values
         return {
-            var + 1: bool(self._value[var])
+            var + 1: values[2 * var] == 1
             for var in range(self._num_vars)
-            if self._value[var] != _UNASSIGNED
+            if values[2 * var] != _UNASSIGNED
         }
 
 
