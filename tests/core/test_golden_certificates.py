@@ -7,7 +7,9 @@ or pair, ``#check`` — and the ``*.checks``/``*.functions_built`` counters
 they fold into :data:`~repro.runtime.metrics.METRICS`, on each engine.
 A change to the searches, the probe policy or the engine set-up that
 moves one witness, one check or one built function fails here, not only
-one that moves a delay.
+one that moves a delay.  Every recorded witness is also replayed on the
+event simulator, so a re-recorded file holds only witnesses that show
+what their records claim.
 
 The cases cover the Table II circuits and the figure circuits on the
 ``bdd``, ``sat`` and ``auto`` engines (c1908 on ``sat`` and ``auto``),
@@ -38,6 +40,7 @@ from repro.core import (
 from repro.fsm import reachable_states_constraint, transition_pair_constraint
 from repro.runtime.cache import DelayCache
 from repro.runtime.metrics import metrics_scope
+from repro.sim.event_sim import EventSimulator
 
 GOLDEN_PATH = Path(__file__).with_name("golden_certificates.json")
 
@@ -152,6 +155,21 @@ CASES["c432/fixed-delay-bounds/auto"] = lambda: analyses(
 )
 
 
+def case_circuit(case: str):
+    """The circuit a case analyses, and the input times it clocks."""
+    name = case.split("/")[0]
+    if name in FSMS:
+        circuit = build_fsm_logic(name).circuit
+    else:
+        circuit = build_circuit(name)
+    input_times = C17_INPUT_TIMES if "/input-times/" in case else None
+    return circuit, input_times
+
+
+def parse_vector(bits: str, inputs) -> dict:
+    return {name: bit == "1" for name, bit in zip(inputs, bits)}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())
@@ -168,6 +186,43 @@ def test_certificates_match_golden(golden, case):
     for part in want:
         assert got[part] == want[part], f"{case}: {part} differs"
     assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_witnesses_replay(golden, case):
+    """Each recorded witness replays on the event simulator: a transition
+    pair to exactly its delay, at its output too; a certification pair to
+    exactly its time at its own output; a bounded pair, under the nominal
+    delays, to at most its delay; a floating witness settles its output
+    to the recorded value."""
+    circuit, input_times = case_circuit(case)
+    inputs = circuit.inputs
+    simulator = EventSimulator(circuit)
+    want = golden[case]
+
+    def replay(pair):
+        v_prev, v_next = (parse_vector(bits, inputs) for bits in pair)
+        return simulator.simulate_transition(
+            v_prev, v_next, input_times=input_times
+        )
+
+    for part in ("transition", "transition_upper_fd"):
+        cert = want[part]
+        if "pair" in cert:
+            result = replay(cert["pair"])
+            assert result.delay == cert["delay"], f"{case}: {part}"
+            last = result.waveforms[cert["output"]].last_event_time
+            assert last == cert["delay"], f"{case}: {part} output"
+    for out, (time, pair) in want["pairs"].items():
+        last = replay(pair).waveforms[out].last_event_time
+        assert last == time, f"{case}: pairs[{out}]"
+    bounded = want["bounded"]
+    if "pair" in bounded:
+        assert replay(bounded["pair"]).delay <= bounded["delay"], case
+    floating = want["floating"]
+    if "witness" in floating:
+        settled = circuit.evaluate(parse_vector(floating["witness"], inputs))
+        assert settled[floating["output"]] == floating["value"], case
 
 
 def record() -> None:
