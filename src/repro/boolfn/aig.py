@@ -7,8 +7,9 @@ building canonical BDDs.  Two engineering touches make this practical:
 
 * **structural hashing** with constant/idempotence/complement simplification
   at node creation, and
-* **64-bit random simulation signatures** per node, so most disequality
-  queries are refuted without ever calling the SAT solver.
+* **256-lane random simulation signatures** per node, so most disequality
+  queries are refuted, and most satisfiable ones answered, without ever
+  calling the SAT solver.
 
 Literals are integers: node index ``i`` contributes literals ``2*i``
 (positive) and ``2*i + 1`` (complemented).  Node 0 is the constant FALSE
@@ -26,7 +27,12 @@ from .sat import SatSolver
 CONST0 = 0
 CONST1 = 1
 
-_SIG_MASK = (1 << 64) - 1
+#: Random-simulation lanes per signature.  Lane ``k`` of every variable's
+#: signature is one random input assignment, so lane ``k`` of a node's
+#: signature is the node's value under it.
+SIG_LANES = 256
+
+_SIG_MASK = (1 << SIG_LANES) - 1
 
 
 class Aig:
@@ -41,7 +47,12 @@ class Aig:
         self._names: List[str] = []
         self._name_to_lit: Dict[str, int] = {}
         self._var_of_node: Dict[int, str] = {}
+        # Lanes 0-63 of each variable come from one 64-bit draw of
+        # ``_rng``, lanes 64 and up from ``_wide_rng``, both in variable
+        # creation order.  So the low 64 lanes, and every witness read off
+        # them, do not depend on SIG_LANES.
         self._rng = random.Random(sig_seed)
+        self._wide_rng = random.Random(f"aig-lanes-64+:{sig_seed}")
 
     # ------------------------------------------------------------------
     # Construction
@@ -62,7 +73,10 @@ class Aig:
         node = len(self._fanin0)
         self._fanin0.append(-1)
         self._fanin1.append(-1)
-        self._sig.append(self._rng.getrandbits(64))
+        self._sig.append(
+            self._rng.getrandbits(64)
+            | (self._wide_rng.getrandbits(SIG_LANES - 64) << 64)
+        )
         lit = 2 * node
         self._names.append(name)
         self._name_to_lit[name] = lit
@@ -275,9 +289,10 @@ class Aig:
     def sat_one(self, lit: int) -> Optional[Dict[str, bool]]:
         """A satisfying assignment of ``lit`` over its support, or None.
 
-        Fast path: each of the 64 signature bits is a concrete random
-        input assignment, so a non-zero signature *is* a witness — the
-        CDCL solver only runs when random simulation found none.
+        Fast path: each of the :data:`SIG_LANES` signature lanes is a
+        concrete random input assignment, so a non-zero signature *is* a
+        witness — the CDCL solver only runs when random simulation found
+        none.  The witness is read off the lowest set lane.
         """
         if lit == CONST0:
             return None
@@ -286,7 +301,7 @@ class Aig:
         sig = self.lit_sig(lit)
         if sig:
             bit = (sig & -sig).bit_length() - 1
-            # Read the witness assignment straight off the signature bit
+            # Read the witness assignment straight off the signature lane
             # for every variable (a superset of the support, and O(vars)
             # instead of a cone walk).
             return {
