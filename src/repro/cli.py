@@ -22,10 +22,6 @@ Commands
 * ``loadgen``         — concurrent client fleet against a timing server
   (or a self-hosted in-process one): p50/p95/p99 latency, throughput,
   busy-rejection and coalescing accounting.
-* ``worker``          — distributed shard worker: accepts chunk jobs over
-  a JSON-lines socket with the content-addressed disk cache as the
-  shared artifact store; analysis commands reach it with ``--transport
-  remote --hosts H:P[,...]`` (see ``docs/DISTRIBUTED.md``).
 * ``characterize``    — datasheet pipeline: ``characterize run SPEC``
   fans a declarative TOML/JSON spec (registry circuits x delay-model
   corners x analyses) through the sharded runtime and emits a versioned
@@ -72,12 +68,7 @@ from .network import (
     render_cone,
     render_levels,
 )
-from .runtime import (
-    METRICS,
-    configure_cache,
-    set_execution_policy,
-    set_transport_policy,
-)
+from .runtime import METRICS, configure_cache, set_execution_policy
 from .sim import EventSimulator, dumps_vcd
 from .sta import render_table, statistics_row, timing_report
 
@@ -515,19 +506,6 @@ def _parse_tcp(spec: str):
     return host or "127.0.0.1", int(port)
 
 
-def cmd_worker(args) -> int:
-    if bool(args.tcp) == bool(args.socket):
-        raise ValueError(
-            "worker needs exactly one of --tcp HOST:PORT or --socket PATH"
-        )
-    from .runtime.remote import run_worker
-
-    endpoint = (
-        f"tcp://{args.tcp}" if args.tcp else f"unix://{args.socket}"
-    )
-    return run_worker(endpoint, cache_dir=args.cache)
-
-
 def cmd_serve(args) -> int:
     if args.tcp or args.socket:
         # The asyncio front-end: one session per connection, all over one
@@ -597,6 +575,53 @@ def cmd_loadgen(args) -> int:
 
 
 # ----------------------------------------------------------------------
+#: The runtime-layer flags, each declared once.  Every command that
+#: shards or caches adds the ones it takes through _add_runtime_flags.
+_RUNTIME_FLAGS: Dict[str, dict] = {
+    "--jobs": dict(
+        type=int, default=1, metavar="N",
+        help="worker processes for sharded work "
+        "(1 = serial, 0 = all cores; default: 1)",
+    ),
+    "--cache": dict(
+        default=None, metavar="DIR",
+        help="enable the result cache with an on-disk store under DIR",
+    ),
+    "--no-cache": dict(
+        action="store_true",
+        help="disable result caching (overrides --cache and "
+        "REPRO_CACHE_DIR)",
+    ),
+    "--timeout": dict(
+        type=float, default=None, metavar="S",
+        help="per-round wall-clock timeout (seconds) for sharded work; "
+        "timed-out chunks are retried and finally re-run serially "
+        "in-process (default: no timeout)",
+    ),
+    "--retries": dict(
+        type=int, default=1, metavar="N",
+        help="retry rounds for failed or timed-out chunks (each retry "
+        "isolates items one per task) before degrading to serial "
+        "in-process execution (default: 1)",
+    ),
+    "--metrics": dict(
+        action="store_true",
+        help="print runtime metrics (probes, cache hits, phase times) "
+        "and the execution-trace tree to stderr after the command",
+    ),
+    "--trace": dict(
+        default=None, metavar="FILE",
+        help="write the hierarchical execution trace (span tree with "
+        "retry/degradation events) as JSON to FILE",
+    ),
+}
+
+
+def _add_runtime_flags(parser, flags=tuple(_RUNTIME_FLAGS)) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_RUNTIME_FLAGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trued",
@@ -619,74 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
             help="Boolean function engine (default: auto)",
         )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            metavar="N",
-            help="worker processes for sharded queries "
-            "(1 = serial, 0 = all cores; default: 1)",
-        )
-        p.add_argument(
-            "--cache",
-            default=None,
-            metavar="DIR",
-            help="enable the result cache with an on-disk store under DIR",
-        )
-        p.add_argument(
-            "--no-cache",
-            action="store_true",
-            help="disable result caching (overrides --cache and "
-            "REPRO_CACHE_DIR)",
-        )
-        p.add_argument(
-            "--timeout",
-            type=float,
-            default=None,
-            metavar="S",
-            help="per-chunk wall-clock timeout (seconds) for sharded "
-            "queries; timed-out chunks are retried and finally re-run "
-            "serially in-process (default: no timeout)",
-        )
-        p.add_argument(
-            "--retries",
-            type=int,
-            default=1,
-            metavar="N",
-            help="retry rounds for failed or timed-out chunks (each "
-            "retry isolates items one per task) before degrading to "
-            "serial in-process execution (default: 1)",
-        )
-        p.add_argument(
-            "--transport",
-            choices=["local", "remote"],
-            default="local",
-            help="sharded-execution substrate: the in-host process pool, "
-            "or remote `trued worker` hosts (--hosts) sharing the --cache "
-            "DIR artifact store; results stay byte-identical either way "
-            "(default: local; see docs/DISTRIBUTED.md)",
-        )
-        p.add_argument(
-            "--hosts",
-            default=None,
-            metavar="H:P[,H:P...]",
-            help="comma-separated worker endpoints for --transport remote "
-            "(HOST:PORT or unix socket paths)",
-        )
-        p.add_argument(
-            "--metrics",
-            action="store_true",
-            help="print runtime metrics (probes, cache hits, phase "
-            "times) and the execution-trace tree to stderr after the "
-            "command",
-        )
-        p.add_argument(
-            "--trace",
-            default=None,
-            metavar="FILE",
-            help="write the hierarchical execution trace (span tree "
-            "with retry/degradation events) as JSON to FILE",
-        )
+        _add_runtime_flags(p)
         p.set_defaults(func=fn)
         return p
 
@@ -837,38 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_loadgen)
 
-    # ``worker`` — a long-lived distributed shard worker; analysis
-    # commands running elsewhere reach it with --transport remote.
-    p = sub.add_parser(
-        "worker",
-        help="distributed shard worker: accept chunk jobs over a "
-        "JSON-lines socket (docs/DISTRIBUTED.md)",
-        description="Distributed shard worker (docs/DISTRIBUTED.md): "
-        "accepts chunk jobs from a parent run over JSON-lines framing, "
-        "fetching payloads and pushing results through the shared "
-        "content-addressed cache directory.  Start one worker per core "
-        "you want to lend; the parent selects them with --transport "
-        "remote --hosts.",
-    )
-    p.add_argument(
-        "--tcp", default=None, metavar="HOST:PORT",
-        help="listen on TCP (PORT 0 picks a free port; the bound "
-        "endpoint is announced as 'WORKER READY ...' on stdout)",
-    )
-    p.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="listen on a unix domain socket (stale files are "
-        "probe-removed, live listeners refuse takeover, the file is "
-        "unlinked on exit)",
-    )
-    p.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help="shared artifact store: the same directory (local or NFS) "
-        "the parent run passes via --cache/REPRO_CACHE_DIR "
-        "(default: REPRO_CACHE_DIR)",
-    )
-    p.set_defaults(func=cmd_worker)
-
     # ``characterize`` runs a declarative spec over registry circuits, so
     # it takes a spec file rather than a netlist positional.
     p = sub.add_parser(
@@ -894,47 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output directory for DATASHEET_<id>.json + .md "
         "(default: current directory)",
     )
-    c.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the job fan-out "
-        "(1 = serial, 0 = all cores; default: 1)",
-    )
-    c.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help="enable the result cache with an on-disk store under DIR "
-        "(warm reruns serve repeated jobs from it)",
-    )
-    c.add_argument(
-        "--no-cache", action="store_true",
-        help="disable result caching (overrides --cache and "
-        "REPRO_CACHE_DIR)",
-    )
-    c.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-round wall-clock timeout for sharded jobs",
-    )
-    c.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="retry rounds for failed/timed-out chunks (default: 1)",
-    )
-    c.add_argument(
-        "--transport", choices=["local", "remote"], default="local",
-        help="sharded-execution substrate for the job fan-out "
-        "(remote needs --hosts and a shared --cache DIR; see "
-        "docs/DISTRIBUTED.md)",
-    )
-    c.add_argument(
-        "--hosts", default=None, metavar="H:P[,H:P...]",
-        help="worker endpoints for --transport remote",
-    )
-    c.add_argument(
-        "--metrics", action="store_true",
-        help="print runtime metrics and the trace tree to stderr",
-    )
-    c.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write the execution trace as JSON to FILE",
-    )
+    _add_runtime_flags(c)
 
     c = characterize_sub.add_parser(
         "report", help="render a DATASHEET.json as markdown"
@@ -1030,31 +916,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes *inside* each oracle's sharded leg "
             "(default: 1)",
         )
-        f.add_argument(
-            "--timeout", type=float, default=None, metavar="S",
-            help="per-chunk wall-clock timeout for sharded execution",
-        )
-        f.add_argument(
-            "--retries", type=int, default=1, metavar="N",
-            help="retry rounds for failed/timed-out chunks (default: 1)",
-        )
-        f.add_argument(
-            "--transport", choices=["local", "remote"], default="local",
-            help="sharded-execution substrate (remote needs --hosts and "
-            "a shared cache dir; see docs/DISTRIBUTED.md)",
-        )
-        f.add_argument(
-            "--hosts", default=None, metavar="H:P[,H:P...]",
-            help="worker endpoints for --transport remote",
-        )
-        f.add_argument(
-            "--metrics", action="store_true",
-            help="print runtime metrics (fuzz.* counters, phase times) "
-            "and the trace tree to stderr",
-        )
-        f.add_argument(
-            "--trace", default=None, metavar="FILE",
-            help="write the execution trace as JSON to FILE",
+        _add_runtime_flags(
+            f, ("--timeout", "--retries", "--metrics", "--trace")
         )
 
     f = fuzz_sub.add_parser(
@@ -1074,11 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated oracle subset (default: all four)",
     )
-    f.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the scenario fan-out "
-        "(1 = serial, 0 = all cores; default: 1)",
-    )
+    _add_runtime_flags(f, ("--jobs",))
     f.add_argument(
         "--max-edits", type=int, default=4, metavar="N",
         help="edit-sequence length cap per scenario (default: 4)",
@@ -1169,21 +1028,12 @@ def _configure_runtime(args) -> None:
         configure_cache(enabled=False)
     elif getattr(args, "cache", None):
         configure_cache(enabled=True, cache_dir=args.cache)
-    transport = getattr(args, "transport", None)
-    if transport is not None:
-        hosts = getattr(args, "hosts", None) or ""
-        set_transport_policy(
-            transport=transport,
-            hosts=[h.strip() for h in hosts.split(",") if h.strip()],
-        )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Configuration errors (e.g. --transport remote without --hosts)
-        # report like any other usage error.
         _configure_runtime(args)
         return args.func(args)
     except (ValueError, OSError) as error:

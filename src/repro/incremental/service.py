@@ -56,6 +56,7 @@ from ..serve.framing import (
     ProtocolError,
     iter_request_lines,
     prepare_unix_socket_path,
+    send_json_line,
 )
 from .cones import KINDS
 from .engine import IncrementalTimingEngine
@@ -339,9 +340,7 @@ def serve_stream(service: QueryService, reader, writer) -> None:
     for line in iter_request_lines(reader):
         if not line.strip():
             continue
-        response = service.handle_line(line)
-        writer.write(json.dumps(response, sort_keys=True) + "\n")
-        writer.flush()
+        send_json_line(writer, service.handle_line(line))
         if service.shutdown_requested:
             break
 

@@ -11,11 +11,8 @@ circuit content plus a handful of parameters.  This package exploits that:
   fault-tolerant sharder for every per-item fan-out (per-chunk
   timeouts, poison-isolation retries, serial degradation) over the
   :data:`TASK_KINDS` registry;
-* :mod:`repro.runtime.transport` — the :class:`ShardTransport`
-  interface behind the sharder: the in-host process pool, or
-  :mod:`repro.runtime.remote`'s long-lived ``trued worker`` hosts over
-  JSON-lines sockets with the disk cache as the shared artifact store
-  (``docs/DISTRIBUTED.md``);
+* :mod:`repro.runtime.transport` — :class:`LocalPoolTransport`, the
+  in-host process pool every sharded round runs on;
 * :mod:`repro.runtime.metrics` — the one recorder threaded through the
   cores: counters, gauges and timed spans, kept both as flat totals
   (``--metrics``, bench records) and as the span tree with worker
@@ -55,15 +52,7 @@ from .parallel import (
     set_execution_policy,
     shard_map,
 )
-from .transport import (
-    ChunkResult,
-    LocalPoolTransport,
-    ShardTransport,
-    resolve_jobs,
-    resolve_transport,
-    set_transport_policy,
-    transport_policy,
-)
+from .transport import ChunkResult, LocalPoolTransport, resolve_jobs
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -92,9 +81,5 @@ __all__ = [
     "shard_map",
     "ChunkResult",
     "LocalPoolTransport",
-    "ShardTransport",
     "resolve_jobs",
-    "resolve_transport",
-    "set_transport_policy",
-    "transport_policy",
 ]

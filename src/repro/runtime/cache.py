@@ -216,88 +216,6 @@ class DelayCache:
             except OSError:
                 pass
 
-    # -- artifact store (distributed shard transport) ------------------
-    #
-    # Chunk payloads and results travel between the parent and remote
-    # workers *by token*: the wire carries a content hash, the bytes ride
-    # the shared cache directory (NFS or local).  Artifacts are disk-only
-    # — they are transport payloads, not memoised analysis results, so
-    # they bypass the memory LRU, the enabled flag, and the schema-salted
-    # keying (the token IS the content hash).  See docs/DISTRIBUTED.md §3.
-
-    def artifact_token(self, value: Any) -> str:
-        """Content-addressed token for ``value`` (no disk I/O)."""
-        blob = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-        return hashlib.sha256(b"artifact|" + blob).hexdigest()
-
-    def put_artifact(self, value: Any) -> str:
-        """Write ``value`` to the shared store and return its token.
-
-        Idempotent by construction: the same value always lands at the
-        same path (atomic replace), so concurrent pushes from several
-        workers cannot conflict.  Requires a disk directory — the remote
-        transport refuses to start without one.
-        """
-        if self._dir is None:
-            raise ValueError(
-                "artifact store requires a disk cache directory "
-                "(--cache DIR or REPRO_CACHE_DIR)"
-            )
-        blob = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-        token = hashlib.sha256(b"artifact|" + blob).hexdigest()
-        path = self._disk_path(token)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        METRICS.incr("cache.artifact_puts")
-        return token
-
-    def get_artifact(self, token: str) -> Any:
-        """Fetch an artifact by token; raises ``KeyError`` when missing.
-
-        A corrupt artifact (half-written file, garbage from a faulty
-        worker) is quarantined as ``.bad`` and counted under
-        ``cache.disk_corrupt`` exactly like a corrupt result entry, then
-        reported as missing — the transport layer treats that chunk as
-        failed and the retry/degrade machinery rebuilds it.
-        """
-        if self._dir is None:
-            raise ValueError(
-                "artifact store requires a disk cache directory "
-                "(--cache DIR or REPRO_CACHE_DIR)"
-            )
-        path = self._disk_path(token)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            raise KeyError(token)
-        if should_corrupt_cache_entry(token):
-            data = b"\x00repro-fault-injection\x00"
-        try:
-            value = pickle.loads(data)
-        except Exception:
-            METRICS.incr("cache.disk_corrupt")
-            self._quarantine(path)
-            raise KeyError(token)
-        METRICS.incr("cache.artifact_gets")
-        return value
-
-    def artifact_path(self, token: str) -> Path:
-        """Disk location of an artifact (fault injection corrupts it here)."""
-        if self._dir is None:
-            raise ValueError("artifact store requires a disk cache directory")
-        return self._disk_path(token)
-
     def _disk_put(self, token: str, value: Any) -> None:
         if self._dir is None:
             return

@@ -15,16 +15,10 @@ otherwise be trusted on faith; this hook makes each one reproducible in CI:
 ``REPRO_FAULT_INJECT=corrupt-cache:<token-prefix>``
     the first disk-cache read of any token with the given hex prefix sees
     corrupted bytes; the entry is then quarantined and rebuilt.
-``REPRO_FAULT_INJECT=corrupt-result:<task-index>``
-    a *remote* shard worker computes the chunk normally, then scribbles
-    garbage over the result artifact it pushed to the shared store — the
-    parent's fetch quarantines the artifact (``.bad``,
-    ``cache.disk_corrupt``) and the chunk retries.  The local pool
-    transport carries results in memory, so this kind is a no-op there.
 
 Task indices number the tasks of one sharded run from 0 (retry tasks
-continue the numbering), so an injected crash/hang/corrupt-result fires
-once per run instead of following the retried work around forever.
+continue the numbering), so an injected crash/hang fires once per run
+instead of following the retried work around forever.
 Every run starts again at 0: a long-lived process such as the query
 service meets the fault once in each sharded query.  ``corrupt-cache``
 fires once per token per process.
@@ -42,7 +36,7 @@ ENV_VAR = "REPRO_FAULT_INJECT"
 HANG_ENV_VAR = "REPRO_FAULT_HANG_SECONDS"
 
 #: Kinds injected inside worker processes (keyed by sharded-task index).
-WORKER_KINDS = ("crash", "hang", "corrupt-result")
+WORKER_KINDS = ("crash", "hang")
 KINDS = WORKER_KINDS + ("corrupt-cache",)
 
 
@@ -125,19 +119,6 @@ def inject_worker_fault(spec: Optional[FaultSpec], task_index: int) -> None:
         os._exit(87)
     if spec.kind == "hang":
         time.sleep(hang_seconds())
-
-
-def result_corruption_fault(
-    spec: Optional[FaultSpec], task_index: int
-) -> bool:
-    """True when a remote worker should corrupt the result artifact it
-    just pushed for ``task_index`` (``corrupt-result:<index>``).  Fires
-    at most once per index because retries get fresh indices."""
-    return (
-        spec is not None
-        and spec.kind == "corrupt-result"
-        and spec.task_index == task_index
-    )
 
 
 _corrupted_tokens: Set[str] = set()

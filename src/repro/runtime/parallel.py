@@ -35,20 +35,17 @@ is counted in :data:`~repro.runtime.metrics.METRICS` and recorded as an
 event on its innermost open span; the deterministic fault hooks in
 :mod:`repro.runtime.faults` exercise each path in CI.
 
-*Where* a round runs is a :class:`~repro.runtime.transport.ShardTransport`
-(:mod:`repro.runtime.transport`): the in-host process pool by default,
-or long-lived ``trued worker`` hosts over sockets
-(:mod:`repro.runtime.remote`, ``--transport remote``, see
-``docs/DISTRIBUTED.md``).  The retry/degrade machinery above sits on
-top of the interface, so every transport inherits the same guarantee.
+Each round runs on a :class:`~repro.runtime.transport.LocalPoolTransport`
+(:mod:`repro.runtime.transport`): the caller's long-lived pool when it
+passes one, otherwise a pool built for the run and closed after it.
 
 Every worker takes ``(context, [(index, item), ...])`` — the context
 shared by the whole run, then its chunk of indexed items — and returns
 ``([(index, result), ...], counters, gauges)``.  The parent folds each
 chunk with one :meth:`~repro.runtime.metrics.Metrics.add_span` call —
 counters added and gauges max-folded into the totals and onto a
-per-chunk span tagged with the worker's pid, host, and transport — and
-merges results by index.
+per-chunk span tagged with the worker's pid — and merges results by
+index.
 """
 
 from __future__ import annotations
@@ -63,9 +60,8 @@ from .transport import (
     TIMEOUT,
     WORKER_DIED,
     ChunkResult,
-    ShardTransport,
+    LocalPoolTransport,
     resolve_jobs,
-    resolve_transport,
 )
 
 
@@ -117,24 +113,23 @@ def _resolve_policy(
 # The fault-tolerant sharded runner
 # ----------------------------------------------------------------------
 def _harvest_chunk(
-    chunk_result: ChunkResult, label: str, transport_name: str, results: list
+    chunk_result: ChunkResult, label: str, results: list
 ) -> None:
     """Fold one completed chunk into the recorder and the result list
-    (always on the caller's thread — transports never touch METRICS for
+    (always on the caller's thread — the pool never touches METRICS for
     completed work)."""
     METRICS.add_span(
         f"{label}.chunk", chunk_result.elapsed,
         counters=chunk_result.counters, gauges=chunk_result.gauges,
         chunk=chunk_result.index, items=len(chunk_result.chunk),
-        worker=chunk_result.worker, host=chunk_result.host,
-        transport=transport_name,
+        worker=chunk_result.worker,
     )
     results.extend(chunk_result.result)
 
 
 def _record_failure(index: int, chunk: list, reason: str, label: str) -> None:
-    """Count and trace one failed task, preserving the pre-transport
-    event vocabulary (chunk-timeout / worker-died / chunk-error)."""
+    """Count and trace one failed task as a chunk-timeout, worker-died
+    or chunk-error event."""
     if reason == TIMEOUT:
         METRICS.incr("parallel.chunk_timeouts")
         METRICS.event(
@@ -161,7 +156,7 @@ def _run_sharded(
     jobs: int,
     timeout: Optional[float],
     retries: Optional[int],
-    transport: Optional[ShardTransport],
+    transport: Optional[LocalPoolTransport],
 ) -> list:
     """Run ``worker`` over round-robin chunks of ``items`` with timeouts,
     poison-isolation retries, and serial degradation.
@@ -173,11 +168,9 @@ def _run_sharded(
 
     Task indices — what fault injection keys on — count from 0 in every
     run, and retry tasks continue the numbering, so an injected fault
-    fires once per run.  ``transport`` picks the execution substrate (an
-    explicit :class:`~repro.runtime.transport.ShardTransport` wins;
-    otherwise the process-wide ``--transport`` policy applies).  The
-    round/retry/degrade loop is transport-agnostic, so every substrate
-    inherits the jobs-invariance guarantee.
+    fires once per run.  ``transport`` is a caller-owned pool, used and
+    left open; without one the run builds a ``jobs``-worker pool and
+    closes it afterwards.
     """
     timeout, retries = _resolve_policy(timeout, retries)
     chunks = _chunk_round_robin(items, jobs)
@@ -188,14 +181,16 @@ def _run_sharded(
     next_index = len(tasks)
     results: list = []
     failed: List[Tuple[int, list, str]] = []
-    transport, owned = resolve_transport(transport, jobs)
+    owned = transport is None
+    if owned:
+        transport = LocalPoolTransport(jobs)
     try:
         for attempt in range(retries + 1):
             completed, failed = transport.run_round(
-                worker, make_payload, tasks, timeout, fault, label
+                worker, make_payload, tasks, timeout, fault
             )
             for chunk_result in completed:
-                _harvest_chunk(chunk_result, label, transport.name, results)
+                _harvest_chunk(chunk_result, label, results)
             for index, chunk, reason in failed:
                 _record_failure(index, chunk, reason, label)
             if not failed:
@@ -244,7 +239,7 @@ def shard_map(
     *,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
-    transport: Optional[ShardTransport] = None,
+    transport: Optional[LocalPoolTransport] = None,
 ) -> list:
     """Run the ``label`` task kind over ``items`` across workers.
 
@@ -254,8 +249,9 @@ def shard_map(
     shares (a circuit, an engine name, a config); it and the items must
     pickle.  ``jobs`` is the worker count (``0`` = all cores, never more
     than items); ``timeout``/``retries`` default to the process-wide
-    execution policy.  The run is timed as the ``parallel.<label>``
-    span and its chunks as ``<label>.chunk`` spans.
+    execution policy; ``transport`` is an optional caller-owned pool.
+    The run is timed as the ``parallel.<label>`` span and its chunks as
+    ``<label>.chunk`` spans.
     """
     worker = TASK_KINDS.get(label)
     if worker is None:
@@ -428,8 +424,7 @@ def _fuzz_worker(payload):
 
 #: Label -> worker for every fan-out :func:`shard_map` runs.  The labels
 #: name the run spans (``parallel.<label>``), chunk spans (``<label>.chunk``)
-#: and fault-injection trace events, and they are the job catalogue a
-#: ``trued worker`` announces and serves (:mod:`repro.runtime.remote`).
+#: and fault-injection trace events.
 TASK_KINDS: Dict[str, Callable] = {
     "pairs": _pairs_worker,
     "faults": _fault_worker,

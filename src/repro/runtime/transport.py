@@ -1,29 +1,18 @@
-"""Shard transports: *where* a round of chunk tasks executes.
+"""The in-host process pool a round of sharded chunk tasks runs on.
 
 :mod:`repro.runtime.parallel` owns *what* a sharded run means — round-
 robin chunking, per-round timeouts, bounded retries with poison
 isolation, serial degradation, and the deterministic merge.  This module
-owns the execution substrate behind one interface:
+owns :class:`LocalPoolTransport`, the ``ProcessPoolExecutor`` the rounds
+run on, rebuilt when workers die or hang; one instance can also live
+across runs (the query service's warm pool).
 
-* :class:`LocalPoolTransport` — the in-host ``ProcessPoolExecutor``,
-  rebuilt when workers die or hang; one instance can also live across
-  runs (the query service's warm pool);
-* :class:`~repro.runtime.remote.RemoteTransport` — long-lived ``trued
-  worker`` processes on other hosts, spoken to over JSON-lines sockets
-  with the content-addressed disk cache as the artifact store
-  (``docs/DISTRIBUTED.md``).
-
-A transport's job is deliberately narrow: run one round of ``(index,
+The pool's job is deliberately narrow: run one round of ``(index,
 chunk)`` tasks and report, per task, either a :class:`ChunkResult` or a
 failure reason.  Everything that makes sharding *safe* — retry
 accounting, degrade-to-serial, metrics folding, span attribution — stays
-in the caller, on the caller's thread, so every transport inherits the
-same guarantee: jobs=N over any substrate returns byte-identical results
-to jobs=1, or degrades to computing them in-process.
-
-The process-wide policy (``--transport`` / ``--hosts``) mirrors the
-execution policy in :mod:`repro.runtime.parallel`: the CLI sets it once,
-library callers can override per call by passing a transport instance.
+in the caller, on the caller's thread, so jobs=N returns byte-identical
+results to jobs=1, or degrades to computing them in-process.
 """
 
 from __future__ import annotations
@@ -41,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .faults import inject_worker_fault
 from .metrics import METRICS
 
-#: Failure reasons a transport reports for a task that produced no
+#: Failure reasons the pool reports for a task that produced no
 #: result this round.  ``TIMEOUT`` and ``WORKER_DIED`` are the two
 #: infrastructure failures (mapped to ``parallel.chunk_timeouts`` /
 #: ``parallel.chunk_failures`` by the caller); anything else is treated
@@ -60,7 +49,6 @@ class ChunkResult:
     counters: Dict[str, int] = field(default_factory=dict)
     gauges: Dict[str, int] = field(default_factory=dict)
     worker: int = 0
-    host: str = "local"
     elapsed: float = 0.0
 
 
@@ -68,39 +56,6 @@ class ChunkResult:
 FailedTask = Tuple[int, list, str]
 
 
-class ShardTransport:
-    """Execution substrate for one round of sharded chunk tasks.
-
-    ``run_round`` must return ``(completed, failed)`` covering *every*
-    submitted task exactly once, and must be callable again after any
-    failure (the retry rounds reuse the same transport).  It runs on the
-    caller's thread; implementations may use helper threads for I/O but
-    must confine :data:`~repro.runtime.metrics.METRICS` access to the
-    calling thread — it is context-scoped and does not follow into new
-    threads.
-    """
-
-    #: Span/metrics attribution tag (``transport=`` on chunk spans).
-    name = "transport"
-
-    def run_round(
-        self,
-        worker,
-        make_payload,
-        tasks: Sequence[Tuple[int, list]],
-        timeout: Optional[float],
-        fault,
-        label: str,
-    ) -> Tuple[List[ChunkResult], List[FailedTask]]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release transport resources (pools, sockets)."""
-
-
-# ----------------------------------------------------------------------
-# In-host process pool
-# ----------------------------------------------------------------------
 def resolve_jobs(jobs: Optional[int], task_count: Optional[int] = None) -> int:
     """Normalise a ``--jobs`` value: ``0``/``None``/negative mean "all
     cores"; never more workers than tasks."""
@@ -181,7 +136,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-class LocalPoolTransport(ShardTransport):
+class LocalPoolTransport:
     """The in-host ``ProcessPoolExecutor`` substrate.
 
     ``jobs`` is the worker count (``0`` = all cores, as
@@ -198,8 +153,6 @@ class LocalPoolTransport(ShardTransport):
     kill/rebuild bookkeeping stays race-free and results do not depend
     on how many callers share the pool.
     """
-
-    name = "local"
 
     def __init__(self, jobs: int):
         self.jobs = resolve_jobs(jobs)
@@ -218,7 +171,18 @@ class LocalPoolTransport(ShardTransport):
             self.builds += 1
         return self._pool
 
-    def run_round(self, worker, make_payload, tasks, timeout, fault, label):
+    def run_round(
+        self,
+        worker,
+        make_payload,
+        tasks: Sequence[Tuple[int, list]],
+        timeout: Optional[float],
+        fault,
+    ) -> Tuple[List[ChunkResult], List[FailedTask]]:
+        """Run one round of ``(index, chunk)`` tasks; return
+        ``(completed, failed)``, covering every task exactly once.  The
+        pool stays usable after any failure: the retry rounds reuse it.
+        """
         with self._lock:
             self.rounds += 1
             completed, failed = self._run_round(
@@ -269,7 +233,7 @@ class LocalPoolTransport(ShardTransport):
                     ChunkResult(
                         index=index, chunk=chunk, result=result,
                         counters=counters, gauges=gauges,
-                        worker=pid, host=self.name, elapsed=elapsed,
+                        worker=pid, elapsed=elapsed,
                     )
                 )
         if pool_dead:
@@ -309,71 +273,3 @@ class LocalPoolTransport(ShardTransport):
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-
-
-# ----------------------------------------------------------------------
-# Transport policy (CLI --transport / --hosts set the process defaults)
-# ----------------------------------------------------------------------
-_UNSET = object()
-_TRANSPORT_NAMES = ("local", "remote")
-_POLICY: Dict[str, object] = {"transport": "local", "hosts": ()}
-_REMOTE: Optional[ShardTransport] = None
-
-
-def set_transport_policy(transport=_UNSET, hosts=_UNSET) -> Dict[str, object]:
-    """Set the process-wide default transport for sharded execution.
-
-    ``transport`` is ``"local"`` or ``"remote"``; ``hosts`` is the worker
-    endpoint list (``HOST:PORT`` or unix socket paths) the remote
-    transport connects to.  Selecting ``remote`` without any hosts is an
-    error — there would be nothing to run on.  Changing the policy drops
-    the cached remote transport so new hosts take effect.
-    """
-    global _REMOTE
-    if transport is not _UNSET:
-        if transport not in _TRANSPORT_NAMES:
-            raise ValueError(
-                f"unknown transport {transport!r} "
-                f"(expected one of {_TRANSPORT_NAMES})"
-            )
-        _POLICY["transport"] = transport
-    if hosts is not _UNSET:
-        _POLICY["hosts"] = tuple(hosts or ())
-    if _POLICY["transport"] == "remote" and not _POLICY["hosts"]:
-        raise ValueError(
-            "transport 'remote' needs at least one worker endpoint "
-            "(--hosts HOST:PORT[,HOST:PORT...])"
-        )
-    if _REMOTE is not None:
-        _REMOTE.close()
-        _REMOTE = None
-    return dict(_POLICY)
-
-
-def transport_policy() -> Dict[str, object]:
-    return dict(_POLICY)
-
-
-def resolve_transport(
-    transport: Optional[ShardTransport], jobs: int
-) -> Tuple[ShardTransport, bool]:
-    """The transport a sharded run should use, plus whether the caller
-    owns (and must close) it.
-
-    An explicit instance wins and stays caller-owned.  Under the
-    ``remote`` policy one process-wide
-    :class:`~repro.runtime.remote.RemoteTransport` is shared across runs
-    so worker connections stay warm; under ``local`` each run gets a
-    private pool sized to its ``jobs``, exactly as before the transport
-    interface existed.
-    """
-    global _REMOTE
-    if transport is not None:
-        return transport, False
-    if _POLICY["transport"] == "remote":
-        if _REMOTE is None:
-            from .remote import RemoteTransport
-
-            _REMOTE = RemoteTransport(_POLICY["hosts"])
-        return _REMOTE, False
-    return LocalPoolTransport(jobs), True

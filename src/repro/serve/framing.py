@@ -1,11 +1,10 @@
-"""Shared JSON-lines framing for every socket-facing subsystem.
+"""Shared JSON-lines framing for the two serve loops.
 
-Three independent subsystems speak newline-delimited JSON over a stream:
-the single-client query service (:mod:`repro.incremental.service`), the
-multi-client asyncio server (:mod:`repro.serve.server`), and the
-distributed shard workers (:mod:`repro.runtime.remote`, ``trued
-worker``).  The framing rules are identical everywhere and live here so
-they can only be fixed in one place:
+Two subsystems speak newline-delimited JSON over a stream: the
+single-client query service (:mod:`repro.incremental.service`) and the
+multi-client asyncio server (:mod:`repro.serve.server`).  The framing
+rules are identical in both and live here so they can only be fixed in
+one place:
 
 * **One request object per ``\\n``-terminated line, one response object
   per line.**  Lines are UTF-8, capped at :data:`MAX_LINE_BYTES`
@@ -13,30 +12,22 @@ they can only be fixed in one place:
 * **A final unterminated line is still a request.**  ``readline()``
   returns the buffered partial line at EOF, and
   :func:`iter_request_lines` yields it, so a piped script that forgot
-  its last ``\\n`` still gets an answer (the PR-5 EOF bugfix, now shared
-  by every transport).
+  its last ``\\n`` still gets an answer.
 * **Unix socket endpoints probe before they bind.**
   :func:`prepare_unix_socket_path` distinguishes a stale socket file
   (crashed predecessor — unlinked and rebound) from a live listener
-  (refused, never stolen); :func:`bound_unix_socket` adds the matching
-  guarantee on the way out — the file is unlinked on *every* exit path,
-  including interpreter teardown via ``atexit``.  This used to live
-  only in the serve subsystem; ``trued worker --socket PATH`` gets the
-  identical behaviour by construction.
+  (refused, never stolen).
 
-The wire protocol *on top of* this framing is documented per subsystem:
-``docs/INCREMENTAL.md`` for the query service and
-``docs/DISTRIBUTED.md`` for the shard-worker protocol.
+The wire protocol *on top of* this framing is documented in
+``docs/INCREMENTAL.md``.
 """
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
 import socket
-from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Iterator
 
 #: JSON-lines framing limit — one request per ``\n``-terminated line,
 #: inline netlists included, so the per-line cap is generous.
@@ -83,84 +74,8 @@ def send_json_line(writer, payload: dict) -> None:
     writer.flush()
 
 
-def read_json_line(reader) -> Optional[dict]:
-    """Read one framed message; ``None`` at EOF.
-
-    Raises :class:`ProtocolError` when the line is not a JSON object or
-    exceeds :data:`MAX_LINE_BYTES` without a terminator (a peer that
-    streams garbage must not make us buffer unboundedly).
-    """
-    line = reader.readline(MAX_LINE_BYTES)
-    if line == "":
-        return None
-    if len(line) >= MAX_LINE_BYTES and not line.endswith("\n"):
-        raise ProtocolError(
-            f"line exceeds the {MAX_LINE_BYTES}-byte framing limit"
-        )
-    if not line.strip():
-        return {}
-    try:
-        message = json.loads(line)
-    except ValueError as error:
-        raise ProtocolError(f"invalid JSON line: {error}")
-    if not isinstance(message, dict):
-        raise ProtocolError("framed message must be a JSON object")
-    return message
-
-
 # ----------------------------------------------------------------------
-# Endpoint addressing (shared by `trued worker` and its clients)
-# ----------------------------------------------------------------------
-def parse_endpoint(spec: str) -> Tuple[str, ...]:
-    """Parse an endpoint spec into ``("tcp", host, port)`` or
-    ``("unix", path)``.
-
-    Accepted forms: ``HOST:PORT``, ``tcp://HOST:PORT``, ``unix://PATH``,
-    or a bare filesystem path (anything containing ``/`` or ending in
-    ``.sock``).  An empty or unintelligible spec raises
-    :class:`ProtocolError` naming the offending text.
-    """
-    spec = (spec or "").strip()
-    if not spec:
-        raise ProtocolError("empty worker endpoint")
-    if spec.startswith("unix://"):
-        return ("unix", spec[len("unix://"):])
-    if spec.startswith("tcp://"):
-        spec = spec[len("tcp://"):]
-    elif "/" in spec or spec.endswith(".sock"):
-        return ("unix", spec)
-    host, sep, port = spec.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ProtocolError(
-            f"worker endpoint {spec!r} is neither HOST:PORT nor a unix "
-            "socket path"
-        )
-    return ("tcp", host or "127.0.0.1", int(port))
-
-
-def format_endpoint(endpoint: Tuple[str, ...]) -> str:
-    if endpoint[0] == "unix":
-        return f"unix://{endpoint[1]}"
-    return f"tcp://{endpoint[1]}:{endpoint[2]}"
-
-
-def connect_endpoint(
-    endpoint: Tuple[str, ...], timeout: Optional[float] = None
-) -> socket.socket:
-    """Open a stream connection to a parsed endpoint (caller closes)."""
-    if endpoint[0] == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(endpoint[1])
-        return sock
-    sock = socket.create_connection(
-        (endpoint[1], endpoint[2]), timeout=timeout
-    )
-    return sock
-
-
-# ----------------------------------------------------------------------
-# Unix socket lifecycle (probe, bind, unlink-on-exit)
+# Unix socket lifecycle (probe before bind)
 # ----------------------------------------------------------------------
 def prepare_unix_socket_path(path: str) -> None:
     """Make ``path`` bindable, distinguishing stale from live sockets.
@@ -197,35 +112,3 @@ def prepare_unix_socket_path(path: str) -> None:
         )
     finally:
         probe.close()
-
-
-@contextmanager
-def bound_unix_socket(path: str, backlog: int = 1) -> Iterator[socket.socket]:
-    """A listening unix socket with the full endpoint lifecycle.
-
-    Probes ``path`` first (:func:`prepare_unix_socket_path`: stale files
-    are removed, live listeners refuse the takeover), binds and listens,
-    and unlinks the socket file on *every* exit path — graceful close, an
-    exception escaping the accept loop, or interpreter teardown
-    (``atexit``).  Both ``trued serve --socket`` and ``trued worker
-    --socket`` sit on this single implementation.
-    """
-    prepare_unix_socket_path(path)
-
-    def _unlink_socket() -> None:
-        if os.path.exists(path):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    atexit.register(_unlink_socket)
-    server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    try:
-        server.bind(path)
-        server.listen(backlog)
-        yield server
-    finally:
-        server.close()
-        _unlink_socket()
-        atexit.unregister(_unlink_socket)

@@ -5,14 +5,16 @@ they double as a determinism check of the canonical engine variable order:
 a worker process must find the *same* witness pairs as the serial path.
 """
 
+import pytest
+
 from repro.core import (
     PathFaultGenerator,
     collect_certification_pairs,
     monte_carlo_delay,
     uniform_variation,
 )
-from repro.runtime import metrics_scope, resolve_jobs
-from repro.runtime.parallel import _chunk_round_robin, sample_seed
+from repro.runtime import LocalPoolTransport, metrics_scope, resolve_jobs
+from repro.runtime.parallel import _chunk_round_robin, sample_seed, shard_map
 
 from tests.helpers import c17, shard_pairs
 
@@ -109,3 +111,36 @@ def test_consecutive_runs_number_their_tasks_from_zero(monkeypatch):
         # crash may also take the other chunk down with the pool.)
         assert metrics.counter("parallel.chunk_failures") >= 1
         assert metrics.counter("transport.degraded") == 1
+
+
+def test_unknown_label_is_rejected_before_any_round_runs():
+    """`shard_map` only runs registered task kinds, so an unknown label
+    is a caller error raised in the parent: the pool runs no round and
+    starts no worker."""
+    pool = LocalPoolTransport(jobs=2)
+    try:
+        with pytest.raises(ValueError, match="unknown shard task kind"):
+            shard_map("not-a-real-label", None, [1, 2, 3], 2, transport=pool)
+        assert pool.stats()["rounds"] == 0
+        assert pool.builds == 0
+    finally:
+        pool.close()
+
+
+def test_caller_owned_pool_is_neither_closed_nor_rebuilt():
+    """A pool the caller passes in serves each run and is left open for
+    the next one (the query service keeps one for its lifetime)."""
+    circuit = c17()
+    context = (circuit, "auto", None)
+    outputs = list(circuit.outputs)
+    pool = LocalPoolTransport(jobs=2)
+    try:
+        first = shard_map("pairs", context, outputs, 2, transport=pool)
+        second = shard_map("pairs", context, outputs, 2, transport=pool)
+        assert first == second
+        stats = pool.stats()
+        assert stats["rounds"] == 2
+        assert stats["restarts"] == 0
+        assert stats["live"] is True
+    finally:
+        pool.close()

@@ -1,10 +1,10 @@
-"""The `ShardTransport` interface and policy (`runtime/transport.py`).
+"""The local process pool every sharded round runs on
+(`runtime/transport.py`).
 
-The transport owns *where* a round of chunk tasks runs; the sharded
-runner owns everything that makes sharding safe.  These tests pin the
-interface contract the remote transport of docs/DISTRIBUTED.md plugs
-into: per-task outcome coverage, reuse after failure, ownership rules,
-and the `--transport`/`--hosts` policy validation.
+The pool owns *where* a round of chunk tasks runs; the sharded runner
+owns everything that makes sharding safe.  These tests pin the pool's
+side of that split: per-task outcome coverage, reuse after failure,
+sizing, and its accounting.
 """
 
 import multiprocessing
@@ -14,22 +14,7 @@ import signal
 import pytest
 
 from repro.runtime import transport as transport_module
-from repro.runtime.transport import (
-    TIMEOUT,
-    WORKER_DIED,
-    ChunkResult,
-    LocalPoolTransport,
-    ShardTransport,
-    resolve_transport,
-    set_transport_policy,
-    transport_policy,
-)
-
-
-@pytest.fixture(autouse=True)
-def _reset_policy():
-    yield
-    set_transport_policy(transport="local", hosts=())
+from repro.runtime.transport import TIMEOUT, WORKER_DIED, LocalPoolTransport
 
 
 def _square_worker(payload):
@@ -39,7 +24,7 @@ def _square_worker(payload):
 
 def _run(transport, tasks, timeout=None, fault=None):
     return transport.run_round(
-        _square_worker, lambda chunk: chunk, tasks, timeout, fault, "sq"
+        _square_worker, lambda chunk: chunk, tasks, timeout, fault
     )
 
 
@@ -56,7 +41,6 @@ def test_local_round_covers_every_task_exactly_once():
         by_index = {c.index: c for c in completed}
         assert by_index[2].result == [16, 25, 36]
         assert by_index[2].counters == {"sq.items": 3}
-        assert by_index[2].host == "local"
         assert by_index[2].worker > 0
     finally:
         transport.close()
@@ -132,7 +116,7 @@ def test_local_workers_are_forked_with_sigterm_blocked_until_detached(
     try:
         completed, failed = transport.run_round(
             _signal_state_worker, lambda chunk: chunk, [(0, [])], None,
-            None, "signals",
+            None,
         )
         assert failed == []
         assert completed[0].result == [True, False, True]
@@ -163,8 +147,8 @@ def test_local_stats_count_rounds_failures_restarts_and_drains():
 
 
 def test_local_crash_reports_worker_died_and_rebuilds(monkeypatch):
-    """docs/DISTRIBUTED.md §5: a crashed worker yields `worker-died`,
-    never a partial result — on any transport."""
+    """A crashed worker yields `worker-died`, never a partial result,
+    and the next round runs on a rebuilt pool."""
     monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
     from repro.runtime.faults import parse_fault_spec
 
@@ -215,7 +199,6 @@ def test_local_worker_exception_fails_only_that_chunk():
             [(0, ["ok"]), (1, ["boom"])],
             None,
             None,
-            "sq",
         )
         assert [c.index for c in completed] == [0]
         assert len(failed) == 1
@@ -225,66 +208,3 @@ def test_local_worker_exception_fails_only_that_chunk():
         assert reason not in (TIMEOUT, WORKER_DIED)
     finally:
         transport.close()
-
-
-# ----------------------------------------------------------------------
-# Policy and resolution
-# ----------------------------------------------------------------------
-def test_default_policy_is_local():
-    assert transport_policy() == {"transport": "local", "hosts": ()}
-
-
-def test_remote_policy_requires_hosts():
-    with pytest.raises(ValueError, match="at least one worker endpoint"):
-        set_transport_policy(transport="remote")
-
-
-def test_unknown_transport_name_rejected():
-    with pytest.raises(ValueError, match="unknown transport"):
-        set_transport_policy(transport="carrier-pigeon")
-
-
-def test_resolve_explicit_instance_wins_and_stays_caller_owned():
-    mine = LocalPoolTransport(jobs=1)
-    try:
-        transport, owned = resolve_transport(mine, jobs=4)
-        assert transport is mine
-        assert owned is False
-    finally:
-        mine.close()
-
-
-def test_resolve_local_policy_builds_owned_pool():
-    transport, owned = resolve_transport(None, jobs=3)
-    try:
-        assert isinstance(transport, LocalPoolTransport)
-        assert transport.jobs == 3
-        assert owned is True
-    finally:
-        transport.close()
-
-
-def test_resolve_remote_policy_shares_one_transport(tmp_path, monkeypatch):
-    """Under the remote policy the transport is a process-wide singleton
-    (worker links stay warm across runs) and is never caller-owned —
-    docs/DISTRIBUTED.md §2."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    set_transport_policy(transport="remote", hosts=["127.0.0.1:1"])
-    first, owned_first = resolve_transport(None, jobs=2)
-    second, owned_second = resolve_transport(None, jobs=8)
-    assert first is second
-    assert owned_first is owned_second is False
-    assert first.name == "remote"
-    # Changing the policy drops the singleton so new hosts take effect.
-    set_transport_policy(hosts=["127.0.0.1:2"])
-    third, __ = resolve_transport(None, jobs=2)
-    assert third is not first
-    set_transport_policy(transport="local", hosts=())
-
-
-def test_transport_base_class_contract():
-    transport = ShardTransport()
-    with pytest.raises(NotImplementedError):
-        transport.run_round(None, None, [], None, None, "x")
-    transport.close()  # default close is a no-op
-    assert ChunkResult(index=0, chunk=[], result=None).host == "local"

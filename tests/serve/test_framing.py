@@ -1,31 +1,21 @@
 """The shared JSON-lines framing layer (`repro.serve.framing`).
 
-Three subsystems sit on this one module — the query service, the
-multi-client server, and the distributed shard workers — so these tests
-pin the contracts all of them inherit: line iteration with the EOF
-final-line rule, the framed-read error taxonomy, the endpoint grammar
-of docs/DISTRIBUTED.md §4 and §6, and the unix-socket
-probe/refuse/unlink lifecycle that `trued worker --socket` gained by
-the hoist (docs/DISTRIBUTED.md §6).
+Both serve loops sit on this one module — the query service and the
+multi-client server — so these tests pin the contracts they inherit:
+line iteration with the EOF final-line rule, one sorted JSON object per
+response line, and the unix-socket probe that removes a stale socket
+file but refuses to take over a live one.
 """
 
 import io
-import json
 import socket
-import threading
 
 import pytest
 
 from repro.serve.framing import (
-    MAX_LINE_BYTES,
     ProtocolError,
-    bound_unix_socket,
-    connect_endpoint,
-    format_endpoint,
     iter_request_lines,
-    parse_endpoint,
     prepare_unix_socket_path,
-    read_json_line,
     send_json_line,
 )
 
@@ -47,75 +37,16 @@ def test_plain_iterables_pass_through():
 
 
 # ----------------------------------------------------------------------
-# send_json_line / read_json_line
+# send_json_line
 # ----------------------------------------------------------------------
 def test_round_trip_is_one_sorted_line():
     out = io.StringIO()
     send_json_line(out, {"b": 2, "a": 1})
-    text = out.getvalue()
-    assert text == '{"a": 1, "b": 2}\n'
-    assert read_json_line(io.StringIO(text)) == {"a": 1, "b": 2}
-
-
-def test_read_json_line_eof_and_blank():
-    assert read_json_line(io.StringIO("")) is None
-    assert read_json_line(io.StringIO("\n")) == {}
-    assert read_json_line(io.StringIO("   \n")) == {}
-
-
-def test_read_json_line_rejects_non_object():
-    with pytest.raises(ProtocolError, match="JSON object"):
-        read_json_line(io.StringIO("[1, 2]\n"))
-
-
-def test_read_json_line_rejects_garbage():
-    with pytest.raises(ProtocolError, match="invalid JSON"):
-        read_json_line(io.StringIO("{nope\n"))
-
-
-def test_read_json_line_caps_unterminated_floods():
-    flood = "x" * (MAX_LINE_BYTES + 10)
-    with pytest.raises(ProtocolError, match="framing limit"):
-        read_json_line(io.StringIO(flood))
-
-
-def test_read_json_line_accepts_a_large_terminated_line():
-    big = json.dumps({"blob": "y" * 100_000}) + "\n"
-    assert read_json_line(io.StringIO(big)) == {"blob": "y" * 100_000}
+    assert out.getvalue() == '{"a": 1, "b": 2}\n'
 
 
 # ----------------------------------------------------------------------
-# Endpoint grammar (docs/DISTRIBUTED.md §6: --tcp/--socket, --hosts)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "spec,expected",
-    [
-        ("127.0.0.1:9101", ("tcp", "127.0.0.1", 9101)),
-        ("tcp://10.0.0.7:80", ("tcp", "10.0.0.7", 80)),
-        (":9101", ("tcp", "127.0.0.1", 9101)),
-        ("unix:///tmp/w.sock", ("unix", "/tmp/w.sock")),
-        ("/tmp/w.sock", ("unix", "/tmp/w.sock")),
-        ("worker.sock", ("unix", "worker.sock")),
-        ("  127.0.0.1:9101  ", ("tcp", "127.0.0.1", 9101)),
-    ],
-)
-def test_parse_endpoint_grammar(spec, expected):
-    assert parse_endpoint(spec) == expected
-
-
-@pytest.mark.parametrize("spec", ["", "   ", "nonsense", "host:port"])
-def test_parse_endpoint_rejects_garbage(spec):
-    with pytest.raises(ProtocolError):
-        parse_endpoint(spec)
-
-
-def test_format_endpoint_round_trips():
-    for spec in ("tcp://127.0.0.1:9101", "unix:///tmp/w.sock"):
-        assert format_endpoint(parse_endpoint(spec)) == spec
-
-
-# ----------------------------------------------------------------------
-# Unix socket lifecycle (probe / refuse / unlink-on-exit)
+# Unix socket lifecycle (probe / refuse)
 # ----------------------------------------------------------------------
 def test_stale_socket_file_is_unlinked(tmp_path):
     path = str(tmp_path / "stale.sock")
@@ -130,61 +61,11 @@ def test_stale_socket_file_is_unlinked(tmp_path):
 
 def test_live_listener_refuses_takeover(tmp_path):
     path = str(tmp_path / "live.sock")
-    with bound_unix_socket(path) as server:
-        assert server.getsockname() == path
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as server:
+        server.bind(path)
+        server.listen(1)
         with pytest.raises(ProtocolError, match="listening"):
             prepare_unix_socket_path(path)
-        with pytest.raises(ProtocolError, match="listening"):
-            with bound_unix_socket(path):
-                pass  # pragma: no cover - refused before the yield
-
-
-def test_bound_unix_socket_unlinks_on_every_exit_path(tmp_path):
-    import os
-
-    path = str(tmp_path / "w.sock")
-    with bound_unix_socket(path):
-        assert os.path.exists(path)
-    assert not os.path.exists(path)
-
-    with pytest.raises(RuntimeError, match="boom"):
-        with bound_unix_socket(path):
-            raise RuntimeError("boom")
-    assert not os.path.exists(path)
-
-    # A fresh bind works after both exits (no stale registration).
-    with bound_unix_socket(path):
-        assert os.path.exists(path)
-
-
-def test_bound_unix_socket_accepts_connections(tmp_path):
-    path = str(tmp_path / "echo.sock")
-    replies = []
-
-    def serve():
-        with bound_unix_socket(path) as server:
-            conn, _ = server.accept()
-            with conn, conn.makefile("r") as r, conn.makefile("w") as w:
-                request = read_json_line(r)
-                send_json_line(w, {"ok": True, "echo": request})
-
-    thread = threading.Thread(target=serve)
-    thread.start()
-    try:
-        for _ in range(200):
-            try:
-                sock = connect_endpoint(("unix", path), timeout=1.0)
-                break
-            except (ConnectionRefusedError, FileNotFoundError):
-                import time
-
-                time.sleep(0.01)
-        with sock, sock.makefile("r") as r, sock.makefile("w") as w:
-            send_json_line(w, {"op": "ping"})
-            replies.append(read_json_line(r))
-    finally:
-        thread.join(timeout=5)
-    assert replies == [{"ok": True, "echo": {"op": "ping"}}]
 
 
 def test_service_error_is_the_shared_protocol_error():

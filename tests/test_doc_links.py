@@ -5,7 +5,7 @@ skipping fenced code blocks and external URLs.  File targets must exist;
 fragment targets (``FILE.md#anchor``) must match a heading in the target
 file under GitHub's anchor-slug rules.  Section references in the
 ``§N``/``§N.M`` style — intra-page, following a link to another doc, or
-cited from source/test files as ``DISTRIBUTED.md §N`` — must name a
+cited from source/test files as ``RUNTIME.md §N`` — must name a
 numbered heading that actually exists.  This is the acceptance check
 that the documentation set cannot silently rot.
 """
@@ -196,7 +196,7 @@ _CODE_CITATION = re.compile(r"docs/([A-Z_]+\.md)\s+§(\d+(?:\.\d+)?)")
 
 
 def test_code_section_citations_name_real_sections():
-    """Spec citations in source and tests (``docs/DISTRIBUTED.md §4.2``)
+    """Spec citations in source and tests (``docs/RUNTIME.md §4``)
     must point at numbered headings that exist — the code<->spec
     cross-references are load-bearing, not decorative."""
     problems = []
