@@ -9,8 +9,9 @@ from repro.core import (
     fixed_delay_bounds,
     monotone_speedup_bounds,
 )
-from repro.network import CircuitBuilder
-from repro.circuits import fig1_circuit, fig2_circuit
+from repro.network import CircuitBuilder, scale_delays
+from repro.circuits import build_circuit, fig1_circuit, fig2_circuit
+from repro.runtime.cache import DelayCache
 
 from tests.helpers import c17, random_circuit
 
@@ -30,6 +31,34 @@ class TestBounds:
         c = c17()
         with pytest.raises(ValueError):
             BoundedAnalysis(c, bounds=lambda name: (2, 1), engine=BddEngine())
+
+    @pytest.mark.parametrize(
+        "make_bounds", [monotone_speedup_bounds, fixed_delay_bounds]
+    )
+    def test_bounds_of_another_circuit_do_not_poison_the_cache(
+        self, make_bounds
+    ):
+        # The callables read the delays of the circuit they were built
+        # from; a result under a slowed copy's bounds must not be served
+        # for the analysed circuit's own bounds.
+        circuit = build_circuit("c432")
+        cold = compute_bounded_transition_delay(
+            circuit, bounds=make_bounds(circuit),
+            cache=DelayCache(enabled=False),
+        )
+        cache = DelayCache()
+        slowed = compute_bounded_transition_delay(
+            circuit, bounds=make_bounds(scale_delays(circuit, 3)),
+            cache=cache,
+        )
+        assert slowed.delay > cold.delay
+        own = compute_bounded_transition_delay(
+            circuit, bounds=make_bounds(circuit), cache=cache
+        )
+        default = compute_bounded_transition_delay(circuit, cache=cache)
+        assert own.delay == cold.delay
+        if make_bounds is monotone_speedup_bounds:
+            assert default.delay == cold.delay
 
 
 class TestReductionToFixed:
