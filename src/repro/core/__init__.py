@@ -84,6 +84,7 @@ from .transition import (
     query_delay_at_least,
     validate_certification_pairs,
 )
+from ..sim.wordsim import canonical_input_order
 from .vectors import (
     CUR_SUFFIX,
     PREV_SUFFIX,
@@ -91,7 +92,6 @@ from .vectors import (
     DelayCertificate,
     VectorPair,
     batch_pair_states,
-    canonical_input_order,
     cur_var,
     format_vector,
     prev_var,

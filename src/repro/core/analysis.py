@@ -7,10 +7,11 @@ transitioning, possibly transitioning — satisfiable at ``t``, inside the
 Lemma 5.1 windows?  Only the per-(signal, t) recurrence behind the
 predicate differs; everything else lives here:
 
-* :class:`SymbolicAnalysis` — circuit validation, the engine, the
-  canonical variable order, the windows ``[earliest, latest]`` under fixed
-  (or, overriding :meth:`~SymbolicAnalysis.delay_bounds`, ``[d_l, d_u]``)
-  gate delays, and the ``v_-1``/``v_0`` settle functions;
+* :class:`SymbolicAnalysis` — circuit validation, the engine, and from
+  the circuit's compiled program (one per revision) the slots it walks,
+  the canonical variable order and the windows ``[earliest, latest]``
+  under fixed (or, per analysis, clocked or ``[d_l, d_u]``) gate delays,
+  and the ``v_-1``/``v_0`` settle functions;
 * :class:`Query` — one query's care set and ``#check`` count, the
   per-time-point :meth:`~Query.probe` (the one place the engine's
   ``prefers_batching`` decides the check policy) and the top-down search
@@ -34,11 +35,11 @@ from ..network.circuit import Circuit
 from ..network.gates import GateType, gate_function
 from ..runtime.cache import resolve_cache
 from ..runtime.metrics import METRICS, record_engine_metrics
+from ..sim.wordsim import program_for
 from .vectors import (
     AttributionError,
     DelayCertificate,
     VectorPair,
-    canonical_input_order,
     cur_var,
     prev_var,
 )
@@ -104,7 +105,8 @@ class SymbolicAnalysis:
 
     Subclasses define the per-(output, t) :meth:`predicate` a search asks
     about, and may narrow :meth:`eligible`.  Functions are built lazily and
-    memoised in ``_memo``, so a search pays only for the times it touches.
+    memoised in ``_memo`` under ``(slot, t)``, so a search pays only for
+    the times it touches; the public methods take node names.
     """
 
     #: Certificate mode (also the result-cache kind).
@@ -124,14 +126,15 @@ class SymbolicAnalysis:
     ):
         circuit.validate()
         self.circuit = circuit
-        self.engine = engine or make_engine(engine_name, circuit.num_gates)
+        self.program = program = program_for(circuit)
+        self.engine = engine or make_engine(engine_name, program.num_gates)
         # Declare the input variables up front, in canonical cone order, so
         # engine state (BDD variable order, AIG signature streams) — and
         # hence the witnesses sat_one picks — is a function of the circuit
         # content alone: a fresh worker-process analysis matches a serial
         # run, without the BDD blowup declaration order would cause on
         # arithmetic circuits (see canonical_input_order).
-        for name in canonical_input_order(circuit):
+        for name in program.input_order:
             if self.pair_space:
                 self.engine.var(prev_var(name))
                 self.engine.var(cur_var(name))
@@ -140,70 +143,64 @@ class SymbolicAnalysis:
         #: Per-input clock time: the input's new value takes effect then
         #: (Sec. V-C: "the inputs need not be clocked at the same time").
         self.input_times = dict(input_times or {})
-        # Lemma 5.1 windows: earliest possible change (lower delay bounds)
-        # and latest settle (upper bounds) of every signal.
-        self._early: Dict[str, int] = {}
-        self._late: Dict[str, int] = {}
-        for name in circuit.topological_order():
-            node = circuit.node(name)
-            if node.gate_type == GateType.INPUT:
-                early = late = self.input_times.get(name, 0)
-            elif not node.fanins:
-                early = late = 0
-            else:
-                lo, hi = self.delay_bounds(name)
-                early = lo + min(self._early[f] for f in node.fanins)
-                late = hi + max(self._late[f] for f in node.fanins)
-            self._early[name] = early
-            self._late[name] = late
-        self._memo: Dict[Tuple[str, int], object] = {}
-        self._initial: Dict[str, int] = {}
-        self._final: Dict[str, int] = {}
+        # Lemma 5.1 windows per slot: earliest possible change (lower delay
+        # bounds) and latest settle (upper bounds) of every signal.
+        self._early, self._late = self._windows()
+        self._memo: Dict[Tuple[int, int], object] = {}
+        self._initial: Dict[int, int] = {}
+        self._final: Dict[int, int] = {}
+
+    def _windows(self) -> Tuple[List[int], List[int]]:
+        """The program's fixed-delay windows, unless inputs are clocked."""
+        program = self.program
+        if self.input_times:
+            return program.windows(
+                program.delays, program.delays, self.input_times
+            )
+        return program.early, program.late
 
     # ------------------------------------------------------------------
-    def delay_bounds(self, name: str) -> Tuple[int, int]:
-        """``(d_l, d_u)`` of a gate: its fixed delay, twice."""
-        delay = self.circuit.node(name).delay
-        return delay, delay
-
     def earliest(self, name: str) -> int:
         """delta_f of Lemma 5.1 — no event before this time."""
-        return self._early[name]
+        return self._early[self.program.slots[name]]
 
     def latest(self, name: str) -> int:
         """Delta_f of Lemma 5.1 — no event after this time."""
-        return self._late[name]
+        return self._late[self.program.slots[name]]
 
     def horizon(self) -> int:
         """The latest time any primary output can change."""
         if not self.circuit.outputs:
             raise ValueError("circuit has no outputs")
-        return max(self.latest(out) for out in self.circuit.outputs)
+        return max(self._late[slot] for slot in self.program.output_slots)
 
     def initial_function(self, name: str) -> int:
         """Settled value under ``v_-1`` (a function of the ``@-`` vars)."""
-        return self._settled_function(name, self._initial, prev_var)
+        return self._settled_function(
+            self.program.slots[name], self._initial, prev_var
+        )
 
     def final_function(self, name: str) -> int:
         """Settled value under ``v_0`` (a function of the ``@0`` vars)."""
-        return self._settled_function(name, self._final, cur_var)
+        return self._settled_function(
+            self.program.slots[name], self._final, cur_var
+        )
 
-    def _settled_function(self, name: str, memo: Dict[str, int],
+    def _settled_function(self, slot: int, memo: Dict[int, int],
                           var_name: Callable[[str], str]) -> int:
-        cached_fn = memo.get(name)
+        cached_fn = memo.get(slot)
         if cached_fn is not None:
             return cached_fn
-        node = self.circuit.node(name)
-        if node.gate_type == GateType.INPUT:
-            result = self.engine.var(var_name(name))
+        gate_type, fanins = self.program.nodes[slot]
+        if gate_type == GateType.INPUT:
+            result = self.engine.var(var_name(self.program.order[slot]))
         else:
             result = gate_function(
                 self.engine,
-                node.gate_type,
-                [self._settled_function(f, memo, var_name)
-                 for f in node.fanins],
+                gate_type,
+                [self._settled_function(f, memo, var_name) for f in fanins],
             )
-        memo[name] = result
+        memo[slot] = result
         return result
 
     def num_functions(self) -> int:
@@ -232,9 +229,10 @@ class SymbolicAnalysis:
         ``t``, in order."""
         if outputs is None:
             outputs = self.circuit.outputs
+        slots = self.program.slots
         return [
             out for out in outputs
-            if self._early[out] <= t <= self._late[out]
+            if self._early[slots[out]] <= t <= self._late[slots[out]]
         ]
 
     def predicate(self, name: str, t: int) -> int:

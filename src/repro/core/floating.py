@@ -56,27 +56,26 @@ class FloatingAnalysis(SymbolicAnalysis):
     # ------------------------------------------------------------------
     def settled_pair(self, name: str, t: int) -> Tuple[int, int]:
         """``(S1_t, S0_t)`` for signal ``name`` (lazy, memoised)."""
-        t = max(min(t, self._late[name]), self._early[name] - 1)
-        key = (name, t)
+        return self._settled_pair(self.program.slots[name], t)
+
+    def _settled_pair(self, slot: int, t: int) -> Tuple[int, int]:
+        early = self._early[slot]
+        t = max(min(t, self._late[slot]), early - 1)
+        key = (slot, t)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         engine = self.engine
-        node = self.circuit.node(name)
-        if t < self._early[name]:
+        gate_type, fanins = self.program.nodes[slot]
+        if t < early:
             result = (engine.const0, engine.const0)
-        elif node.gate_type == GateType.INPUT:
-            var = engine.var(name)
+        elif gate_type == GateType.INPUT:
+            var = engine.var(self.program.order[slot])
             result = (var, engine.not_(var))
-        elif node.gate_type == GateType.CONST0:
-            result = (engine.const0, engine.const1)
-        elif node.gate_type == GateType.CONST1:
-            result = (engine.const1, engine.const0)
-        else:
-            fanin_pairs = [
-                self.settled_pair(f, t - node.delay) for f in node.fanins
-            ]
-            result = gate_settle(engine, node.gate_type, fanin_pairs)
+        else:  # a gate; a constant's pair is gate_settle's, fanin-free
+            t -= self.program.delays[slot]
+            fanin_pairs = [self._settled_pair(f, t) for f in fanins]
+            result = gate_settle(engine, gate_type, fanin_pairs)
         self._memo[key] = result
         return result
 
@@ -93,7 +92,8 @@ class FloatingAnalysis(SymbolicAnalysis):
                  ) -> List[str]:
         if outputs is None:
             outputs = self.circuit.outputs
-        return [out for out in outputs if t < self._late[out]]
+        slots = self.program.slots
+        return [out for out in outputs if t < self._late[slots[out]]]
 
     predicate = unsettled
 
@@ -226,7 +226,7 @@ def _floating_delay(
         mode="floating",
         delay=delay,
         output=out,
-        value=circuit.evaluate(witness)[out],
+        value=analysis.program.value(witness, out),
         witness=witness,
         checks=query.checks,
     )

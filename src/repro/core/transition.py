@@ -44,6 +44,7 @@ from .vectors import (
     VectorPair,
     batch_pair_states,
     cur_var,
+    prev_var,
 )
 
 #: Optional constraint builder over the doubled space: called with the
@@ -59,24 +60,28 @@ class TransitionAnalysis(SymbolicAnalysis):
 
     def function_at(self, name: str, t: int) -> int:
         """``f_t``: the value of signal ``name`` on interval ``[t, t+1)``."""
-        if t < self._early[name]:
-            return self.initial_function(name)
-        if t >= self._late[name]:
-            return self.final_function(name)
-        key = (name, t)
+        return self._function_at(self.program.slots[name], t)
+
+    def _function_at(self, slot: int, t: int) -> int:
+        if t < self._early[slot]:
+            return self._settled_function(slot, self._initial, prev_var)
+        if t >= self._late[slot]:
+            return self._settled_function(slot, self._final, cur_var)
+        key = (slot, t)
         cached_fn = self._memo.get(key)
         if cached_fn is not None:
             return cached_fn
-        node = self.circuit.node(name)
-        if node.gate_type == GateType.INPUT:
+        gate_type, fanins = self.program.nodes[slot]
+        if gate_type == GateType.INPUT:
             # Inside the window only for clocked inputs at exactly t_clk,
             # which the clamps above already handle.
-            result = self.final_function(name)
+            result = self._settled_function(slot, self._final, cur_var)
         else:
+            t -= self.program.delays[slot]
             result = gate_function(
                 self.engine,
-                node.gate_type,
-                [self.function_at(f, t - node.delay) for f in node.fanins],
+                gate_type,
+                [self._function_at(f, t) for f in fanins],
             )
         self._memo[key] = result
         return result
@@ -99,7 +104,7 @@ class TransitionAnalysis(SymbolicAnalysis):
         """All time points at which some vector pair makes ``name``
         transition — the ``e_{i,j}`` windows of Fig. 4."""
         times = []
-        for t in range(self._early[name], self._late[name] + 1):
+        for t in range(self.earliest(name), self.latest(name) + 1):
             predicate = self.transition_predicate(name, t)
             if self.engine.sat_one(predicate) is not None:
                 times.append(t)

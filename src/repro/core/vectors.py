@@ -43,43 +43,6 @@ def format_vector(vector: Dict[str, bool], inputs: Sequence[str]) -> str:
     return "".join("1" if vector[name] else "0" for name in inputs)
 
 
-def canonical_input_order(circuit) -> List[str]:
-    """Primary inputs in cone-traversal first-touch order.
-
-    The engines' internal state (BDD variable order, AIG signature
-    streams) follows variable *creation* order, and ``sat_one`` witnesses
-    depend on that state.  The analyses pre-declare their variables in
-    this order so the state is a function of the circuit content alone —
-    a fresh analysis in a worker process reproduces the exact witnesses
-    of a serial run (see :mod:`repro.runtime.parallel`).
-
-    Declaration order (``circuit.inputs``) would be just as deterministic
-    but is a *bad* BDD order for arithmetic circuits (e.g. all ``a`` bits
-    before all ``b`` bits on an adder explodes the node count); the DFS
-    cone order interleaves related inputs the way the lazy function build
-    touches them.  Inputs outside every output cone are appended in
-    declaration order.
-    """
-    primary = set(circuit.inputs)
-    seen: set = set()
-    order: List[str] = []
-    for out in circuit.outputs:
-        stack = [out]
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            if name in primary:
-                order.append(name)
-            else:
-                stack.extend(reversed(circuit.node(name).fanins))
-    for name in circuit.inputs:
-        if name not in seen:
-            order.append(name)
-    return order
-
-
 @dataclass
 class VectorPair:
     """A concrete ``(v_-1, v_0)`` stimulus."""

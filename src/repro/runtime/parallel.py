@@ -17,7 +17,7 @@ label run through the one entry point, :func:`shard_map`:
 Each worker process rebuilds its analysis from a pickled :class:`Circuit`
 — engines are constructed with a canonical variable order (the analyses
 pre-declare the input variables in cone-traversal first-touch order, see
-:func:`repro.core.vectors.canonical_input_order`, computed on the full
+:func:`repro.sim.wordsim.canonical_input_order`, computed on the full
 circuit rather than the worker's chunk), so a worker finds the *same*
 witnesses as a serial run.  ``jobs=1`` always takes the
 caller's serial path; sharded results are merged deterministically

@@ -23,14 +23,14 @@ fault-coverage validation (:mod:`repro.core.delay_fault`).
 The compiled form of a circuit, :class:`CircuitProgram`, is shared: the
 event-driven timing simulator (:mod:`repro.sim.event_sim`) runs its event
 loop over the same integer slots and gate table, plus the program's
-fanout lists and delays, so each circuit revision is compiled once for
-both simulators.
+fanout lists and delays, and the symbolic analyses of :mod:`repro.core`
+walk it too, so each circuit revision is compiled once for all of them.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.circuit import Circuit
 from ..network.gates import GateType, validate_arity
@@ -103,10 +103,13 @@ class CircuitProgram:
     into a constant.
 
     * ``gates`` — ``(kind, inverting, fanin slots)`` per slot (None for
-      primary inputs): what both the word-level kernel and the event
-      loop of :mod:`repro.sim.event_sim` evaluate;
+      primary inputs): what the word-level kernel (:meth:`run`) and the
+      event loop of :mod:`repro.sim.event_sim` evaluate;
     * ``fanouts`` — the distinct fanout slots per slot, and ``delays`` —
-      the gate delay per slot: the rest of the event loop's view.
+      the gate delay per slot: the rest of the event loop's view;
+    * ``nodes`` — ``(gate type, fanin slots)`` per slot — ``num_gates``,
+      ``input_order`` and the fixed-delay ``early``/``late`` windows
+      (:meth:`windows`): what the symbolic analyses walk and read.
     """
 
     def __init__(self, circuit: Circuit):
@@ -117,10 +120,13 @@ class CircuitProgram:
         gates: List[Optional[tuple]] = []
         fanouts: List[List[int]] = [[] for __ in self.order]
         delays: List[int] = []
+        nodes: List[Tuple[GateType, Tuple[int, ...]]] = []
         for slot, name in enumerate(self.order):
             node = circuit.node(name)
             validate_arity(node.gate_type, name, len(node.fanins))
             delays.append(node.delay)
+            fanins = tuple(slots[f] for f in node.fanins)
+            nodes.append((node.gate_type, fanins))
             if node.gate_type == GateType.INPUT:
                 gates.append(None)
                 continue
@@ -129,7 +135,6 @@ class CircuitProgram:
                 raise ValueError(
                     f"cannot simulate gate type {node.gate_type}"
                 )
-            fanins = tuple(slots[f] for f in node.fanins)
             gates.append(kind + (fanins,))
             for fanin in dict.fromkeys(fanins):
                 fanouts[fanin].append(slot)
@@ -137,10 +142,14 @@ class CircuitProgram:
         self.gates = gates
         self.fanouts = [tuple(slots_out) for slots_out in fanouts]
         self.delays = delays
+        self.nodes = nodes
+        self.num_gates = len(gates) - gates.count(None)
         self.outputs = circuit.outputs
         self.output_slots = [slots[name] for name in self.outputs]
         self.inputs = circuit.inputs
         self.input_slots = [slots[name] for name in self.inputs]
+        self.input_order = canonical_input_order(circuit)
+        self.early, self.late = self.windows(delays, delays, {})
         self._kernel: Optional["WordKernel"] = None
 
     def kernel(self) -> "WordKernel":
@@ -148,6 +157,57 @@ class CircuitProgram:
         if self._kernel is None:
             self._kernel = WordKernel(self.circuit)
         return self._kernel
+
+    def windows(self, lo: Sequence[int], hi: Sequence[int],
+                input_times: Dict[str, int]) -> Tuple[List[int], List[int]]:
+        """The Lemma 5.1 windows ``(early, late)`` per slot: gate delays in
+        ``[lo, hi]``, each input clocked at its ``input_times`` entry or 0."""
+        early: List[int] = []
+        late: List[int] = []
+        for slot, (gate_type, fanins) in enumerate(self.nodes):
+            if gate_type == GateType.INPUT:
+                first = last = input_times.get(self.order[slot], 0)
+            elif not fanins:
+                first = last = 0
+            else:
+                first = lo[slot] + min([early[f] for f in fanins])
+                last = hi[slot] + max([late[f] for f in fanins])
+            early.append(first)
+            late.append(last)
+        return early, late
+
+    def run(self, values: List[int], mask: int) -> None:
+        """Evaluate the gate table in place over ``values``, one word per
+        slot with the inputs' loaded, each lane masked to ``mask``."""
+        for slot, gate in enumerate(self.gates):
+            if gate is None:
+                continue
+            kind, inverting, fanins = gate
+            if not fanins:  # a constant: the empty AND
+                word = mask
+            else:
+                word = values[fanins[0]]
+                if kind == ALL:
+                    for f in fanins[1:]:
+                        word &= values[f]
+                elif kind == ANY:
+                    for f in fanins[1:]:
+                        word |= values[f]
+                elif kind == PARITY:
+                    for f in fanins[1:]:
+                        word ^= values[f]
+            if inverting:
+                word ^= mask
+            values[slot] = word
+
+    def value(self, vector: Dict[str, bool], name: str) -> bool:
+        """The value node ``name`` settles to under one total input vector,
+        read off a one-lane :meth:`run` (counted as no ``wordsim`` batch)."""
+        values = [0] * len(self.order)
+        for input_name, slot in zip(self.inputs, self.input_slots):
+            values[slot] = 1 if vector[input_name] else 0
+        self.run(values, 1)
+        return bool(values[self.slots[name]])
 
 
 def program_for(circuit: Circuit) -> CircuitProgram:
@@ -163,6 +223,43 @@ def program_for(circuit: Circuit) -> CircuitProgram:
     if program is None:
         program = circuit._program = CircuitProgram(circuit)
     return program
+
+
+def canonical_input_order(circuit: Circuit) -> List[str]:
+    """Primary inputs in cone-traversal first-touch order.
+
+    The engines' internal state (BDD variable order, AIG signature
+    streams) follows variable *creation* order, and ``sat_one`` witnesses
+    depend on that state.  The analyses pre-declare their variables in
+    this order so the state is a function of the circuit content alone —
+    a fresh analysis in a worker process reproduces the exact witnesses
+    of a serial run (see :mod:`repro.runtime.parallel`).
+
+    Declaration order (``circuit.inputs``) would be just as deterministic
+    but is a *bad* BDD order for arithmetic circuits (e.g. all ``a`` bits
+    before all ``b`` bits on an adder explodes the node count); the DFS
+    cone order interleaves related inputs the way the lazy function build
+    touches them.  Inputs outside every output cone are appended in
+    declaration order.
+    """
+    primary = set(circuit.inputs)
+    seen: set = set()
+    order: List[str] = []
+    for out in circuit.outputs:
+        stack = [out]
+        while stack:
+            name = stack.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            if name in primary:
+                order.append(name)
+            else:
+                stack.extend(reversed(circuit.node(name).fanins))
+    for name in circuit.inputs:
+        if name not in seen:
+            order.append(name)
+    return order
 
 
 class WordKernel:
@@ -213,7 +310,7 @@ class WordKernel:
             raise ValueError("width must be at least 1")
         mask = (1 << width) - 1
         values = self._load_inputs(input_words, mask)
-        self._run(values, mask)
+        self.program.run(values, mask)
         METRICS.incr("wordsim.batches")
         METRICS.incr("wordsim.lanes", width)
         METRICS.incr(
@@ -221,28 +318,6 @@ class WordKernel:
             len(self.program.order) - len(self.program.inputs),
         )
         return dict(zip(self.program.order, values))
-
-    def _run(self, values: List[int], mask: int) -> None:
-        for slot, gate in enumerate(self.program.gates):
-            if gate is None:
-                continue
-            kind, inverting, fanins = gate
-            if not fanins:  # a constant: the empty AND
-                word = mask
-            else:
-                word = values[fanins[0]]
-                if kind == ALL:
-                    for f in fanins[1:]:
-                        word &= values[f]
-                elif kind == ANY:
-                    for f in fanins[1:]:
-                        word |= values[f]
-                elif kind == PARITY:
-                    for f in fanins[1:]:
-                        word ^= values[f]
-            if inverting:
-                word ^= mask
-            values[slot] = word
 
     # ------------------------------------------------------------------
     def settle_batch(
