@@ -36,21 +36,25 @@ from ..runtime.cache import DelayCache
 KINDS = ("topological", "floating", "transition")
 
 
-def extract_cone(circuit: Circuit, output: str) -> Circuit:
+def extract_cone(circuit: Circuit, output: str,
+                 fanin: Optional[List[str]] = None) -> Circuit:
     """The fanin cone of ``output`` as a standalone single-output circuit.
 
     The cone is named ``cone#<output>`` — deliberately *not* derived from
     the parent circuit's name, so two circuits containing an identical
     cone extract identical subcircuits (content-addressed caching depends
     on it).  Cone inputs keep the parent's input declaration order, which
-    fixes vector rendering and the engines' variable order.
+    fixes vector rendering and the engines' variable order.  ``fanin`` is
+    ``circuit.transitive_fanin([output])`` if the caller has walked it.
     """
-    members = set(circuit.transitive_fanin([output]))
+    if fanin is None:
+        fanin = circuit.transitive_fanin([output])
+    members = set(fanin)
     cone = Circuit(f"cone#{output}")
     for name in circuit.inputs:
         if name in members:
             cone.add_input(name)
-    for name in circuit.transitive_fanin([output]):
+    for name in fanin:
         node = circuit.node(name)
         if node.gate_type != GateType.INPUT:
             cone.add_gate(name, node.gate_type, node.fanins, node.delay)

@@ -67,6 +67,7 @@ from ..network.circuit import Circuit
 from ..runtime.cache import DelayCache
 from ..runtime.fingerprint import cone_fingerprint, node_cone_fingerprints
 from ..runtime.metrics import METRICS
+from ..sim.wordsim import program_for
 from .cones import KINDS, ConeResult, evaluate_cone, extract_cone
 
 
@@ -260,7 +261,8 @@ class IncrementalTimingEngine:
             if delay is None:
                 return None
             slower += max(0, node.delay - delay)
-        return min(served + slower, cone.topological_delay())
+        program = program_for(cone)  # the floating analysis reuses it
+        return min(served + slower, program.late[program.output_slots[0]])
 
     def _evaluate(
         self, kind: str, outs, stats: Dict[str, int]
@@ -270,7 +272,8 @@ class IncrementalTimingEngine:
         results: Dict[str, Tuple[str, ConeResult]] = {}
         to_compute = []
         for out in outs:
-            members = set(self.circuit.transitive_fanin([out]))
+            fanin = self.circuit.transitive_fanin([out])
+            members = set(fanin)
             cone_inputs = [i for i in self.circuit.inputs if i in members]
             fp = cone_fingerprint(self.circuit, out, node_fps, cone_inputs)
             token = self.cache.token_for(fp, kind, self.engine_name)
@@ -280,20 +283,21 @@ class IncrementalTimingEngine:
                 METRICS.incr("incremental.cone_cache_hits")
                 results[out] = (fp, cached)
             else:
-                to_compute.append((out, fp, token))
+                to_compute.append((out, fp, token, fanin))
         if not to_compute:
             return results
         stats["evaluated_cones"] += len(to_compute)
         METRICS.incr("incremental.evaluated_cones", len(to_compute))
         cones = [
-            extract_cone(self.circuit, out) for out, __, __ in to_compute
+            extract_cone(self.circuit, out, fanin)
+            for out, __, __, fanin in to_compute
         ]
         bounds = [
             self._floating_bound(cone) if kind == "floating" else None
             for cone in cones
         ]
         computed = self._run_cones(list(zip(cones, bounds)), kind)
-        for out, fp, token in to_compute:
+        for out, fp, token, __ in to_compute:
             result = computed[out]
             stats["checks"] += result.checks
             self.cache.put(token, result)
