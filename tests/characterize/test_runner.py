@@ -1,10 +1,13 @@
 """Runner + collate: measured values, determinism, and caching."""
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.characterize import (
+    load_spec,
     normalized,
     parse_spec,
     plan_jobs,
@@ -14,6 +17,21 @@ from repro.characterize import (
 )
 from repro.characterize.runner import execute_payload
 from repro.runtime.cache import DelayCache
+
+from tests.helpers import counted_checks, result_cache_off
+
+
+FIGURES_SPEC = (
+    Path(__file__).resolve().parents[2] / "examples"
+    / "characterize_figures.toml"
+)
+
+#: ``*.checks`` of one cold run of ``FIGURES_SPEC``, at any jobs count.
+#: An increase is a regression; a decrease is re-recorded in a commit of
+#: its own.
+FIGURES_COLD_CHECKS = {
+    "floating.checks": 14, "transition.checks": 4, "bounded.checks": 7,
+}
 
 
 def small_document():
@@ -128,6 +146,42 @@ class TestRunSpec:
         assert "provenance" not in stripped
         # normalized() must not mutate its input.
         assert "provenance" in document
+
+
+    def test_figures_spec_cold_warm_and_sharded(self, tmp_path, monkeypatch):
+        """``examples/characterize_figures.toml`` end to end: it passes;
+        a warm rerun serves every job from the cache, reproduces the
+        normalized datasheet, makes no checks and takes under half the
+        cold time (a hit skips the whole analysis, so the margin is
+        wide); jobs=4 without a cache gives the same datasheet for the
+        same checks."""
+        result_cache_off(monkeypatch)
+        spec = load_spec(FIGURES_SPEC)
+        cache = DelayCache(cache_dir=str(tmp_path))
+
+        with counted_checks() as cold_checks:
+            start = time.perf_counter()
+            cold = run_spec(spec, jobs=1, cache=cache)
+            cold_s = time.perf_counter() - start
+        assert cold["verdict"] == "PASS"
+        assert cold["provenance"]["cache"]["job_hits"] == 0
+
+        with counted_checks() as warm_checks:
+            start = time.perf_counter()
+            warm = run_spec(spec, jobs=1, cache=cache)
+            warm_s = time.perf_counter() - start
+        assert canonical(warm) == canonical(cold)
+        assert warm["provenance"]["cache"]["job_hits"] == len(cold["jobs"])
+        assert warm["provenance"]["cache"]["hits"] > 0
+        assert warm_s < cold_s / 2
+
+        with counted_checks() as sharded_checks:
+            sharded = run_spec(spec, jobs=4, cache=None)
+        assert canonical(sharded) == canonical(cold)
+
+        assert cold_checks == FIGURES_COLD_CHECKS
+        assert warm_checks == {}
+        assert sharded_checks == FIGURES_COLD_CHECKS
 
 
 class TestRunPlan:

@@ -18,6 +18,8 @@ from repro.fuzz.generate import (
 from repro.network.gates import GateType
 from repro.runtime.fingerprint import circuit_fingerprint
 
+from tests.helpers import counted_checks
+
 
 def structural_depth(circuit):
     depth = {}
@@ -119,6 +121,26 @@ class TestStructuredFamilies:
 
 
 class TestCorpus:
+    def test_size_classes_hit_their_gate_targets(self):
+        """Each size class draws valid circuits at their exact gate
+        targets, large at 10x medium, and tiling reaches 100 copies;
+        none of it makes a satisfiability check."""
+        gates = {}
+        with counted_checks() as checks:
+            for size, count in (("small", 8), ("medium", 4), ("large", 1)):
+                profiles = corpus_profiles(1, count, size=size)
+                circuits = [random_dag(profile) for profile in profiles]
+                for profile, circuit in zip(profiles, circuits):
+                    circuit.validate()
+                    assert circuit.num_gates == profile.num_gates
+                gates[size] = sum(c.num_gates for c in circuits)
+            seed = random_gate_circuit(3, num_inputs=4, num_gates=10)
+            tiled = tile_circuit(seed, 100)
+        assert checks == {}
+        assert gates["large"] >= 9 * gates["medium"] / 4
+        tiled.validate()
+        assert tiled.num_gates == 100 * seed.num_gates
+
     def test_profiles_deterministic_and_named(self):
         first = corpus_profiles(7, 3)
         second = corpus_profiles(7, 3)

@@ -9,7 +9,10 @@ from repro.fuzz.oracle import (
     run_oracle,
     run_scenario,
 )
+from repro.fuzz.runner import run_sweep
 from repro.fuzz.scenario import scenario_for
+
+from tests.helpers import counted_checks, result_cache_off
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,17 @@ class TestHealthyScenarios:
                 scenario_for(42, index), "jobs", oracle_jobs=2
             )
             assert verdict.ok, verdict.detail
+
+
+def test_fixed_seed_sweep_passes_with_pinned_checks(monkeypatch):
+    """Six seed-5 scenarios through all four oracles pass, for exactly
+    these checks.  An increase is a regression; a decrease is
+    re-recorded in a commit of its own."""
+    result_cache_off(monkeypatch)
+    with counted_checks() as checks:
+        report = run_sweep(seed=5, count=6, shrink_failures=False)
+    assert report.ok, report.verdict_text()
+    assert checks == {"floating.checks": 385, "transition.checks": 491}
 
 
 class TestVerdictShape:

@@ -4,9 +4,11 @@ strategies for random circuits."""
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 
+import repro.runtime.cache as cache_module
 from repro.network import Circuit, CircuitBuilder, GateType, loads_bench
-from repro.runtime import shard_map
+from repro.runtime import METRICS, shard_map
 from repro.sim import EventSimulator, all_input_vectors
 
 C17_BENCH = """
@@ -38,6 +40,32 @@ def shard_pairs(circuit: Circuit, jobs: int, **kwargs):
         "pairs", (circuit, "auto", None), outputs, jobs, **kwargs
     )
     return {out: pair for out, pair in zip(outputs, found) if pair}
+
+
+@contextmanager
+def counted_checks():
+    """Yield a dict that, once the block ends, maps every ``*.checks``
+    counter of :data:`repro.runtime.METRICS` that grew in the block to
+    its growth.  The ``#check`` pins compare it with exact per-counter
+    values; an empty dict pins a block that made no checks."""
+    before = METRICS.snapshot()["counters"]
+    checks = {}
+    yield checks
+    after = METRICS.snapshot()["counters"]
+    checks.update(
+        (name, after[name] - before.get(name, 0))
+        for name in after
+        if name.endswith(".checks") and after[name] != before.get(name, 0)
+    )
+
+
+def result_cache_off(monkeypatch) -> None:
+    """Turn the process-wide result cache off for one test, here and in
+    the pool workers forked during it (they build theirs from
+    ``REPRO_CACHE``), so a warm ``REPRO_CACHE_DIR`` answers no pinned
+    query."""
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    monkeypatch.setattr(cache_module, "_GLOBAL", None)
 
 
 def tiny_and_or() -> Circuit:

@@ -11,11 +11,31 @@ from repro.incremental import (
 from repro.network import Circuit, GateType
 from repro.runtime import DelayCache, LocalPoolTransport
 
-from tests.helpers import c17
+from tests.helpers import c17, counted_checks, result_cache_off
 
 
 def large_circuit():
     return random_logic(num_inputs=12, num_gates=210, num_outputs=8, seed=42)
+
+
+#: ``*.checks`` per kind on ``large_circuit`` (the registry's rand210)
+#: with gate 17 slowed by 2, in order: a cold query of the unedited
+#: circuit, the engine's first query, and its re-query after the edit.
+#: An increase is a regression; a decrease is re-recorded in a commit of
+#: its own.
+EDIT_CHECKS = {
+    "topological": ({}, {}, {}),
+    "floating": (
+        {"floating.checks": 48},
+        {"floating.checks": 48},
+        {"floating.checks": 13},
+    ),
+    "transition": (
+        {"transition.checks": 75},
+        {"transition.checks": 75},
+        {"transition.checks": 64},
+    ),
+}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -28,20 +48,27 @@ def test_first_query_matches_cold_reference(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_acceptance_single_gate_edit_on_200_gate_circuit(kind):
-    """The issue's acceptance criterion, per delay kind: after one gate
-    edit on a >=200-gate generated circuit the incremental re-query is
+def test_acceptance_single_gate_edit_on_200_gate_circuit(kind, monkeypatch):
+    """The acceptance criterion, per delay kind: after one gate edit on a
+    >=200-gate generated circuit the incremental re-query is
     byte-identical to a cold recomputation, reuses clean cones, and
-    performs strictly fewer satisfiability checks than the cold run."""
+    performs strictly fewer satisfiability checks than the cold run.
+    Every step's ``#check`` is pinned exactly (``EDIT_CHECKS``)."""
+    result_cache_off(monkeypatch)
     circuit = large_circuit()
     assert circuit.num_gates >= 200
     engine = IncrementalTimingEngine(circuit)
-    engine.query(kind)
+    with counted_checks() as cold_checks:
+        cold_query(circuit, kind)
+    with counted_checks() as build_checks:
+        engine.query(kind)
 
     edited = circuit.gate_names()[17]
     circuit.set_delay(edited, circuit.node(edited).delay + 2)
 
-    incremental = engine.query(kind)
+    with counted_checks() as edit_checks:
+        incremental = engine.query(kind)
+    assert (cold_checks, build_checks, edit_checks) == EDIT_CHECKS[kind]
     cold = cold_query(circuit, kind)
     assert incremental.record_json() == cold.record_json()
     assert incremental.stats["reused_cones"] > 0
@@ -57,20 +84,24 @@ def test_acceptance_single_gate_edit_on_200_gate_circuit(kind):
         )
 
 
-def test_reverted_edit_hits_the_cone_cache():
+@pytest.mark.parametrize("kind", KINDS)
+def test_reverted_edit_hits_the_cone_cache(kind, monkeypatch):
     """Content-addressed recovery: undoing an edit re-serves the original
     cone results from the cache without recomputation."""
+    result_cache_off(monkeypatch)
     circuit = large_circuit()
     engine = IncrementalTimingEngine(circuit)
-    first = engine.query("transition")
+    first = engine.query(kind)
 
     edited = circuit.gate_names()[17]
     original = circuit.node(edited).delay
     circuit.set_delay(edited, original + 2)
-    engine.query("transition")
+    engine.query(kind)
 
     circuit.set_delay(edited, original)
-    reverted = engine.query("transition")
+    with counted_checks() as checks:
+        reverted = engine.query(kind)
+    assert checks == {}
     assert reverted.record_json() == first.record_json()
     assert reverted.stats["cone_cache_hits"] > 0
     assert reverted.stats["checks"] == 0

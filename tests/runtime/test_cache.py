@@ -2,19 +2,22 @@
 miss-safe handling of unkeyable constraints."""
 
 import os
+import time
 
 import pytest
 import pickle
 
-from repro.core import compute_floating_delay
+from repro.circuits import build_circuit
+from repro.core import compute_floating_delay, compute_transition_delay
 from repro.runtime import (
     DelayCache,
     configure_cache,
     constraint_cache_id,
     get_cache,
+    metrics_scope,
 )
 
-from tests.helpers import c17, tiny_and_or
+from tests.helpers import c17, counted_checks, result_cache_off, tiny_and_or
 
 
 def test_disabled_cache_yields_no_token():
@@ -139,6 +142,55 @@ def test_cached_floating_delay_matches_uncached():
     assert cold.witness == warm.witness == reference.witness
     assert cold.checks == warm.checks == reference.checks
     assert len(cache) >= 1
+
+
+def test_warm_rerun_on_c432_is_identical_faster_and_checkless(
+    tmp_path, monkeypatch
+):
+    """The Table II queries (floating, then transition under it) on c432,
+    cold and then warm from each tier: certificates are identical, warm
+    runs are pure hits that make no checks, and the best of three warm
+    runs per tier takes under half the cold time (a hit skips the whole
+    symbolic build, so the margin is wide).  The cold run's checks are
+    pinned exactly."""
+    result_cache_off(monkeypatch)
+    circuit = build_circuit("c432")
+    cache = DelayCache(cache_dir=str(tmp_path))
+
+    def queries(cache):
+        start = time.perf_counter()
+        floating = compute_floating_delay(circuit, cache=cache)
+        transition = compute_transition_delay(
+            circuit, upper=floating.delay, cache=cache
+        )
+        return floating, transition, time.perf_counter() - start
+
+    with metrics_scope() as metrics:
+        with counted_checks() as cold_checks:
+            cold_f, cold_t, cold_s = queries(cache)
+        with counted_checks() as memory_checks:
+            memory = [queries(cache) for __ in range(3)]
+        assert metrics.counter("cache.stores") >= 2
+        assert metrics.counter("cache.memory_hits") >= 6
+        # A fresh process misses the memory tier and hits the disk tier.
+        with counted_checks() as disk_checks:
+            disk = [
+                queries(DelayCache(cache_dir=str(tmp_path)))
+                for __ in range(3)
+            ]
+        assert metrics.counter("cache.disk_hits") >= 6
+
+    assert cold_checks == {"floating.checks": 1, "transition.checks": 1}
+    assert memory_checks == disk_checks == {}
+    for floating, transition, __ in memory + disk:
+        assert floating.delay == cold_f.delay
+        assert floating.witness == cold_f.witness
+        assert transition.delay == cold_t.delay
+        assert transition.output == cold_t.output
+        assert transition.pair.v_prev == cold_t.pair.v_prev
+        assert transition.pair.v_next == cold_t.pair.v_next
+    assert min(run[2] for run in memory) < cold_s / 2
+    assert min(run[2] for run in disk) < cold_s / 2
 
 
 def test_configure_cache_replaces_the_global(monkeypatch):

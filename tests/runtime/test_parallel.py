@@ -7,6 +7,7 @@ a worker process must find the *same* witness pairs as the serial path.
 
 import pytest
 
+from repro.circuits import build_circuit
 from repro.core import (
     PathFaultGenerator,
     collect_certification_pairs,
@@ -16,7 +17,7 @@ from repro.core import (
 from repro.runtime import LocalPoolTransport, metrics_scope, resolve_jobs
 from repro.runtime.parallel import _chunk_round_robin, sample_seed, shard_map
 
-from tests.helpers import c17, shard_pairs
+from tests.helpers import c17, counted_checks, result_cache_off, shard_pairs
 
 
 def test_resolve_jobs_normalises():
@@ -51,6 +52,24 @@ def test_sharded_certification_pairs_match_serial():
         assert t_serial == t_sharded
         assert pair_serial.v_prev == pair_sharded.v_prev
         assert pair_serial.v_next == pair_sharded.v_next
+
+
+def test_sharded_pairs_match_serial_on_c880(monkeypatch):
+    """A medium circuit at jobs=1 and jobs=4: the same pairs, and no
+    ``*.checks`` counter moves on either route (pairs count SAT probes
+    under ``pairs.sat_probes``)."""
+    result_cache_off(monkeypatch)
+    circuit = build_circuit("c880")
+    with counted_checks() as serial_checks:
+        serial = collect_certification_pairs(circuit, jobs=1)
+    with counted_checks() as sharded_checks:
+        sharded = collect_certification_pairs(circuit, jobs=4)
+    assert serial_checks == sharded_checks == {}
+    assert list(sharded) == list(serial)
+    for out in serial:
+        assert sharded[out][0] == serial[out][0], out
+        assert sharded[out][1].v_prev == serial[out][1].v_prev, out
+        assert sharded[out][1].v_next == serial[out][1].v_next, out
 
 
 def test_collect_pairs_jobs_parameter_dispatches_identically():

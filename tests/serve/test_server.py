@@ -12,7 +12,7 @@ from repro.runtime.metrics import GLOBAL_METRICS
 from repro.serve import TimingServer, default_script, run_loadgen
 from repro.serve.loadgen import percentile
 
-from tests.helpers import C17_BENCH
+from tests.helpers import C17_BENCH, counted_checks
 
 
 async def _request(reader, writer, payload) -> dict:
@@ -258,7 +258,8 @@ def test_completed_queries_do_not_coalesce_later_ones():
 # ----------------------------------------------------------------------
 def test_sessions_do_not_touch_global_metrics():
     """Engine counters recorded during server requests land in the
-    session's Metrics, never in the process-global singleton."""
+    session's Metrics, never in the process-global singleton: no
+    ``*.checks`` counter of the global recorder moves."""
     before = GLOBAL_METRICS.counter("incremental.cone_checks")
 
     async def scenario():
@@ -277,11 +278,13 @@ def test_sessions_do_not_touch_global_metrics():
         finally:
             await server.stop()
 
-    stats = run(scenario())
+    with counted_checks() as checks:
+        stats = run(scenario())
     # The session saw its own engine activity...
     assert stats["result"]["counters"]["incremental.cone_checks"] > 0
     # ...and the global singleton saw none of it.
     assert GLOBAL_METRICS.counter("incremental.cone_checks") == before
+    assert checks == {}
 
 
 def test_sessions_share_the_delay_cache():
