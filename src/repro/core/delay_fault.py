@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence
 from ..network.circuit import Circuit
 from ..network.gates import GateType, controlling_value
 from ..network.paths import k_longest_paths, path_length
+from ..runtime.metrics import engine_counts, record_counts
 from .transition import PairConstraintBuilder, TransitionAnalysis
 from .vectors import VectorPair, cur_var, prev_var
 
@@ -221,6 +222,7 @@ class PathFaultGenerator:
                 timeout=timeout, retries=retries,
             )
         else:
+            probes_before = getattr(self.engine, "num_sat_checks", 0)
             outcomes = []
             for __, path, rising, strength_value, strong_flag in tasks:
                 fault = PathFault(list(path), rising)
@@ -232,6 +234,9 @@ class PathFaultGenerator:
                         ),
                     )
                 )
+            record_counts(
+                *engine_counts("faults", self.engine, since=probes_before)
+            )
         tests: List[PathFaultTest] = []
         untestable: List[PathFault] = []
         for fault, test in outcomes:

@@ -227,29 +227,28 @@ def monte_carlo_delay(
     if not pairs:
         raise ValueError("need at least one certification vector pair")
     delay_model = delay_model or uniform_variation(1)
-    if jobs != 1:
-        spec = getattr(delay_model, "spec", None)
-        if spec is not None:
-            from ..runtime.parallel import shard_map
+    spec = getattr(delay_model, "spec", None)
+    if jobs != 1 and spec is not None:
+        from ..runtime.parallel import shard_map
 
-            samples = shard_map(
-                "monte-carlo", (circuit, list(pairs), seed, spec),
-                range(num_samples), jobs, timeout=timeout, retries=retries,
-            )
-            METRICS.incr("monte_carlo.samples", num_samples)
-            return StatisticalTimingResult(samples, len(pairs))
-    from ..runtime.parallel import sample_seed
-
-    nominal = _nominal_delays(circuit)
-    initials = settle_pair_initials(circuit, pairs)
-    samples = [
-        sample_delay_once(
-            circuit, pairs, delay_model,
-            random.Random(sample_seed(seed, index)), nominal,
-            initials=initials,
+        samples = shard_map(
+            "monte-carlo", (circuit, list(pairs), seed, spec),
+            range(num_samples), jobs, timeout=timeout, retries=retries,
         )
-        for index in range(num_samples)
-    ]
+    else:
+        from ..runtime.parallel import sample_seed
+
+        nominal = _nominal_delays(circuit)
+        initials = settle_pair_initials(circuit, pairs)
+        samples = [
+            sample_delay_once(
+                circuit, pairs, delay_model,
+                random.Random(sample_seed(seed, index)), nominal,
+                initials=initials,
+            )
+            for index in range(num_samples)
+        ]
+    METRICS.incr("monte_carlo.samples", num_samples)
     return StatisticalTimingResult(samples, len(pairs))
 
 

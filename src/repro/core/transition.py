@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..network.circuit import Circuit
 from ..network.gates import GateType, gate_function
 from ..runtime.cache import resolve_cache
-from ..runtime.metrics import METRICS
+from ..runtime.metrics import METRICS, engine_counts, record_counts
 from .analysis import (
     Query,
     SymbolicAnalysis,
@@ -288,17 +288,22 @@ def fresh_certification_pairs(
     input_times: Optional[Dict[str, int]],
     outputs: Sequence[str],
     constraint: Optional[PairConstraintBuilder] = None,
-) -> Tuple[TransitionAnalysis, Dict[str, Tuple[int, VectorPair]]]:
+) -> Tuple[Dict[str, Tuple[int, VectorPair]], Dict[str, int], Dict[str, int]]:
     """:func:`pairs_for_outputs` on a fresh analysis, under the ``auto``
-    BDD-overflow fallback: ``(analysis, pairs)``.  The serial path of
-    :func:`collect_certification_pairs` and the ``pairs`` shard worker."""
+    BDD-overflow fallback: ``(pairs, counters, gauges)``, the counts being
+    the ``pairs.*`` accounting of the analysis that answered.  The serial
+    path of :func:`collect_certification_pairs` records the counts; the
+    ``pairs`` shard worker returns them."""
 
     def run(engine):
         analysis = TransitionAnalysis(circuit, engine, engine_name, input_times)
         care = analysis.care_set(constraint)
         return analysis, pairs_for_outputs(analysis, care, outputs)
 
-    return with_bdd_fallback(run, None, engine_name)
+    analysis, pairs = with_bdd_fallback(run, None, engine_name)
+    counters, gauges = engine_counts("pairs", analysis.engine)
+    counters["pairs.functions_built"] = analysis.num_functions()
+    return pairs, counters, gauges
 
 
 def validate_certification_pairs(
@@ -394,10 +399,12 @@ def collect_certification_pairs(
                 for out, pair in zip(outputs, found) if pair is not None
             }
         with METRICS.span("core.certification_pairs"):
-            return fresh_certification_pairs(
+            pairs, counters, gauges = fresh_certification_pairs(
                 circuit, engine_name, input_times, circuit.outputs,
                 constraint,
-            )[1]
+            )
+            record_counts(counters, gauges)
+            return pairs
 
     return cached(
         resolve_cache(cache), circuit, "certification-pairs", engine_name,

@@ -28,7 +28,7 @@ import json
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class Span:
@@ -306,13 +306,37 @@ METRICS = _MetricsProxy()
 
 def engine_peak_nodes(engine) -> Optional[int]:
     """The engine manager's current node count, or ``None`` if the engine
-    does not expose one (shared by the parent-side recorder and the
-    sharded workers' gauge return)."""
+    does not expose one (shared by the parent-side recorder and
+    :func:`engine_counts`)."""
     manager = getattr(engine, "manager", None)
     num_nodes = getattr(manager, "num_nodes", None)
     if callable(num_nodes):  # method-style managers
         num_nodes = num_nodes()
     return num_nodes if isinstance(num_nodes, int) else None
+
+
+def engine_counts(
+    prefix: str, engine, since: int = 0
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """``(counters, gauges)`` of the engine work under one sharded label:
+    the SAT probes made since the engine's count stood at ``since``, as
+    ``<prefix>.sat_probes``, and the manager's node count as the
+    ``boolfn.peak_nodes`` high-water mark.  A shard worker returns them
+    with its results and the serial route passes them to
+    :func:`record_counts`, so both routes record the same names."""
+    probes = getattr(engine, "num_sat_checks", 0) - since
+    peak = engine_peak_nodes(engine)
+    gauges = {} if peak is None else {"boolfn.peak_nodes": peak}
+    return {f"{prefix}.sat_probes": probes}, gauges
+
+
+def record_counts(counters: Dict[str, int], gauges: Dict[str, int]) -> None:
+    """Fold counters (added) and gauges (max) into :data:`METRICS`, as
+    the parent folds a worker chunk's."""
+    for name, amount in counters.items():
+        METRICS.incr(name, amount)
+    for name, value in gauges.items():
+        METRICS.gauge_max(name, value)
 
 
 def record_engine_metrics(kind: str, engine, functions: int, checks: int) -> None:

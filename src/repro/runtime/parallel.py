@@ -55,7 +55,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .faults import worker_fault
-from .metrics import METRICS, engine_peak_nodes
+from .metrics import METRICS, engine_counts
 from .transport import (
     TIMEOUT,
     WORKER_DIED,
@@ -276,32 +276,16 @@ def shard_map(
 # ----------------------------------------------------------------------
 # The task kinds: worker(payload) with payload = (context, [(index, item)])
 # ----------------------------------------------------------------------
-def _engine_counters(prefix: str, engine) -> Dict[str, int]:
-    return {f"{prefix}.sat_probes": getattr(engine, "num_sat_checks", 0)}
-
-
-def _engine_gauges(engine) -> Dict[str, int]:
-    """Worker-side high-water marks, folded max-wise by the parent."""
-    peak = engine_peak_nodes(engine)
-    return {} if peak is None else {"boolfn.peak_nodes": peak}
-
-
 def _pairs_worker(payload):
     """Items are primary outputs; a result is ``(time, pair)``, or
     ``None`` for an output that can never transition."""
     (circuit, engine_name, input_times), tasks = payload
     from ..core.transition import fresh_certification_pairs
 
-    analysis, pairs = fresh_certification_pairs(
+    pairs, counters, gauges = fresh_certification_pairs(
         circuit, engine_name, input_times, [out for __, out in tasks]
     )
-    counters = _engine_counters("pairs", analysis.engine)
-    counters["pairs.functions_built"] = analysis.num_functions()
-    return (
-        [(index, pairs.get(out)) for index, out in tasks],
-        counters,
-        _engine_gauges(analysis.engine),
-    )
+    return [(index, pairs.get(out)) for index, out in tasks], counters, gauges
 
 
 def _fault_worker(payload):
@@ -318,11 +302,7 @@ def _fault_worker(payload):
             fault, TestStrength(strength_value), strong
         )
         results.append((index, (fault, test)))
-    return (
-        results,
-        _engine_counters("faults", generator.engine),
-        _engine_gauges(generator.engine),
-    )
+    return (results, *engine_counts("faults", generator.engine))
 
 
 def _cone_worker(payload):

@@ -41,10 +41,17 @@ def test_sample_seed_is_stable_and_distinct():
     assert sample_seed(97, 1) != sample_seed(98, 1)
 
 
-def test_sharded_certification_pairs_match_serial():
+def test_sharded_certification_pairs_match_serial(monkeypatch):
+    result_cache_off(monkeypatch)
     circuit = c17()
-    serial = collect_certification_pairs(circuit, jobs=1)
-    sharded = shard_pairs(circuit, jobs=2)
+    with metrics_scope() as serial_metrics:
+        serial = collect_certification_pairs(circuit, jobs=1)
+    with metrics_scope() as sharded_metrics:
+        sharded = shard_pairs(circuit, jobs=2)
+    # Both routes count the same SAT probes under the same name.
+    assert serial_metrics.counter("pairs.sat_probes") == (
+        sharded_metrics.counter("pairs.sat_probes")
+    ) == 2
     assert list(sharded) == list(serial)  # declaration order preserved
     for out in serial:
         t_serial, pair_serial = serial[out]
@@ -89,20 +96,33 @@ def test_monte_carlo_is_jobs_count_invariant():
     kwargs = dict(
         num_samples=12, delay_model=uniform_variation(1), seed=11
     )
-    two = monte_carlo_delay(circuit, pairs, jobs=2, **kwargs)
+    with metrics_scope() as serial_metrics:
+        monte_carlo_delay(circuit, pairs, jobs=1, **kwargs)
+    with metrics_scope() as sharded_metrics:
+        two = monte_carlo_delay(circuit, pairs, jobs=2, **kwargs)
     three = monte_carlo_delay(circuit, pairs, jobs=3, **kwargs)
     assert two.samples == three.samples
     assert two.max == three.max
+    assert serial_metrics.counter("monte_carlo.samples") == (
+        sharded_metrics.counter("monte_carlo.samples")
+    ) == 12
 
 
 def test_fault_coverage_sharded_matches_serial():
     circuit = c17()
-    serial = PathFaultGenerator(circuit).generate_for_longest_paths(
-        3, jobs=1
-    )
-    sharded = PathFaultGenerator(circuit).generate_for_longest_paths(
-        3, jobs=2
-    )
+    # The serial route counts the probes of this call only, not those of
+    # the generator's earlier calls.
+    generator = PathFaultGenerator(circuit)
+    generator.generate_for_longest_paths(1, jobs=1)
+    with metrics_scope() as serial_metrics:
+        serial = generator.generate_for_longest_paths(3, jobs=1)
+    with metrics_scope() as sharded_metrics:
+        sharded = PathFaultGenerator(circuit).generate_for_longest_paths(
+            3, jobs=2
+        )
+    assert serial_metrics.counter("faults.sat_probes") == (
+        sharded_metrics.counter("faults.sat_probes")
+    ) == 6
     assert serial.total == sharded.total
     assert len(serial.tests) == len(sharded.tests)
     for a, b in zip(serial.tests, sharded.tests):
