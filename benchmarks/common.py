@@ -1,24 +1,20 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper's table and figure suites.
 
 Every table/figure benchmark writes its reproduction table into
 ``benchmarks/results/<name>.txt`` (pytest captures stdout, so files are the
 durable record) and also returns the rows for assertions.  Absolute CPU
 numbers are *ours* (pure Python), not the paper's SUN-4 seconds; the
-reproduction target is the shape — see EXPERIMENTS.md.
+reproduction target is the shape — see EXPERIMENTS.md.  Circuits come from
+the closed catalog in :mod:`repro.circuits.registry`
+(``build_circuit``/``build_fsm_logic``).
 
-Measurement itself lives elsewhere: suites time their work through the
-``benchmark`` fixture (``benchmarks/conftest.py``), which records every
-case into a per-suite :class:`repro.bench.recorder.BenchRecorder` and
-writes the canonical ``BENCH_<suite>.json`` records consumed by
-``trued bench run``/``compare`` (see ``docs/BENCHMARKS.md``).  Circuits
-come from the closed catalog in :mod:`repro.circuits.registry`
-(``build_circuit``/``build_fsm_logic``), so bench records carry the same
-content fingerprints the runtime cache keys on.
+These suites check answers, not speed: run them with
+``python -m pytest -q benchmarks --ignore=benchmarks/e2e``.  Speed is
+measured end to end by ``benchmarks/e2e/`` (see its README).
 
 The delay cores consult the process-global runtime cache, so a warm rerun
-of the suite reuses analyses across tables: ``REPRO_CACHE=1`` (memory) or
-``REPRO_CACHE_DIR=<dir>`` (memory + disk) turns it on; counters land in
-``benchmarks/results/*.metrics.txt`` via :func:`write_metrics` (see
+of the suites reuses analyses across tables: ``REPRO_CACHE=1`` (memory) or
+``REPRO_CACHE_DIR=<dir>`` (memory + disk) turns it on (see
 ``docs/RUNTIME.md``).
 """
 
@@ -38,7 +34,6 @@ from repro.fsm import (
     reachable_states_constraint,
     transition_pair_constraint,
 )
-from repro.runtime import METRICS
 from repro.sta import render_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -116,24 +111,6 @@ def table3_row(name: str, circuit, logic=None) -> List[object]:
         f"{cpu:.2f}",
         bounded.delay,
     ]
-
-
-def write_metrics(name: str) -> Path:
-    """Append the global runtime-metrics report (probe counts, cache hit
-    rates, phase wall times) to a benchmark's durable record."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.metrics.txt"
-    path.write_text(METRICS.report() + "\n")
-    return path
-
-
-def write_trace(name: str) -> Path:
-    """Persist the hierarchical execution trace (span tree with worker
-    attribution and retry/degradation events) next to the metrics record."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.trace.json"
-    METRICS.export(path)
-    return path
 
 
 TABLE2_HEADERS = ["EX", "val", "l.d.", "f.d.", "#check", "CPU s", "t.d."]

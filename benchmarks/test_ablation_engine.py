@@ -57,8 +57,8 @@ def run_engines():
     return rows, overflowed
 
 
-def test_engine_ablation(benchmark):
-    rows, overflowed = benchmark.pedantic(run_engines, rounds=1, iterations=1)
+def test_engine_ablation():
+    rows, overflowed = run_engines()
     write_result(
         "ablation_engine",
         render_rows(

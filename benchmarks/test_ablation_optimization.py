@@ -49,8 +49,8 @@ def run_all():
     ]
 
 
-def test_optimization_ablation(benchmark):
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_optimization_ablation():
+    rows = run_all()
     write_result(
         "ablation_optimization",
         render_rows(

@@ -42,8 +42,8 @@ def run_strategies():
     return rows
 
 
-def test_search_strategy_ablation(benchmark):
-    rows = benchmark.pedantic(run_strategies, rounds=1, iterations=1)
+def test_search_strategy_ablation():
+    rows = run_strategies()
     write_result(
         "ablation_search_strategy",
         render_rows(

@@ -57,8 +57,8 @@ def run_all():
     ]
 
 
-def test_suppression_ablation(benchmark):
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_suppression_ablation():
+    rows = run_all()
     write_result(
         "ablation_suppression",
         render_rows(

@@ -23,8 +23,8 @@ def run_flow():
     return report, exact
 
 
-def test_certification_flow(benchmark):
-    report, exact = benchmark.pedantic(run_flow, rounds=1, iterations=1)
+def test_certification_flow():
+    report, exact = run_flow()
     stats = report.statistics
     rows = [
         ["circuit", report.circuit_name],

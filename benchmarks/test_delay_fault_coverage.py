@@ -44,8 +44,8 @@ def run_coverage():
     return rows, validations
 
 
-def test_delay_fault_coverage(benchmark):
-    rows, validations = benchmark.pedantic(run_coverage, rounds=1, iterations=1)
+def test_delay_fault_coverage():
+    rows, validations = run_coverage()
     write_result(
         "delay_fault_coverage",
         render_rows(

@@ -27,10 +27,8 @@ def analyse():
     return circuit, floating, transition, bounded, observed
 
 
-def test_fig1(benchmark):
-    circuit, floating, transition, bounded, observed = benchmark.pedantic(
-        analyse, rounds=1, iterations=1
-    )
+def test_fig1():
+    circuit, floating, transition, bounded, observed = analyse()
     rows = [
         ["l.d.", circuit.topological_delay()],
         ["f.d.", floating.delay],

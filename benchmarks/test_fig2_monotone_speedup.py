@@ -40,10 +40,8 @@ def analyse():
     return circuit, floating, transition, worst_speedup, clock4
 
 
-def test_fig2(benchmark):
-    circuit, floating, transition, worst_speedup, clock4 = benchmark.pedantic(
-        analyse, rounds=1, iterations=1
-    )
+def test_fig2():
+    circuit, floating, transition, worst_speedup, clock4 = analyse()
     rows = [
         ["longest graphical path (omega)", circuit.topological_delay()],
         ["floating delay", floating.delay],

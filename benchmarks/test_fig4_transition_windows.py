@@ -32,8 +32,8 @@ def analyse():
     return windows
 
 
-def test_fig4_windows(benchmark):
-    windows = benchmark.pedantic(analyse, rounds=1, iterations=1)
+def test_fig4_windows():
+    windows = analyse()
     rows = [
         [gate, str(windows[gate]), str(PAPER_WINDOWS[gate])]
         for gate in ("g1", "g2", "g3", "g4")

@@ -38,10 +38,8 @@ def analyse():
     return analysis, checks, pair_both
 
 
-def test_fig5(benchmark):
-    analysis, checks, pair_both = benchmark.pedantic(
-        analyse, rounds=1, iterations=1
-    )
+def test_fig5():
+    analysis, checks, pair_both = analyse()
     rows = [[claim, ok] for claim, ok in checks.items()]
     rows.append(["pair exciting f at 1 AND 2", pair_both.render(["a", "b"])])
     write_result(

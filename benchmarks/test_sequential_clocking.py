@@ -62,10 +62,8 @@ def run():
     return rows, floating, transition, tau, verdicts, empirical
 
 
-def test_sequential_clocking(benchmark):
-    rows, floating, transition, tau, verdicts, empirical = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+def test_sequential_clocking():
+    rows, floating, transition, tau, verdicts, empirical = run()
     write_result(
         "sequential_clocking",
         render_rows(

@@ -60,10 +60,8 @@ def run_comparison():
     return rows, analytic, topo, vector_driven
 
 
-def test_statistical_timing(benchmark):
-    rows, analytic, topo, vector_driven = benchmark.pedantic(
-        run_comparison, rounds=1, iterations=1
-    )
+def test_statistical_timing():
+    rows, analytic, topo, vector_driven = run_comparison()
     write_result(
         "statistical_timing",
         render_rows(

@@ -36,8 +36,8 @@ def build_all():
     return rows, circuits
 
 
-def test_table1(benchmark):
-    rows, circuits = benchmark.pedantic(build_all, rounds=1, iterations=1)
+def test_table1():
+    rows, circuits = build_all()
     write_result("table1_statistics", render_rows("Table I", rows, HEADERS))
     # I/O counts are exact by construction.
     for row in rows:

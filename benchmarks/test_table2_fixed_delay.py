@@ -26,12 +26,9 @@ _rows = []
 
 
 @pytest.mark.parametrize("name", LIGHT_COMBINATIONAL)
-def test_combinational_light(benchmark, name):
+def test_combinational_light(name):
     circuit = build_circuit(name)
-    row = benchmark.pedantic(
-        table2_row, args=(name, circuit), rounds=1, iterations=1,
-        name=name, circuit=circuit,
-    )
+    row = table2_row(name, circuit)
     _rows.append(row)
     __, __, ld, fd, __, __, td = row
     assert td <= fd <= ld
@@ -39,12 +36,9 @@ def test_combinational_light(benchmark, name):
 
 
 @pytest.mark.parametrize("name", HEAVY_COMBINATIONAL)
-def test_combinational_heavy(benchmark, name):
+def test_combinational_heavy(name):
     circuit = build_circuit(name)
-    row = benchmark.pedantic(
-        table2_row, args=(name, circuit), rounds=1, iterations=1,
-        name=name, circuit=circuit,
-    )
+    row = table2_row(name, circuit)
     _rows.append(row)
     __, __, ld, fd, __, __, td = row
     assert td <= fd <= ld
@@ -52,7 +46,7 @@ def test_combinational_heavy(benchmark, name):
         assert fd < ld, "carry-skip stand-in must show a false-path gap"
 
 
-def test_c6288_multiplier(benchmark):
+def test_c6288_multiplier():
     """The 16x16 multiplier defeats the exact pure-Python computation
     (the final refutation is a hard CDCL instance — the paper spent 812
     SUN-4 seconds in C), so its row is *bracketed*: a witnessed
@@ -64,10 +58,7 @@ def test_c6288_multiplier(benchmark):
 
     circuit = build_circuit("c6288")
     if HEAVY:
-        row = benchmark.pedantic(
-            table2_row, args=("c6288", circuit), rounds=1, iterations=1,
-            circuit=circuit,
-        )
+        row = table2_row("c6288", circuit)
         _rows.append(row)
         return
 
@@ -87,50 +78,31 @@ def test_c6288_multiplier(benchmark):
             f">={bound.delay}",
         ], bound
 
-    row, bound = benchmark.pedantic(
-        bracketed, rounds=1, iterations=1, circuit=circuit
-    )
+    row, bound = bracketed()
     _rows.append(row)
     assert bound.delay >= circuit.topological_delay() // 2
     assert bound.pair is not None
 
 
 @pytest.mark.parametrize("name", FSM_SET)
-def test_fsm_controllers(benchmark, name):
+def test_fsm_controllers(name):
     logic = build_fsm_logic(name)
-    row = benchmark.pedantic(
-        table2_row,
-        args=(name, logic.circuit),
-        kwargs={"logic": logic},
-        rounds=1,
-        iterations=1,
-        name=name,
-        circuit=logic.circuit,
-    )
+    row = table2_row(name, logic.circuit, logic=logic)
     _rows.append(row)
     __, __, ld, fd, __, __, td = row
     assert td <= fd <= ld
 
 
-def test_sticky_controller_drop(benchmark):
+def test_sticky_controller_drop():
     logic = build_fsm_logic("sticky")
-    row = benchmark.pedantic(
-        table2_row,
-        args=("sticky", logic.circuit),
-        kwargs={"logic": logic},
-        rounds=1,
-        iterations=1,
-        circuit=logic.circuit,
-    )
+    row = table2_row("sticky", logic.circuit, logic=logic)
     _rows.append(row)
     __, __, __, fd, __, __, td = row
     assert td == fd - 1  # the paper's FSM-row phenomenon
 
 
-def test_zzz_write_table(benchmark):
+def test_zzz_write_table():
     """Runs last (collection order within the file): dump every collected
-    row.  Uses the benchmark fixture trivially so --benchmark-only keeps
-    it."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    row."""
     assert _rows
     write_result("table2_fixed_delay", render_rows("Table II", _rows))

@@ -20,12 +20,9 @@ _rows = []
 
 
 @pytest.mark.parametrize("name", LIGHT)
-def test_bounded_light(benchmark, name):
+def test_bounded_light(name):
     circuit = build_circuit(name)
-    row = benchmark.pedantic(
-        table3_row, args=(name, circuit), rounds=1, iterations=1,
-        name=name, circuit=circuit,
-    )
+    row = table3_row(name, circuit)
     _rows.append(row)
     __, __, ld, fd, __, __, td = row
     assert td == fd, "bounded pairs validate the floating delay"
@@ -33,35 +30,23 @@ def test_bounded_light(benchmark, name):
 
 
 @pytest.mark.parametrize("name", MEDIUM)
-def test_bounded_medium(benchmark, name):
+def test_bounded_medium(name):
     circuit = build_circuit(name)
-    row = benchmark.pedantic(
-        table3_row, args=(name, circuit), rounds=1, iterations=1,
-        name=name, circuit=circuit,
-    )
+    row = table3_row(name, circuit)
     _rows.append(row)
     __, __, ld, fd, __, __, td = row
     assert td == fd <= ld
 
 
 @pytest.mark.parametrize("name", FSM_SET)
-def test_bounded_fsm(benchmark, name):
+def test_bounded_fsm(name):
     logic = build_fsm_logic(name)
-    row = benchmark.pedantic(
-        table3_row,
-        args=(name, logic.circuit),
-        kwargs={"logic": logic},
-        rounds=1,
-        iterations=1,
-        name=name,
-        circuit=logic.circuit,
-    )
+    row = table3_row(name, logic.circuit, logic=logic)
     _rows.append(row)
     __, __, ld, fd, __, __, td = row
     assert td <= ld
 
 
-def test_zzz_write_table(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_zzz_write_table():
     assert _rows
     write_result("table3_bounded_delay", render_rows("Table III", _rows))

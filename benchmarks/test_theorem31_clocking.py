@@ -39,8 +39,8 @@ def analyse():
     return rows
 
 
-def test_theorem31(benchmark):
-    rows = benchmark.pedantic(analyse, rounds=1, iterations=1)
+def test_theorem31():
+    rows = analyse()
     write_result(
         "theorem31_clocking",
         render_rows(

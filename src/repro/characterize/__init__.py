@@ -20,8 +20,7 @@ into that product shape:
 * :mod:`.collate` — folds job results into per-parameter
   measured-vs-target verdicts;
 * :mod:`.datasheet` — the versioned machine-readable ``DATASHEET.json``
-  schema (modeled on :mod:`repro.bench.schema`) plus the rendered
-  markdown datasheet.
+  schema plus the rendered markdown datasheet.
 
 CLI: ``trued characterize run SPEC`` / ``trued characterize report
 DATASHEET.json``.  Reference: ``docs/CHARACTERIZE.md``.

@@ -1,7 +1,7 @@
 """The versioned ``DATASHEET.json`` schema and its renderers.
 
-Document shape (modeled on :mod:`repro.bench.schema` — hand-rolled
-validator, zero runtime dependencies, every problem reported at once)::
+Document shape (hand-rolled validator, zero runtime dependencies, every
+problem reported at once)::
 
     {
       "schema": 1,

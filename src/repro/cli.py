@@ -28,11 +28,10 @@ Commands
   ``DATASHEET_<id>.json`` plus markdown with per-parameter pass/fail
   verdicts; ``characterize report FILE`` re-renders a datasheet
   (see ``docs/CHARACTERIZE.md``).
-* ``bench``           — the performance observatory: ``bench run`` executes
-  benchmark suites with warmup/repeat control, ``bench compare`` gates two
-  result files with noise-aware thresholds (non-zero exit on regression),
-  ``bench report`` renders a result file as markdown
-  (see ``docs/BENCHMARKS.md``).
+* ``fuzz``            — scenario fuzzer: ``fuzz run`` sweeps seeded
+  differential scenarios, ``fuzz replay``/``fuzz shrink`` re-run and
+  re-shrink a ``.repro.json``, ``fuzz corpus`` lists corpus circuits
+  (see ``docs/FUZZING.md``).
 
 Netlist format is inferred from the extension: ``.bench``, ``.blif``,
 ``.v``/``.verilog``.
@@ -267,63 +266,6 @@ def cmd_convert(args) -> int:
     _dump_circuit(circuit, args.output)
     print(f"wrote {args.output}")
     return 0
-
-
-def cmd_bench(args) -> int:
-    from . import bench
-    from pathlib import Path
-
-    if args.bench_command == "run":
-        available = bench.discover_suites()
-        if args.suites:
-            suites = [s.strip() for s in args.suites.split(",") if s.strip()]
-            unknown = sorted(set(suites) - set(available))
-            if unknown:
-                raise ValueError(
-                    f"unknown suites: {', '.join(unknown)} "
-                    f"(available: {', '.join(available)})"
-                )
-        else:
-            suites = available
-        try:
-            bench.run_suites(
-                suites,
-                out_dir=Path(args.out),
-                repeats=args.repeats,
-                warmup=args.warmup,
-                profile=args.profile,
-                keep_going=args.keep_going,
-            )
-        except RuntimeError as error:
-            print(f"bench: {error}", file=sys.stderr)
-            return 1
-        print(f"bench: wrote BENCH_<suite>.json + BENCH_summary.json "
-              f"under {args.out}")
-        return 0
-
-    if args.bench_command == "compare":
-        tolerances = dict(
-            bench.parse_tolerance_spec(spec) for spec in args.tolerance
-        )
-        report = bench.compare_results(
-            bench.load_record(args.old),
-            bench.load_record(args.new),
-            tolerances=tolerances,
-            old_label=args.old,
-            new_label=args.new,
-        )
-        text = bench.render_comparison_markdown(report)
-        if args.report:
-            with open(args.report, "w") as handle:
-                handle.write(text + "\n")
-        print(text)
-        return report.exit_code()
-
-    if args.bench_command == "report":
-        print(bench.render_record_markdown(bench.load_record(args.file)))
-        return 0
-
-    raise ValueError(f"unknown bench command {args.bench_command!r}")
 
 
 def cmd_characterize(args) -> int:
@@ -629,9 +571,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(Devadas/Keutzer/Malik/Wang, DAC'92).",
         epilog="Documentation index: docs/README.md — architecture map "
         "(docs/ARCHITECTURE.md), algorithms, file formats, the runtime "
-        "layer (docs/RUNTIME.md), incremental what-if timing "
-        "(docs/INCREMENTAL.md), and benchmark methodology "
-        "(docs/BENCHMARKS.md).",
+        "layer (docs/RUNTIME.md), and incremental what-if timing "
+        "(docs/INCREMENTAL.md); how speed is measured: "
+        "benchmarks/e2e/README.md.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -828,73 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("file", help="DATASHEET_<id>.json")
 
     p.set_defaults(func=cmd_characterize)
-
-    # ``bench`` manages benchmark suites rather than analysing a netlist,
-    # so it gets its own nested subparser tree.
-    p = sub.add_parser(
-        "bench",
-        help="benchmark runner, regression gate, and report renderer",
-        description="Performance observatory (docs/BENCHMARKS.md): run "
-        "benchmark suites into schema'd BENCH_*.json records, compare "
-        "two result files with noise-aware thresholds, render markdown.",
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    b = bench_sub.add_parser(
-        "run", help="execute suites with warmup/repeat control"
-    )
-    b.add_argument(
-        "--suites", default=None, metavar="A,B,...",
-        help="comma-separated suite names (default: every "
-        "benchmarks/test_*.py suite)",
-    )
-    b.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="recorded measurement rounds per case; the stored value is "
-        "the median (default: 3)",
-    )
-    b.add_argument(
-        "--warmup", type=int, default=1, metavar="K",
-        help="discarded warmup rounds per case before recording "
-        "(default: 1)",
-    )
-    b.add_argument(
-        "--profile", choices=["cprofile"], default=None,
-        help="per-case profiling: fold the top cumulative frames into "
-        "the trace tree and the record",
-    )
-    b.add_argument(
-        "--out", default="benchmarks/results", metavar="DIR",
-        help="output directory for BENCH_<suite>.json + "
-        "BENCH_summary.json (default: benchmarks/results)",
-    )
-    b.add_argument(
-        "--keep-going", action="store_true",
-        help="report failing suites at the end instead of aborting the run",
-    )
-
-    b = bench_sub.add_parser(
-        "compare", help="gate two result files; non-zero exit on regression"
-    )
-    b.add_argument("old", help="baseline BENCH_*.json (record or summary)")
-    b.add_argument("new", help="candidate BENCH_*.json (same kind as OLD)")
-    b.add_argument(
-        "--tolerance", action="append", default=[],
-        metavar="METRIC=RATIO[:ABS]",
-        help="override a per-metric tolerance, e.g. wall_s=2.0:0.1 "
-        "(repeatable; metrics: wall_s, checks, peak_rss_kb)",
-    )
-    b.add_argument(
-        "--report", default=None, metavar="FILE",
-        help="also write the markdown comparison table to FILE",
-    )
-
-    b = bench_sub.add_parser(
-        "report", help="render a result file as a markdown table"
-    )
-    b.add_argument("file", help="BENCH_*.json record or summary")
-
-    p.set_defaults(func=cmd_bench)
 
     # ``fuzz`` — the scenario fuzzer (docs/FUZZING.md).
     p = sub.add_parser(

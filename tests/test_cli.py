@@ -196,64 +196,3 @@ class TestTracingAndFaultTolerance:
         ) == 0
         assert sharded_file.read_bytes() == serial_file.read_bytes()
 
-
-class TestBenchCommand:
-    """`trued bench` — the compare/report surfaces (the run surface is
-    exercised subprocess-deep by tests/bench/test_runner.py)."""
-
-    @pytest.fixture
-    def record_pair(self, tmp_path):
-        import json
-
-        from repro.bench.schema import SCHEMA_VERSION
-
-        def record(wall_s):
-            return {
-                "schema": SCHEMA_VERSION, "kind": "suite", "suite": "demo",
-                "repeats": 1, "warmup": 0, "env": {},
-                "cases": [{
-                    "name": "a", "wall_s": wall_s, "samples": [wall_s],
-                    "checks": 10, "counters": {},
-                    "cache": {"hits": 0, "misses": 0, "hit_rate": 0.0},
-                    "peak_rss_kb": 1000, "spans": [],
-                }],
-            }
-
-        old = tmp_path / "old.json"
-        slow = tmp_path / "slow.json"
-        old.write_text(json.dumps(record(1.0)))
-        slow.write_text(json.dumps(record(2.0)))
-        return str(old), str(slow)
-
-    def test_compare_identical_exits_zero(self, record_pair, capsys):
-        old, __ = record_pair
-        assert main(["bench", "compare", old, old]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_compare_slowdown_exits_nonzero(self, record_pair, capsys):
-        old, slow = record_pair
-        assert main(["bench", "compare", old, slow]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_compare_tolerance_override(self, record_pair):
-        old, slow = record_pair
-        assert main(["bench", "compare", old, slow,
-                     "--tolerance", "wall_s=3.0:0"]) == 0
-
-    def test_compare_writes_markdown_report(self, record_pair, tmp_path):
-        old, slow = record_pair
-        report = tmp_path / "report.md"
-        assert main(["bench", "compare", old, slow,
-                     "--report", str(report)]) == 1
-        assert "REGRESSION" in report.read_text()
-
-    def test_report_renders_a_record(self, record_pair, capsys):
-        old, __ = record_pair
-        assert main(["bench", "report", old]) == 0
-        out = capsys.readouterr().out
-        assert "demo" in out and "|" in out
-
-    def test_run_rejects_unknown_suite(self, tmp_path, capsys):
-        assert main(["bench", "run", "--suites", "no_such_suite",
-                     "--out", str(tmp_path)]) == 2
-        assert "no_such_suite" in capsys.readouterr().err
