@@ -28,10 +28,6 @@ Commands
   ``DATASHEET_<id>.json`` plus markdown with per-parameter pass/fail
   verdicts; ``characterize report FILE`` re-renders a datasheet
   (see ``docs/CHARACTERIZE.md``).
-* ``fuzz``            — scenario fuzzer: ``fuzz run`` sweeps seeded
-  differential scenarios, ``fuzz replay``/``fuzz shrink`` re-run and
-  re-shrink a ``.repro.json``, ``fuzz corpus`` lists corpus circuits
-  (see ``docs/FUZZING.md``).
 
 Netlist format is inferred from the extension: ``.bench``, ``.blif``,
 ``.v``/``.verilog``.
