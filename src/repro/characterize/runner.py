@@ -5,8 +5,9 @@ cache and JSON-serialisable for the datasheet, so serial, sharded, and
 warm-cache runs are value-identical):
 
 * :func:`execute_payload` — one job, dispatched by analysis name; this
-  is the function worker processes call, so it takes only a picklable
-  payload dict and rebuilds its circuit from the registry by name.
+  is what the ``characterize`` worker calls per job, in this process or
+  a pool worker, so it takes only a picklable payload dict and rebuilds
+  its circuit from the registry by name.
 * :func:`run_plan` — fans a job list through the sharded runtime
   (:func:`repro.runtime.parallel.shard_map`, label ``characterize``,
   inheriting its per-round timeout, bounded retries with poison
@@ -31,6 +32,7 @@ from typing import Dict, List, Optional
 from ..circuits.registry import build_circuit
 from ..runtime.cache import resolve_cache
 from ..runtime.metrics import METRICS
+from ..runtime.parallel import shard_map
 from .collate import collate
 from .plan import Job, plan_jobs
 from .spec import CharacterizeSpec
@@ -61,7 +63,7 @@ def _input_skew_times(circuit, skew: int) -> Dict[str, int]:
 def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
     """Run one measurement job and return its plain-dict result.
 
-    Runs identically in the parent (serial path) and in worker
+    Runs identically in the parent (``jobs=1``) and in worker
     processes; every analysis is invoked serially (``jobs=1``) here —
     parallelism lives one level up, across jobs.
     """
@@ -203,8 +205,6 @@ def run_plan(
     plan: List[Job],
     jobs: int = 1,
     cache=None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
 ) -> Dict[str, Dict[str, object]]:
     """Execute a plan, returning ``{job_id: result dict}``.
 
@@ -239,28 +239,13 @@ def run_plan(
                 pending.append(job)
 
         METRICS.incr("characterize.jobs", len(plan))
-        if pending:
-            if jobs != 1 and len(pending) > 1:
-                from ..runtime.parallel import shard_map
-
-                fresh = shard_map(
-                    "characterize", None,
-                    [job_payload(job) for job in pending],
-                    jobs, timeout=timeout, retries=retries,
-                )
-            else:
-                fresh = []
-                for job in pending:
-                    with METRICS.span(
-                        "characterize.job",
-                        spec=spec.spec_id,
-                        corner=job.corner,
-                        job=job.job_id,
-                    ):
-                        fresh.append(execute_payload(job_payload(job)))
-            for job, result in zip(pending, fresh):
-                results[job.job_id] = result
-                store.put(tokens[job.job_id], result)
+        fresh = shard_map(
+            "characterize", spec.spec_id,
+            [job_payload(job) for job in pending], jobs,
+        )
+        for job, result in zip(pending, fresh):
+            results[job.job_id] = result
+            store.put(tokens[job.job_id], result)
     return results
 
 
@@ -268,8 +253,6 @@ def run_spec(
     spec: CharacterizeSpec,
     jobs: int = 1,
     cache=None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
 ) -> Dict[str, object]:
     """Plan, execute, and collate a spec into a datasheet document.
 
@@ -287,10 +270,7 @@ def run_spec(
     start = time.perf_counter()
     with METRICS.span("characterize.run", spec=spec.spec_id):
         plan = plan_jobs(spec)
-        results = run_plan(
-            spec, plan, jobs=jobs, cache=cache,
-            timeout=timeout, retries=retries,
-        )
+        results = run_plan(spec, plan, jobs=jobs, cache=cache)
         document = collate(spec, plan, results)
     elapsed = time.perf_counter() - start
     store = resolve_cache(cache)

@@ -14,6 +14,10 @@ Commands
   paths.
 * ``simulate FILE``   — replay one vector pair; ``--vcd OUT`` dumps the
   waveforms for a viewer.
+* ``lint FILE``       — netlist diagnostics (exit 1 on warnings).
+* ``estimate FILE``   — simulation-based transition-delay lower bound.
+* ``show FILE``       — plain-text netlist rendering (levels, or one
+  fanin cone with ``--cone``).
 * ``convert FILE``    — netlist format conversion (.bench/.blif/.v).
 * ``serve``           — long-lived incremental what-if query service
   (JSON-lines over stdio; ``--tcp HOST:PORT`` / ``--socket PATH`` start
@@ -28,9 +32,15 @@ Commands
   ``DATASHEET_<id>.json`` plus markdown with per-parameter pass/fail
   verdicts; ``characterize report FILE`` re-renders a datasheet
   (see ``docs/CHARACTERIZE.md``).
+* ``fuzz``            — scenario fuzzer: ``fuzz run`` sweeps seeded
+  scenarios through differential oracles, ``fuzz replay|shrink`` re-run
+  and minimise a filed ``.repro.json``, ``fuzz corpus`` lists corpus
+  circuits (see ``docs/FUZZING.md``).
 
 Netlist format is inferred from the extension: ``.bench``, ``.blif``,
-``.v``/``.verilog``.
+``.v``/``.verilog``.  Of the netlist commands only ``vectors``,
+``certify`` and ``faults`` shard, so only they take ``--jobs``,
+``--timeout`` and ``--retries``.
 """
 
 from __future__ import annotations
@@ -56,31 +66,14 @@ from .network import (
     dumps_bench,
     dumps_blif,
     dumps_verilog,
-    load_bench,
-    load_blif,
-    load_verilog,
     lint,
+    load_circuit,
     render_cone,
     render_levels,
 )
 from .runtime import METRICS, configure_cache, set_execution_policy
 from .sim import EventSimulator, dumps_vcd
 from .sta import render_table, statistics_row, timing_report
-
-
-def load_circuit(path: str) -> Circuit:
-    """Load a netlist, dispatching on the file extension."""
-    lowered = path.lower()
-    if lowered.endswith(".bench"):
-        return load_bench(path)
-    if lowered.endswith(".blif"):
-        return load_blif(path)
-    if lowered.endswith((".v", ".verilog")):
-        return load_verilog(path)
-    raise ValueError(
-        f"cannot infer netlist format of {path!r} "
-        "(expected .bench, .blif or .v)"
-    )
 
 
 def _dump_circuit(circuit: Circuit, path: str) -> None:
@@ -271,12 +264,7 @@ def cmd_characterize(args) -> int:
 
     if args.characterize_command == "run":
         spec = characterize.load_spec(args.spec)
-        document = characterize.run_spec(
-            spec,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            retries=args.retries,
-        )
+        document = characterize.run_spec(spec, jobs=args.jobs)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         json_path = out_dir / f"DATASHEET_{spec.spec_id}.json"
@@ -320,8 +308,6 @@ def cmd_fuzz(args) -> int:
             plant=args.plant,
             shrink_failures=not args.no_shrink,
             shrink_budget=args.shrink_budget,
-            timeout=args.timeout,
-            retries=args.retries,
         )
         for verdict in report.verdicts:
             print(verdict.verdict_line())
@@ -555,6 +541,11 @@ _RUNTIME_FLAGS: Dict[str, dict] = {
 }
 
 
+#: The runtime flags of a netlist command that does not shard: it has
+#: no use for ``--jobs``, ``--timeout`` or ``--retries``.
+_NON_SHARDING_FLAGS = ("--cache", "--no-cache", "--metrics", "--trace")
+
+
 def _add_runtime_flags(parser, flags=tuple(_RUNTIME_FLAGS)) -> None:
     for flag in flags:
         parser.add_argument(flag, **_RUNTIME_FLAGS[flag])
@@ -573,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, shards=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("netlist", help="netlist file (.bench/.blif/.v)")
         p.add_argument(
@@ -582,7 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
             help="Boolean function engine (default: auto)",
         )
-        _add_runtime_flags(p)
+        _add_runtime_flags(
+            p, tuple(_RUNTIME_FLAGS) if shards else _NON_SHARDING_FLAGS
+        )
         p.set_defaults(func=fn)
         return p
 
@@ -597,16 +590,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounded", action="store_true",
                    help="also run the bounded [0,d] analysis")
 
-    p = add("vectors", cmd_vectors, help="per-output certification pairs")
+    p = add("vectors", cmd_vectors, shards=True,
+            help="per-output certification pairs")
     p.add_argument("-o", "--output", default=None)
 
-    p = add("certify", cmd_certify, help="the full Sec. VII flow")
+    p = add("certify", cmd_certify, shards=True,
+            help="the full Sec. VII flow")
     p.add_argument("--accurate", default=None,
                    help="netlist with accurate delays (e.g. .v)")
     p.add_argument("--samples", type=int, default=0,
                    help="Monte Carlo samples for the statistical follow-up")
 
-    p = add("faults", cmd_faults, help="path-delay-fault test generation")
+    p = add("faults", cmd_faults, shards=True,
+            help="path-delay-fault test generation")
     p.add_argument("-k", "--paths", type=int, default=5)
     p.add_argument("--non-robust", action="store_true")
 
@@ -880,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the full circuit registry with stats instead of a "
         "generated slice",
     )
-    fuzz_runtime_flags(f)
+    _add_runtime_flags(f, ("--metrics", "--trace"))
 
     p.set_defaults(func=cmd_fuzz)
 

@@ -170,8 +170,6 @@ def certify(
     seed: int = 97,
     jobs: int = 1,
     cache=None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
 ) -> CertificationReport:
     """Run the complete certified-timing-verification flow.
 
@@ -184,9 +182,8 @@ def certify(
     ``jobs`` shards the per-output pair collection and the Monte Carlo
     follow-up across worker processes (``1`` = serial; ``0`` = all cores)
     — the report is result-identical for every ``jobs`` value, including
-    the Monte Carlo samples (per-sample seeded sub-streams on both
-    paths).  ``timeout``/``retries`` tune the sharded runner's fault
-    tolerance (see :mod:`repro.runtime.parallel`).  Unconstrained runs
+    the Monte Carlo samples (per-sample seeded sub-streams on every
+    route).  Unconstrained runs
     are served whole from the runtime cache (the entire report is cached,
     keyed by both circuits' fingerprints and the flow parameters).
     """
@@ -245,8 +242,7 @@ def certify(
         # variable order makes the result identical to the serial
         # shared-analysis path.
         pairs = collect_certification_pairs(
-            circuit, engine_name=engine_name, jobs=jobs,
-            timeout=timeout, retries=retries,
+            circuit, engine_name=engine_name, jobs=jobs
         )
     elif not per_output_pairs and transition.pair is not None:
         pairs = {transition.output: (transition.delay, transition.pair)}
@@ -333,8 +329,6 @@ def certify(
                 num_samples=statistical_samples,
                 seed=seed,
                 jobs=jobs,
-                timeout=timeout,
-                retries=retries,
             )
 
     report = CertificationReport(

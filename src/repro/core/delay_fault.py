@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence
 from ..network.circuit import Circuit
 from ..network.gates import GateType, controlling_value
 from ..network.paths import k_longest_paths, path_length
-from ..runtime.metrics import engine_counts, record_counts
+from ..runtime.parallel import shard_map
 from .transition import PairConstraintBuilder, TransitionAnalysis
 from .vectors import VectorPair, cur_var, prev_var
 
@@ -94,6 +94,17 @@ class PathFaultGenerator:
         # set is unrestricted (constraints are unpicklable closures).
         self._shardable = engine is None and constraint is None
         self._care = self.analysis.care_set(constraint)
+
+    def __reduce__(self):
+        """Pickle as a recipe: a pool worker rebuilds a fresh generator
+        from the circuit and engine name, which only a shardable
+        generator carries in full."""
+        if not self._shardable:
+            raise TypeError(
+                "a generator with its own engine or a constraint cannot "
+                "cross a process boundary"
+            )
+        return PathFaultGenerator, (self.circuit, None, self._engine_name)
 
     # ------------------------------------------------------------------
     def test_constraint(
@@ -197,46 +208,23 @@ class PathFaultGenerator:
         strong: bool = False,
         directions: Sequence[bool] = (True, False),
         jobs: int = 1,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
     ) -> "FaultCoverage":
         """Tests for both transition directions of the ``count`` longest
         paths — the practical 'test the critical paths' flow.
 
-        Each (path, direction) query is independent; ``jobs != 1`` fans
-        them across worker processes (``0`` = all cores) and merges by
-        task index, yielding the same coverage as the serial loop.
-        ``timeout``/``retries`` tune the sharded runner's fault tolerance
-        (see :mod:`repro.runtime.parallel`)."""
-        tasks = []
-        for __, path in k_longest_paths(self.circuit, count):
-            for rising in directions:
-                tasks.append((len(tasks), tuple(path), rising,
-                              strength.value, strong))
-        if jobs != 1 and self._shardable and len(tasks) > 1:
-            from ..runtime.parallel import shard_map
-
-            outcomes = shard_map(
-                "faults", (self.circuit, self._engine_name),
-                [task[1:] for task in tasks], jobs,
-                timeout=timeout, retries=retries,
-            )
-        else:
-            probes_before = getattr(self.engine, "num_sat_checks", 0)
-            outcomes = []
-            for __, path, rising, strength_value, strong_flag in tasks:
-                fault = PathFault(list(path), rising)
-                outcomes.append(
-                    (
-                        fault,
-                        self.generate(
-                            fault, TestStrength(strength_value), strong_flag
-                        ),
-                    )
-                )
-            record_counts(
-                *engine_counts("faults", self.engine, since=probes_before)
-            )
+        Each (path, direction) query is independent: they run as the
+        ``faults`` fan-out of :mod:`repro.runtime.parallel`, in this
+        generator or — with ``jobs != 1`` (``0`` = all cores) and a
+        shardable generator — across worker processes, merged by task
+        index into the same coverage."""
+        tasks = [
+            (tuple(path), rising, strength.value, strong)
+            for __, path in k_longest_paths(self.circuit, count)
+            for rising in directions
+        ]
+        outcomes = shard_map(
+            "faults", self, tasks, jobs if self._shardable else 1
+        )
         tests: List[PathFaultTest] = []
         untestable: List[PathFault] = []
         for fault, test in outcomes:

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..network.circuit import Circuit
 from ..network.gates import GateType
 from ..runtime.metrics import METRICS
+from ..runtime.parallel import shard_map
 from ..sim.event_sim import EventSimulator
 from .vectors import VectorPair
 
@@ -143,8 +144,8 @@ def settle_pair_initials(
 
     Settled values do not depend on gate delays, so one batch serves the
     replay of *every* Monte Carlo sample — the per-sample scalar settles
-    the serial loop used to pay are hoisted out entirely.  Shared by the
-    serial path and the workers of :mod:`repro.runtime.parallel`.
+    are hoisted out entirely, into each call of the ``monte-carlo``
+    worker of :mod:`repro.runtime.parallel`.
     """
     from ..sim.wordsim import batch_settle
 
@@ -161,8 +162,8 @@ def sample_delay_once(
 ) -> int:
     """One Monte Carlo trial: draw every gate's delay from ``delay_model``
     (in node order, one draw per gate) and replay all pairs, returning the
-    worst observed delay.  Shared by the serial loop and the workers of
-    :mod:`repro.runtime.parallel`.
+    worst observed delay (one item of the ``monte-carlo`` worker of
+    :mod:`repro.runtime.parallel`).
 
     The drawn delays are a ``delays=`` annotation of one
     :class:`~repro.sim.event_sim.EventSimulator` over the circuit's
@@ -199,8 +200,6 @@ def monte_carlo_delay(
     delay_model: Optional[DelayModel] = None,
     seed: int = 97,
     jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
 ) -> StatisticalTimingResult:
     """Sample per-gate delays and replay the certification pairs.
 
@@ -208,19 +207,17 @@ def monte_carlo_delay(
     (default: +/-1 uniform variation) and records the worst delay observed
     over all ``pairs`` in single-stepping mode.
 
-    Every sample draws from its own seeded sub-stream
-    (:func:`repro.runtime.parallel.sample_seed`), on the serial path and
-    in worker processes alike, so the sample list is a pure function of
-    ``(circuit, pairs, num_samples, seed, model)`` for *all* ``jobs``
-    values — serial and sharded runs are sample-identical.  Sharding
-    requires a model carrying a picklable ``spec`` (the built-in models
-    do); custom closures fall back to the serial loop, which draws the
-    very same samples.  ``timeout``/``retries`` tune the sharded runner's
-    fault tolerance (see :mod:`repro.runtime.parallel`).
+    The samples run as the ``monte-carlo`` fan-out of
+    :mod:`repro.runtime.parallel`, each drawing from its own seeded
+    sub-stream (:func:`repro.runtime.parallel.sample_seed`), so the
+    sample list is a pure function of ``(circuit, pairs, num_samples,
+    seed, model)`` for *all* ``jobs`` values.  Sharding requires a model
+    carrying a picklable ``spec`` (the built-in models do); a custom
+    closure runs in this process, drawing the very same samples.
 
     Replays are seeded from one bit-parallel settle of all pairs'
-    ``v_-1`` states (:func:`settle_pair_initials`): settled values are
-    delay-independent, so serial runs and every worker compute them once
+    ``v_-1`` states (:func:`settle_pair_initials`) per worker call:
+    settled values are delay-independent, so they are computed once
     instead of once per sample — the samples themselves are unchanged
     (the rng draws only gate delays, never settle results).
     """
@@ -228,26 +225,11 @@ def monte_carlo_delay(
         raise ValueError("need at least one certification vector pair")
     delay_model = delay_model or uniform_variation(1)
     spec = getattr(delay_model, "spec", None)
-    if jobs != 1 and spec is not None:
-        from ..runtime.parallel import shard_map
-
-        samples = shard_map(
-            "monte-carlo", (circuit, list(pairs), seed, spec),
-            range(num_samples), jobs, timeout=timeout, retries=retries,
-        )
-    else:
-        from ..runtime.parallel import sample_seed
-
-        nominal = _nominal_delays(circuit)
-        initials = settle_pair_initials(circuit, pairs)
-        samples = [
-            sample_delay_once(
-                circuit, pairs, delay_model,
-                random.Random(sample_seed(seed, index)), nominal,
-                initials=initials,
-            )
-            for index in range(num_samples)
-        ]
+    samples = shard_map(
+        "monte-carlo",
+        (circuit, list(pairs), seed, delay_model if spec is None else spec),
+        range(num_samples), jobs if spec is not None else 1,
+    )
     METRICS.incr("monte_carlo.samples", num_samples)
     return StatisticalTimingResult(samples, len(pairs))
 

@@ -29,7 +29,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..network.circuit import Circuit
 from ..network.gates import GateType, gate_function
 from ..runtime.cache import resolve_cache
-from ..runtime.metrics import METRICS, engine_counts, record_counts
+from ..runtime.metrics import METRICS, record_sat_probes
+from ..runtime.parallel import shard_map
 from .analysis import (
     Query,
     SymbolicAnalysis,
@@ -286,14 +287,12 @@ def fresh_certification_pairs(
     circuit: Circuit,
     engine_name: str,
     input_times: Optional[Dict[str, int]],
+    constraint: Optional[PairConstraintBuilder],
     outputs: Sequence[str],
-    constraint: Optional[PairConstraintBuilder] = None,
-) -> Tuple[Dict[str, Tuple[int, VectorPair]], Dict[str, int], Dict[str, int]]:
+) -> Dict[str, Tuple[int, VectorPair]]:
     """:func:`pairs_for_outputs` on a fresh analysis, under the ``auto``
-    BDD-overflow fallback: ``(pairs, counters, gauges)``, the counts being
-    the ``pairs.*`` accounting of the analysis that answered.  The serial
-    path of :func:`collect_certification_pairs` records the counts; the
-    ``pairs`` shard worker returns them."""
+    BDD-overflow fallback — the body of the ``pairs`` shard worker.
+    Records the ``pairs.*`` accounting of the analysis that answered."""
 
     def run(engine):
         analysis = TransitionAnalysis(circuit, engine, engine_name, input_times)
@@ -301,9 +300,9 @@ def fresh_certification_pairs(
         return analysis, pairs_for_outputs(analysis, care, outputs)
 
     analysis, pairs = with_bdd_fallback(run, None, engine_name)
-    counters, gauges = engine_counts("pairs", analysis.engine)
-    counters["pairs.functions_built"] = analysis.num_functions()
-    return pairs, counters, gauges
+    record_sat_probes("pairs", analysis.engine)
+    METRICS.incr("pairs.functions_built", analysis.num_functions())
+    return pairs
 
 
 def validate_certification_pairs(
@@ -363,8 +362,6 @@ def collect_certification_pairs(
     input_times: Optional[Dict[str, int]] = None,
     jobs: int = 1,
     cache=None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
 ) -> Dict[str, Tuple[int, VectorPair]]:
     """Per-output certification vectors: for every primary output, the
     latest satisfiable transition time and a vector pair exciting it.
@@ -373,12 +370,13 @@ def collect_certification_pairs(
     replaying every pair on the accurate timing simulator exercises the
     critical event of each output.
 
-    The per-output queries are independent; ``jobs != 1`` fans them across
-    worker processes (``0`` = all cores) when no shared ``analysis`` and no
-    ``constraint`` closure pin the work to this process.  Both routes
-    return identical results (canonical engine variable order — see
-    :mod:`repro.runtime.parallel`), and both are served from the runtime
-    cache when no ``analysis`` is supplied.
+    The per-output queries are independent; without a shared
+    ``analysis`` they run as the ``pairs`` fan-out of
+    :mod:`repro.runtime.parallel`, across ``jobs`` worker processes
+    (``0`` = all cores) unless a ``constraint`` closure pins them to this
+    process.  Every ``jobs`` value returns identical results (canonical
+    engine variable order), served from the runtime cache when no
+    ``analysis`` is supplied.
     """
     if analysis is not None:
         care = analysis.care_set(constraint)
@@ -386,25 +384,15 @@ def collect_certification_pairs(
             return pairs_for_outputs(analysis, care, circuit.outputs)
 
     def produce():
-        if jobs != 1 and constraint is None and len(circuit.outputs) > 1:
-            from ..runtime.parallel import shard_map
-
-            outputs = list(circuit.outputs)
-            found = shard_map(
-                "pairs", (circuit, engine_name, input_times), outputs, jobs,
-                timeout=timeout, retries=retries,
-            )
-            return {
-                out: pair
-                for out, pair in zip(outputs, found) if pair is not None
-            }
+        outputs = list(circuit.outputs)
         with METRICS.span("core.certification_pairs"):
-            pairs, counters, gauges = fresh_certification_pairs(
-                circuit, engine_name, input_times, circuit.outputs,
-                constraint,
+            found = shard_map(
+                "pairs", (circuit, engine_name, input_times, constraint),
+                outputs, jobs if constraint is None else 1,
             )
-            record_counts(counters, gauges)
-            return pairs
+        return {
+            out: pair for out, pair in zip(outputs, found) if pair is not None
+        }
 
     return cached(
         resolve_cache(cache), circuit, "certification-pairs", engine_name,

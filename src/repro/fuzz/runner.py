@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..runtime.metrics import METRICS
-from .oracle import ORACLES, OracleVerdict, run_oracle, run_scenario
+from ..runtime.parallel import shard_map
+from .oracle import ORACLES, OracleVerdict, run_oracle
 from .scenario import Scenario, scenario_for
 from .shrink import ShrinkResult, shrink_scenario
 
@@ -28,7 +29,6 @@ __all__ = [
     "REPRO_FORMAT",
     "REPRO_VERSION",
     "SweepReport",
-    "execute_scenario_payload",
     "load_repro",
     "replay_repro",
     "run_sweep",
@@ -72,21 +72,6 @@ class SweepReport:
             f"fuzz sweep seed={self.seed} scenarios={self.count} "
             f"oracles={','.join(self.oracles)}: {status}"
         )
-
-
-def execute_scenario_payload(
-    scenario_data: Dict, config: Dict
-) -> List[Dict]:
-    """Worker entry point: run one scenario's oracles from picklable
-    dicts (the ``fuzz`` task kind of :mod:`repro.runtime.parallel`)."""
-    scenario = Scenario.from_dict(scenario_data)
-    verdicts = run_scenario(
-        scenario,
-        oracles=config.get("oracles", ORACLES),
-        oracle_jobs=int(config.get("oracle_jobs", 1)),
-        plant=config.get("plant"),
-    )
-    return [verdict.to_dict() for verdict in verdicts]
 
 
 def _repro_envelope(
@@ -170,8 +155,6 @@ def run_sweep(
     plant: Optional[str] = None,
     shrink_failures: bool = True,
     shrink_budget: int = 200,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
 ) -> SweepReport:
     """Run a seeded differential sweep.
 
@@ -197,37 +180,11 @@ def run_sweep(
             ]
         METRICS.incr("fuzz.scenarios", len(scenarios))
         config = {
-            "oracles": list(ordered),
+            "oracles": ordered,
             "oracle_jobs": oracle_jobs,
             "plant": plant,
         }
-        if jobs != 1 and len(scenarios) > 1:
-            from ..runtime.parallel import shard_map
-
-            verdict_dicts = shard_map(
-                "fuzz",
-                config,
-                [s.to_dict() for s in scenarios],
-                jobs,
-                timeout=timeout,
-                retries=retries,
-            )
-            per_scenario = [
-                [OracleVerdict.from_dict(v) for v in verdicts]
-                for verdicts in verdict_dicts
-            ]
-        else:
-            per_scenario = []
-            for scenario in scenarios:
-                with METRICS.span("fuzz.oracles"):
-                    per_scenario.append(
-                        run_scenario(
-                            scenario,
-                            oracles=ordered,
-                            oracle_jobs=oracle_jobs,
-                            plant=plant,
-                        )
-                    )
+        per_scenario = shard_map("fuzz", config, scenarios, jobs)
         for scenario, verdicts in zip(scenarios, per_scenario):
             report.verdicts.extend(verdicts)
             failed = [v for v in verdicts if not v.ok]

@@ -34,13 +34,12 @@ re-analysing only what an edit could have changed:
    topological delay.  The bound is at least the new floating delay, so
    the search returns the identical certificate with fewer checks.
 
-4. **Fan-out** — with ``jobs != 1`` the dirty cones run through the
-   fault-tolerant sharded runtime
-   (:func:`~repro.runtime.parallel.shard_map`, label ``cones``), on a
-   per-query pool or on a caller-owned
-   :class:`~repro.runtime.transport.LocalPoolTransport` (the long-lived
-   query service's warm workers).  All execution routes are
-   result-identical.
+4. **Fan-out** — the dirty cones run through the fault-tolerant sharded
+   runtime (:func:`~repro.runtime.parallel.shard_map`, label ``cones``):
+   in-process at ``jobs=1``, otherwise on a per-query pool or on a
+   caller-owned :class:`~repro.runtime.transport.LocalPoolTransport`
+   (the long-lived query service's warm workers).  All execution routes
+   are result-identical and record the same counters.
 
 The *record* returned by :meth:`IncrementalTimingEngine.query` is
 deterministic and byte-comparable: an incremental re-query equals a cold
@@ -67,8 +66,9 @@ from ..network.circuit import Circuit
 from ..runtime.cache import DelayCache
 from ..runtime.fingerprint import cone_fingerprint, node_cone_fingerprints
 from ..runtime.metrics import METRICS
+from ..runtime.parallel import shard_map
 from ..sim.wordsim import program_for
-from .cones import KINDS, ConeResult, evaluate_cone, extract_cone
+from .cones import KINDS, ConeResult, extract_cone
 
 
 @dataclass
@@ -305,23 +305,14 @@ class IncrementalTimingEngine:
         return results
 
     def _run_cones(self, cones, kind: str) -> Dict[str, ConeResult]:
-        """Dispatch ``(cone, upper)`` evaluations: sharded when
-        ``jobs != 1``, else serial."""
-        if len(cones) > 1 and self.jobs != 1:
-            from ..runtime.parallel import shard_map
-
-            results = shard_map(
-                "cones", (kind, self.engine_name), cones, self.jobs,
-                timeout=self.timeout, retries=self.retries,
-                transport=self.transport,
-            )
-            return {result.output: result for result in results}
-        computed = {}
-        for cone, upper in cones:
-            result = evaluate_cone(cone, kind, self.engine_name, upper)
-            METRICS.incr("incremental.cone_checks", result.checks)
-            computed[result.output] = result
-        return computed
+        """Evaluate ``(cone, upper)`` pairs as the ``cones`` fan-out of
+        :mod:`repro.runtime.parallel` (in-process at ``jobs=1``)."""
+        results = shard_map(
+            "cones", (kind, self.engine_name), cones, self.jobs,
+            timeout=self.timeout, retries=self.retries,
+            transport=self.transport,
+        )
+        return {result.output: result for result in results}
 
     def _aggregate(self, kind, outputs, memo) -> Dict[str, object]:
         per_output = {out: memo[out][1] for out in outputs}

@@ -44,11 +44,9 @@ import time
 from typing import Dict, Optional
 
 from ..core.transition import collect_certification_pairs
-from ..network.bench_io import load_bench, loads_bench
-from ..network.blif_io import load_blif
+from ..network import load_circuit, loads_bench
 from ..network.circuit import Circuit
 from ..network.gates import GateType
-from ..network.verilog_io import load_verilog
 from ..runtime.cache import DelayCache
 from ..runtime.metrics import METRICS
 from ..runtime.transport import LocalPoolTransport
@@ -69,20 +67,6 @@ __all__ = [
     "serve_stream",
     "serve_stdio",
 ]
-
-
-def _load_netlist(path: str) -> Circuit:
-    lowered = path.lower()
-    if lowered.endswith(".bench"):
-        return load_bench(path)
-    if lowered.endswith(".blif"):
-        return load_blif(path)
-    if lowered.endswith((".v", ".verilog")):
-        return load_verilog(path)
-    raise ValueError(
-        f"cannot infer netlist format of {path!r} "
-        "(expected .bench, .blif or .v)"
-    )
 
 
 # A malformed or unserviceable request (reported, never fatal).  This is
@@ -197,7 +181,7 @@ class QueryService:
     # -- ops -----------------------------------------------------------
     def _op_load(self, request):
         if "netlist" in request:
-            circuit = _load_netlist(str(request["netlist"]))
+            circuit = load_circuit(str(request["netlist"]))
         elif "bench" in request:
             circuit = loads_bench(str(request["bench"]))
         else:

@@ -34,6 +34,23 @@ from .transform import (
     scale_delays,
 )
 
+
+def load_circuit(path: str) -> Circuit:
+    """Load a netlist, dispatching on the file extension (``.bench``,
+    ``.blif``, ``.v``/``.verilog``)."""
+    lowered = path.lower()
+    if lowered.endswith(".bench"):
+        return load_bench(path)
+    if lowered.endswith(".blif"):
+        return load_blif(path)
+    if lowered.endswith((".v", ".verilog")):
+        return load_verilog(path)
+    raise ValueError(
+        f"cannot infer netlist format of {path!r} "
+        "(expected .bench, .blif or .v)"
+    )
+
+
 __all__ = [
     "Circuit",
     "Edit",
@@ -46,6 +63,7 @@ __all__ = [
     "evaluate_gate",
     "gate_function",
     "gate_settle",
+    "load_circuit",
     "loads_bench",
     "load_bench",
     "dumps_bench",

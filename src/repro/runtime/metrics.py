@@ -15,8 +15,9 @@ context-scoped proxy :data:`METRICS`: it resolves, per call, to the
 instance installed in the current :mod:`contextvars` context — by
 default the process-global :data:`GLOBAL_METRICS`, which the CLI resets
 once per invocation.  :func:`metrics_scope` installs another instance
-where isolation is the point: each timing-server session, and the
-shard-worker bodies whose counters travel back in the chunk result.
+where isolation is the point: each timing-server session, and each
+sharded chunk in a pool worker, whose counters travel back with its
+results.
 
 Everything is plain dict arithmetic — cheap enough to stay enabled
 unconditionally.  Schemas are in ``docs/RUNTIME.md``.
@@ -28,7 +29,7 @@ import json
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 
 class Span:
@@ -304,45 +305,31 @@ class _MetricsProxy:
 METRICS = _MetricsProxy()
 
 
-def engine_peak_nodes(engine) -> Optional[int]:
-    """The engine manager's current node count, or ``None`` if the engine
-    does not expose one (shared by the parent-side recorder and
-    :func:`engine_counts`)."""
+def _record_peak_nodes(engine) -> None:
+    """Raise the ``boolfn.peak_nodes`` high-water mark to the engine
+    manager's node count, when the engine exposes one."""
     manager = getattr(engine, "manager", None)
     num_nodes = getattr(manager, "num_nodes", None)
     if callable(num_nodes):  # method-style managers
         num_nodes = num_nodes()
-    return num_nodes if isinstance(num_nodes, int) else None
+    if isinstance(num_nodes, int):
+        METRICS.gauge_max("boolfn.peak_nodes", num_nodes)
 
 
-def engine_counts(
-    prefix: str, engine, since: int = 0
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """``(counters, gauges)`` of the engine work under one sharded label:
-    the SAT probes made since the engine's count stood at ``since``, as
-    ``<prefix>.sat_probes``, and the manager's node count as the
-    ``boolfn.peak_nodes`` high-water mark.  A shard worker returns them
-    with its results and the serial route passes them to
-    :func:`record_counts`, so both routes record the same names."""
-    probes = getattr(engine, "num_sat_checks", 0) - since
-    peak = engine_peak_nodes(engine)
-    gauges = {} if peak is None else {"boolfn.peak_nodes": peak}
-    return {f"{prefix}.sat_probes": probes}, gauges
-
-
-def record_counts(counters: Dict[str, int], gauges: Dict[str, int]) -> None:
-    """Fold counters (added) and gauges (max) into :data:`METRICS`, as
-    the parent folds a worker chunk's."""
-    for name, amount in counters.items():
-        METRICS.incr(name, amount)
-    for name, value in gauges.items():
-        METRICS.gauge_max(name, value)
+def record_sat_probes(prefix: str, engine, since: int = 0) -> None:
+    """Fold the SAT probes ``engine`` made since its count stood at
+    ``since`` into :data:`METRICS` as ``<prefix>.sat_probes``, and its
+    node count into the ``boolfn.peak_nodes`` high-water mark (the
+    ``pairs`` and ``faults`` fan-outs, which count engine probes rather
+    than a query's checks)."""
+    METRICS.incr(
+        f"{prefix}.sat_probes", getattr(engine, "num_sat_checks", 0) - since
+    )
+    _record_peak_nodes(engine)
 
 
 def record_engine_metrics(kind: str, engine, functions: int, checks: int) -> None:
     """Fold one delay computation's accounting into :data:`METRICS`."""
     METRICS.incr(f"{kind}.checks", checks)
     METRICS.incr(f"{kind}.functions_built", functions)
-    peak = engine_peak_nodes(engine)
-    if peak is not None:
-        METRICS.gauge_max("boolfn.peak_nodes", peak)
+    _record_peak_nodes(engine)

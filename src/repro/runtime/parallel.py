@@ -14,48 +14,53 @@ label run through the one entry point, :func:`shard_map`:
 * ``characterize`` — characterization jobs (``run_plan``),
 * ``fuzz`` — fuzz scenarios (``run_sweep``).
 
-Each worker process rebuilds its analysis from a pickled :class:`Circuit`
-— engines are constructed with a canonical variable order (the analyses
-pre-declare the input variables in cone-traversal first-touch order, see
+Each label's worker is the only implementation of its fan-out:
+``worker(context, items)`` takes the context shared by the whole run and
+a list of items, returns one result per item, and records its counters
+into :data:`~repro.runtime.metrics.METRICS` like any other code.  When
+``jobs`` resolves to 1 — ``jobs=1``, a single item, or a caller whose
+context cannot be pickled — :func:`shard_map` simply calls the worker
+in-process on all items, so ``jobs=1`` *is* the serial run.
+
+Otherwise the items are split round-robin into chunks, one pool task
+each.  The pool's entry point runs the worker under a fresh
+:func:`~repro.runtime.metrics.metrics_scope` and sends that scope's
+counters and gauges back with the results; the parent folds each chunk
+with one :meth:`~repro.runtime.metrics.Metrics.add_span` call — counters
+added and gauges max-folded into the totals and onto a per-chunk span
+tagged with the worker's pid — and merges results by item index.
+Worker processes rebuild their analyses from the pickled context, with
+engines built in a canonical variable order (the analyses pre-declare
+the input variables in cone-traversal first-touch order, see
 :func:`repro.sim.wordsim.canonical_input_order`, computed on the full
 circuit rather than the worker's chunk), so a worker finds the *same*
-witnesses as a serial run.  ``jobs=1`` always takes the
-caller's serial path; sharded results are merged deterministically
-(outputs in declaration order, faults and samples by original index), so
-``jobs=1`` and ``jobs=N`` runs are result-identical.
+witnesses as the in-process run and ``jobs=1`` and ``jobs=N`` runs are
+result-identical.
 
 Execution is *fault-tolerant*: chunks are submitted as one round of
 tasks with a per-round wall-clock timeout, a failed or timed-out chunk
 is retried as single-item tasks (isolating a poison item — a BDD blowup
 kills only its own retry, not its chunk-mates), and once the bounded
-retries are exhausted the remaining items run serially in-process.  A
-``jobs=N`` run therefore never produces less than the serial run:
-worker death degrades throughput, not results.  Every degradation step
-is counted in :data:`~repro.runtime.metrics.METRICS` and recorded as an
-event on its innermost open span; the deterministic fault hooks in
+retries are exhausted the remaining items run through the worker
+in-process, under a ``<label>.serial-fallback`` span.  A ``jobs=N`` run
+therefore never produces less than the serial run: worker death
+degrades throughput, not results.  Every degradation step is counted in
+:data:`~repro.runtime.metrics.METRICS` and recorded as an event on its
+innermost open span; the deterministic fault hooks in
 :mod:`repro.runtime.faults` exercise each path in CI.
 
 Each round runs on a :class:`~repro.runtime.transport.LocalPoolTransport`
 (:mod:`repro.runtime.transport`): the caller's long-lived pool when it
 passes one, otherwise a pool built for the run and closed after it.
-
-Every worker takes ``(context, [(index, item), ...])`` — the context
-shared by the whole run, then its chunk of indexed items — and returns
-``([(index, result), ...], counters, gauges)``.  The parent folds each
-chunk with one :meth:`~repro.runtime.metrics.Metrics.add_span` call —
-counters added and gauges max-folded into the totals and onto a
-per-chunk span tagged with the worker's pid — and merges results by
-index.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .faults import worker_fault
-from .metrics import METRICS, engine_counts
+from .metrics import METRICS, record_sat_probes
 from .transport import (
     TIMEOUT,
     WORKER_DIED,
@@ -124,7 +129,8 @@ def _harvest_chunk(
         chunk=chunk_result.index, items=len(chunk_result.chunk),
         worker=chunk_result.worker,
     )
-    results.extend(chunk_result.result)
+    indices = [index for index, __ in chunk_result.chunk]
+    results.extend(zip(indices, chunk_result.result))
 
 
 def _record_failure(index: int, chunk: list, reason: str, label: str) -> None:
@@ -151,20 +157,18 @@ def _record_failure(index: int, chunk: list, reason: str, label: str) -> None:
 def _run_sharded(
     label: str,
     worker,
-    items: Sequence,
-    make_payload,
+    context,
+    items: Sequence[Tuple[int, object]],
     jobs: int,
     timeout: Optional[float],
     retries: Optional[int],
     transport: Optional[LocalPoolTransport],
 ) -> list:
-    """Run ``worker`` over round-robin chunks of ``items`` with timeouts,
-    poison-isolation retries, and serial degradation.
+    """Run ``worker`` over round-robin chunks of the indexed ``items``
+    with timeouts, poison-isolation retries, and serial degradation.
 
-    ``make_payload(chunk)`` rebuilds a worker payload for any sub-list of
-    ``items`` (needed to re-chunk on retry).  Returns every chunk's
-    ``(index, result)`` entries in completion order; :func:`shard_map`
-    restores item order.
+    Returns every item's ``(index, result)`` in completion order;
+    :func:`shard_map` restores item order.
 
     Task indices — what fault injection keys on — count from 0 in every
     run, and retry tasks continue the numbering, so an injected fault
@@ -173,11 +177,14 @@ def _run_sharded(
     closes it afterwards.
     """
     timeout, retries = _resolve_policy(timeout, retries)
-    chunks = _chunk_round_robin(items, jobs)
-    if not chunks:
-        return []
+
+    def make_payload(chunk):
+        return context, [item for __, item in chunk]
+
     fault = worker_fault()
-    tasks: List[Tuple[int, list]] = list(enumerate(chunks))
+    tasks: List[Tuple[int, list]] = list(
+        enumerate(_chunk_round_robin(items, jobs))
+    )
     next_index = len(tasks)
     results: list = []
     failed: List[Tuple[int, list, str]] = []
@@ -210,21 +217,17 @@ def _run_sharded(
                 "retry", label=label, attempt=attempt + 1, tasks=len(tasks)
             )
         # Degradation of last resort: whatever still fails after the retry
-        # budget runs serially in this process, so jobs=N can never return
-        # less than the serial run (a genuine error raises here exactly as
-        # it would have serially).
+        # budget runs through the worker in this process, so jobs=N can
+        # never return less than the serial run (a genuine error raises
+        # here exactly as it would have serially).
         failed.sort(key=lambda task: task[0])
         remainder = [item for __, chunk, __reason in failed for item in chunk]
         METRICS.incr("parallel.serial_fallback_items", len(remainder))
         METRICS.incr("transport.degraded")
         METRICS.event("degrade-serial", label=label, items=len(remainder))
-        start = time.perf_counter()
-        result, counters, gauges = worker(make_payload(remainder))
-        METRICS.add_span(
-            f"{label}.serial-fallback", time.perf_counter() - start,
-            counters=counters, gauges=gauges, items=len(remainder),
-        )
-        results.extend(result)
+        with METRICS.span(f"{label}.serial-fallback", items=len(remainder)):
+            result = worker(*make_payload(remainder))
+        results.extend(zip([index for index, __ in remainder], result))
         return results
     finally:
         if owned:
@@ -244,14 +247,17 @@ def shard_map(
     """Run the ``label`` task kind over ``items`` across workers.
 
     Returns one result per item, in item order, whatever the chunking,
-    retries, or degradation — so the list equals the serial computation
-    for every ``jobs`` value.  ``context`` is what every item of the run
-    shares (a circuit, an engine name, a config); it and the items must
-    pickle.  ``jobs`` is the worker count (``0`` = all cores, never more
-    than items); ``timeout``/``retries`` default to the process-wide
-    execution policy; ``transport`` is an optional caller-owned pool.
-    The run is timed as the ``parallel.<label>`` span and its chunks as
-    ``<label>.chunk`` spans.
+    retries, or degradation — so the list equals the in-process run for
+    every ``jobs`` value.  ``context`` is what every item of the run
+    shares (a circuit, an engine name, a config).  ``jobs`` is the worker
+    count (``0`` = all cores, never more than items); when it resolves to
+    1 the worker runs in this process on all items, with no pool,
+    pickling or metrics scope, so a caller whose context cannot be
+    pickled passes ``jobs=1``.  Otherwise context and items must pickle;
+    ``timeout``/``retries`` default to the process-wide execution policy,
+    ``transport`` is an optional caller-owned pool, the run is timed as
+    the ``parallel.<label>`` span and its chunks as ``<label>.chunk``
+    spans.
     """
     worker = TASK_KINDS.get(label)
     if worker is None:
@@ -259,67 +265,68 @@ def shard_map(
             f"unknown shard task kind {label!r} "
             f"(expected one of {sorted(TASK_KINDS)})"
         )
-    indexed = list(enumerate(items))
-
-    def make_payload(chunk):
-        return (context, list(chunk))
-
+    items = list(items)
+    jobs = resolve_jobs(jobs, len(items))
+    if jobs == 1:
+        return worker(context, items)
     with METRICS.span(f"parallel.{label}"):
         merged = _run_sharded(
-            label, worker, indexed, make_payload,
-            resolve_jobs(jobs, len(indexed)), timeout, retries, transport,
+            label, worker, context, list(enumerate(items)), jobs,
+            timeout, retries, transport,
         )
     merged.sort(key=lambda entry: entry[0])
     return [result for __, result in merged]
 
 
 # ----------------------------------------------------------------------
-# The task kinds: worker(payload) with payload = (context, [(index, item)])
+# The task kinds: worker(context, items) -> [result per item]
 # ----------------------------------------------------------------------
-def _pairs_worker(payload):
-    """Items are primary outputs; a result is ``(time, pair)``, or
-    ``None`` for an output that can never transition."""
-    (circuit, engine_name, input_times), tasks = payload
+def _pairs_worker(context, outputs):
+    """The context is ``(circuit, engine name, input times,
+    constraint)``; items are primary outputs; a result is ``(time,
+    pair)``, or ``None`` for an output that can never transition."""
     from ..core.transition import fresh_certification_pairs
 
-    pairs, counters, gauges = fresh_certification_pairs(
-        circuit, engine_name, input_times, [out for __, out in tasks]
-    )
-    return [(index, pairs.get(out)) for index, out in tasks], counters, gauges
+    pairs = fresh_certification_pairs(*context, outputs)
+    return [pairs.get(out) for out in outputs]
 
 
-def _fault_worker(payload):
-    """Items are ``(path, rising, strength-value, strong)``; a result is
-    ``(fault, test-or-None)``."""
-    (circuit, engine_name), tasks = payload
-    from ..core.delay_fault import PathFault, PathFaultGenerator, TestStrength
+def _fault_worker(generator, tasks):
+    """The context is a :class:`~repro.core.delay_fault.PathFaultGenerator`
+    (the caller's own in-process; a pool worker unpickles a fresh one);
+    items are ``(path, rising, strength-value, strong)``; a result is
+    ``(fault, test-or-None)``.  Records the SAT probes of this call as
+    ``faults.sat_probes``."""
+    from ..core.delay_fault import PathFault, TestStrength
 
-    generator = PathFaultGenerator(circuit, engine_name=engine_name)
-    results = []
-    for index, (path, rising, strength_value, strong) in tasks:
+    probes_before = getattr(generator.engine, "num_sat_checks", 0)
+    outcomes = []
+    for path, rising, strength_value, strong in tasks:
         fault = PathFault(list(path), rising)
-        test = generator.generate(
-            fault, TestStrength(strength_value), strong
+        outcomes.append(
+            (fault, generator.generate(
+                fault, TestStrength(strength_value), strong
+            ))
         )
-        results.append((index, (fault, test)))
-    return (results, *engine_counts("faults", generator.engine))
+    record_sat_probes("faults", generator.engine, since=probes_before)
+    return outcomes
 
 
-def _cone_worker(payload):
-    """Items are ``(cone, upper)``: an extracted single-output cone circuit
+def _cone_worker(context, cones):
+    """The context is ``(delay kind, engine name)``; items are ``(cone,
+    upper)``: an extracted single-output cone circuit
     (:func:`repro.incremental.cones.extract_cone`) and the floating-delay
     bound its search starts from (None for none); a result is the cone's
     :class:`~repro.incremental.cones.ConeResult`."""
-    (kind, engine_name), tasks = payload
+    kind, engine_name = context
     from ..incremental.cones import evaluate_cone
 
     results = []
-    checks = 0
-    for index, (cone, upper) in tasks:
+    for cone, upper in cones:
         result = evaluate_cone(cone, kind, engine_name, upper)
-        checks += result.checks
-        results.append((index, result))
-    return results, {"incremental.cone_checks": checks}, {}
+        METRICS.incr("incremental.cone_checks", result.checks)
+        results.append(result)
+    return results
 
 
 def sample_seed(seed: int, index: int) -> str:
@@ -333,73 +340,65 @@ def sample_seed(seed: int, index: int) -> str:
     return f"mc:{seed}:{index}"
 
 
-def _monte_carlo_worker(payload):
-    """Items are sample indices; a result is that sample's delay, drawn
-    from its own seeded sub-stream, so the sample list is independent of
-    chunking (the serial path draws the same sub-streams)."""
-    (circuit, pairs, seed, model_spec), tasks = payload
+def _monte_carlo_worker(context, samples):
+    """The context is ``(circuit, pairs, seed, model)``, the model being
+    a delay model or its picklable ``spec`` tuple; items are sample
+    indices; a result is that sample's delay, drawn from its own seeded
+    sub-stream, so the sample list is independent of chunking."""
+    circuit, pairs, seed, model = context
     from ..core.statistical import (
+        _nominal_delays,
         resolve_delay_model,
         sample_delay_once,
         settle_pair_initials,
     )
 
-    from .metrics import metrics_scope
-
-    delay_model = resolve_delay_model(model_spec)
-    samples = []
-    # A scoped instance isolates this chunk's counters (pool processes are
-    # reused), so the wordsim accounting folds back exactly once.
-    with metrics_scope() as chunk_metrics:
-        # One bit-parallel settle of all pairs' v_-1 states per worker
-        # chunk; settled values are delay-independent, so every sample
-        # reuses them.
-        initials = settle_pair_initials(circuit, pairs)
-        for index, sample in tasks:
-            rng = random.Random(sample_seed(seed, sample))
-            samples.append(
-                (
-                    index,
-                    sample_delay_once(
-                        circuit, pairs, delay_model, rng, initials=initials
-                    ),
-                )
-            )
-    return samples, chunk_metrics.snapshot()["counters"], {}
+    delay_model = (
+        resolve_delay_model(model) if isinstance(model, tuple) else model
+    )
+    nominal = _nominal_delays(circuit)
+    # One bit-parallel settle of all pairs' v_-1 states per call; settled
+    # values are delay-independent, so every sample reuses them.
+    initials = settle_pair_initials(circuit, pairs)
+    return [
+        sample_delay_once(
+            circuit, pairs, delay_model,
+            random.Random(sample_seed(seed, sample)), nominal,
+            initials=initials,
+        )
+        for sample in samples
+    ]
 
 
-def _characterize_worker(payload):
-    """Items are :func:`repro.characterize.runner.job_payload` dicts (each
-    names its registry circuit, so payloads stay small); a result is the
-    job's result dict.  Caching is the parent's job."""
-    __, tasks = payload
+def _characterize_worker(spec_id, jobs):
+    """The context is the spec id; items are
+    :func:`repro.characterize.runner.job_payload` dicts (each names its
+    registry circuit, so payloads stay small); a result is the job's
+    result dict.  Caching is the caller's job."""
     from ..characterize.runner import execute_payload
 
-    from .metrics import metrics_scope
+    results = []
+    for job in jobs:
+        with METRICS.span(
+            "characterize.job", spec=spec_id, corner=job["corner"],
+            job=job["job_id"],
+        ):
+            results.append(execute_payload(job))
+    return results
 
-    # Scoped counters: pool processes are reused across chunks, so the
-    # chunk's wordsim/engine accounting must fold back exactly once.
-    with metrics_scope() as chunk_metrics:
-        results = [(index, execute_payload(job)) for index, job in tasks]
-    return results, chunk_metrics.snapshot()["counters"], {}
 
+def _fuzz_worker(config, scenarios):
+    """The context is the oracle config (``oracles``, ``oracle_jobs``,
+    ``plant``); items are self-contained
+    :class:`~repro.fuzz.scenario.Scenario` cases; a result is the
+    scenario's ordered :class:`~repro.fuzz.oracle.OracleVerdict` list."""
+    from ..fuzz.oracle import run_scenario
 
-def _fuzz_worker(payload):
-    """Items are ``Scenario.to_dict`` payloads (self-contained, with
-    embedded BENCH text); the context is the oracle config (``oracles``,
-    ``oracle_jobs``, ``plant``); a result is the scenario's ordered
-    verdict-dict list."""
-    config, tasks = payload
-    from ..fuzz.runner import execute_scenario_payload
-
-    from .metrics import metrics_scope
-
-    with metrics_scope() as chunk_metrics:
-        results = [
-            (index, execute_scenario_payload(scenario_data, config))
-            for index, scenario_data in tasks
-        ]
-    return results, chunk_metrics.snapshot()["counters"], {}
+    results = []
+    for scenario in scenarios:
+        with METRICS.span("fuzz.oracles"):
+            results.append(run_scenario(scenario, **config))
+    return results
 
 
 #: Label -> worker for every fan-out :func:`shard_map` runs.  The labels

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .faults import inject_worker_fault
-from .metrics import METRICS
+from .metrics import METRICS, metrics_scope
 
 #: Failure reasons the pool reports for a task that produced no
 #: result this round.  ``TIMEOUT`` and ``WORKER_DIED`` are the two
@@ -109,12 +109,21 @@ def _sigterm_blocked():
 
 def _call_worker(args):
     """Pool entry point (runs in the worker process): apply any injected
-    fault for this task, then clock the real worker."""
-    worker, task_index, fault, payload = args
+    fault for this task, then clock ``worker(context, items)`` under a
+    fresh recorder and return its counters and gauges with the results.
+    Pool processes are reused, so the scope makes each chunk's accounting
+    fold back into the parent exactly once."""
+    worker, task_index, fault, (context, items) = args
     inject_worker_fault(fault, task_index)
-    start = time.perf_counter()
-    result = worker(payload)
-    return os.getpid(), time.perf_counter() - start, result
+    with metrics_scope() as chunk_metrics:
+        start = time.perf_counter()
+        result = worker(context, items)
+        elapsed = time.perf_counter() - start
+    snapshot = chunk_metrics.snapshot()
+    return (
+        os.getpid(), elapsed, result,
+        snapshot["counters"], snapshot["gauges"],
+    )
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -179,9 +188,11 @@ class LocalPoolTransport:
         timeout: Optional[float],
         fault,
     ) -> Tuple[List[ChunkResult], List[FailedTask]]:
-        """Run one round of ``(index, chunk)`` tasks; return
-        ``(completed, failed)``, covering every task exactly once.  The
-        pool stays usable after any failure: the retry rounds reuse it.
+        """Run one round of ``(index, chunk)`` tasks, each as
+        ``worker(*make_payload(chunk))`` with ``make_payload`` returning
+        ``(context, items)``; return ``(completed, failed)``, covering
+        every task exactly once.  The pool stays usable after any
+        failure: the retry rounds reuse it.
         """
         with self._lock:
             self.rounds += 1
@@ -222,7 +233,7 @@ class LocalPoolTransport:
                 failed.append((index, chunk, TIMEOUT))
                 continue
             try:
-                pid, elapsed, (result, counters, gauges) = future.result()
+                pid, elapsed, result, counters, gauges = future.result()
             except (BrokenProcessPool, CancelledError):
                 pool_dead = True
                 failed.append((index, chunk, WORKER_DIED))

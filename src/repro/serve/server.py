@@ -46,7 +46,6 @@ import copy
 import json
 import os
 import signal
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -511,7 +510,3 @@ def run_server(
 
     asyncio.run(main())
     return 0
-
-
-def _default_announce(address: str) -> None:  # pragma: no cover - CLI glue
-    print(f"serving on {address}", file=sys.stderr, flush=True)

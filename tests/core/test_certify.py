@@ -4,9 +4,8 @@ from repro.boolfn.interface import BddEngine, SatEngine
 from repro.core import Verdict, certify
 from repro.network import refined_delay_annotation, scale_delays
 from repro.circuits import build_circuit, carry_skip_adder, fig2_circuit
-from repro.runtime.cache import DelayCache
 
-from tests.helpers import c17
+from tests.helpers import c17, result_cache_off
 
 
 class TestCertifyFlow:
@@ -77,6 +76,7 @@ class TestCheckAccounting:
         """Every satisfiability check the flow makes — the mode-agreement
         fast path's included, whether or not it succeeds — is reported in
         the floating or the transition certificate."""
+        result_cache_off(monkeypatch)
         calls = []
         for cls in (BddEngine, SatEngine):
             def counted(engine, f, original=cls.sat_one):
@@ -85,7 +85,6 @@ class TestCheckAccounting:
 
             monkeypatch.setattr(cls, "sat_one", counted)
         report = certify(
-            scale_delays(build_circuit(name), 2), per_output_pairs=False,
-            cache=DelayCache(enabled=False),
+            scale_delays(build_circuit(name), 2), per_output_pairs=False
         )
         assert len(calls) == report.floating.checks + report.transition.checks

@@ -8,7 +8,12 @@ from contextlib import contextmanager
 
 import repro.runtime.cache as cache_module
 from repro.network import Circuit, CircuitBuilder, GateType, loads_bench
-from repro.runtime import METRICS, shard_map
+from repro.runtime import (
+    METRICS,
+    execution_policy,
+    set_execution_policy,
+    shard_map,
+)
 from repro.sim import EventSimulator, all_input_vectors
 
 C17_BENCH = """
@@ -37,7 +42,7 @@ def shard_pairs(circuit: Circuit, jobs: int, **kwargs):
     runner, as ``collect_certification_pairs`` maps them."""
     outputs = list(circuit.outputs)
     found = shard_map(
-        "pairs", (circuit, "auto", None), outputs, jobs, **kwargs
+        "pairs", (circuit, "auto", None, None), outputs, jobs, **kwargs
     )
     return {out: pair for out, pair in zip(outputs, found) if pair}
 
@@ -57,6 +62,19 @@ def counted_checks():
         for name in after
         if name.endswith(".checks") and after[name] != before.get(name, 0)
     )
+
+
+@contextmanager
+def sharding_policy(**policy):
+    """Set the process-wide sharded-execution policy (``timeout``,
+    ``retries``) for one block, as ``--timeout``/``--retries`` do for a
+    CLI run, and restore the previous one after it."""
+    saved = execution_policy()
+    set_execution_policy(**policy)
+    try:
+        yield
+    finally:
+        set_execution_policy(**saved)
 
 
 def result_cache_off(monkeypatch) -> None:

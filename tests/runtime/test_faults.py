@@ -28,7 +28,7 @@ from repro.runtime.faults import (
     worker_fault,
 )
 
-from tests.helpers import c17
+from tests.helpers import c17, sharding_policy
 
 
 def c17_pair():
@@ -102,9 +102,10 @@ class TestDegradationPaths:
         # Bounded even if the terminate-on-timeout cleanup were to fail.
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "10")
         before = METRICS.counter("parallel.chunk_timeouts")
-        sharded = collect_certification_pairs(
-            c17(), jobs=2, timeout=1.0, cache=NO_CACHE
-        )
+        with sharding_policy(timeout=1.0):
+            sharded = collect_certification_pairs(
+                c17(), jobs=2, cache=NO_CACHE
+            )
         assert METRICS.counter("parallel.chunk_timeouts") > before
         assert_pairs_equal(serial, sharded)
 
@@ -135,9 +136,10 @@ class TestDegradationPaths:
         serial = collect_certification_pairs(c17(), jobs=1, cache=NO_CACHE)
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
         before = METRICS.counter("parallel.serial_fallback_items")
-        sharded = collect_certification_pairs(
-            c17(), jobs=2, retries=0, cache=NO_CACHE
-        )
+        with sharding_policy(retries=0):
+            sharded = collect_certification_pairs(
+                c17(), jobs=2, cache=NO_CACHE
+            )
         assert METRICS.counter("parallel.serial_fallback_items") > before
         assert_pairs_equal(serial, sharded)
 

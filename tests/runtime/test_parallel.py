@@ -5,8 +5,11 @@ they double as a determinism check of the canonical engine variable order:
 a worker process must find the *same* witness pairs as the serial path.
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro.characterize import load_spec, plan_jobs, run_plan
 from repro.circuits import build_circuit
 from repro.core import (
     PathFaultGenerator,
@@ -14,10 +17,23 @@ from repro.core import (
     monte_carlo_delay,
     uniform_variation,
 )
-from repro.runtime import LocalPoolTransport, metrics_scope, resolve_jobs
+from repro.fuzz import run_sweep
+from repro.incremental import IncrementalTimingEngine
+from repro.runtime import (
+    TASK_KINDS,
+    DelayCache,
+    LocalPoolTransport,
+    metrics_scope,
+    resolve_jobs,
+)
 from repro.runtime.parallel import _chunk_round_robin, sample_seed, shard_map
 
 from tests.helpers import c17, counted_checks, result_cache_off, shard_pairs
+
+FIGURES_SPEC = (
+    Path(__file__).resolve().parents[2] / "examples"
+    / "characterize_figures.toml"
+)
 
 
 def test_resolve_jobs_normalises():
@@ -170,7 +186,7 @@ def test_caller_owned_pool_is_neither_closed_nor_rebuilt():
     """A pool the caller passes in serves each run and is left open for
     the next one (the query service keeps one for its lifetime)."""
     circuit = c17()
-    context = (circuit, "auto", None)
+    context = (circuit, "auto", None, None)
     outputs = list(circuit.outputs)
     pool = LocalPoolTransport(jobs=2)
     try:
@@ -183,3 +199,72 @@ def test_caller_owned_pool_is_neither_closed_nor_rebuilt():
         assert stats["live"] is True
     finally:
         pool.close()
+
+
+def _run_label(label: str, jobs: int) -> None:
+    """One run of the ``label`` fan-out through its public caller."""
+    if label == "pairs":
+        collect_certification_pairs(build_circuit("c432"), jobs=jobs)
+    elif label == "faults":
+        PathFaultGenerator(build_circuit("c432")).generate_for_longest_paths(
+            4, jobs=jobs
+        )
+    elif label == "cones":
+        IncrementalTimingEngine(
+            build_circuit("rand210"), jobs=jobs,
+            cache=DelayCache(enabled=False),
+        ).query("transition")
+    elif label == "monte-carlo":
+        pairs = [pair for __, pair in collect_certification_pairs(
+            c17(), jobs=1
+        ).values()]
+        monte_carlo_delay(c17(), pairs, num_samples=8, jobs=jobs)
+    elif label == "characterize":
+        spec = load_spec(FIGURES_SPEC)
+        run_plan(spec, plan_jobs(spec), jobs=jobs)
+    else:
+        run_sweep(seed=5, count=3, jobs=jobs, shrink_failures=False)
+
+
+#: Counters whose value may depend on the route: each worker rebuilds
+#: the functions its items need and settles its own chunk.
+ROUTE_DEPENDENT = (".functions_built",)
+ROUTE_DEPENDENT_PREFIXES = ("wordsim.",)
+#: The runtime's own accounting of pool rounds.
+RUNTIME_PREFIXES = ("parallel.", "transport.")
+
+
+@pytest.mark.parametrize("label", sorted(TASK_KINDS))
+def test_every_label_records_the_same_counts_at_any_jobs(label, monkeypatch):
+    """Each fan-out runs one worker on both routes, so ``jobs=2`` records
+    every counter ``jobs=1`` records, with the same ``#check``, SAT
+    probe, sample and cone-check counts (a sharded what-if query used to
+    drop ``transition.checks`` and ``transition.functions_built``)."""
+    result_cache_off(monkeypatch)
+    recorded = {}
+    for jobs in (1, 2):
+        with metrics_scope() as metrics:
+            _run_label(label, jobs)
+        recorded[jobs] = metrics.snapshot()
+    serial = recorded[1]["counters"]
+    sharded = {
+        name: value for name, value in recorded[2]["counters"].items()
+        if not name.startswith(RUNTIME_PREFIXES)
+    }
+    assert set(serial) == set(sharded)
+    assert set(recorded[1]["gauges"]) == set(recorded[2]["gauges"])
+    same = {
+        name for name in serial
+        if not name.endswith(ROUTE_DEPENDENT)
+        and not name.startswith(ROUTE_DEPENDENT_PREFIXES)
+    }
+    assert {name: sharded[name] for name in same} == {
+        name: serial[name] for name in same
+    }
+    assert any(
+        name.endswith((".checks", ".sat_probes")) for name in same
+    ), serial
+    if label == "cones":
+        assert serial["transition.checks"] == 75
+    if label == "monte-carlo":
+        assert serial["monte_carlo.samples"] == 8

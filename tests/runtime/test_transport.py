@@ -13,18 +13,23 @@ import signal
 
 import pytest
 
+from repro.runtime import METRICS
 from repro.runtime import transport as transport_module
 from repro.runtime.transport import TIMEOUT, WORKER_DIED, LocalPoolTransport
 
 
-def _square_worker(payload):
-    values = payload
-    return [v * v for v in values], {"sq.items": len(values)}, {}
+def _square_worker(context, values):
+    METRICS.incr("sq.items", len(values))
+    return [v * v for v in values]
+
+
+def _payload(chunk):
+    return None, chunk
 
 
 def _run(transport, tasks, timeout=None, fault=None):
     return transport.run_round(
-        _square_worker, lambda chunk: chunk, tasks, timeout, fault
+        _square_worker, _payload, tasks, timeout, fault
     )
 
 
@@ -86,13 +91,12 @@ def _recording_initializer():
     _DETACH()
 
 
-def _signal_state_worker(payload):
-    state = [
+def _signal_state_worker(context, items):
+    return [
         signal.SIGTERM in _STARTUP_MASK,
         signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, []),
         signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
     ]
-    return state, {}, {}
 
 
 @pytest.mark.skipif(
@@ -115,8 +119,7 @@ def test_local_workers_are_forked_with_sigterm_blocked_until_detached(
     transport = LocalPoolTransport(jobs=1)
     try:
         completed, failed = transport.run_round(
-            _signal_state_worker, lambda chunk: chunk, [(0, [])], None,
-            None,
+            _signal_state_worker, _payload, [(0, [])], None, None,
         )
         assert failed == []
         assert completed[0].result == [True, False, True]
@@ -184,10 +187,10 @@ def test_local_timeout_reports_timeout(monkeypatch):
         transport.close()
 
 
-def _explosive_worker(payload):
-    if payload == ["boom"]:
+def _explosive_worker(context, items):
+    if items == ["boom"]:
         raise RuntimeError("boom payload")
-    return payload, {}, {}
+    return items
 
 
 def test_local_worker_exception_fails_only_that_chunk():
@@ -195,7 +198,7 @@ def test_local_worker_exception_fails_only_that_chunk():
     try:
         completed, failed = transport.run_round(
             _explosive_worker,
-            lambda chunk: chunk,
+            _payload,
             [(0, ["ok"]), (1, ["boom"])],
             None,
             None,
