@@ -1,7 +1,7 @@
 """Benchmark circuits: generators, figure circuits, ISCAS/MCNC stand-ins.
 
-Named benchmark inputs (one name == one fingerprint across suites, the
-bench records, and the runtime cache) live in
+Named benchmark inputs (one name == one fingerprint across suites and
+the runtime cache) live in
 :mod:`repro.circuits.registry` — build through
 :func:`~repro.circuits.registry.build_circuit` /
 :func:`~repro.circuits.registry.build_fsm_logic`.

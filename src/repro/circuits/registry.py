@@ -3,12 +3,12 @@
 The benchmark suites used to construct their circuits ad hoc —
 ``carry_skip_adder(16, 4)`` here, ``iscas.build("c880")`` there — so the
 same analysis input went by different spellings and parameterisations in
-different suites, and a bench record could not be correlated with the
-runtime cache entries the run produced.  This registry is the single
+different suites, and a suite's answers could not be correlated with
+the runtime cache entries the run produced.  This registry is the single
 place a *named* benchmark input is defined: every suite builds through
 :func:`build_circuit` / :func:`build_fsm_logic`, so one name always
 means one :func:`~repro.runtime.fingerprint.circuit_fingerprint` — the
-key both the result cache and the ``BENCH_*.json`` records use.
+key the result cache uses.
 
 The catalog is closed against *implicit* extension (no parameter
 smuggling through the name): a new built-in benchmark gets a new named

@@ -38,9 +38,9 @@ Commands
   circuits (see ``docs/FUZZING.md``).
 
 Netlist format is inferred from the extension: ``.bench``, ``.blif``,
-``.v``/``.verilog``.  Of the netlist commands only ``vectors``,
-``certify`` and ``faults`` shard, so only they take ``--jobs``,
-``--timeout`` and ``--retries``.
+``.v``/``.verilog``.  Of the netlist commands only ``certify`` and
+``faults`` shard, so only they take ``--jobs``, ``--timeout`` and
+``--retries``.
 """
 
 from __future__ import annotations
@@ -143,9 +143,7 @@ def cmd_delays(args) -> int:
 
 def cmd_vectors(args) -> int:
     circuit = load_circuit(args.netlist)
-    pairs = collect_certification_pairs(
-        circuit, engine_name=args.engine, jobs=args.jobs
-    )
+    pairs = collect_certification_pairs(circuit, engine_name=args.engine)
     rows = [
         [out, t, pair.render(circuit.inputs)]
         for out, (t, pair) in sorted(pairs.items())
@@ -590,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounded", action="store_true",
                    help="also run the bounded [0,d] analysis")
 
-    p = add("vectors", cmd_vectors, shards=True,
+    p = add("vectors", cmd_vectors,
             help="per-output certification pairs")
     p.add_argument("-o", "--output", default=None)
 

@@ -179,11 +179,11 @@ def certify(
     restrict the vector spaces (FSM benchmarks).  ``statistical_samples``
     > 0 enables the Monte Carlo follow-up when the verdict is conservative.
 
-    ``jobs`` shards the per-output pair collection and the Monte Carlo
-    follow-up across worker processes (``1`` = serial; ``0`` = all cores)
-    — the report is result-identical for every ``jobs`` value, including
-    the Monte Carlo samples (per-sample seeded sub-streams on every
-    route).  Unconstrained runs
+    ``jobs`` shards the Monte Carlo follow-up across worker processes
+    (``1`` = serial; ``0`` = all cores) — the report is result-identical
+    for every ``jobs`` value (per-sample seeded sub-streams on every
+    route); the per-output pairs are always collected on the flow's own
+    transition analysis.  Unconstrained runs
     are served whole from the runtime cache (the entire report is cached,
     keyed by both circuits' fingerprints and the flow parameters).
     """
@@ -222,29 +222,20 @@ def certify(
 
     # Step 2: transition delay, queried downward from delta, plus vectors
     # — on one analysis, under the auto BDD->SAT overflow fallback.
-    shard_pairs = per_output_pairs and jobs != 1 and constraint is None
-
     def transition_step(engine):
         analysis = TransitionAnalysis(circuit, engine, engine_name)
         transition = _transition_certificate(
             circuit, floating, analysis, constraint
         )
         pairs: Dict[str, Tuple[int, VectorPair]] = {}
-        if per_output_pairs and not shard_pairs:
+        if per_output_pairs:
             pairs = collect_certification_pairs(
                 circuit, analysis=analysis, constraint=constraint
             )
         return transition, pairs
 
     transition, pairs = with_bdd_fallback(transition_step, None, engine_name)
-    if shard_pairs:
-        # Fan the per-output queries across workers; canonical engine
-        # variable order makes the result identical to the serial
-        # shared-analysis path.
-        pairs = collect_certification_pairs(
-            circuit, engine_name=engine_name, jobs=jobs
-        )
-    elif not per_output_pairs and transition.pair is not None:
+    if not per_output_pairs and transition.pair is not None:
         pairs = {transition.output: (transition.delay, transition.pair)}
 
     notes: List[str] = []

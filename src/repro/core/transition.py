@@ -30,7 +30,6 @@ from ..network.circuit import Circuit
 from ..network.gates import GateType, gate_function
 from ..runtime.cache import resolve_cache
 from ..runtime.metrics import METRICS, record_sat_probes
-from ..runtime.parallel import shard_map
 from .analysis import (
     Query,
     SymbolicAnalysis,
@@ -266,8 +265,8 @@ def pairs_for_outputs(
 ) -> Dict[str, Tuple[int, VectorPair]]:
     """The per-output query loop: latest satisfiable transition time and a
     witness pair for each of ``outputs`` — the top-down search restricted
-    to one output at a time.  Shared by the serial path and the worker
-    processes of :mod:`repro.runtime.parallel`."""
+    to one output at a time, every output's queries sharing the
+    analysis's per-(gate, t) functions."""
     query = Query(analysis, care)
     result: Dict[str, Tuple[int, VectorPair]] = {}
     for out in outputs:
@@ -281,28 +280,6 @@ def pairs_for_outputs(
                 t, VectorPair.from_model(model, analysis.circuit.inputs)
             )
     return result
-
-
-def fresh_certification_pairs(
-    circuit: Circuit,
-    engine_name: str,
-    input_times: Optional[Dict[str, int]],
-    constraint: Optional[PairConstraintBuilder],
-    outputs: Sequence[str],
-) -> Dict[str, Tuple[int, VectorPair]]:
-    """:func:`pairs_for_outputs` on a fresh analysis, under the ``auto``
-    BDD-overflow fallback — the body of the ``pairs`` shard worker.
-    Records the ``pairs.*`` accounting of the analysis that answered."""
-
-    def run(engine):
-        analysis = TransitionAnalysis(circuit, engine, engine_name, input_times)
-        care = analysis.care_set(constraint)
-        return analysis, pairs_for_outputs(analysis, care, outputs)
-
-    analysis, pairs = with_bdd_fallback(run, None, engine_name)
-    record_sat_probes("pairs", analysis.engine)
-    METRICS.incr("pairs.functions_built", analysis.num_functions())
-    return pairs
 
 
 def validate_certification_pairs(
@@ -360,7 +337,6 @@ def collect_certification_pairs(
     engine_name: str = "auto",
     constraint: Optional[PairConstraintBuilder] = None,
     input_times: Optional[Dict[str, int]] = None,
-    jobs: int = 1,
     cache=None,
 ) -> Dict[str, Tuple[int, VectorPair]]:
     """Per-output certification vectors: for every primary output, the
@@ -370,29 +346,28 @@ def collect_certification_pairs(
     replaying every pair on the accurate timing simulator exercises the
     critical event of each output.
 
-    The per-output queries are independent; without a shared
-    ``analysis`` they run as the ``pairs`` fan-out of
-    :mod:`repro.runtime.parallel`, across ``jobs`` worker processes
-    (``0`` = all cores) unless a ``constraint`` closure pins them to this
-    process.  Every ``jobs`` value returns identical results (canonical
-    engine variable order), served from the runtime cache when no
-    ``analysis`` is supplied.
+    The per-output queries run on one analysis, so they share its
+    per-(gate, t) functions: the caller's ``analysis`` when it passes
+    one, otherwise a fresh one under the ``auto`` BDD-overflow fallback,
+    whose ``pairs.*`` accounting is recorded and whose result is served
+    from the runtime cache.
     """
     if analysis is not None:
         care = analysis.care_set(constraint)
         with METRICS.span("core.certification_pairs"):
             return pairs_for_outputs(analysis, care, circuit.outputs)
 
+    def run(engine):
+        fresh = TransitionAnalysis(circuit, engine, engine_name, input_times)
+        care = fresh.care_set(constraint)
+        return fresh, pairs_for_outputs(fresh, care, circuit.outputs)
+
     def produce():
-        outputs = list(circuit.outputs)
         with METRICS.span("core.certification_pairs"):
-            found = shard_map(
-                "pairs", (circuit, engine_name, input_times, constraint),
-                outputs, jobs if constraint is None else 1,
-            )
-        return {
-            out: pair for out, pair in zip(outputs, found) if pair is not None
-        }
+            fresh, pairs = with_bdd_fallback(run, None, engine_name)
+            record_sat_probes("pairs", fresh.engine)
+            METRICS.incr("pairs.functions_built", fresh.num_functions())
+        return pairs
 
     return cached(
         resolve_cache(cache), circuit, "certification-pairs", engine_name,

@@ -3,8 +3,8 @@
 Every oracle runs the *same* analysis through two execution paths that
 must agree byte for byte:
 
-* ``jobs``        — serial vs sharded certification sweeps (and serial vs
-                    sharded Monte-Carlo for statistical corners);
+* ``jobs``        — serial vs sharded Monte-Carlo replay of the
+                    scenario's certification pairs;
 * ``incremental`` — warm :class:`~repro.incremental.engine.IncrementalTimingEngine`
                     after the scenario's edits vs a cold from-scratch query;
 * ``wordsim``     — scalar settle vs bit-parallel word lanes;
@@ -107,28 +107,6 @@ def edited_circuit(scenario: Scenario) -> Circuit:
     return circuit
 
 
-def _clocked_input_times(circuit: Circuit, skew: int) -> Dict[str, int]:
-    """Odd-indexed inputs arrive ``skew`` late — the same deterministic
-    two-phase pattern the characterize subsystem sweeps."""
-    return {
-        name: (skew if index % 2 else 0)
-        for index, name in enumerate(circuit.inputs)
-    }
-
-
-def _canonical_pairs(pairs) -> str:
-    """Byte-comparable rendering of a certification-pair map."""
-    record = {
-        out: {
-            "time": time,
-            "prev": {k: int(v) for k, v in sorted(pair.v_prev.items())},
-            "next": {k: int(v) for k, v in sorted(pair.v_next.items())},
-        }
-        for out, (time, pair) in pairs.items()
-    }
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def _canonical_certificate(cert) -> str:
     record = {
         "mode": cert.mode,
@@ -157,37 +135,22 @@ def _no_cache() -> DelayCache:
 # ----------------------------------------------------------------------
 def _oracle_jobs(scenario: Scenario, oracle_jobs: int, plant):
     circuit = edited_circuit(scenario)
-    corner = scenario.corner
-    input_times = None
-    if corner.kind == "clocked":
-        input_times = _clocked_input_times(circuit, corner.option("skew", 1))
-    if corner.kind == "statistical":
-        pairs = collect_certification_pairs(circuit, cache=_no_cache())
-        vector_pairs = [pairs[out][1] for out in sorted(pairs)]
-        samples = max(1, corner.option("samples", 8))
-        serial = monte_carlo_delay(
-            circuit, vector_pairs, num_samples=samples,
-            seed=scenario.seed, jobs=1,
-        )
-        sharded = monte_carlo_delay(
-            circuit, vector_pairs, num_samples=samples,
-            seed=scenario.seed, jobs=oracle_jobs,
-        )
-        expected = json.dumps(serial.samples)
-        actual = json.dumps(sharded.samples)
-        ok = expected == actual
-        return ok, f"samples={samples}", expected, actual, 0
-    serial = collect_certification_pairs(
-        circuit, input_times=input_times, jobs=1, cache=_no_cache()
+    pairs = collect_certification_pairs(circuit, cache=_no_cache())
+    if not pairs:
+        return True, "pairs=0", "", "", 0
+    vector_pairs = [pairs[out][1] for out in sorted(pairs)]
+    samples = max(1, scenario.corner.option("samples", 8))
+    serial = monte_carlo_delay(
+        circuit, vector_pairs, num_samples=samples,
+        seed=scenario.seed, jobs=1,
     )
-    sharded = collect_certification_pairs(
-        circuit, input_times=input_times, jobs=oracle_jobs,
-        cache=_no_cache(),
+    sharded = monte_carlo_delay(
+        circuit, vector_pairs, num_samples=samples,
+        seed=scenario.seed, jobs=oracle_jobs,
     )
-    expected = _canonical_pairs(serial)
-    actual = _canonical_pairs(sharded)
-    worst = max((time for time, __ in serial.values()), default=0)
-    return expected == actual, f"worst={worst}", expected, actual, 0
+    expected = json.dumps(serial.samples)
+    actual = json.dumps(sharded.samples)
+    return expected == actual, f"samples={samples}", expected, actual, 0
 
 
 def _oracle_incremental(scenario: Scenario, oracle_jobs: int, plant):

@@ -266,7 +266,7 @@ class QueryService:
         engine = self._require_engine()
         circuit = engine.circuit
         pairs = collect_certification_pairs(
-            circuit, engine_name=self.engine_name, jobs=1
+            circuit, engine_name=self.engine_name
         )
         inputs = circuit.inputs
         rendered = {}

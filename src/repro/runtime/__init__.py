@@ -15,8 +15,9 @@ circuit content plus a handful of parameters.  This package exploits that:
   in-host process pool every sharded round runs on;
 * :mod:`repro.runtime.metrics` — the one recorder threaded through the
   cores: counters, gauges and timed spans, kept both as flat totals
-  (``--metrics``, bench records) and as the span tree with worker
-  attribution and retry/degradation events (``--trace``);
+  (``--metrics``, the e2e harness's layer records) and as the span
+  tree with worker attribution and retry/degradation events
+  (``--trace``);
 * :mod:`repro.runtime.faults` — deterministic fault injection
   (``REPRO_FAULT_INJECT``) so every degradation path is exercised in CI.
 """

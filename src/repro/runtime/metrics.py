@@ -3,7 +3,8 @@
 A :class:`Metrics` instance keeps two views of the same accounting:
 
 * flat totals — named counters, max-gauges and cumulative wall time per
-  span name (``snapshot()``, the ``--metrics`` report, bench records);
+  span name (``snapshot()``, the ``--metrics`` report, the e2e
+  harness's layer records);
 * the span tree — nested timed regions, each holding the counters,
   gauges and events recorded while it was the innermost open span, plus
   the pre-measured chunk spans of worker processes (``--trace`` JSON,
@@ -320,8 +321,8 @@ def record_sat_probes(prefix: str, engine, since: int = 0) -> None:
     """Fold the SAT probes ``engine`` made since its count stood at
     ``since`` into :data:`METRICS` as ``<prefix>.sat_probes``, and its
     node count into the ``boolfn.peak_nodes`` high-water mark (the
-    ``pairs`` and ``faults`` fan-outs, which count engine probes rather
-    than a query's checks)."""
+    certification pairs and the ``faults`` fan-out, which count engine
+    probes rather than a query's checks)."""
     METRICS.incr(
         f"{prefix}.sat_probes", getattr(engine, "num_sat_checks", 0) - since
     )

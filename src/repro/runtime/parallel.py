@@ -1,11 +1,9 @@
 """Fault-tolerant process-pool sharding for the embarrassingly parallel
 delay queries.
 
-Six fan-outs are independent per item; each is one :data:`TASK_KINDS`
+Five fan-outs are independent per item; each is one :data:`TASK_KINDS`
 label run through the one entry point, :func:`shard_map`:
 
-* ``pairs`` — per-output certification pairs
-  (``collect_certification_pairs``),
 * ``faults`` — per-path / per-direction delay-fault tests
   (``PathFaultGenerator.generate_for_longest_paths``),
 * ``cones`` — per-output dirty-cone queries of the incremental engine,
@@ -281,16 +279,6 @@ def shard_map(
 # ----------------------------------------------------------------------
 # The task kinds: worker(context, items) -> [result per item]
 # ----------------------------------------------------------------------
-def _pairs_worker(context, outputs):
-    """The context is ``(circuit, engine name, input times,
-    constraint)``; items are primary outputs; a result is ``(time,
-    pair)``, or ``None`` for an output that can never transition."""
-    from ..core.transition import fresh_certification_pairs
-
-    pairs = fresh_certification_pairs(*context, outputs)
-    return [pairs.get(out) for out in outputs]
-
-
 def _fault_worker(generator, tasks):
     """The context is a :class:`~repro.core.delay_fault.PathFaultGenerator`
     (the caller's own in-process; a pool worker unpickles a fresh one);
@@ -405,7 +393,6 @@ def _fuzz_worker(config, scenarios):
 #: name the run spans (``parallel.<label>``), chunk spans (``<label>.chunk``)
 #: and fault-injection trace events.
 TASK_KINDS: Dict[str, Callable] = {
-    "pairs": _pairs_worker,
     "faults": _fault_worker,
     "cones": _cone_worker,
     "monte-carlo": _monte_carlo_worker,

@@ -16,8 +16,7 @@ shared content-addressed :class:`~repro.runtime.cache.DelayCache`:
   session-scoped recorder (:func:`~repro.runtime.metrics.metrics_scope`);
 * :mod:`repro.serve.loadgen` — the ``trued loadgen`` client fleet:
   N concurrent scripted sessions with p50/p95/p99 latency, throughput,
-  and coalescing accounting (the ``serve_load`` benchmark suite records
-  it through the bench observatory).
+  and coalescing accounting.
 """
 
 __all__ = [

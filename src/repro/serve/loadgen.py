@@ -13,10 +13,6 @@ worst case for naive multiplexing and the best case for request
 coalescing: identical in-flight queries collapse onto one computation.
 ``busy`` rejections are retried after a short backoff (they consume no
 request id, so retrying is protocol-transparent).
-
-The ``serve_load`` benchmark suite records :func:`run_loadgen` through
-the bench observatory (``benchmarks/test_serve_load.py`` →
-``BENCH_serve_load.json``).
 """
 
 from __future__ import annotations

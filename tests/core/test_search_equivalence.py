@@ -131,9 +131,11 @@ def test_cached_transition_delay_is_identical(seed):
 @settings(max_examples=20, deadline=None)
 @given(seed=SEEDS)
 def test_chunked_pair_queries_match_the_serial_collection(seed):
-    """The sharded path splits the outputs across fresh analyses; with the
-    canonical variable order each chunk must reproduce exactly the serial
-    per-output (time, pair) results."""
+    """Fresh analyses over chunks of the outputs reproduce exactly the
+    whole collection's per-output (time, pair) results: with the
+    canonical variable order an output's witness does not depend on
+    which other outputs' queries share its analysis (``certify``
+    collects on its own analysis, ``trued vectors`` on a fresh one)."""
     circuit = random_circuit(seed, num_inputs=3, num_gates=6)
     serial = collect_certification_pairs(circuit)
     merged = {}

@@ -10,7 +10,7 @@ from repro.fuzz.oracle import (
     run_scenario,
 )
 from repro.fuzz.runner import run_sweep
-from repro.fuzz.scenario import scenario_for
+from repro.fuzz.scenario import Scenario, scenario_for
 
 from tests.helpers import counted_checks, result_cache_off
 
@@ -45,6 +45,15 @@ class TestHealthyScenarios:
                 scenario_for(42, index), "jobs", oracle_jobs=2
             )
             assert verdict.ok, verdict.detail
+
+    def test_jobs_oracle_passes_when_no_output_transitions(self):
+        # XOR(a, a) never changes, so there are no pairs to replay.
+        quiet = Scenario(
+            "quiet", 1, "quiet", "INPUT(a)\nOUTPUT(z)\nz = XOR(a, a)\n"
+        )
+        verdict = run_oracle(quiet, "jobs", oracle_jobs=2)
+        assert verdict.ok
+        assert verdict.detail == "pairs=0"
 
 
 def test_fixed_seed_sweep_passes_with_pinned_checks(monkeypatch):

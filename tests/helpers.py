@@ -8,12 +8,7 @@ from contextlib import contextmanager
 
 import repro.runtime.cache as cache_module
 from repro.network import Circuit, CircuitBuilder, GateType, loads_bench
-from repro.runtime import (
-    METRICS,
-    execution_policy,
-    set_execution_policy,
-    shard_map,
-)
+from repro.runtime import METRICS, execution_policy, set_execution_policy
 from repro.sim import EventSimulator, all_input_vectors
 
 C17_BENCH = """
@@ -35,16 +30,6 @@ G23 = NAND(G16, G19)
 
 def c17() -> Circuit:
     return loads_bench(C17_BENCH, "c17")
-
-
-def shard_pairs(circuit: Circuit, jobs: int, **kwargs):
-    """Per-output certification pairs straight through the sharded
-    runner, as ``collect_certification_pairs`` maps them."""
-    outputs = list(circuit.outputs)
-    found = shard_map(
-        "pairs", (circuit, "auto", None, None), outputs, jobs, **kwargs
-    )
-    return {out: pair for out, pair in zip(outputs, found) if pair}
 
 
 @contextmanager

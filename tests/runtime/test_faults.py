@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 from repro.core import (
     PathFaultGenerator,
     VectorPair,
-    collect_certification_pairs,
     monte_carlo_delay,
     uniform_variation,
 )
 from repro.runtime import METRICS
-from repro.runtime.cache import DelayCache
 from repro.runtime.faults import (
     FaultSpec,
     parse_fault_spec,
@@ -38,12 +36,21 @@ def c17_pair():
     )
 
 
-def assert_pairs_equal(serial, sharded):
-    assert list(sharded) == list(serial)
-    for out in serial:
-        assert serial[out][0] == sharded[out][0], out
-        assert serial[out][1].v_prev == sharded[out][1].v_prev, out
-        assert serial[out][1].v_next == sharded[out][1].v_next, out
+def longest_path_tests(jobs):
+    """Robust tests for c17's 3 longest paths: 3 paths x 2 directions =
+    6 ``faults`` tasks."""
+    return PathFaultGenerator(c17()).generate_for_longest_paths(3, jobs=jobs)
+
+
+def assert_coverage_equal(serial, sharded):
+    assert len(serial.tests) == len(sharded.tests)
+    for a, b in zip(serial.tests, sharded.tests):
+        assert str(a.fault) == str(b.fault)
+        assert a.pair.v_prev == b.pair.v_prev
+        assert a.pair.v_next == b.pair.v_next
+    assert [str(f) for f in serial.untestable] == [
+        str(f) for f in sharded.untestable
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -79,69 +86,46 @@ class TestSpecParsing:
 # ----------------------------------------------------------------------
 # Degradation paths (real worker processes)
 # ----------------------------------------------------------------------
-#: The result cache stays out of these tests: with ``REPRO_CACHE_DIR``
-#: set, the ``jobs=1`` reference would store its answer on disk and the
-#: ``jobs=2`` call would be served from it without ever sharding.
-NO_CACHE = DelayCache(enabled=False)
-
-
 class TestDegradationPaths:
     def test_killed_worker_is_retried_and_result_identical(self, monkeypatch):
-        serial = collect_certification_pairs(c17(), jobs=1, cache=NO_CACHE)
+        serial = longest_path_tests(jobs=1)
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1")
         before = METRICS.counter("parallel.retries")
-        sharded = collect_certification_pairs(
-            c17(), jobs=2, cache=NO_CACHE
-        )
+        sharded = longest_path_tests(jobs=2)
         assert METRICS.counter("parallel.retries") > before
-        assert_pairs_equal(serial, sharded)
+        assert_coverage_equal(serial, sharded)
 
     def test_hung_worker_times_out_and_result_identical(self, monkeypatch):
-        serial = collect_certification_pairs(c17(), jobs=1, cache=NO_CACHE)
+        serial = longest_path_tests(jobs=1)
         monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:0")
         # Bounded even if the terminate-on-timeout cleanup were to fail.
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "10")
         before = METRICS.counter("parallel.chunk_timeouts")
         with sharding_policy(timeout=1.0):
-            sharded = collect_certification_pairs(
-                c17(), jobs=2, cache=NO_CACHE
-            )
+            sharded = longest_path_tests(jobs=2)
         assert METRICS.counter("parallel.chunk_timeouts") > before
-        assert_pairs_equal(serial, sharded)
+        assert_coverage_equal(serial, sharded)
 
     def test_poison_chunk_is_isolated_item_by_item(self, monkeypatch):
-        # 3 paths x 2 directions = 6 tasks; jobs=2 puts 3 tasks in the
-        # injected chunk, whose retry must split into 3 single-item tasks.
-        serial = PathFaultGenerator(c17()).generate_for_longest_paths(
-            3, jobs=1
-        )
+        # jobs=2 puts 3 of the 6 tasks in the injected chunk, whose retry
+        # must split into 3 single-item tasks.
+        serial = longest_path_tests(jobs=1)
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
         before = METRICS.counter("parallel.retries")
-        sharded = PathFaultGenerator(c17()).generate_for_longest_paths(
-            3, jobs=2
-        )
+        sharded = longest_path_tests(jobs=2)
         assert METRICS.counter("parallel.retries") >= before + 3
-        assert len(serial.tests) == len(sharded.tests)
-        for a, b in zip(serial.tests, sharded.tests):
-            assert str(a.fault) == str(b.fault)
-            assert a.pair.v_prev == b.pair.v_prev
-            assert a.pair.v_next == b.pair.v_next
-        assert [str(f) for f in serial.untestable] == [
-            str(f) for f in sharded.untestable
-        ]
+        assert_coverage_equal(serial, sharded)
 
     def test_exhausted_retries_degrade_to_serial_in_process(
         self, monkeypatch
     ):
-        serial = collect_certification_pairs(c17(), jobs=1, cache=NO_CACHE)
+        serial = longest_path_tests(jobs=1)
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
         before = METRICS.counter("parallel.serial_fallback_items")
         with sharding_policy(retries=0):
-            sharded = collect_certification_pairs(
-                c17(), jobs=2, cache=NO_CACHE
-            )
+            sharded = longest_path_tests(jobs=2)
         assert METRICS.counter("parallel.serial_fallback_items") > before
-        assert_pairs_equal(serial, sharded)
+        assert_coverage_equal(serial, sharded)
 
     def test_monte_carlo_samples_survive_worker_death(self, monkeypatch):
         pairs = [c17_pair()]

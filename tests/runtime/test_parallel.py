@@ -13,6 +13,7 @@ from repro.characterize import load_spec, plan_jobs, run_plan
 from repro.circuits import build_circuit
 from repro.core import (
     PathFaultGenerator,
+    certify,
     collect_certification_pairs,
     monte_carlo_delay,
     uniform_variation,
@@ -28,7 +29,7 @@ from repro.runtime import (
 )
 from repro.runtime.parallel import _chunk_round_robin, sample_seed, shard_map
 
-from tests.helpers import c17, counted_checks, result_cache_off, shard_pairs
+from tests.helpers import c17, counted_checks, result_cache_off
 
 FIGURES_SPEC = (
     Path(__file__).resolve().parents[2] / "examples"
@@ -57,53 +58,21 @@ def test_sample_seed_is_stable_and_distinct():
     assert sample_seed(97, 1) != sample_seed(98, 1)
 
 
-def test_sharded_certification_pairs_match_serial(monkeypatch):
+def test_certification_pairs_on_c880_make_no_checks(monkeypatch):
+    """The per-output queries on a medium circuit move no ``*.checks``
+    counter (pairs count SAT probes under ``pairs.sat_probes``)."""
     result_cache_off(monkeypatch)
+    with counted_checks() as checks:
+        collect_certification_pairs(build_circuit("c880"))
+    assert checks == {}
+
+
+def c17_monte_carlo_context():
+    """A picklable ``monte-carlo`` context: c17, its certification
+    pairs, a seed and the spec of the default delay model."""
     circuit = c17()
-    with metrics_scope() as serial_metrics:
-        serial = collect_certification_pairs(circuit, jobs=1)
-    with metrics_scope() as sharded_metrics:
-        sharded = shard_pairs(circuit, jobs=2)
-    # Both routes count the same SAT probes under the same name.
-    assert serial_metrics.counter("pairs.sat_probes") == (
-        sharded_metrics.counter("pairs.sat_probes")
-    ) == 2
-    assert list(sharded) == list(serial)  # declaration order preserved
-    for out in serial:
-        t_serial, pair_serial = serial[out]
-        t_sharded, pair_sharded = sharded[out]
-        assert t_serial == t_sharded
-        assert pair_serial.v_prev == pair_sharded.v_prev
-        assert pair_serial.v_next == pair_sharded.v_next
-
-
-def test_sharded_pairs_match_serial_on_c880(monkeypatch):
-    """A medium circuit at jobs=1 and jobs=4: the same pairs, and no
-    ``*.checks`` counter moves on either route (pairs count SAT probes
-    under ``pairs.sat_probes``)."""
-    result_cache_off(monkeypatch)
-    circuit = build_circuit("c880")
-    with counted_checks() as serial_checks:
-        serial = collect_certification_pairs(circuit, jobs=1)
-    with counted_checks() as sharded_checks:
-        sharded = collect_certification_pairs(circuit, jobs=4)
-    assert serial_checks == sharded_checks == {}
-    assert list(sharded) == list(serial)
-    for out in serial:
-        assert sharded[out][0] == serial[out][0], out
-        assert sharded[out][1].v_prev == serial[out][1].v_prev, out
-        assert sharded[out][1].v_next == serial[out][1].v_next, out
-
-
-def test_collect_pairs_jobs_parameter_dispatches_identically():
-    circuit = c17()
-    serial = collect_certification_pairs(circuit, jobs=1)
-    parallel = collect_certification_pairs(circuit, jobs=2)
-    assert serial.keys() == parallel.keys()
-    for out in serial:
-        assert serial[out][0] == parallel[out][0]
-        assert serial[out][1].v_prev == parallel[out][1].v_prev
-        assert serial[out][1].v_next == parallel[out][1].v_next
+    pairs = [p for __, p in collect_certification_pairs(circuit).values()]
+    return circuit, pairs, 7, uniform_variation(1).spec
 
 
 def test_monte_carlo_is_jobs_count_invariant():
@@ -155,12 +124,14 @@ def test_consecutive_runs_number_their_tasks_from_zero(monkeypatch):
     two runs loses its own task 0 and still returns the jobs=1 result.
     The serve crash replays rely on this (every query's first round
     degrades the same way)."""
-    circuit = c17()
-    serial = collect_certification_pairs(circuit, jobs=1)
+    context = c17_monte_carlo_context()
+    serial = shard_map("monte-carlo", context, range(6), 1)
     monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
     for __ in range(2):
         with metrics_scope() as metrics:
-            assert shard_pairs(circuit, jobs=2, retries=0) == serial
+            assert shard_map(
+                "monte-carlo", context, range(6), 2, retries=0
+            ) == serial
         # Numbering carried over from the first run would give the
         # second run tasks 2 and 3, and the fault would not fire.  (The
         # crash may also take the other chunk down with the pool.)
@@ -185,13 +156,11 @@ def test_unknown_label_is_rejected_before_any_round_runs():
 def test_caller_owned_pool_is_neither_closed_nor_rebuilt():
     """A pool the caller passes in serves each run and is left open for
     the next one (the query service keeps one for its lifetime)."""
-    circuit = c17()
-    context = (circuit, "auto", None, None)
-    outputs = list(circuit.outputs)
+    context = c17_monte_carlo_context()
     pool = LocalPoolTransport(jobs=2)
     try:
-        first = shard_map("pairs", context, outputs, 2, transport=pool)
-        second = shard_map("pairs", context, outputs, 2, transport=pool)
+        first = shard_map("monte-carlo", context, range(6), 2, transport=pool)
+        second = shard_map("monte-carlo", context, range(6), 2, transport=pool)
         assert first == second
         stats = pool.stats()
         assert stats["rounds"] == 2
@@ -203,9 +172,7 @@ def test_caller_owned_pool_is_neither_closed_nor_rebuilt():
 
 def _run_label(label: str, jobs: int) -> None:
     """One run of the ``label`` fan-out through its public caller."""
-    if label == "pairs":
-        collect_certification_pairs(build_circuit("c432"), jobs=jobs)
-    elif label == "faults":
+    if label == "faults":
         PathFaultGenerator(build_circuit("c432")).generate_for_longest_paths(
             4, jobs=jobs
         )
@@ -215,9 +182,7 @@ def _run_label(label: str, jobs: int) -> None:
             cache=DelayCache(enabled=False),
         ).query("transition")
     elif label == "monte-carlo":
-        pairs = [pair for __, pair in collect_certification_pairs(
-            c17(), jobs=1
-        ).values()]
+        pairs = [p for __, p in collect_certification_pairs(c17()).values()]
         monte_carlo_delay(c17(), pairs, num_samples=8, jobs=jobs)
     elif label == "characterize":
         spec = load_spec(FIGURES_SPEC)
@@ -226,9 +191,8 @@ def _run_label(label: str, jobs: int) -> None:
         run_sweep(seed=5, count=3, jobs=jobs, shrink_failures=False)
 
 
-#: Counters whose value may depend on the route: each worker rebuilds
-#: the functions its items need and settles its own chunk.
-ROUTE_DEPENDENT = (".functions_built",)
+#: Counters whose value may depend on the route: each worker settles
+#: its own chunk.
 ROUTE_DEPENDENT_PREFIXES = ("wordsim.",)
 #: The runtime's own accounting of pool rounds.
 RUNTIME_PREFIXES = ("parallel.", "transport.")
@@ -255,8 +219,7 @@ def test_every_label_records_the_same_counts_at_any_jobs(label, monkeypatch):
     assert set(recorded[1]["gauges"]) == set(recorded[2]["gauges"])
     same = {
         name for name in serial
-        if not name.endswith(ROUTE_DEPENDENT)
-        and not name.startswith(ROUTE_DEPENDENT_PREFIXES)
+        if not name.startswith(ROUTE_DEPENDENT_PREFIXES)
     }
     assert {name: sharded[name] for name in same} == {
         name: serial[name] for name in same
@@ -268,3 +231,23 @@ def test_every_label_records_the_same_counts_at_any_jobs(label, monkeypatch):
         assert serial["transition.checks"] == 75
     if label == "monte-carlo":
         assert serial["monte_carlo.samples"] == 8
+
+
+def test_certify_records_the_same_counts_at_any_jobs(monkeypatch):
+    """``jobs`` shards only certify's Monte Carlo follow-up; its pairs
+    come from its own transition analysis on every route, so ``jobs=2``
+    records the counters ``jobs=1`` does, with the same values."""
+    result_cache_off(monkeypatch)
+    recorded = {}
+    for jobs in (1, 2):
+        with metrics_scope() as metrics:
+            certify(build_circuit("c432"), statistical_samples=8, jobs=jobs)
+        recorded[jobs] = {
+            name: value
+            for name, value in metrics.snapshot()["counters"].items()
+            if not name.startswith(RUNTIME_PREFIXES + ROUTE_DEPENDENT_PREFIXES)
+        }
+    assert recorded[2] == recorded[1]
+    assert recorded[1]["floating.checks"] == 1
+    assert recorded[1]["floating.functions_built"] == 48
+    assert recorded[1]["monte_carlo.samples"] == 8

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.runtime import METRICS, DelayCache, Metrics, metrics_scope
+from repro.runtime import METRICS, Metrics, metrics_scope
 
 
 def _spans(span):
@@ -180,19 +180,19 @@ def test_summed_span_counters_equal_the_totals(fault, monkeypatch):
     """Every count is written once to the totals and once to the tree —
     sharded chunks included, on the plain and on the retry path."""
     from repro.circuits import build_circuit
-    from repro.core import collect_certification_pairs
+    from repro.core import PathFaultGenerator
 
     if fault is None:
         monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
     else:
         monkeypatch.setenv("REPRO_FAULT_INJECT", fault)
-    circuit = build_circuit("c880")
+    generator = PathFaultGenerator(build_circuit("c880"))
+    # 128 tasks: the chunk that does not crash is still running when
+    # the crash breaks the pool, so both chunks fail and are retried.
     with metrics_scope() as metrics:
-        collect_certification_pairs(
-            circuit, jobs=2, cache=DelayCache(enabled=False)
-        )
+        generator.generate_for_longest_paths(64, jobs=2)
     totals = metrics.snapshot()["counters"]
-    assert totals["pairs.sat_probes"] > 0
+    assert totals["faults.sat_probes"] > 0
     assert _summed_counters(metrics.root) == totals
     events = [
         event["event"]

@@ -58,6 +58,12 @@ class TestCommands:
         text = out_file.read_text()
         assert "G22" in text and "G23" in text
 
+    @pytest.mark.parametrize("flag", ["--jobs", "--timeout", "--retries"])
+    def test_vectors_does_not_shard(self, bench_file, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["vectors", bench_file, flag, "2"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_certify(self, bench_file, verilog_file, capsys):
         code = main(["certify", bench_file, "--accurate", verilog_file])
         out = capsys.readouterr().out
@@ -163,36 +169,28 @@ class TestTracingAndFaultTolerance:
         assert totals == ["1"]
         assert tree == ["1"]
 
-    def test_vectors_jobs4_with_injected_crash_match_jobs1(
-        self, bench_file, tmp_path, monkeypatch
+    def test_faults_jobs4_with_injected_crash_match_jobs1(
+        self, bench_file, capsys, monkeypatch
     ):
         """Acceptance: a killed worker degrades throughput, not results —
-        the jobs=4 output file is byte-identical to the jobs=1 one."""
-        serial_file = tmp_path / "serial.txt"
-        sharded_file = tmp_path / "sharded.txt"
-        assert main(
-            ["vectors", bench_file, "--jobs", "1", "-o", str(serial_file)]
-        ) == 0
+        the jobs=4 output is byte-identical to the jobs=1 one."""
+        assert main(["faults", bench_file, "-k", "3", "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1")
         assert main(
-            ["vectors", bench_file, "--jobs", "4", "--retries", "2",
-             "-o", str(sharded_file)]
+            ["faults", bench_file, "-k", "3", "--jobs", "4", "--retries", "2"]
         ) == 0
-        assert sharded_file.read_bytes() == serial_file.read_bytes()
+        assert capsys.readouterr().out == serial
 
-    def test_vectors_jobs4_with_hung_worker_match_jobs1(
-        self, bench_file, tmp_path, monkeypatch
+    def test_faults_jobs4_with_hung_worker_match_jobs1(
+        self, bench_file, capsys, monkeypatch
     ):
-        serial_file = tmp_path / "serial.txt"
-        sharded_file = tmp_path / "sharded.txt"
-        assert main(
-            ["vectors", bench_file, "--jobs", "1", "-o", str(serial_file)]
-        ) == 0
+        assert main(["faults", bench_file, "-k", "3", "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
         monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:0")
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "10")
         assert main(
-            ["vectors", bench_file, "--jobs", "4", "--timeout", "5",
-             "-o", str(sharded_file)]
+            ["faults", bench_file, "-k", "3", "--jobs", "4", "--timeout", "5"]
         ) == 0
-        assert sharded_file.read_bytes() == serial_file.read_bytes()
+        assert capsys.readouterr().out == serial
 
