@@ -13,8 +13,8 @@ into that product shape:
 * :mod:`.plan` — spec expansion into a deterministic list of
   (circuit x corner x analysis) jobs;
 * :mod:`.runner` — the parameter manager: fans the plan through the
-  sharded runtime (:mod:`repro.runtime.parallel`) with per-job
-  retry/poison-isolation, serves repeat jobs from the content-addressed
+  sharded runtime (:mod:`repro.runtime.parallel`), whose failed chunks
+  finish in-process, serves repeat jobs from the content-addressed
   :class:`~repro.runtime.cache.DelayCache`, and tags tracing spans with
   spec/corner ids;
 * :mod:`.collate` — folds job results into per-parameter

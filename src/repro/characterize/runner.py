@@ -10,8 +10,8 @@ warm-cache runs are value-identical):
   its circuit from the registry by name.
 * :func:`run_plan` — fans a job list through the sharded runtime
   (:func:`repro.runtime.parallel.shard_map`, label ``characterize``,
-  inheriting its per-round timeout, bounded retries with poison
-  isolation, and serial degradation), serving repeat jobs from the
+  inheriting its per-round timeout and the in-process completion of
+  failed chunks), serving repeat jobs from the
   content-addressed :class:`~repro.runtime.cache.DelayCache` *in the
   parent* — cache lookups happen before dispatch and stores after
   harvest, so hit counters are deterministic and independent of worker

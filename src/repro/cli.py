@@ -39,8 +39,7 @@ Commands
 
 Netlist format is inferred from the extension: ``.bench``, ``.blif``,
 ``.v``/``.verilog``.  Of the netlist commands only ``certify`` and
-``faults`` shard, so only they take ``--jobs``, ``--timeout`` and
-``--retries``.
+``faults`` shard, so only they take ``--jobs`` and ``--timeout``.
 """
 
 from __future__ import annotations
@@ -299,7 +298,6 @@ def cmd_fuzz(args) -> int:
             count=args.count,
             oracles=oracles,
             jobs=args.jobs,
-            oracle_jobs=args.oracle_jobs,
             size=args.size,
             max_edits=args.max_edits,
             out_dir=args.out,
@@ -315,9 +313,7 @@ def cmd_fuzz(args) -> int:
         return 0 if report.ok else 1
 
     if args.fuzz_command == "replay":
-        reproduced, verdicts = fuzz.replay_repro(
-            args.file, oracle_jobs=args.oracle_jobs
-        )
+        reproduced, verdicts = fuzz.replay_repro(args.file)
         for verdict in verdicts:
             print(verdict.verdict_line())
         if reproduced:
@@ -334,10 +330,7 @@ def cmd_fuzz(args) -> int:
 
         def fails(candidate):
             return not fuzz.run_oracle(
-                candidate,
-                failure.oracle,
-                oracle_jobs=args.oracle_jobs,
-                plant=plant,
+                candidate, failure.oracle, plant=plant
             ).ok
 
         result = fuzz.shrink_scenario(
@@ -443,7 +436,6 @@ def cmd_serve(args) -> int:
         return run_server(
             engine_name=args.engine,
             jobs=args.jobs,
-            timeout=args.timeout,
             tcp=tcp,
             unix_path=args.socket,
             max_pending=args.max_pending,
@@ -458,8 +450,7 @@ def cmd_serve(args) -> int:
     transport = LocalPoolTransport(args.jobs) if args.jobs != 1 else None
     try:
         service = QueryService(
-            engine_name=args.engine, jobs=args.jobs, transport=transport,
-            timeout=args.timeout,
+            engine_name=args.engine, jobs=args.jobs, transport=transport
         )
         if args.netlist:
             service.preload(args.netlist)
@@ -485,7 +476,7 @@ def cmd_loadgen(args) -> int:
         from .serve import TimingServer
 
         server = TimingServer(
-            engine_name=args.engine, jobs=args.jobs, timeout=args.timeout,
+            engine_name=args.engine, jobs=args.jobs,
             max_pending=args.max_pending, workers=args.workers,
         )
     report = run_loadgen(
@@ -517,14 +508,8 @@ _RUNTIME_FLAGS: Dict[str, dict] = {
     "--timeout": dict(
         type=float, default=None, metavar="S",
         help="per-round wall-clock timeout (seconds) for sharded work; "
-        "timed-out chunks are retried and finally re-run serially "
-        "in-process (default: no timeout)",
-    ),
-    "--retries": dict(
-        type=int, default=1, metavar="N",
-        help="retry rounds for failed or timed-out chunks (each retry "
-        "isolates items one per task) before degrading to serial "
-        "in-process execution (default: 1)",
+        "failed or timed-out chunks finish in-process "
+        "(default: no timeout)",
     ),
     "--metrics": dict(
         action="store_true",
@@ -534,13 +519,13 @@ _RUNTIME_FLAGS: Dict[str, dict] = {
     "--trace": dict(
         default=None, metavar="FILE",
         help="write the hierarchical execution trace (span tree with "
-        "retry/degradation events) as JSON to FILE",
+        "worker-failure and degradation events) as JSON to FILE",
     ),
 }
 
 
 #: The runtime flags of a netlist command that does not shard: it has
-#: no use for ``--jobs``, ``--timeout`` or ``--retries``.
+#: no use for ``--jobs`` or ``--timeout``.
 _NON_SHARDING_FLAGS = ("--cache", "--no-cache", "--metrics", "--trace")
 
 
@@ -652,17 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=["auto", "bdd", "sat"], default="auto",
         help="Boolean function engine (default: auto)",
     )
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="warm worker processes for dirty-cone evaluation "
-        "(1 = serial, 0 = all cores; default: 1)",
-    )
-    p.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-request parallel-round timeout for the warm pool; "
-        "failed or timed-out work finishes in-process, without a "
-        "retry round",
-    )
+    _add_runtime_flags(p, ("--jobs", "--timeout"))
     p.add_argument(
         "--max-pending", type=int, default=64, metavar="N",
         help="admission-queue bound for --tcp/--socket: requests "
@@ -709,14 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=["auto", "bdd", "sat"], default="auto",
         help="engine for the self-hosted server (no --tcp/--socket)",
     )
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="warm-pool jobs for the self-hosted server (default: 1)",
-    )
-    p.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="warm-pool round timeout for the self-hosted server",
-    )
+    _add_runtime_flags(p, ("--jobs", "--timeout"))
     p.add_argument(
         "--max-pending", type=int, default=64, metavar="N",
         help="admission bound for the self-hosted server (default: 64)",
@@ -776,14 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_sub = p.add_subparsers(dest="fuzz_command", required=True)
 
     def fuzz_runtime_flags(f):
-        f.add_argument(
-            "--oracle-jobs", type=int, default=1, metavar="N",
-            help="worker processes *inside* each oracle's sharded leg "
-            "(default: 1)",
-        )
-        _add_runtime_flags(
-            f, ("--timeout", "--retries", "--metrics", "--trace")
-        )
+        _add_runtime_flags(f, ("--timeout", "--metrics", "--trace"))
 
     f = fuzz_sub.add_parser(
         "run",
@@ -885,10 +846,7 @@ def _configure_runtime(args) -> None:
     # One recorder state per invocation: fresh totals, and a root
     # "session" span covering every span the command records.
     METRICS.reset()
-    set_execution_policy(
-        timeout=getattr(args, "timeout", None),
-        retries=getattr(args, "retries", None),
-    )
+    set_execution_policy(timeout=getattr(args, "timeout", None))
     if getattr(args, "no_cache", False):
         configure_cache(enabled=False)
     elif getattr(args, "cache", None):

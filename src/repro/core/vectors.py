@@ -91,7 +91,7 @@ class VectorPair:
 
 
 def batch_pair_states(
-    circuit, pairs: Sequence["VectorPair"], check: Optional[bool] = None
+    circuit, pairs: Sequence["VectorPair"], check: bool = False
 ) -> Tuple[List[Dict[str, bool]], List[Dict[str, bool]]]:
     """Settled node values under every pair's ``v_-1`` and ``v_0`` in one
     bit-parallel pass of the word-level kernel.

@@ -3,7 +3,7 @@
 Every oracle runs the *same* analysis through two execution paths that
 must agree byte for byte:
 
-* ``jobs``        — serial vs sharded Monte-Carlo replay of the
+* ``jobs``        — ``jobs=1`` vs ``jobs=2`` Monte-Carlo replay of the
                     scenario's certification pairs;
 * ``incremental`` — warm :class:`~repro.incremental.engine.IncrementalTimingEngine`
                     after the scenario's edits vs a cold from-scratch query;
@@ -133,7 +133,7 @@ def _no_cache() -> DelayCache:
 # ----------------------------------------------------------------------
 # The four oracles.  Each returns (ok, detail, expected, actual, checks).
 # ----------------------------------------------------------------------
-def _oracle_jobs(scenario: Scenario, oracle_jobs: int, plant):
+def _oracle_jobs(scenario: Scenario, plant):
     circuit = edited_circuit(scenario)
     pairs = collect_certification_pairs(circuit, cache=_no_cache())
     if not pairs:
@@ -146,14 +146,14 @@ def _oracle_jobs(scenario: Scenario, oracle_jobs: int, plant):
     )
     sharded = monte_carlo_delay(
         circuit, vector_pairs, num_samples=samples,
-        seed=scenario.seed, jobs=oracle_jobs,
+        seed=scenario.seed, jobs=2,
     )
     expected = json.dumps(serial.samples)
     actual = json.dumps(sharded.samples)
     return expected == actual, f"samples={samples}", expected, actual, 0
 
 
-def _oracle_incremental(scenario: Scenario, oracle_jobs: int, plant):
+def _oracle_incremental(scenario: Scenario, plant):
     circuit = materialize(scenario)
     engine = IncrementalTimingEngine(circuit)
     for kind in KINDS:
@@ -186,7 +186,7 @@ def _oracle_incremental(scenario: Scenario, oracle_jobs: int, plant):
     return True, "delays=" + ",".join(delays), "", "", 0
 
 
-def _oracle_wordsim(scenario: Scenario, oracle_jobs: int, plant):
+def _oracle_wordsim(scenario: Scenario, plant):
     circuit = edited_circuit(scenario)
     rng = random.Random(f"fuzz-vec:{scenario.scenario_id}")
     vectors = [
@@ -230,7 +230,7 @@ def _counters_since(before: Dict[str, int]) -> Dict[str, int]:
     }
 
 
-def _oracle_cache(scenario: Scenario, oracle_jobs: int, plant):
+def _oracle_cache(scenario: Scenario, plant):
     circuit = edited_circuit(scenario)
     store = DelayCache(memory_items=64)
     cold_t = compute_transition_delay(circuit, cache=store)
@@ -273,7 +273,6 @@ _ORACLE_FUNCS = {
 def run_oracle(
     scenario: Scenario,
     oracle: str,
-    oracle_jobs: int = 2,
     plant: Optional[str] = None,
 ) -> OracleVerdict:
     """Run one oracle against one scenario.
@@ -291,7 +290,7 @@ def run_oracle(
         )
     before = METRICS.snapshot()["counters"]
     ok, detail, expected, actual, checks = _ORACLE_FUNCS[oracle](
-        scenario, oracle_jobs, plant
+        scenario, plant
     )
     captured = {} if ok else _counters_since(before)
     return OracleVerdict(
@@ -309,12 +308,10 @@ def run_oracle(
 def run_scenario(
     scenario: Scenario,
     oracles: Sequence[str] = ORACLES,
-    oracle_jobs: int = 2,
     plant: Optional[str] = None,
 ) -> List[OracleVerdict]:
     """Run the requested oracles in canonical order."""
     ordered = [name for name in ORACLES if name in set(oracles)]
     return [
-        run_oracle(scenario, name, oracle_jobs=oracle_jobs, plant=plant)
-        for name in ordered
+        run_oracle(scenario, name, plant=plant) for name in ordered
     ]

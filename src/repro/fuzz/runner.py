@@ -78,7 +78,6 @@ def _repro_envelope(
     scenario: Scenario,
     failure: OracleVerdict,
     oracles: Sequence[str],
-    oracle_jobs: int,
     plant: Optional[str],
     shrink: Optional[ShrinkResult],
 ) -> Dict[str, object]:
@@ -87,7 +86,6 @@ def _repro_envelope(
         "version": REPRO_VERSION,
         "scenario": scenario.to_dict(),
         "oracles": list(oracles),
-        "oracle_jobs": int(oracle_jobs),
         "plant": plant,
         "failure": failure.to_dict(),
         "shrink": None if shrink is None else shrink.to_dict(),
@@ -119,14 +117,11 @@ def load_repro(path: str) -> Dict[str, object]:
 def _shrink_failure(
     scenario: Scenario,
     failure: OracleVerdict,
-    oracle_jobs: int,
     plant: Optional[str],
     max_evaluations: int,
 ) -> Optional[ShrinkResult]:
     def fails(candidate: Scenario) -> bool:
-        return not run_oracle(
-            candidate, failure.oracle, oracle_jobs=oracle_jobs, plant=plant
-        ).ok
+        return not run_oracle(candidate, failure.oracle, plant=plant).ok
 
     try:
         with METRICS.span(
@@ -148,7 +143,6 @@ def run_sweep(
     count: int,
     oracles: Sequence[str] = ORACLES,
     jobs: int = 1,
-    oracle_jobs: int = 1,
     size: str = "small",
     max_edits: int = 4,
     out_dir: Optional[str] = None,
@@ -179,11 +173,7 @@ def run_sweep(
                 for index in range(count)
             ]
         METRICS.incr("fuzz.scenarios", len(scenarios))
-        config = {
-            "oracles": ordered,
-            "oracle_jobs": oracle_jobs,
-            "plant": plant,
-        }
+        config = {"oracles": ordered, "plant": plant}
         per_scenario = shard_map("fuzz", config, scenarios, jobs)
         for scenario, verdicts in zip(scenarios, per_scenario):
             report.verdicts.extend(verdicts)
@@ -198,11 +188,11 @@ def run_sweep(
             shrink = None
             if shrink_failures:
                 shrink = _shrink_failure(
-                    scenario, failure, oracle_jobs, plant, shrink_budget,
+                    scenario, failure, plant, shrink_budget
                 )
             minimal = shrink.scenario if shrink is not None else scenario
             envelope = _repro_envelope(
-                minimal, failure, ordered, oracle_jobs, plant, shrink
+                minimal, failure, ordered, plant, shrink
             )
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(
@@ -219,9 +209,7 @@ def run_sweep(
     return report
 
 
-def replay_repro(
-    path: str, oracle_jobs: Optional[int] = None
-) -> Tuple[bool, List[OracleVerdict]]:
+def replay_repro(path: str) -> Tuple[bool, List[OracleVerdict]]:
     """Re-execute a filed repro.
 
     Returns ``(reproduced, verdicts)`` where ``reproduced`` is True when
@@ -232,19 +220,11 @@ def replay_repro(
     envelope = load_repro(path)
     scenario = Scenario.from_dict(envelope["scenario"])
     failure = OracleVerdict.from_dict(envelope["failure"])
-    jobs = (
-        int(envelope.get("oracle_jobs", 1))
-        if oracle_jobs is None
-        else oracle_jobs
-    )
     with METRICS.span(
         "fuzz.replay", scenario=scenario.scenario_id, oracle=failure.oracle
     ):
         verdict = run_oracle(
-            scenario,
-            failure.oracle,
-            oracle_jobs=jobs,
-            plant=envelope.get("plant"),
+            scenario, failure.oracle, plant=envelope.get("plant")
         )
     METRICS.incr("fuzz.replays")
     return (not verdict.ok), [verdict]

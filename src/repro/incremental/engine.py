@@ -101,8 +101,6 @@ class IncrementalTimingEngine:
         jobs: int = 1,
         cache: Optional[DelayCache] = None,
         transport=None,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
     ):
         circuit.validate()
         self.circuit = circuit
@@ -115,8 +113,6 @@ class IncrementalTimingEngine:
         #: Where sharded cone rounds run: ``None`` builds a pool per
         #: query; a caller-owned transport keeps its workers warm.
         self.transport = transport
-        self.timeout = timeout
-        self.retries = retries
         self._cursor = circuit.journal_length
         #: Per-kind memo: output -> (cone fingerprint, ConeResult).
         self._memo: Dict[str, Dict[str, Tuple[str, ConeResult]]] = {
@@ -309,7 +305,6 @@ class IncrementalTimingEngine:
         :mod:`repro.runtime.parallel` (in-process at ``jobs=1``)."""
         results = shard_map(
             "cones", (kind, self.engine_name), cones, self.jobs,
-            timeout=self.timeout, retries=self.retries,
             transport=self.transport,
         )
         return {result.output: result for result in results}

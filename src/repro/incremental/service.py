@@ -80,9 +80,8 @@ class QueryService:
     """Request dispatch and session state for one serve loop.
 
     With ``jobs != 1`` dirty cones shard over ``transport`` (``None``
-    builds a pool per query) with a ``timeout``-second round limit.  The
-    service is latency-first: a failed round is not retried, its cones
-    finish in-process.
+    builds a pool per query) under the process-wide execution policy,
+    as every sharded run does: a failed round's cones finish in-process.
     """
 
     def __init__(
@@ -91,12 +90,10 @@ class QueryService:
         jobs: int = 1,
         transport: Optional[LocalPoolTransport] = None,
         cache: Optional[DelayCache] = None,
-        timeout: Optional[float] = None,
     ):
         self.engine_name = engine_name
         self.jobs = jobs
         self.transport = transport
-        self.timeout = timeout
         #: Cone-result cache handed to every engine this service builds.
         #: ``None`` keeps the engine's private per-load default; the
         #: multi-client server passes one shared content-addressed cache
@@ -203,8 +200,6 @@ class QueryService:
             jobs=self.jobs,
             cache=self.cache,
             transport=self.transport,
-            timeout=self.timeout,
-            retries=0,
         )
         return {
             "circuit": circuit.name,

@@ -8,15 +8,15 @@ circuit content plus a handful of parameters.  This package exploits that:
 * :mod:`repro.runtime.cache` — two-tier (memory LRU + optional disk)
   result cache keyed by ``(fingerprint, kind, engine, constraint, params)``;
 * :mod:`repro.runtime.parallel` — :func:`shard_map`, the one
-  fault-tolerant sharder for every per-item fan-out (per-chunk
-  timeouts, poison-isolation retries, serial degradation) over the
+  fault-tolerant sharder for every per-item fan-out (one pool round
+  under a timeout; failed chunks finish in-process) over the
   :data:`TASK_KINDS` registry;
 * :mod:`repro.runtime.transport` — :class:`LocalPoolTransport`, the
   in-host process pool every sharded round runs on;
 * :mod:`repro.runtime.metrics` — the one recorder threaded through the
   cores: counters, gauges and timed spans, kept both as flat totals
   (``--metrics``, the e2e harness's layer records) and as the span
-  tree with worker attribution and retry/degradation events
+  tree with worker attribution and failure/degradation events
   (``--trace``);
 * :mod:`repro.runtime.faults` — deterministic fault injection
   (``REPRO_FAULT_INJECT``) so every degradation path is exercised in CI.
@@ -33,7 +33,6 @@ from .cache import (
 from .faults import FaultSpec, parse_fault_spec
 from .fingerprint import (
     circuit_fingerprint,
-    circuit_merkle_root,
     circuit_signature,
     cone_fingerprint,
     node_cone_fingerprints,
@@ -65,7 +64,6 @@ __all__ = [
     "FaultSpec",
     "parse_fault_spec",
     "circuit_fingerprint",
-    "circuit_merkle_root",
     "circuit_signature",
     "cone_fingerprint",
     "node_cone_fingerprints",

@@ -16,12 +16,11 @@ otherwise be trusted on faith; this hook makes each one reproducible in CI:
     the first disk-cache read of any token with the given hex prefix sees
     corrupted bytes; the entry is then quarantined and rebuilt.
 
-Task indices number the tasks of one sharded run from 0 (retry tasks
-continue the numbering), so an injected crash/hang fires once per run
-instead of following the retried work around forever.
-Every run starts again at 0: a long-lived process such as the query
-service meets the fault once in each sharded query.  ``corrupt-cache``
-fires once per token per process.
+Task indices number the chunk tasks of one sharded run from 0, so an
+injected crash/hang fires once per run; the failed chunks then finish
+in-process, where no fault is injected.  Every run starts again at 0: a
+long-lived process such as the query service meets the fault once in
+each sharded query.  ``corrupt-cache`` fires once per token per process.
 """
 
 from __future__ import annotations

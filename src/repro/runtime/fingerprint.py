@@ -15,9 +15,6 @@ two nodes share a cone hash exactly when their fanin cones are identical
 trees.  An edit anywhere in a circuit changes the cone hashes of precisely
 the nodes downstream of the edit — the foundation of the incremental
 engine's clean-cone reuse (:mod:`repro.incremental`).
-:func:`circuit_merkle_root` folds the output cone hashes with the I/O
-declarations into a whole-circuit root with the same sensitivity as
-:func:`circuit_fingerprint`.
 """
 
 from __future__ import annotations
@@ -93,30 +90,6 @@ def cone_fingerprint(
         [node_fps[output], list(cone_inputs)], separators=(",", ":")
     )
     return "cone:" + hashlib.sha256(payload.encode()).hexdigest()
-
-
-def circuit_merkle_root(circuit) -> str:
-    """Whole-circuit root of the cone-hash tree.
-
-    Sensitive to exactly the same content as :func:`circuit_fingerprint`
-    (any observable edit moves some output's cone hash, the I/O
-    declarations, or the name), but computed from the per-node hashes — so
-    an incremental consumer holding :func:`node_cone_fingerprints` gets
-    the root for free.  Dead nodes (outside every output cone) are folded
-    in by name so edits to them still move the root.
-    """
-    fps = node_cone_fingerprints(circuit)
-    payload = json.dumps(
-        {
-            "name": circuit.name,
-            "inputs": circuit.inputs,
-            "outputs": [[o, fps[o]] for o in circuit.outputs],
-            "nodes": sorted(fps.items()),
-        },
-        separators=(",", ":"),
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def params_token(params: Optional[Dict[str, object]]) -> str:

@@ -38,7 +38,8 @@ class Span:
 
     ``elapsed`` is wall-clock seconds; ``counters``/``gauges`` hold the
     accounting attributed to exactly this span (children carry their own);
-    ``events`` are point-in-time markers (retries, timeouts, degradations).
+    ``events`` are point-in-time markers (worker deaths, timeouts,
+    degradations).
     """
 
     __slots__ = (

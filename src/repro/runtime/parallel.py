@@ -35,15 +35,14 @@ circuit rather than the worker's chunk), so a worker finds the *same*
 witnesses as the in-process run and ``jobs=1`` and ``jobs=N`` runs are
 result-identical.
 
-Execution is *fault-tolerant*: chunks are submitted as one round of
-tasks with a per-round wall-clock timeout, a failed or timed-out chunk
-is retried as single-item tasks (isolating a poison item — a BDD blowup
-kills only its own retry, not its chunk-mates), and once the bounded
-retries are exhausted the remaining items run through the worker
-in-process, under a ``<label>.serial-fallback`` span.  A ``jobs=N`` run
-therefore never produces less than the serial run: worker death
-degrades throughput, not results.  Every degradation step is counted in
-:data:`~repro.runtime.metrics.METRICS` and recorded as an event on its
+Execution is *fault-tolerant*: the chunks run as one round of pool
+tasks under the per-round wall-clock timeout that
+:func:`set_execution_policy` sets (``--timeout``), and the items of every
+chunk that failed or timed out then run through the worker in-process,
+under a ``<label>.serial-fallback`` span.  A ``jobs=N`` run therefore
+never produces less than the serial run: worker death degrades
+throughput, not results.  Every failure and the degradation are counted
+in :data:`~repro.runtime.metrics.METRICS` and recorded as events on the
 innermost open span; the deterministic fault hooks in
 :mod:`repro.runtime.faults` exercise each path in CI.
 
@@ -76,40 +75,20 @@ def _chunk_round_robin(items: Sequence, jobs: int) -> List[list]:
 
 
 # ----------------------------------------------------------------------
-# Execution policy (CLI --timeout / --retries set the process defaults)
+# Execution policy (CLI --timeout sets the process default)
 # ----------------------------------------------------------------------
-_UNSET = object()
-_POLICY: Dict[str, object] = {"timeout": None, "retries": 1}
+_POLICY: Dict[str, object] = {"timeout": None}
 
 
-def set_execution_policy(timeout=_UNSET, retries=_UNSET) -> Dict[str, object]:
-    """Set process-wide defaults for sharded execution.
-
-    ``timeout`` is the per-round wall-clock limit in seconds (``None`` or
-    ``<= 0`` disables it); ``retries`` is the number of resubmission
-    rounds before degrading to in-process serial execution.
-    """
-    if timeout is not _UNSET:
-        _POLICY["timeout"] = timeout
-    if retries is not _UNSET:
-        _POLICY["retries"] = 1 if retries is None else max(0, int(retries))
+def set_execution_policy(timeout: Optional[float] = None) -> Dict[str, object]:
+    """Set the process-wide per-round wall-clock limit of sharded runs,
+    in seconds (``None`` or ``<= 0`` disables it)."""
+    _POLICY["timeout"] = timeout if timeout and timeout > 0 else None
     return dict(_POLICY)
 
 
 def execution_policy() -> Dict[str, object]:
     return dict(_POLICY)
-
-
-def _resolve_policy(
-    timeout: Optional[float], retries: Optional[int]
-) -> Tuple[Optional[float], int]:
-    if timeout is None:
-        timeout = _POLICY["timeout"]
-    if timeout is not None and timeout <= 0:
-        timeout = None
-    if retries is None:
-        retries = _POLICY["retries"]
-    return timeout, max(0, int(retries))
 
 
 # ----------------------------------------------------------------------
@@ -158,66 +137,43 @@ def _run_sharded(
     context,
     items: Sequence[Tuple[int, object]],
     jobs: int,
-    timeout: Optional[float],
-    retries: Optional[int],
     transport: Optional[LocalPoolTransport],
 ) -> list:
-    """Run ``worker`` over round-robin chunks of the indexed ``items``
-    with timeouts, poison-isolation retries, and serial degradation.
+    """Run ``worker`` over round-robin chunks of the indexed ``items`` in
+    one pool round, then finish every failed chunk's items in-process.
 
     Returns every item's ``(index, result)`` in completion order;
     :func:`shard_map` restores item order.
 
     Task indices — what fault injection keys on — count from 0 in every
-    run, and retry tasks continue the numbering, so an injected fault
-    fires once per run.  ``transport`` is a caller-owned pool, used and
-    left open; without one the run builds a ``jobs``-worker pool and
-    closes it afterwards.
+    run, so an injected fault fires once per run.  ``transport`` is a
+    caller-owned pool, used and left open; without one the run builds a
+    ``jobs``-worker pool and closes it after the round.
     """
-    timeout, retries = _resolve_policy(timeout, retries)
 
     def make_payload(chunk):
         return context, [item for __, item in chunk]
 
-    fault = worker_fault()
-    tasks: List[Tuple[int, list]] = list(
-        enumerate(_chunk_round_robin(items, jobs))
-    )
-    next_index = len(tasks)
-    results: list = []
-    failed: List[Tuple[int, list, str]] = []
+    tasks = list(enumerate(_chunk_round_robin(items, jobs)))
     owned = transport is None
     if owned:
         transport = LocalPoolTransport(jobs)
     try:
-        for attempt in range(retries + 1):
-            completed, failed = transport.run_round(
-                worker, make_payload, tasks, timeout, fault
-            )
-            for chunk_result in completed:
-                _harvest_chunk(chunk_result, label, results)
-            for index, chunk, reason in failed:
-                _record_failure(index, chunk, reason, label)
-            if not failed:
-                return results
-            if attempt == retries:
-                break
-            # Poison isolation: resubmit each failing chunk item by item,
-            # so one pathological item can only take down its own retry.
-            failed.sort(key=lambda task: task[0])
-            tasks = []
-            for __, chunk, __reason in failed:
-                for item in chunk:
-                    tasks.append((next_index, [item]))
-                    next_index += 1
-            METRICS.incr("parallel.retries", len(tasks))
-            METRICS.event(
-                "retry", label=label, attempt=attempt + 1, tasks=len(tasks)
-            )
-        # Degradation of last resort: whatever still fails after the retry
-        # budget runs through the worker in this process, so jobs=N can
-        # never return less than the serial run (a genuine error raises
-        # here exactly as it would have serially).
+        completed, failed = transport.run_round(
+            worker, make_payload, tasks, _POLICY["timeout"], worker_fault()
+        )
+    finally:
+        if owned:
+            transport.close()
+    results: list = []
+    for chunk_result in completed:
+        _harvest_chunk(chunk_result, label, results)
+    for index, chunk, reason in failed:
+        _record_failure(index, chunk, reason, label)
+    if failed:
+        # Whatever failed runs through the worker in this process, so
+        # jobs=N can never return less than the serial run (a genuine
+        # error raises here exactly as it would have serially).
         failed.sort(key=lambda task: task[0])
         remainder = [item for __, chunk, __reason in failed for item in chunk]
         METRICS.incr("parallel.serial_fallback_items", len(remainder))
@@ -226,10 +182,7 @@ def _run_sharded(
         with METRICS.span(f"{label}.serial-fallback", items=len(remainder)):
             result = worker(*make_payload(remainder))
         results.extend(zip([index for index, __ in remainder], result))
-        return results
-    finally:
-        if owned:
-            transport.close()
+    return results
 
 
 def shard_map(
@@ -238,21 +191,19 @@ def shard_map(
     items: Sequence,
     jobs: int,
     *,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
     transport: Optional[LocalPoolTransport] = None,
 ) -> list:
     """Run the ``label`` task kind over ``items`` across workers.
 
-    Returns one result per item, in item order, whatever the chunking,
-    retries, or degradation — so the list equals the in-process run for
+    Returns one result per item, in item order, whatever the chunking
+    or degradation — so the list equals the in-process run for
     every ``jobs`` value.  ``context`` is what every item of the run
     shares (a circuit, an engine name, a config).  ``jobs`` is the worker
     count (``0`` = all cores, never more than items); when it resolves to
     1 the worker runs in this process on all items, with no pool,
     pickling or metrics scope, so a caller whose context cannot be
     pickled passes ``jobs=1``.  Otherwise context and items must pickle;
-    ``timeout``/``retries`` default to the process-wide execution policy,
+    the round's timeout is the process-wide execution policy's,
     ``transport`` is an optional caller-owned pool, the run is timed as
     the ``parallel.<label>`` span and its chunks as ``<label>.chunk``
     spans.
@@ -269,8 +220,7 @@ def shard_map(
         return worker(context, items)
     with METRICS.span(f"parallel.{label}"):
         merged = _run_sharded(
-            label, worker, context, list(enumerate(items)), jobs,
-            timeout, retries, transport,
+            label, worker, context, list(enumerate(items)), jobs, transport
         )
     merged.sort(key=lambda entry: entry[0])
     return [result for __, result in merged]
@@ -376,10 +326,10 @@ def _characterize_worker(spec_id, jobs):
 
 
 def _fuzz_worker(config, scenarios):
-    """The context is the oracle config (``oracles``, ``oracle_jobs``,
-    ``plant``); items are self-contained
-    :class:`~repro.fuzz.scenario.Scenario` cases; a result is the
-    scenario's ordered :class:`~repro.fuzz.oracle.OracleVerdict` list."""
+    """The context is the oracle config (``oracles``, ``plant``); items
+    are self-contained :class:`~repro.fuzz.scenario.Scenario` cases; a
+    result is the scenario's ordered
+    :class:`~repro.fuzz.oracle.OracleVerdict` list."""
     from ..fuzz.oracle import run_scenario
 
     results = []

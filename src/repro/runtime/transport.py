@@ -1,15 +1,15 @@
 """The in-host process pool a round of sharded chunk tasks runs on.
 
 :mod:`repro.runtime.parallel` owns *what* a sharded run means — round-
-robin chunking, per-round timeouts, bounded retries with poison
-isolation, serial degradation, and the deterministic merge.  This module
+robin chunking, the per-round timeout, in-process completion of failed
+chunks, and the deterministic merge.  This module
 owns :class:`LocalPoolTransport`, the ``ProcessPoolExecutor`` the rounds
 run on, rebuilt when workers die or hang; one instance can also live
 across runs (the query service's warm pool).
 
 The pool's job is deliberately narrow: run one round of ``(index,
 chunk)`` tasks and report, per task, either a :class:`ChunkResult` or a
-failure reason.  Everything that makes sharding *safe* — retry
+failure reason.  Everything that makes sharding *safe* — failure
 accounting, degrade-to-serial, metrics folding, span attribution — stays
 in the caller, on the caller's thread, so jobs=N returns byte-identical
 results to jobs=1, or degrades to computing them in-process.
@@ -192,7 +192,7 @@ class LocalPoolTransport:
         ``worker(*make_payload(chunk))`` with ``make_payload`` returning
         ``(context, items)``; return ``(completed, failed)``, covering
         every task exactly once.  The pool stays usable after any
-        failure: the retry rounds reuse it.
+        failure: the next round rebuilds it.
         """
         with self._lock:
             self.rounds += 1

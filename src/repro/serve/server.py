@@ -111,7 +111,6 @@ class TimingServer:
         self,
         engine_name: str = "auto",
         jobs: int = 1,
-        timeout: Optional[float] = None,
         max_pending: int = 64,
         workers: int = 1,
         cache: Optional[DelayCache] = None,
@@ -120,7 +119,6 @@ class TimingServer:
     ) -> None:
         self.engine_name = engine_name
         self.jobs = jobs
-        self.timeout = timeout
         self.max_pending = max(1, int(max_pending))
         self.workers = max(1, int(workers))
         #: Shared across sessions: cone results are content-addressed, so
@@ -244,7 +242,6 @@ class TimingServer:
             jobs=self.jobs,
             transport=self.transport,
             cache=self.cache,
-            timeout=self.timeout,
         )
         return _Session(f"session-{self._session_count:04d}", service)
 
@@ -468,7 +465,6 @@ class TimingServer:
 def run_server(
     engine_name: str = "auto",
     jobs: int = 1,
-    timeout: Optional[float] = None,
     tcp: Optional[Tuple[str, int]] = None,
     unix_path: Optional[str] = None,
     max_pending: int = 64,
@@ -487,7 +483,6 @@ def run_server(
         server = TimingServer(
             engine_name=engine_name,
             jobs=jobs,
-            timeout=timeout,
             max_pending=max_pending,
             workers=workers,
             preload=preload,

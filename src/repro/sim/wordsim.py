@@ -10,9 +10,6 @@ traversal of the circuit plus O(N) bitwise work instead of N scalar
 Each signal is one arbitrary-width Python int; CPython's big-int bitwise
 ops are C loops over 30-bit limbs, so even a batch of thousands of lanes
 costs one pass of C-level word operations per gate.
-``REPRO_WORDSIM_CHECK=1`` cross-checks every batch settle against the
-scalar evaluator (lane-vs-scalar byte-identity, used by the validation
-paths and CI).
 
 Consumers: witness/vector-pair validation (:mod:`repro.core.vectors`,
 :mod:`repro.core.certify`), Monte Carlo replay
@@ -29,7 +26,6 @@ walk it too, so each circuit revision is compiled once for all of them.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.circuit import Circuit
@@ -57,10 +53,6 @@ _KINDS = {
     GateType.XOR: (PARITY, False),
     GateType.XNOR: (PARITY, True),
 }
-
-
-def _env_check() -> bool:
-    return os.environ.get("REPRO_WORDSIM_CHECK", "") not in ("", "0")
 
 
 def pack_vectors(
@@ -324,15 +316,14 @@ class WordKernel:
         self,
         vectors: Sequence[Dict[str, bool]],
         names: Optional[Sequence[str]] = None,
-        check: Optional[bool] = None,
+        check: bool = False,
     ) -> List[Dict[str, bool]]:
         """Settled values for each scalar vector, in one bit-parallel pass.
 
         Equivalent (bit for bit) to ``[settle(circuit, v) for v in
         vectors]`` — restricted to ``names`` when given.  ``check=True``
-        (or ``REPRO_WORDSIM_CHECK=1`` when ``check`` is None) replays
-        every vector on the scalar evaluator and raises on any lane
-        divergence; the validation consumers run with the check on.
+        replays every vector on the scalar evaluator and raises on any
+        lane divergence; the validation consumers run with the check on.
         """
         vectors = list(vectors)
         if not vectors:
@@ -349,7 +340,7 @@ class WordKernel:
             {name: per_name[name][lane] for name in names}
             for lane in range(width)
         ]
-        if _env_check() if check is None else check:
+        if check:
             for lane, (vector, got) in enumerate(zip(vectors, result)):
                 expected = self.circuit.evaluate(vector)
                 for name in names:
@@ -364,7 +355,7 @@ class WordKernel:
     def settle_outputs_batch(
         self,
         vectors: Sequence[Dict[str, bool]],
-        check: Optional[bool] = None,
+        check: bool = False,
     ) -> List[Dict[str, bool]]:
         """Settled primary-output values per vector, one pass."""
         return self.settle_batch(
@@ -395,7 +386,7 @@ def batch_settle(
     circuit: Circuit,
     vectors: Sequence[Dict[str, bool]],
     names: Optional[Sequence[str]] = None,
-    check: Optional[bool] = None,
+    check: bool = False,
 ) -> List[Dict[str, bool]]:
     """``[settle(circuit, v) for v in vectors]`` in one kernel pass."""
     return kernel_for(circuit).settle_batch(vectors, names=names, check=check)
@@ -404,7 +395,7 @@ def batch_settle(
 def batch_settle_outputs(
     circuit: Circuit,
     vectors: Sequence[Dict[str, bool]],
-    check: Optional[bool] = None,
+    check: bool = False,
 ) -> List[Dict[str, bool]]:
     """``[settle_outputs(circuit, v) for v in vectors]`` in one pass."""
     return kernel_for(circuit).settle_outputs_batch(vectors, check=check)

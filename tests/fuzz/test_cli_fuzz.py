@@ -4,10 +4,12 @@ jobs, replay/shrink of filed repros, and the corpus table."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 PY = [sys.executable, "-m", "repro"]
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def run_cli(*args, cwd=None):
@@ -16,7 +18,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        cwd=cwd or "/root/repo",
+        cwd=cwd or REPO_ROOT,
     )
 
 

@@ -11,6 +11,7 @@ from repro.fuzz.oracle import (
 )
 from repro.fuzz.runner import run_sweep
 from repro.fuzz.scenario import Scenario, scenario_for
+from repro.runtime import metrics_scope
 
 from tests.helpers import counted_checks, result_cache_off
 
@@ -38,12 +39,10 @@ class TestHealthyScenarios:
         assert [v.oracle for v in verdicts] == ["wordsim"]
 
     def test_jobs_oracle_with_shards(self):
-        # A couple of scenarios through the jobs oracle at oracle_jobs=2:
-        # the sharded path must agree with serial byte for byte.
+        # A couple of scenarios through the jobs oracle, whose jobs=2
+        # leg must agree with jobs=1 byte for byte.
         for index in range(2):
-            verdict = run_oracle(
-                scenario_for(42, index), "jobs", oracle_jobs=2
-            )
+            verdict = run_oracle(scenario_for(42, index), "jobs")
             assert verdict.ok, verdict.detail
 
     def test_jobs_oracle_passes_when_no_output_transitions(self):
@@ -51,7 +50,7 @@ class TestHealthyScenarios:
         quiet = Scenario(
             "quiet", 1, "quiet", "INPUT(a)\nOUTPUT(z)\nz = XOR(a, a)\n"
         )
-        verdict = run_oracle(quiet, "jobs", oracle_jobs=2)
+        verdict = run_oracle(quiet, "jobs")
         assert verdict.ok
         assert verdict.detail == "pairs=0"
 
@@ -65,6 +64,15 @@ def test_fixed_seed_sweep_passes_with_pinned_checks(monkeypatch):
         report = run_sweep(seed=5, count=6, shrink_failures=False)
     assert report.ok, report.verdict_text()
     assert checks == {"floating.checks": 385, "transition.checks": 491}
+
+
+def test_default_sweep_runs_a_sharded_jobs_oracle():
+    """The ``jobs`` oracle always compares ``jobs=1`` with ``jobs=2``, so
+    even a default sweep runs sharded Monte Carlo rounds."""
+    with metrics_scope() as metrics:
+        report = run_sweep(seed=5, count=3, shrink_failures=False)
+    assert report.ok, report.verdict_text()
+    assert "parallel.monte-carlo" in metrics.snapshot()["phases"]
 
 
 class TestVerdictShape:

@@ -111,11 +111,15 @@ class TestReproEnvelope:
         verdict = run_oracle(scenario, "incremental", plant="xor")
         path = str(tmp_path / "x.repro.json")
         envelope = _repro_envelope(
-            scenario, verdict, ("incremental",), 1, "xor", None
+            scenario, verdict, ("incremental",), "xor", None
         )
-        write_repro(path, envelope)
+        assert "oracle_jobs" not in envelope
+        # Older files also recorded an oracle worker count; replay
+        # ignores it.
+        write_repro(path, dict(envelope, oracle_jobs=1))
         loaded = load_repro(path)
         assert loaded["scenario"]["scenario_id"] == scenario.scenario_id
+        assert replay_repro(path)[0]
 
     def test_load_rejects_foreign_format(self, tmp_path):
         path = tmp_path / "bad.repro.json"

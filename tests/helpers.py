@@ -50,16 +50,16 @@ def counted_checks():
 
 
 @contextmanager
-def sharding_policy(**policy):
-    """Set the process-wide sharded-execution policy (``timeout``,
-    ``retries``) for one block, as ``--timeout``/``--retries`` do for a
-    CLI run, and restore the previous one after it."""
-    saved = execution_policy()
-    set_execution_policy(**policy)
+def sharding_policy(timeout):
+    """Set the process-wide sharded-execution policy (its round
+    ``timeout``) for one block, as ``--timeout`` does for a CLI run, and
+    restore the previous one after it."""
+    saved = execution_policy()["timeout"]
+    set_execution_policy(timeout)
     try:
         yield
     finally:
-        set_execution_policy(**saved)
+        set_execution_policy(saved)
 
 
 def result_cache_off(monkeypatch) -> None:

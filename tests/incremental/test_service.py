@@ -125,7 +125,7 @@ def test_degraded_warm_pool_round_preserves_records():
         session = (SERVICE_DIR / "session.jsonl").read_text().splitlines()
         pool = LocalPoolTransport(jobs=2)
         try:
-            service = QueryService(jobs=2, transport=pool, timeout=60)
+            service = QueryService(jobs=2, transport=pool)
             writer = io.StringIO()
             serve_stream(service, iter(session), writer)
         finally:
@@ -192,7 +192,7 @@ def test_reload_drains_pool_and_counts():
     invalidates the engine, and 'stats' reports the reload."""
     pool = LocalPoolTransport(jobs=2)
     try:
-        service = QueryService(jobs=2, transport=pool, timeout=60)
+        service = QueryService(jobs=2, transport=pool)
         responses = []
         reader = iter(
             [

@@ -2,8 +2,8 @@
 sharded runner must converge to the serial result.
 
 The certification pitch of the paper (Sec. VII) only holds if a ``jobs=N``
-run can never silently return *less* than the serial run — a dead worker,
-a hung worker, or a poison chunk must degrade throughput, not results.
+run can never silently return *less* than the serial run — a dead or a
+hung worker must degrade throughput, not results.
 ``REPRO_FAULT_INJECT`` (see :mod:`repro.runtime.faults`) makes each of
 those failures deterministic, so these tests assert the recovery machinery
 instead of trusting it on faith.
@@ -87,12 +87,14 @@ class TestSpecParsing:
 # Degradation paths (real worker processes)
 # ----------------------------------------------------------------------
 class TestDegradationPaths:
-    def test_killed_worker_is_retried_and_result_identical(self, monkeypatch):
+    def test_killed_worker_degrades_to_serial_and_result_identical(
+        self, monkeypatch
+    ):
         serial = longest_path_tests(jobs=1)
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1")
-        before = METRICS.counter("parallel.retries")
+        before = METRICS.counter("parallel.serial_fallback_items")
         sharded = longest_path_tests(jobs=2)
-        assert METRICS.counter("parallel.retries") > before
+        assert METRICS.counter("parallel.serial_fallback_items") > before
         assert_coverage_equal(serial, sharded)
 
     def test_hung_worker_times_out_and_result_identical(self, monkeypatch):
@@ -104,27 +106,6 @@ class TestDegradationPaths:
         with sharding_policy(timeout=1.0):
             sharded = longest_path_tests(jobs=2)
         assert METRICS.counter("parallel.chunk_timeouts") > before
-        assert_coverage_equal(serial, sharded)
-
-    def test_poison_chunk_is_isolated_item_by_item(self, monkeypatch):
-        # jobs=2 puts 3 of the 6 tasks in the injected chunk, whose retry
-        # must split into 3 single-item tasks.
-        serial = longest_path_tests(jobs=1)
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
-        before = METRICS.counter("parallel.retries")
-        sharded = longest_path_tests(jobs=2)
-        assert METRICS.counter("parallel.retries") >= before + 3
-        assert_coverage_equal(serial, sharded)
-
-    def test_exhausted_retries_degrade_to_serial_in_process(
-        self, monkeypatch
-    ):
-        serial = longest_path_tests(jobs=1)
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
-        before = METRICS.counter("parallel.serial_fallback_items")
-        with sharding_policy(retries=0):
-            sharded = longest_path_tests(jobs=2)
-        assert METRICS.counter("parallel.serial_fallback_items") > before
         assert_coverage_equal(serial, sharded)
 
     def test_monte_carlo_samples_survive_worker_death(self, monkeypatch):

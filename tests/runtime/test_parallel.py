@@ -121,22 +121,32 @@ def test_fault_coverage_sharded_matches_serial():
 
 def test_consecutive_runs_number_their_tasks_from_zero(monkeypatch):
     """Task indices restart at 0 in every run: under ``crash:0`` each of
-    two runs loses its own task 0 and still returns the jobs=1 result.
-    The serve crash replays rely on this (every query's first round
-    degrades the same way)."""
+    two runs on one warm pool loses its own task 0 and still returns the
+    jobs=1 result, in one pool round whose failed chunks finish
+    in-process.  The serve crash replays rely on this (every query's
+    first round degrades the same way)."""
     context = c17_monte_carlo_context()
     serial = shard_map("monte-carlo", context, range(6), 1)
     monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
-    for __ in range(2):
-        with metrics_scope() as metrics:
-            assert shard_map(
-                "monte-carlo", context, range(6), 2, retries=0
-            ) == serial
-        # Numbering carried over from the first run would give the
-        # second run tasks 2 and 3, and the fault would not fire.  (The
-        # crash may also take the other chunk down with the pool.)
-        assert metrics.counter("parallel.chunk_failures") >= 1
-        assert metrics.counter("transport.degraded") == 1
+    pool = LocalPoolTransport(2)
+    try:
+        for __ in range(2):
+            rounds = pool.stats()["rounds"]
+            with metrics_scope() as metrics:
+                assert shard_map(
+                    "monte-carlo", context, range(6), 2, transport=pool
+                ) == serial
+            # Numbering carried over from the first run would give the
+            # second run tasks 2 and 3, and the fault would not fire.
+            # (The crash may also take the other chunk down with the
+            # pool.)
+            assert metrics.counter("parallel.chunk_failures") >= 1
+            assert metrics.counter("transport.degraded") == 1
+            assert metrics.counter("parallel.serial_fallback_items") >= 3
+            assert "parallel.retries" not in metrics.snapshot()["counters"]
+            assert pool.stats()["rounds"] == rounds + 1
+    finally:
+        pool.close()
 
 
 def test_unknown_label_is_rejected_before_any_round_runs():

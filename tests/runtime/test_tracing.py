@@ -54,13 +54,15 @@ def test_root_covers_all_child_spans():
 def test_events_and_counters_attach_to_the_current_span():
     metrics = Metrics()
     with metrics.span("phase"):
-        metrics.event("retry", attempt=1, tasks=3)
+        metrics.event("degrade-serial", label="faults", items=3)
         metrics.incr("chunks", 2)
         metrics.incr("chunks")
         metrics.gauge_max("peak", 5)
         metrics.gauge_max("peak", 3)
     span = metrics.root.children[0]
-    assert span.events == [{"event": "retry", "attempt": 1, "tasks": 3}]
+    assert span.events == [
+        {"event": "degrade-serial", "label": "faults", "items": 3}
+    ]
     assert span.counters == {"chunks": 3}
     assert span.gauges == {"peak": 5}
     # The same calls wrote the totals, and nothing else in the tree.
@@ -178,7 +180,7 @@ def test_metrics_scope_accepts_an_explicit_instance():
 @pytest.mark.parametrize("fault", [None, "crash:0"])
 def test_summed_span_counters_equal_the_totals(fault, monkeypatch):
     """Every count is written once to the totals and once to the tree —
-    sharded chunks included, on the plain and on the retry path."""
+    sharded chunks included, on the plain and on the degraded path."""
     from repro.circuits import build_circuit
     from repro.core import PathFaultGenerator
 
@@ -188,7 +190,8 @@ def test_summed_span_counters_equal_the_totals(fault, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", fault)
     generator = PathFaultGenerator(build_circuit("c880"))
     # 128 tasks: the chunk that does not crash is still running when
-    # the crash breaks the pool, so both chunks fail and are retried.
+    # the crash breaks the pool, so both chunks fail and finish
+    # in-process.
     with metrics_scope() as metrics:
         generator.generate_for_longest_paths(64, jobs=2)
     totals = metrics.snapshot()["counters"]
@@ -203,4 +206,4 @@ def test_summed_span_counters_equal_the_totals(fault, monkeypatch):
         assert events == []
     else:
         assert events.count("worker-died") == 2
-        assert events.count("retry") == 1
+        assert events.count("degrade-serial") == 1

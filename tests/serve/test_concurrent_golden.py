@@ -88,7 +88,7 @@ def golden_run(script, jobs):
             pool = None
         else:
             pool = LocalPoolTransport(jobs=jobs)
-            service = QueryService(jobs=jobs, transport=pool, timeout=60)
+            service = QueryService(jobs=jobs, transport=pool)
         writer = io.StringIO()
         try:
             serve_stream(
@@ -128,7 +128,7 @@ async def scripted_client(host, port, script, barrier):
 
 
 async def run_concurrent(jobs):
-    server = TimingServer(jobs=jobs, timeout=60 if jobs != 1 else None)
+    server = TimingServer(jobs=jobs)
     await server.start(host="127.0.0.1", port=0)
     try:
         host, port = server.tcp_address

@@ -68,12 +68,6 @@ class TestBatchSettle:
             settle(c, v) for v in vectors
         ]
 
-    def test_check_env_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORDSIM_CHECK", "1")
-        c = tiny_and_or()
-        vectors = random_vectors(c, 5)
-        assert batch_settle(c, vectors) == [settle(c, v) for v in vectors]
-
 
 class TestPackUnpack:
     def test_round_trip(self):

@@ -178,7 +178,7 @@ class TestTracingAndFaultTolerance:
         serial = capsys.readouterr().out
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1")
         assert main(
-            ["faults", bench_file, "-k", "3", "--jobs", "4", "--retries", "2"]
+            ["faults", bench_file, "-k", "3", "--jobs", "4"]
         ) == 0
         assert capsys.readouterr().out == serial
 
