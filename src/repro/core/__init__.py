@@ -54,7 +54,6 @@ from .statistical import (
     monte_carlo_topological,
     resolve_delay_model,
     sample_delay_once,
-    settle_pair_initials,
     speedup_only_variation,
     uniform_variation,
 )
@@ -139,7 +138,6 @@ __all__ = [
     "monte_carlo_topological",
     "resolve_delay_model",
     "sample_delay_once",
-    "settle_pair_initials",
     "uniform_variation",
     "speedup_only_variation",
     "DiscreteDistribution",

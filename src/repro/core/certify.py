@@ -41,7 +41,7 @@ from .transition import (
     compute_transition_delay,
     witness_extension,
 )
-from .vectors import DelayCertificate, VectorPair, batch_pair_states
+from .vectors import DelayCertificate, VectorPair
 
 
 class Verdict(str, Enum):
@@ -258,18 +258,11 @@ def certify(
 
     # Step 3: replay on the verifier's model (an internal self-check: the
     # event simulator must observe exactly the computed transition delay).
-    # All pairs' v_-1 settled states come from one pass of the word-level
-    # kernel; each event replay starts from its precomputed state.
+    # Only the worst delay over the pairs counts, so they replay as the
+    # bit lanes of one event-loop run, settled in one word-kernel pass.
     pair_list = [pair for __, pair in pairs.values()]
-    simulator = EventSimulator(circuit)
     with METRICS.span("certify.replay"):
-        initials, __ = batch_pair_states(circuit, pair_list)
-        model_replay = max(
-            simulator.measure_pair_delay(
-                pair.v_prev, pair.v_next, initial=initial
-            )
-            for pair, initial in zip(pair_list, initials)
-        )
+        model_replay = EventSimulator(circuit).worst_pair_delay(pair_list)
     if model_replay != transition.delay:
         notes.append(
             "self-check: replay on the verifier model observed "
@@ -279,19 +272,12 @@ def certify(
     accurate_replay: Optional[int] = None
     if accurate_circuit is not None:
         # Same netlist, different delay annotation: settled states are
-        # delay-independent, but batch against the accurate circuit anyway
-        # in case its structure was edited too.
-        accurate_simulator = EventSimulator(accurate_circuit)
+        # delay-independent, but settle on the accurate circuit anyway in
+        # case its structure was edited too.
         with METRICS.span("certify.replay"):
-            accurate_initials, __ = batch_pair_states(
-                accurate_circuit, pair_list
-            )
-            accurate_replay = max(
-                accurate_simulator.measure_pair_delay(
-                    pair.v_prev, pair.v_next, initial=initial
-                )
-                for pair, initial in zip(pair_list, accurate_initials)
-            )
+            accurate_replay = EventSimulator(
+                accurate_circuit
+            ).worst_pair_delay(pair_list)
 
     # Step 4: verdict.
     gamma = accurate_replay if accurate_replay is not None else model_replay
@@ -316,7 +302,7 @@ def certify(
         with METRICS.span("certify.statistical"):
             statistics = monte_carlo_delay(
                 accurate_circuit if accurate_circuit is not None else circuit,
-                [pair for __, pair in pairs.values()],
+                pair_list,
                 num_samples=statistical_samples,
                 seed=seed,
                 jobs=jobs,

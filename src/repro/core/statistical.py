@@ -6,7 +6,10 @@ statistical methods to estimate "what percentage of parts are likely to run
 at each speed in the range between gamma and delta".  This module samples
 per-gate delay distributions (Monte Carlo over manufacturing variation) and
 replays the certification vector pairs on each sample, producing a
-speed-binning / yield curve.
+speed-binning / yield curve.  A sample keeps only the worst delay over its
+pairs, so its pairs replay as the bit lanes of one event-loop run
+(:meth:`repro.sim.event_sim.EventSimulator.worst_pair_delay`): one run per
+sample, not one per pair.
 """
 
 from __future__ import annotations
@@ -137,28 +140,13 @@ def _nominal_delays(circuit: Circuit) -> Dict[str, int]:
     }
 
 
-def settle_pair_initials(
-    circuit: Circuit, pairs: Sequence[VectorPair]
-) -> List[Dict[str, bool]]:
-    """Settled ``v_-1`` state of every pair, one word-kernel pass.
-
-    Settled values do not depend on gate delays, so one batch serves the
-    replay of *every* Monte Carlo sample — the per-sample scalar settles
-    are hoisted out entirely, into each call of the ``monte-carlo``
-    worker of :mod:`repro.runtime.parallel`.
-    """
-    from ..sim.wordsim import batch_settle
-
-    return batch_settle(circuit, [pair.v_prev for pair in pairs])
-
-
 def sample_delay_once(
     circuit: Circuit,
     pairs: Sequence[VectorPair],
     delay_model: DelayModel,
     rng: random.Random,
     nominal: Optional[Dict[str, int]] = None,
-    initials: Optional[Sequence[Dict[str, bool]]] = None,
+    settled: Optional[Dict[str, int]] = None,
 ) -> int:
     """One Monte Carlo trial: draw every gate's delay from ``delay_model``
     (in node order, one draw per gate) and replay all pairs, returning the
@@ -168,29 +156,22 @@ def sample_delay_once(
     The drawn delays are a ``delays=`` annotation of one
     :class:`~repro.sim.event_sim.EventSimulator` over the circuit's
     compiled program: the circuit is neither copied nor edited, and the
-    replays equal those of a copy re-annotated with ``set_delay``.
+    replay equals those of a copy re-annotated with ``set_delay``.  The
+    pairs replay as the bit lanes of one event-loop run
+    (:meth:`~repro.sim.event_sim.EventSimulator.worst_pair_delay`), which
+    returns the largest per-pair delay.
 
-    ``initials`` optionally carries the pairs' settled ``v_-1`` states
-    (see :func:`settle_pair_initials`); absent, they are computed here —
-    either way the samples are bit-identical to a scalar-settle replay.
+    ``settled`` optionally carries the pairs' ``v_-1`` states as lane
+    words (see ``worst_pair_delay``); absent, they are settled here —
+    either way the sample equals the worst per-pair scalar replay.
     """
     if nominal is None:
         nominal = _nominal_delays(circuit)
-    if initials is None:
-        initials = settle_pair_initials(circuit, pairs)
     simulator = EventSimulator(
         circuit,
         delays={name: delay_model(rng, nom) for name, nom in nominal.items()},
     )
-    worst = 0
-    for pair, initial in zip(pairs, initials):
-        worst = max(
-            worst,
-            simulator.measure_pair_delay(
-                pair.v_prev, pair.v_next, initial=initial
-            ),
-        )
-    return worst
+    return simulator.worst_pair_delay(pairs, settled)
 
 
 def monte_carlo_delay(
@@ -215,11 +196,12 @@ def monte_carlo_delay(
     carrying a picklable ``spec`` (the built-in models do); a custom
     closure runs in this process, drawing the very same samples.
 
-    Replays are seeded from one bit-parallel settle of all pairs'
-    ``v_-1`` states (:func:`settle_pair_initials`) per worker call:
-    settled values are delay-independent, so they are computed once
-    instead of once per sample — the samples themselves are unchanged
-    (the rng draws only gate delays, never settle results).
+    Each sample replays every pair at once, as the bit lanes of one
+    event-loop run, from one bit-parallel settle of all pairs' ``v_-1``
+    states per worker call: settled values are delay-independent, so
+    they are computed once instead of once per sample — the samples
+    themselves are unchanged (the rng draws only gate delays, never
+    settle results).
     """
     if not pairs:
         raise ValueError("need at least one certification vector pair")

@@ -7,7 +7,9 @@ must agree byte for byte:
                     scenario's certification pairs;
 * ``incremental`` — warm :class:`~repro.incremental.engine.IncrementalTimingEngine`
                     after the scenario's edits vs a cold from-scratch query;
-* ``wordsim``     — scalar settle vs bit-parallel word lanes;
+* ``wordsim``     — scalar settle vs bit-parallel word lanes, and the
+                    worst of 8 scalar pair replays vs one lane replay of
+                    all 8 (``EventSimulator.worst_pair_delay``);
 * ``cache``       — cache-cold vs cache-warm certificates (and the warm
                     run must actually hit the cache).
 
@@ -30,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core import collect_certification_pairs, monte_carlo_delay
+from ..core import VectorPair, collect_certification_pairs, monte_carlo_delay
 from ..core.transition import compute_transition_delay
 from ..core.floating import compute_floating_delay
 from ..incremental.cones import KINDS
@@ -39,7 +41,7 @@ from ..network.circuit import Circuit
 from ..network.gates import GateType
 from ..runtime.cache import DelayCache
 from ..runtime.metrics import METRICS
-from ..sim import batch_settle, settle
+from ..sim import EventSimulator, batch_settle, settle
 from .scenario import Scenario, apply_edits, materialize
 
 __all__ = [
@@ -213,10 +215,21 @@ def _oracle_wordsim(scenario: Scenario, plant):
                 ),
                 0,
             )
+    # The 16 vectors as 8 pairs: one lane replay against the worst of the
+    # 8 scalar replays.
+    pairs = [VectorPair(*vectors[i:i + 2]) for i in range(0, 16, 2)]
+    simulator = EventSimulator(circuit)
+    worst = max(
+        simulator.measure_pair_delay(pair.v_prev, pair.v_next)
+        for pair in pairs
+    )
+    replay = simulator.worst_pair_delay(pairs)
+    if replay != worst:
+        return False, "replay", str(worst), str(replay), 0
     ones = sum(
         int(lane[out]) for lane in lanes for out in circuit.outputs
     )
-    return True, f"lanes=16 ones={ones}", "", "", 0
+    return True, f"lanes=16 ones={ones} replay={replay}", "", "", 0
 
 
 def _counters_since(before: Dict[str, int]) -> Dict[str, int]:

@@ -288,21 +288,25 @@ def _monte_carlo_worker(context, samples):
         _nominal_delays,
         resolve_delay_model,
         sample_delay_once,
-        settle_pair_initials,
     )
+    from ..sim.wordsim import pack_vectors, simulate_words
 
     delay_model = (
         resolve_delay_model(model) if isinstance(model, tuple) else model
     )
     nominal = _nominal_delays(circuit)
-    # One bit-parallel settle of all pairs' v_-1 states per call; settled
-    # values are delay-independent, so every sample reuses them.
-    initials = settle_pair_initials(circuit, pairs)
+    # The pairs' v_-1 states settle as lane words once per call; settled
+    # values are delay-independent, so every sample's lane replay reuses
+    # them.
+    settled = simulate_words(
+        circuit,
+        pack_vectors([pair.v_prev for pair in pairs], circuit.inputs),
+        width=len(pairs),
+    )
     return [
         sample_delay_once(
             circuit, pairs, delay_model,
-            random.Random(sample_seed(seed, sample)), nominal,
-            initials=initials,
+            random.Random(sample_seed(seed, sample)), nominal, settled,
         )
         for sample in samples
     ]

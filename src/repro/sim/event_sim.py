@@ -13,7 +13,9 @@ Semantics
   zero-width input pulse cannot flip an output.  Pulses of width >= 1 time
   unit propagate.
 * **Single-stepping mode** (Sec. III): `simulate_transition` settles the
-  circuit under ``v_-1`` and applies ``v_0`` at time 0.
+  circuit under ``v_-1`` and applies ``v_0`` at time 0;
+  `worst_pair_delay` does so for many pairs in one run, one bit lane per
+  pair, and returns the worst pair's delay.
 * **Clocked mode**: `simulate_clocked` applies a vector every ``period``
   units *without* waiting for internal nodes to settle — the regime of
   Theorem 3.1.
@@ -31,6 +33,22 @@ event flips the value, so values follow from the initial one.
 :class:`~repro.sim.waveform.Waveform` objects are built only when a
 result's ``waveforms`` is read; ``TransitionResult.delay`` reads the
 output slots directly.
+
+Lanes
+-----
+The one event loop (:meth:`TimingSession.advance`) carries either bools
+(one lane) or lane words: Python ints whose bit ``i`` belongs to vector
+pair ``i``, as in the word-level kernel.  AND, OR and parity gates fold
+their fanin values with ``&``, ``|`` and ``^``, and an inverting gate
+flips under the lane mask (``True`` for one lane, so bools stay bools).
+Lanes are independent under transport delay, so a word changes at ``t``
+exactly when one of its lanes does: the latest output event of a lane
+run is the worst of its pairs' delays, which is all the worst-over-pairs
+consumers keep (:meth:`EventSimulator.worst_pair_delay` — the Monte
+Carlo samples and ``certify``'s step-3 replays).  Everything else —
+sessions, `simulate_transition`, `simulate_clocked` — runs one lane.
+Each run counts one ``event_sim.replays`` and its lanes in
+``event_sim.lanes``.
 """
 
 from __future__ import annotations
@@ -40,9 +58,10 @@ from heapq import heapify, heappop, heappush
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..network.circuit import Circuit
+from ..runtime.metrics import METRICS
 from .logic_sim import settle
 from .waveform import Waveform, WaveformSet
-from .wordsim import ALL, ANY, ONE, program_for
+from .wordsim import ALL, ANY, ONE, pack_vectors, program_for
 
 
 class TransitionResult:
@@ -97,13 +116,28 @@ class TimingSession:
     """A stateful event-driven simulation: inject input changes at chosen
     times, advance the clock, inspect live values — the engine under
     :class:`EventSimulator` and the sequential (state-feedback) simulation
-    in :mod:`repro.fsm.sequential`."""
+    in :mod:`repro.fsm.sequential`.
 
-    def __init__(self, simulator: "EventSimulator", initial: Dict[str, bool]):
+    ``lanes`` > 1 makes every value a lane word (``initial`` then maps
+    each node to its settled word); only
+    :meth:`EventSimulator.worst_pair_delay` opens such a session.
+    """
+
+    def __init__(
+        self,
+        simulator: "EventSimulator",
+        initial: Mapping[str, bool],
+        lanes: int = 1,
+    ):
         program, delays = simulator._compiled()
         self._program = program
         self._delays = delays
         self._initial = dict(initial)
+        # One lane holds bools (``True & x``, ``True ^ x`` stay bools);
+        # more hold lane words under an all-ones mask.
+        self._mask = True if lanes == 1 else (1 << lanes) - 1
+        METRICS.incr("event_sim.replays")
+        METRICS.incr("event_sim.lanes", lanes)
         self.now = 0
         self._current = list(map(self._initial.__getitem__, program.order))
         # The value each gate is heading to once its scheduled events
@@ -164,13 +198,15 @@ class TimingSession:
         Each timestamp's batch applies all of its changes at that time
         ``t`` before re-evaluating any gate (the zero-width glitch
         filter), cascades zero-delay gates within ``t``, and schedules
-        the rest.
+        the rest.  Values are bools or lane words alike (see the module
+        docstring): a gate folds its fanins from the lane mask (AND) or
+        ``False`` (OR, parity), then flips under the mask if inverting.
         """
         program = self._program
         gates, fanouts, delays = program.gates, program.fanouts, self._delays
         current, projected, times = self._current, self._projected, self._times
         pending, heap = self._pending, self._heap
-        value_of = current.__getitem__
+        mask = self._mask
         while heap and (until is None or heap[0] <= until):
             t = heappop(heap)
             changes = pending.pop(t)
@@ -204,13 +240,21 @@ class TimingSession:
                 last = gate
                 kind, inverting, fanins = gates[gate]
                 if kind == ALL:
-                    value = all(map(value_of, fanins)) != inverting
+                    value = mask
+                    for fanin in fanins:
+                        value &= current[fanin]
                 elif kind == ANY:
-                    value = any(map(value_of, fanins)) != inverting
+                    value = False
+                    for fanin in fanins:
+                        value |= current[fanin]
                 elif kind == ONE:
-                    value = value_of(fanins[0]) != inverting
+                    value = current[fanins[0]]
                 else:  # PARITY
-                    value = (sum(map(value_of, fanins)) & 1) != inverting
+                    value = False
+                    for fanin in fanins:
+                        value ^= current[fanin]
+                if inverting:
+                    value ^= mask
                 delay = delays[gate]
                 if delay == 0:
                     if value != current[gate]:
@@ -347,6 +391,45 @@ class EventSimulator:
     ) -> int:
         """Shorthand: the transition delay observed for one vector pair."""
         return self.simulate_transition(v_prev, v_next, initial=initial).delay
+
+    def worst_pair_delay(
+        self,
+        pairs: Sequence,
+        settled: Optional[Mapping[str, int]] = None,
+    ) -> int:
+        """The largest :meth:`measure_pair_delay` over ``pairs`` (objects
+        with ``v_prev`` and ``v_next``, like :class:`repro.core.VectorPair`),
+        from one event-loop run whose bit lane ``i`` replays ``pairs[i]``.
+
+        Every ``v_-1`` state settles as lane words in one word-kernel pass,
+        every ``v_0`` word is injected at t = 0, and the result is the
+        latest output event over all lanes.  A word changes at t exactly
+        when one of its lanes does, so that is the worst pair's delay; no
+        slot of this one-batch run changes twice in one timestamp, so the
+        loop's flip-back rule never fires.
+
+        ``settled`` optionally supplies that pass's node words, as
+        :func:`repro.sim.wordsim.simulate_words` returns them for the
+        packed ``v_-1`` vectors at ``width=len(pairs)``.  Settled values
+        are delay-independent, so one pass serves replays under any
+        re-annotated delays (the Monte Carlo samples share one).
+        """
+        if not pairs:
+            raise ValueError("need at least one vector pair")
+        program, __ = self._compiled()
+        width = len(pairs)
+        if settled is None:
+            settled = program.kernel().simulate(
+                pack_vectors([pair.v_prev for pair in pairs], program.inputs),
+                width=width,
+            )
+        session = TimingSession(self, settled, lanes=width)
+        words = pack_vectors([pair.v_next for pair in pairs], program.inputs)
+        session._inject_slots(0, dict(zip(
+            program.input_slots, map(words.__getitem__, program.inputs)
+        )))
+        session.advance()
+        return TransitionResult(session).delay
 
     def simulate_clocked(
         self,

@@ -12,10 +12,13 @@ ops are C loops over 30-bit limbs, so even a batch of thousands of lanes
 costs one pass of C-level word operations per gate.
 
 Consumers: witness/vector-pair validation (:mod:`repro.core.vectors`,
-:mod:`repro.core.certify`), Monte Carlo replay
-(:mod:`repro.core.statistical` — the ``v_-1`` settled states are
-delay-independent, so one batch pass serves every sample), and
-fault-coverage validation (:mod:`repro.core.delay_fault`).
+:mod:`repro.core.transition`), the lane replays of the event simulator
+(:meth:`repro.sim.event_sim.EventSimulator.worst_pair_delay`, which
+settles every pair's ``v_-1`` state here and then runs its event loop
+over the same lane words: :mod:`repro.core.certify`'s step-3 replays and
+the Monte Carlo samples of :mod:`repro.core.statistical`, where the
+settled states are delay-independent, so one batch pass serves every
+sample), and fault-coverage validation (:mod:`repro.core.delay_fault`).
 
 The compiled form of a circuit, :class:`CircuitProgram`, is shared: the
 event-driven timing simulator (:mod:`repro.sim.event_sim`) runs its event

@@ -1,13 +1,16 @@
 import pytest
 
+from repro.circuits import build_circuit
 from repro.core import (
     StatisticalTimingResult,
     VectorPair,
+    collect_certification_pairs,
     monte_carlo_delay,
     monte_carlo_topological,
     speedup_only_variation,
     uniform_variation,
 )
+from repro.runtime.metrics import metrics_scope
 
 from tests.helpers import c17
 
@@ -70,6 +73,22 @@ class TestMonteCarloDelay:
     def test_requires_pairs(self):
         with pytest.raises(ValueError):
             monte_carlo_delay(c17(), [], num_samples=3)
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_one_lane_replay_per_sample(self, jobs):
+        """Each sample replays all 26 of c880's certification pairs as the
+        bit lanes of one event-loop run, on either route."""
+        circuit = build_circuit("c880")
+        pairs = [
+            pair
+            for __, pair in collect_certification_pairs(circuit).values()
+        ]
+        assert len(pairs) == 26
+        with metrics_scope() as metrics:
+            monte_carlo_delay(circuit, pairs, num_samples=16, jobs=jobs)
+        counters = metrics.snapshot()["counters"]
+        assert counters["event_sim.replays"] == 16
+        assert counters["event_sim.lanes"] == 16 * 26
 
 
 class TestStatisticsObject:

@@ -8,12 +8,13 @@ import pytest
 import repro.sim
 import repro.sim.wordsim as wordsim
 from repro.circuits import build_circuit
-from repro.core import sample_delay_once, settle_pair_initials, uniform_variation
+from repro.core import sample_delay_once, uniform_variation
 from repro.core.statistical import _nominal_delays
 from repro.core.vectors import VectorPair
 from repro.network import CircuitBuilder
 from repro.runtime.parallel import sample_seed
 from repro.sim import (
+    EventSimulator,
     batch_settle,
     batch_settle_outputs,
     kernel_for,
@@ -247,36 +248,46 @@ class TestBatchThroughput:
         assert outputs_s * 3 <= scalar_s
 
     def test_monte_carlo_settle_hoist_on_csa16(self):
-        """``settle_pair_initials`` settles every pair's ``v_-1`` in one
-        pass that all samples share; the samples equal those of
-        per-sample scalar settles, sample for sample."""
+        """Each sample replays its pairs as the bit lanes of one event-loop
+        run, from one word-kernel settle of their ``v_-1`` states that all
+        samples share; the samples equal those of per-pair scalar settles
+        and per-pair replays, sample for sample."""
         circuit = build_circuit("csa16")
         pairs = random_pairs(circuit, 64)
         num_samples = 8
         model = uniform_variation(1)
         nominal = _nominal_delays(circuit)
 
-        def scalar_initials():
-            return [settle(circuit, pair.v_prev) for pair in pairs]
+        def per_pair_samples():
+            samples = []
+            for index in range(num_samples):
+                rng = random.Random(sample_seed(13, index))
+                simulator = EventSimulator(circuit, delays={
+                    name: model(rng, delay) for name, delay in nominal.items()
+                })
+                samples.append(max(
+                    simulator.measure_pair_delay(pair.v_prev, pair.v_next)
+                    for pair in pairs
+                ))
+            return samples
 
-        def samples(initials_for):
+        def lane_samples():
+            settled = simulate_words(
+                circuit,
+                pack_vectors([pair.v_prev for pair in pairs], circuit.inputs),
+                width=len(pairs),
+            )
             return [
                 sample_delay_once(
                     circuit, pairs, model,
-                    random.Random(sample_seed(13, index)), nominal,
-                    initials=initials_for(),
+                    random.Random(sample_seed(13, index)), nominal, settled,
                 )
                 for index in range(num_samples)
             ]
 
         with counted_checks() as checks:
-            reference, scalar_s = timed(
-                lambda: [scalar_initials() for __ in range(num_samples)]
-            )
-            initials, batch_s = timed(settle_pair_initials, circuit, pairs)
-            reference_samples = samples(scalar_initials)
-            hoisted_samples = samples(lambda: initials)
+            reference, per_pair_s = timed(per_pair_samples)
+            samples, lanes_s = timed(lane_samples)
         assert checks == {}
-        assert initials == reference[-1]
-        assert batch_s * 3 <= scalar_s
-        assert hoisted_samples == reference_samples
+        assert samples == reference
+        assert lanes_s * 3 <= per_pair_s

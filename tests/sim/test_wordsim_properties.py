@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.circuits import build_circuit
 from repro.core.statistical import uniform_variation
+from repro.core.vectors import VectorPair
+from repro.network.gates import GateType
 from repro.sim import EventSimulator, batch_settle, settle, simulate_words
 
 from tests.helpers import random_circuit
@@ -64,6 +66,38 @@ class TestLaneScalarEquivalence:
         assert batch_settle(circuit, vectors, check=True) == [
             settle(circuit, v) for v in vectors
         ]
+
+
+class TestLaneReplay:
+    """One event-loop run whose bit lane ``i`` replays pair ``i`` sees the
+    latest output event of the worst per-pair replay."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10_000), count=st.integers(1, 40))
+    def test_worst_pair_delay_is_the_worst_replay(self, seed, count):
+        rng = random.Random(seed)
+        circuit = random_circuit(
+            seed, num_inputs=rng.randint(1, 5), num_gates=rng.randint(1, 12)
+        )
+        # Annotated delays in 0-3, so zero-delay gates cascade too.
+        simulator = EventSimulator(circuit, delays={
+            node.name: rng.randint(0, 3)
+            for node in circuit.nodes()
+            if node.gate_type != GateType.INPUT
+        })
+
+        def vector():
+            return {name: bool(rng.getrandbits(1)) for name in circuit.inputs}
+
+        pairs = [VectorPair(vector(), vector()) for __ in range(count - 1)]
+        still = vector()
+        pairs.insert(rng.randint(0, len(pairs)), VectorPair(still, still))
+        replays = [
+            simulator.measure_pair_delay(pair.v_prev, pair.v_next)
+            for pair in pairs
+        ]
+        assert simulator.worst_pair_delay(pairs) == max(replays)
+        assert simulator.worst_pair_delay(pairs[:1]) == replays[0]
 
 
 class TestMonteCarloByteIdentity:
