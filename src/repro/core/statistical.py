@@ -23,7 +23,7 @@ from ..network.circuit import Circuit
 from ..network.gates import GateType
 from ..runtime.metrics import METRICS
 from ..runtime.parallel import shard_map
-from ..sim.event_sim import EventSimulator
+from ..sim.event_sim import EventSimulator, LaneReplay
 from .vectors import VectorPair
 
 #: Draws a sample delay for a gate given (rng, nominal_delay).
@@ -140,6 +140,37 @@ def _nominal_delays(circuit: Circuit) -> Dict[str, int]:
     }
 
 
+class _SampleReplay:
+    """What every Monte Carlo sample over one circuit and one pair list
+    shares: a validated :class:`~repro.sim.event_sim.EventSimulator`, the
+    pairs packed as lane words
+    (:class:`~repro.sim.event_sim.LaneReplay`) and the program slot of
+    each gate in ``nominal``'s order.  The ``monte-carlo`` worker builds
+    one per call; :meth:`sample` is the one per-sample code path."""
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        pairs: Sequence[VectorPair],
+        nominal: Optional[Dict[str, int]] = None,
+        settled: Optional[Dict[str, int]] = None,
+    ):
+        if nominal is None:
+            nominal = _nominal_delays(circuit)
+        self._replay = LaneReplay(EventSimulator(circuit), pairs, settled)
+        slots = self._replay.program.slots
+        self._gates = [(slots[name], nom) for name, nom in nominal.items()]
+
+    def sample(self, delay_model: DelayModel, rng: random.Random) -> int:
+        delays = list(self._replay.program.delays)
+        for slot, nom in self._gates:
+            delay = delay_model(rng, nom)
+            if delay < 0:
+                raise ValueError("delay must be non-negative")
+            delays[slot] = delay
+        return self._replay.worst_delay(delays)
+
+
 def sample_delay_once(
     circuit: Circuit,
     pairs: Sequence[VectorPair],
@@ -150,14 +181,14 @@ def sample_delay_once(
 ) -> int:
     """One Monte Carlo trial: draw every gate's delay from ``delay_model``
     (in node order, one draw per gate) and replay all pairs, returning the
-    worst observed delay (one item of the ``monte-carlo`` worker of
-    :mod:`repro.runtime.parallel`).
+    worst observed delay (the ``monte-carlo`` worker of
+    :mod:`repro.runtime.parallel` runs its items the same way, from one
+    shared packing).
 
-    The drawn delays are a ``delays=`` annotation of one
-    :class:`~repro.sim.event_sim.EventSimulator` over the circuit's
-    compiled program: the circuit is neither copied nor edited, and the
-    replay equals those of a copy re-annotated with ``set_delay``.  The
-    pairs replay as the bit lanes of one event-loop run
+    The drawn delays replace the gates' delays in the circuit's compiled
+    program for one run: the circuit is neither copied nor edited, and
+    the replay equals those of a copy re-annotated with ``set_delay``.
+    The pairs replay as the bit lanes of that run
     (:meth:`~repro.sim.event_sim.EventSimulator.worst_pair_delay`), which
     returns the largest per-pair delay.
 
@@ -165,13 +196,9 @@ def sample_delay_once(
     words (see ``worst_pair_delay``); absent, they are settled here —
     either way the sample equals the worst per-pair scalar replay.
     """
-    if nominal is None:
-        nominal = _nominal_delays(circuit)
-    simulator = EventSimulator(
-        circuit,
-        delays={name: delay_model(rng, nom) for name, nom in nominal.items()},
+    return _SampleReplay(circuit, pairs, nominal, settled).sample(
+        delay_model, rng
     )
-    return simulator.worst_pair_delay(pairs, settled)
 
 
 def monte_carlo_delay(
@@ -197,11 +224,12 @@ def monte_carlo_delay(
     closure runs in this process, drawing the very same samples.
 
     Each sample replays every pair at once, as the bit lanes of one
-    event-loop run, from one bit-parallel settle of all pairs' ``v_-1``
-    states per worker call: settled values are delay-independent, so
-    they are computed once instead of once per sample — the samples
-    themselves are unchanged (the rng draws only gate delays, never
-    settle results).
+    event-loop run.  Per worker call the circuit is validated once, and
+    the pairs' ``v_-1`` states settle in one bit-parallel pass and their
+    ``v_0`` words are packed once: none of it depends on delays, so a
+    sample only draws its gate delays and runs — the samples themselves
+    are unchanged (the rng draws only gate delays, never settle
+    results).
     """
     if not pairs:
         raise ValueError("need at least one certification vector pair")

@@ -16,7 +16,8 @@ re-analysing only what an edit could have changed:
    the engine replays the entries recorded since its cursor and marks the
    *forward closure* of the edited nodes (via ``Circuit.fanouts()``) dirty.
    An output outside the dirty region provably has an unchanged fanin
-   cone, so its memoised result is reused verbatim.
+   cone, so its memoised result is reused verbatim.  The same closure is
+   all the cone hashes the engine keeps lack (step 2).
 
 2. **Cone evaluation** — dirty outputs are re-analysed on extracted
    fanin-cone subcircuits (:mod:`repro.incremental.cones`).  Per-cone
@@ -24,7 +25,11 @@ re-analysing only what an edit could have changed:
    cached under :func:`~repro.runtime.fingerprint.cone_fingerprint`
    content keys in a :class:`~repro.runtime.cache.DelayCache` — reverting
    an edit (or loading a different circuit sharing a cone) hits the cache
-   without recomputation.
+   without recomputation.  The keys come from per-node Merkle cone hashes
+   and per-output cone memberships that the engine keeps between
+   queries: a query rehashes only the nodes its new edits reached
+   (``incremental.rehashed_nodes``) and walks no fanin; a structural
+   change to the circuit, journalled or not, rebuilds both from scratch.
 
 3. **Floating bounds** — floating delay is monotone in gate delays
    (paper Secs. II and IV), so a dirty cone whose output was last served
@@ -60,11 +65,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..network.circuit import Circuit
 from ..runtime.cache import DelayCache
-from ..runtime.fingerprint import cone_fingerprint, node_cone_fingerprints
+from ..runtime.fingerprint import (
+    cone_fingerprint,
+    node_cone_fingerprints,
+    node_cone_hash,
+)
 from ..runtime.metrics import METRICS
 from ..runtime.parallel import shard_map
 from ..sim.wordsim import program_for
@@ -133,12 +142,22 @@ class IncrementalTimingEngine:
             node.name: node.delay for node in circuit.nodes()
         }
         self._served_cursor = circuit.journal_length
+        #: The cone maps kept between queries: every node's Merkle cone
+        #: hash, and per output its fanin list and cone inputs.  They hold
+        #: for the structure whose topological order is ``_order`` (the
+        #: circuit hands out one cached list until a structural
+        #: invalidation drops it) and each query brings them up to date.
+        self._order: Optional[List[str]] = None
+        self._position: Dict[str, int] = {}
+        self._node_fps: Dict[str, str] = {}
+        self._members: Dict[str, Tuple[List[str], List[str]]] = {}
 
     # ------------------------------------------------------------------
     # Journal consumption / dirty marking
     # ------------------------------------------------------------------
-    def _consume_journal(self) -> None:
-        """Mark the forward closure of all newly journalled edits dirty.
+    def _consume_journal(self) -> Set[str]:
+        """Mark the forward closure of all newly journalled edits dirty
+        for every kind's memo, and return it (empty when there are none).
 
         Soundness: an output's cone content can only change if some node
         in its *current* cone was directly edited, or some structural
@@ -150,7 +169,7 @@ class IncrementalTimingEngine:
         """
         edits = self.circuit.edits_since(self._cursor)
         if not edits:
-            return
+            return set()
         self._cursor = self.circuit.journal_length
         dirty = self._forward_closure(edit.name for edit in edits)
         for kind in KINDS:
@@ -163,6 +182,7 @@ class IncrementalTimingEngine:
         if restructured and self._served_floating:
             for out in self._forward_closure(restructured):
                 self._served_floating.pop(out, None)
+        return dirty
 
     def _forward_closure(self, names) -> Set[str]:
         """The live ``names`` and every node they reach."""
@@ -176,6 +196,44 @@ class IncrementalTimingEngine:
             closure.add(name)
             stack.extend(fanouts.get(name, ()))
         return closure
+
+    def _refresh_cone_maps(self, dirty: Set[str]) -> None:
+        """Bring the kept cone maps up to date, given the ``dirty``
+        closure of the edits this query consumed.
+
+        A circuit whose topological order is no longer the kept one was
+        restructured — by a journalled ``rewire``, structural
+        ``replace_gate`` or ``remove_gate``, or by an ``add_gate`` or
+        ``add_input`` the journal never sees — so both maps are rebuilt.
+        Otherwise only delays changed since the last query, and only on
+        ``dirty`` nodes: a node's hash reads its own delay and its
+        fanins' hashes, so rehashing them fanins-first restores exactly
+        :func:`~repro.runtime.fingerprint.node_cone_fingerprints`.
+        """
+        order = self.circuit.topological_order()
+        if order is not self._order:
+            self._order = order
+            self._position = {name: i for i, name in enumerate(order)}
+            self._node_fps = node_cone_fingerprints(self.circuit)
+            self._members.clear()
+            rehashed = len(order)
+        else:
+            node, fps = self.circuit.node, self._node_fps
+            for name in sorted(dirty, key=self._position.__getitem__):
+                fps[name] = node_cone_hash(node(name), fps)
+            rehashed = len(dirty)
+        METRICS.incr("incremental.rehashed_nodes", rehashed)
+
+    def _cone_members(self, out: str) -> Tuple[List[str], List[str]]:
+        """``out``'s fanin list and cone inputs, walked once per structure
+        (:meth:`_refresh_cone_maps` drops them on a rebuild)."""
+        members = self._members.get(out)
+        if members is None:
+            fanin = self.circuit.transitive_fanin([out])
+            inside = set(fanin)
+            members = (fanin, [i for i in self.circuit.inputs if i in inside])
+            self._members[out] = members
+        return members
 
     # ------------------------------------------------------------------
     # Queries
@@ -192,7 +250,7 @@ class IncrementalTimingEngine:
         with METRICS.span(
             "incremental.query", kind=kind, circuit=self.circuit.name
         ):
-            self._consume_journal()
+            self._refresh_cone_maps(self._consume_journal())
             dirty_nodes = len(self._pending_dirty[kind])
             self._pending_dirty[kind].clear()
             METRICS.incr("incremental.dirty_nodes", dirty_nodes)
@@ -264,14 +322,13 @@ class IncrementalTimingEngine:
         self, kind: str, outs, stats: Dict[str, int]
     ) -> Dict[str, Tuple[str, ConeResult]]:
         """Fingerprint, cache-probe, and (re)compute the given outputs."""
-        node_fps = node_cone_fingerprints(self.circuit)
         results: Dict[str, Tuple[str, ConeResult]] = {}
         to_compute = []
         for out in outs:
-            fanin = self.circuit.transitive_fanin([out])
-            members = set(fanin)
-            cone_inputs = [i for i in self.circuit.inputs if i in members]
-            fp = cone_fingerprint(self.circuit, out, node_fps, cone_inputs)
+            fanin, cone_inputs = self._cone_members(out)
+            fp = cone_fingerprint(
+                self.circuit, out, self._node_fps, cone_inputs
+            )
             token = self.cache.token_for(fp, kind, self.engine_name)
             cached = self.cache.get(token)
             if cached is not None:
@@ -328,13 +385,14 @@ class IncrementalTimingEngine:
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop every memoised result and served floating delay (the cone
-        cache survives — it is content-addressed and can never serve a
-        stale entry)."""
+        """Drop every memoised result, served floating delay and kept cone
+        map (the cone cache survives — it is content-addressed and can
+        never serve a stale entry)."""
         for kind in KINDS:
             self._memo[kind].clear()
             self._pending_dirty[kind].clear()
         self._served_floating.clear()
+        self._order = None
         self._cursor = self.circuit.journal_length
 
 

@@ -14,7 +14,9 @@ hash folds its own record with its fanins' cone hashes, Merkle-style, so
 two nodes share a cone hash exactly when their fanin cones are identical
 trees.  An edit anywhere in a circuit changes the cone hashes of precisely
 the nodes downstream of the edit — the foundation of the incremental
-engine's clean-cone reuse (:mod:`repro.incremental`).
+engine's clean-cone reuse (:mod:`repro.incremental`), which keeps the
+hashes between queries and re-derives only those nodes
+(:func:`node_cone_hash`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import Dict, Iterable, Optional
+
+#: The encoder of the cone hash payloads: ``json.dumps`` with these
+#: separators gives the same bytes but builds a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def circuit_signature(circuit) -> str:
@@ -48,23 +54,31 @@ def circuit_fingerprint(circuit) -> str:
     return hashlib.sha256(circuit_signature(circuit).encode()).hexdigest()
 
 
+def node_cone_hash(node, fps: Dict[str, str]) -> str:
+    """The Merkle cone hash of one node, given its fanins' in ``fps``.
+
+    It covers the node's name, gate type, delay, and — in fanin order —
+    the cone hashes of its fanins, so it identifies the *entire* cone DAG
+    feeding the node.
+    """
+    payload = _ENCODER.encode(
+        [node.name, node.gate_type.value, node.delay,
+         [fps[f] for f in node.fanins]]
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def node_cone_fingerprints(circuit) -> Dict[str, str]:
     """Merkle-style transitive-fanin cone hash for every node.
 
-    A node's hash covers its name, gate type, delay, and — in fanin order —
-    the cone hashes of its fanins, so it identifies the *entire* cone DAG
-    feeding the node.  Computed in one topological pass (linear in circuit
-    size); cheap enough to rerun after every edit batch.
+    Computed in one topological pass (linear in circuit size).  After
+    delay edits only the edited nodes' forward closure needs rehashing,
+    in topological order (:func:`node_cone_hash`): the incremental engine
+    keeps the map between queries and does just that.
     """
     fps: Dict[str, str] = {}
     for name in circuit.topological_order():
-        node = circuit.node(name)
-        payload = json.dumps(
-            [name, node.gate_type.value, node.delay,
-             [fps[f] for f in node.fanins]],
-            separators=(",", ":"),
-        )
-        fps[name] = hashlib.sha256(payload.encode()).hexdigest()
+        fps[name] = node_cone_hash(circuit.node(name), fps)
     return fps
 
 
@@ -86,9 +100,7 @@ def cone_fingerprint(
     if cone_inputs is None:
         members = set(circuit.transitive_fanin([output]))
         cone_inputs = [i for i in circuit.inputs if i in members]
-    payload = json.dumps(
-        [node_fps[output], list(cone_inputs)], separators=(",", ":")
-    )
+    payload = _ENCODER.encode([node_fps[output], list(cone_inputs)])
     return "cone:" + hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -284,30 +284,17 @@ def _monte_carlo_worker(context, samples):
     indices; a result is that sample's delay, drawn from its own seeded
     sub-stream, so the sample list is independent of chunking."""
     circuit, pairs, seed, model = context
-    from ..core.statistical import (
-        _nominal_delays,
-        resolve_delay_model,
-        sample_delay_once,
-    )
-    from ..sim.wordsim import pack_vectors, simulate_words
+    from ..core.statistical import _SampleReplay, resolve_delay_model
 
     delay_model = (
         resolve_delay_model(model) if isinstance(model, tuple) else model
     )
-    nominal = _nominal_delays(circuit)
-    # The pairs' v_-1 states settle as lane words once per call; settled
-    # values are delay-independent, so every sample's lane replay reuses
-    # them.
-    settled = simulate_words(
-        circuit,
-        pack_vectors([pair.v_prev for pair in pairs], circuit.inputs),
-        width=len(pairs),
-    )
+    # The circuit validates, and the pairs settle and pack as lane words,
+    # once per call: none of it depends on delays, so every sample only
+    # draws its delays and runs.
+    replay = _SampleReplay(circuit, pairs)
     return [
-        sample_delay_once(
-            circuit, pairs, delay_model,
-            random.Random(sample_seed(seed, sample)), nominal, settled,
-        )
+        replay.sample(delay_model, random.Random(sample_seed(seed, sample)))
         for sample in samples
     ]
 

@@ -45,7 +45,9 @@ Lanes are independent under transport delay, so a word changes at ``t``
 exactly when one of its lanes does: the latest output event of a lane
 run is the worst of its pairs' delays, which is all the worst-over-pairs
 consumers keep (:meth:`EventSimulator.worst_pair_delay` — the Monte
-Carlo samples and ``certify``'s step-3 replays).  Everything else —
+Carlo samples and ``certify``'s step-3 replays; a :class:`LaneReplay`
+packs the pairs once for runs under many delay assignments).
+Everything else —
 sessions, `simulate_transition`, `simulate_clocked` — runs one lane.
 Each run counts one ``event_sim.replays`` and its lanes in
 ``event_sim.lanes``.
@@ -119,8 +121,9 @@ class TimingSession:
     in :mod:`repro.fsm.sequential`.
 
     ``lanes`` > 1 makes every value a lane word (``initial`` then maps
-    each node to its settled word); only
-    :meth:`EventSimulator.worst_pair_delay` opens such a session.
+    each node to its settled word); only a :class:`LaneReplay` opens
+    such a session.  ``delays`` optionally replaces the simulator's
+    per-slot delays for this run (a Monte Carlo sample's draws).
     """
 
     def __init__(
@@ -128,10 +131,11 @@ class TimingSession:
         simulator: "EventSimulator",
         initial: Mapping[str, bool],
         lanes: int = 1,
+        delays: Optional[Sequence[int]] = None,
     ):
-        program, delays = simulator._compiled()
+        program, own_delays = simulator._compiled()
         self._program = program
-        self._delays = delays
+        self._delays = own_delays if delays is None else delays
         self._initial = dict(initial)
         # One lane holds bools (``True & x``, ``True ^ x`` stay bools);
         # more hold lane words under an all-ones mask.
@@ -302,6 +306,50 @@ class TimingSession:
         return WaveformSet(waveforms)
 
 
+class LaneReplay:
+    """Vector pairs packed once as the bit lanes of event-loop runs
+    (:meth:`EventSimulator.worst_pair_delay`): the settled ``v_-1`` words
+    and the ``v_0`` words injected at t = 0, over the simulator's current
+    program.  Neither depends on delays, so one packing serves runs
+    under any per-slot delays of that program (the Monte Carlo samples
+    of one worker call, :mod:`repro.core.statistical`).
+    """
+
+    def __init__(
+        self,
+        simulator: "EventSimulator",
+        pairs: Sequence,
+        settled: Optional[Mapping[str, int]] = None,
+    ):
+        if not pairs:
+            raise ValueError("need at least one vector pair")
+        program, __ = simulator._compiled()
+        self.program = program
+        self._simulator = simulator
+        self._lanes = len(pairs)
+        if settled is None:
+            settled = program.kernel().simulate(
+                pack_vectors([pair.v_prev for pair in pairs], program.inputs),
+                width=self._lanes,
+            )
+        self._settled = settled
+        words = pack_vectors([pair.v_next for pair in pairs], program.inputs)
+        self._stimulus = dict(zip(
+            program.input_slots, map(words.__getitem__, program.inputs)
+        ))
+
+    def worst_delay(self, delays: Optional[Sequence[int]] = None) -> int:
+        """The latest output event of one run over all lanes, under
+        per-slot ``delays`` of :attr:`program` (default: the
+        simulator's)."""
+        session = TimingSession(
+            self._simulator, self._settled, lanes=self._lanes, delays=delays
+        )
+        session._inject_slots(0, dict(self._stimulus))
+        session.advance()
+        return TransitionResult(session).delay
+
+
 class EventSimulator:
     """Event-driven transport-delay simulator for a fixed circuit.
 
@@ -412,24 +460,11 @@ class EventSimulator:
         :func:`repro.sim.wordsim.simulate_words` returns them for the
         packed ``v_-1`` vectors at ``width=len(pairs)``.  Settled values
         are delay-independent, so one pass serves replays under any
-        re-annotated delays (the Monte Carlo samples share one).
+        re-annotated delays; a :class:`LaneReplay` keeps the whole packing
+        for many runs (the Monte Carlo samples of a worker call share
+        one).
         """
-        if not pairs:
-            raise ValueError("need at least one vector pair")
-        program, __ = self._compiled()
-        width = len(pairs)
-        if settled is None:
-            settled = program.kernel().simulate(
-                pack_vectors([pair.v_prev for pair in pairs], program.inputs),
-                width=width,
-            )
-        session = TimingSession(self, settled, lanes=width)
-        words = pack_vectors([pair.v_next for pair in pairs], program.inputs)
-        session._inject_slots(0, dict(zip(
-            program.input_slots, map(words.__getitem__, program.inputs)
-        )))
-        session.advance()
-        return TransitionResult(session).delay
+        return LaneReplay(self, pairs, settled).worst_delay()
 
     def simulate_clocked(
         self,

@@ -9,7 +9,7 @@ from repro.incremental import (
     cold_query,
 )
 from repro.network import Circuit, GateType
-from repro.runtime import DelayCache, LocalPoolTransport
+from repro.runtime import DelayCache, LocalPoolTransport, metrics_scope
 
 from tests.helpers import c17, counted_checks, result_cache_off
 
@@ -189,6 +189,69 @@ def test_gate_added_outside_the_journal_gets_no_floating_bound():
     requery = engine.query("floating")
     assert requery.delay == 5
     assert requery.record_json() == (
+        cold_query(circuit, "floating").record_json()
+    )
+
+
+def rehashed_by(engine, kind):
+    """Run one query; return how many cone hashes it recomputed."""
+    with metrics_scope() as metrics:
+        engine.query(kind)
+    return metrics.counter("incremental.rehashed_nodes")
+
+
+def test_gate_and_output_added_outside_the_journal_rebuild_the_cone_maps():
+    """``add_gate`` and ``add_output`` record no journal entry, yet the
+    new output's cone needs hashes: the circuit's structural invalidation
+    alone must make the engine rebuild the cone maps it keeps."""
+    circuit = slow_buffer_circuit()
+    engine = IncrementalTimingEngine(circuit)
+    engine.query("floating")
+    circuit.add_gate("tap", GateType.OR, ["slow", "b"], 2)
+    circuit.add_output("tap")
+    assert circuit.journal_length == 0
+    assert rehashed_by(engine, "floating") == len(circuit)
+    requery = engine.query("floating")
+    assert requery.delay == 7
+    assert requery.record_json() == (
+        cold_query(circuit, "floating").record_json()
+    )
+
+
+def test_a_query_rehashes_only_what_its_edits_reached():
+    """The engine keeps its cone hashes between queries: a re-query with
+    no new edits rehashes none, of any kind, a ``set_delay`` rehashes
+    exactly the edited gate's forward closure, once, and a ``rewire``
+    rebuilds every hash."""
+    circuit = large_circuit()
+    engine = IncrementalTimingEngine(circuit)
+    assert rehashed_by(engine, "floating") == len(circuit)
+    assert rehashed_by(engine, "floating") == 0
+    assert rehashed_by(engine, "transition") == 0
+
+    edited = circuit.gate_names()[17]
+    closure = [
+        name for name in circuit.topological_order()
+        if edited in circuit.transitive_fanin([name])
+    ]
+    assert 1 < len(closure) < len(circuit)
+    circuit.set_delay(edited, circuit.node(edited).delay + 2)
+    assert rehashed_by(engine, "floating") == len(closure)
+    assert rehashed_by(engine, "transition") == 0
+
+    gate = circuit.gate_names()[10]
+    fanins = list(circuit.node(gate).fanins)
+    fanins[0] = circuit.inputs[0]
+    circuit.rewire(gate, fanins)
+    assert rehashed_by(engine, "transition") == len(circuit)
+    assert rehashed_by(engine, "floating") == 0
+
+    # ``invalidate`` skips the journal, so the edit it skips is only
+    # seen through a rebuild.
+    circuit.set_delay(edited, circuit.node(edited).delay + 3)
+    engine.invalidate()
+    assert rehashed_by(engine, "floating") == len(circuit)
+    assert engine.query("floating").record_json() == (
         cold_query(circuit, "floating").record_json()
     )
 

@@ -15,6 +15,16 @@ from repro.circuits.generators import random_logic
 from repro.fuzz.generate import random_gate_circuit
 from repro.fuzz.scenario import apply_edits, random_edit
 from repro.incremental import IncrementalTimingEngine, KINDS, cold_query
+from repro.runtime.fingerprint import node_cone_fingerprints
+
+
+def assert_cone_maps_current(engine, circuit):
+    """The cone hashes and memberships the engine keeps between queries
+    are those a from-scratch walk of the edited circuit gives."""
+    assert engine._node_fps == node_cone_fingerprints(circuit)
+    for out, (fanin, cone_inputs) in engine._members.items():
+        assert fanin == circuit.transitive_fanin([out])
+        assert cone_inputs == [i for i in circuit.inputs if i in fanin]
 
 
 @settings(
@@ -36,6 +46,7 @@ def test_random_edit_sequences_match_cold_rebuild(
     engine = IncrementalTimingEngine(circuit)
     for kind in ("transition", "floating"):
         engine.query(kind)
+        assert_cone_maps_current(engine, circuit)
     rng = random.Random(f"prop-edit:{edit_seed}")
     for __ in range(num_edits):
         edit = random_edit(circuit, rng, max_delay=3)
@@ -48,11 +59,13 @@ def test_random_edit_sequences_match_cold_rebuild(
             assert engine.query(kind).record_json() == (
                 cold_query(circuit, kind).record_json()
             )
+            assert_cone_maps_current(engine, circuit)
     # After the whole sequence every kind agrees with a fresh rebuild.
     for kind in KINDS:
         assert engine.query(kind).record_json() == (
             cold_query(circuit, kind).record_json()
         )
+        assert_cone_maps_current(engine, circuit)
 
 
 @pytest.mark.parametrize("kind", ["floating", "transition"])
