@@ -22,7 +22,8 @@ Commands
 * ``serve``           — long-lived incremental what-if query service
   (JSON-lines over stdio; ``--tcp HOST:PORT`` / ``--socket PATH`` start
   the multi-client asyncio front-end, one session per connection, with
-  admission control and request coalescing; see ``docs/INCREMENTAL.md``).
+  admission control, request coalescing and one request-execution
+  thread; see ``docs/INCREMENTAL.md``).
 * ``loadgen``         — concurrent client fleet against a timing server
   (or a self-hosted in-process one): p50/p95/p99 latency, throughput,
   busy-rejection and coalescing accounting.
@@ -439,7 +440,6 @@ def cmd_serve(args) -> int:
             tcp=tcp,
             unix_path=args.socket,
             max_pending=args.max_pending,
-            workers=args.workers,
             preload=args.netlist,
             announce=announce,
         )
@@ -477,7 +477,7 @@ def cmd_loadgen(args) -> int:
 
         server = TimingServer(
             engine_name=args.engine, jobs=args.jobs,
-            max_pending=args.max_pending, workers=args.workers,
+            max_pending=args.max_pending,
         )
     report = run_loadgen(
         script, clients=args.clients, tcp=tcp, unix_path=args.socket,
@@ -641,13 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-pending", type=int, default=64, metavar="N",
         help="admission-queue bound for --tcp/--socket: requests "
-        "beyond N in flight get an immediate 'busy' response "
-        "(default: 64)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="request-execution threads for --tcp/--socket "
-        "(default: 1, which maximises coalescing opportunities)",
+        "beyond N in flight get an immediate 'busy' response; admitted "
+        "requests run one at a time (default: 64)",
     )
     p.set_defaults(func=cmd_serve)
 
@@ -688,10 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-pending", type=int, default=64, metavar="N",
         help="admission bound for the self-hosted server (default: 64)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="execution threads for the self-hosted server (default: 1)",
     )
     p.set_defaults(func=cmd_loadgen)
 

@@ -53,7 +53,6 @@ from .statistical import (
     monte_carlo_delay,
     monte_carlo_topological,
     resolve_delay_model,
-    sample_delay_once,
     speedup_only_variation,
     uniform_variation,
 )
@@ -90,7 +89,6 @@ from .vectors import (
     AttributionError,
     DelayCertificate,
     VectorPair,
-    batch_pair_states,
     cur_var,
     format_vector,
     prev_var,
@@ -137,7 +135,6 @@ __all__ = [
     "monte_carlo_delay",
     "monte_carlo_topological",
     "resolve_delay_model",
-    "sample_delay_once",
     "uniform_variation",
     "speedup_only_variation",
     "DiscreteDistribution",
@@ -146,7 +143,6 @@ __all__ = [
     "uniform_delay_model",
     "fixed_delay_model",
     "AttributionError",
-    "batch_pair_states",
     "canonical_input_order",
     "DelayCertificate",
     "VectorPair",

@@ -124,8 +124,9 @@ class SymbolicAnalysis:
         engine_name: str = "auto",
         input_times: Optional[Dict[str, int]] = None,
     ):
-        circuit.validate()
         self.circuit = circuit
+        # Compiling the revision's program validates the circuit; a
+        # revision that is already compiled is not walked again.
         self.program = program = program_for(circuit)
         self.engine = engine or make_engine(engine_name, program.num_gates)
         # Declare the input variables up front, in canonical cone order, so

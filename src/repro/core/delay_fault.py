@@ -258,29 +258,23 @@ def validate_tests_by_fault_injection(
     tests: Sequence[PathFaultTest],
     extra_delay: int = 3,
 ) -> List[bool]:
-    """Check robust tests dynamically, batching the settled states.
+    """Check robust tests dynamically.
 
     A test passes when slowing any single on-path gate by ``extra_delay``
     delays the last event at the path output by exactly that amount (the
-    transition really rides the path).  Every test's ``v_1`` settled
-    state is computed in one pass of the word-level kernel, cross-checked
-    lane-vs-scalar (``check=True``), and reused by the baseline replay
-    *and* every slowed replay — settled values do not depend on delays,
-    so a delay-only re-annotation shares the state.  A slowed replay is a
-    ``delays=`` annotation of the simulator: ``circuit`` is never copied
-    or edited.
+    transition really rides the path).  Each test's ``v_-1`` state is
+    settled once and shared by the baseline replay *and* every slowed
+    replay — settled values do not depend on delays, so a delay-only
+    re-annotation shares the state.  A slowed replay is a ``delays=``
+    annotation of the simulator: ``circuit`` is never copied or edited.
     """
     from ..sim.event_sim import EventSimulator
-    from ..sim.wordsim import batch_settle
+    from ..sim.logic_sim import settle
 
-    if not tests:
-        return []
-    initials = batch_settle(
-        circuit, [test.pair.v_prev for test in tests], check=True
-    )
     baseline_sim = EventSimulator(circuit)
     results: List[bool] = []
-    for test, initial in zip(tests, initials):
+    for test in tests:
+        initial = settle(circuit, test.pair.v_prev)
         baseline = baseline_sim.simulate_transition(
             test.pair.v_prev, test.pair.v_next, initial=initial
         )

@@ -143,25 +143,26 @@ def _nominal_delays(circuit: Circuit) -> Dict[str, int]:
 class _SampleReplay:
     """What every Monte Carlo sample over one circuit and one pair list
     shares: a validated :class:`~repro.sim.event_sim.EventSimulator`, the
-    pairs packed as lane words
+    pairs settled and packed as lane words
     (:class:`~repro.sim.event_sim.LaneReplay`) and the program slot of
-    each gate in ``nominal``'s order.  The ``monte-carlo`` worker builds
-    one per call; :meth:`sample` is the one per-sample code path."""
+    each gate in node order.  The ``monte-carlo`` worker builds one per
+    call; :meth:`sample` is the one per-sample code path."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        pairs: Sequence[VectorPair],
-        nominal: Optional[Dict[str, int]] = None,
-        settled: Optional[Dict[str, int]] = None,
-    ):
-        if nominal is None:
-            nominal = _nominal_delays(circuit)
-        self._replay = LaneReplay(EventSimulator(circuit), pairs, settled)
+    def __init__(self, circuit: Circuit, pairs: Sequence[VectorPair]):
+        self._replay = LaneReplay(EventSimulator(circuit), pairs)
         slots = self._replay.program.slots
-        self._gates = [(slots[name], nom) for name, nom in nominal.items()]
+        self._gates = [
+            (slots[name], nom)
+            for name, nom in _nominal_delays(circuit).items()
+        ]
 
     def sample(self, delay_model: DelayModel, rng: random.Random) -> int:
+        """One Monte Carlo trial: draw every gate's delay from
+        ``delay_model`` (in node order, one draw per gate) and replay all
+        pairs as the bit lanes of one run under those delays, returning
+        the worst pair's delay.  The circuit is neither copied nor edited,
+        and the sample equals the worst per-pair replay of a copy
+        re-annotated with ``set_delay``."""
         delays = list(self._replay.program.delays)
         for slot, nom in self._gates:
             delay = delay_model(rng, nom)
@@ -169,36 +170,6 @@ class _SampleReplay:
                 raise ValueError("delay must be non-negative")
             delays[slot] = delay
         return self._replay.worst_delay(delays)
-
-
-def sample_delay_once(
-    circuit: Circuit,
-    pairs: Sequence[VectorPair],
-    delay_model: DelayModel,
-    rng: random.Random,
-    nominal: Optional[Dict[str, int]] = None,
-    settled: Optional[Dict[str, int]] = None,
-) -> int:
-    """One Monte Carlo trial: draw every gate's delay from ``delay_model``
-    (in node order, one draw per gate) and replay all pairs, returning the
-    worst observed delay (the ``monte-carlo`` worker of
-    :mod:`repro.runtime.parallel` runs its items the same way, from one
-    shared packing).
-
-    The drawn delays replace the gates' delays in the circuit's compiled
-    program for one run: the circuit is neither copied nor edited, and
-    the replay equals those of a copy re-annotated with ``set_delay``.
-    The pairs replay as the bit lanes of that run
-    (:meth:`~repro.sim.event_sim.EventSimulator.worst_pair_delay`), which
-    returns the largest per-pair delay.
-
-    ``settled`` optionally carries the pairs' ``v_-1`` states as lane
-    words (see ``worst_pair_delay``); absent, they are settled here —
-    either way the sample equals the worst per-pair scalar replay.
-    """
-    return _SampleReplay(circuit, pairs, nominal, settled).sample(
-        delay_model, rng
-    )
 
 
 def monte_carlo_delay(

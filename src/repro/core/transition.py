@@ -42,7 +42,6 @@ from .vectors import (
     AttributionError,
     DelayCertificate,
     VectorPair,
-    batch_pair_states,
     cur_var,
     prev_var,
 )
@@ -287,13 +286,12 @@ def validate_certification_pairs(
     pairs: Dict[str, Tuple[int, VectorPair]],
     strict: bool = True,
 ) -> Dict[str, int]:
-    """Dynamically validate per-output certification pairs in one batch.
+    """Dynamically validate per-output certification pairs.
 
-    All ``v_-1`` settled states are computed in a single pass of the
-    word-level kernel (cross-checked lane-vs-scalar) and fed into the
-    event-driven replay of each pair.  For every output the observed last
-    event at that output must land exactly at the predicted time — the
-    witness really excites the claimed critical event.  Returns
+    Each pair replays on the event-driven simulator, which settles its
+    ``v_-1`` state.  For every output the observed last event at that
+    output must land exactly at the predicted time — the witness really
+    excites the claimed critical event.  Returns
     ``{output: observed last-event time}``; with ``strict`` a mismatch
     (or a pair exciting no event at its output) raises
     :class:`~repro.core.vectors.AttributionError`.
@@ -302,17 +300,11 @@ def validate_certification_pairs(
         return {}
     from ..sim.event_sim import EventSimulator
 
-    entries = list(pairs.items())
-    initials, __ = batch_pair_states(
-        circuit, [pair for __, (__, pair) in entries], check=True
-    )
     simulator = EventSimulator(circuit)
     observed: Dict[str, int] = {}
     with METRICS.span("core.validate_pairs"):
-        for (out, (predicted, pair)), initial in zip(entries, initials):
-            replay = simulator.simulate_transition(
-                pair.v_prev, pair.v_next, initial=initial
-            )
+        for out, (predicted, pair) in pairs.items():
+            replay = simulator.simulate_transition(pair.v_prev, pair.v_next)
             at_output = replay.waveforms[out].last_event_time
             if at_output is None:
                 if strict:

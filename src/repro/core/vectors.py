@@ -13,7 +13,7 @@ vector ``v_0``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 PREV_SUFFIX = "@-"
 CUR_SUFFIX = "@0"
@@ -88,31 +88,6 @@ class VectorPair:
             f"<{format_vector(self.v_prev, inputs)}, "
             f"{format_vector(self.v_next, inputs)}>"
         )
-
-
-def batch_pair_states(
-    circuit, pairs: Sequence["VectorPair"], check: bool = False
-) -> Tuple[List[Dict[str, bool]], List[Dict[str, bool]]]:
-    """Settled node values under every pair's ``v_-1`` and ``v_0`` in one
-    bit-parallel pass of the word-level kernel.
-
-    Returns ``(initials, finals)``, index-aligned with ``pairs``; each
-    entry is bit-identical to ``settle(circuit, pair.v_prev)`` /
-    ``settle(circuit, pair.v_next)``.  The initials seed batched event
-    replays (:class:`repro.sim.event_sim.EventSimulator` accepts them via
-    ``initial=``); the finals carry the values a certificate's critical
-    output settles to.  ``check=True`` cross-checks every lane against
-    the scalar evaluator.
-    """
-    from ..sim.wordsim import batch_settle
-
-    pairs = list(pairs)
-    states = batch_settle(
-        circuit,
-        [pair.v_prev for pair in pairs] + [pair.v_next for pair in pairs],
-        check=check,
-    )
-    return states[: len(pairs)], states[len(pairs):]
 
 
 @dataclass

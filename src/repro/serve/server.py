@@ -13,9 +13,10 @@ exactly the single-client one in :mod:`repro.incremental.service`; see
   byte-identical to the same script on a single-client transport.
 
 * **Bounded admission with backpressure.**  Requests that need compute
-  enter a FIFO queue drained by ``workers`` executor threads (default 1:
+  enter a FIFO queue drained by one executor thread, so no two requests
+  run at once on the shared :class:`~repro.runtime.cache.DelayCache`:
   parallelism lives *inside* a request, across the dirty cones sharded
-  over the shared :class:`~repro.runtime.transport.LocalPoolTransport`).
+  over the shared :class:`~repro.runtime.transport.LocalPoolTransport`.
   When ``max_pending`` requests are already queued or executing, new
   compute requests are rejected immediately with ``{"ok": false,
   "error": "busy", "busy": true}`` — no request id is consumed, so a
@@ -112,7 +113,6 @@ class TimingServer:
         engine_name: str = "auto",
         jobs: int = 1,
         max_pending: int = 64,
-        workers: int = 1,
         cache: Optional[DelayCache] = None,
         transport: Optional[LocalPoolTransport] = None,
         preload: Optional[str] = None,
@@ -120,7 +120,6 @@ class TimingServer:
         self.engine_name = engine_name
         self.jobs = jobs
         self.max_pending = max(1, int(max_pending))
-        self.workers = max(1, int(workers))
         #: Shared across sessions: cone results are content-addressed, so
         #: one client's computation warms every other client's cache.
         self.cache = cache if cache is not None else DelayCache()
@@ -136,7 +135,7 @@ class TimingServer:
         self._inflight: Dict[tuple, asyncio.Future] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._worker_tasks: List[asyncio.Task] = []
+        self._worker_task: Optional[asyncio.Task] = None
         self._servers: List[asyncio.AbstractServer] = []
         self._writers: set = set()
         self._unix_path: Optional[str] = None
@@ -152,7 +151,7 @@ class TimingServer:
         port: Optional[int] = None,
         unix_path: Optional[str] = None,
     ) -> None:
-        """Bind the requested transports and start the compute workers."""
+        """Bind the requested transports and start the compute thread."""
         if host is None and unix_path is None:
             raise ValueError("start() needs a TCP host/port, a unix path, "
                              "or both")
@@ -161,12 +160,9 @@ class TimingServer:
         self._queue = asyncio.Queue()
         self._stopping = asyncio.Event()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="trued-serve"
+            max_workers=1, thread_name_prefix="trued-serve"
         )
-        self._worker_tasks = [
-            loop.create_task(self._worker_loop())
-            for __ in range(self.workers)
-        ]
+        self._worker_task = loop.create_task(self._worker_loop())
         if host is not None:
             server = await asyncio.start_server(
                 self._handle_connection, host, port or 0,
@@ -209,12 +205,11 @@ class TimingServer:
         for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
-        if self._queue is not None:
+        if self._worker_task is not None:
             await self._queue.join()
-            for __ in self._worker_tasks:
-                self._queue.put_nowait(None)
-            await asyncio.gather(*self._worker_tasks, return_exceptions=True)
-            self._worker_tasks.clear()
+            self._queue.put_nowait(None)
+            await asyncio.gather(self._worker_task, return_exceptions=True)
+            self._worker_task = None
         for writer in list(self._writers):
             writer.close()
         self._writers.clear()
@@ -454,7 +449,6 @@ class TimingServer:
         result["admission"] = {
             "pending": self._pending,
             "max_pending": self.max_pending,
-            "workers": self.workers,
         }
         result["coalesce_in_flight"] = len(self._inflight)
         if self.transport is not None:
@@ -468,7 +462,6 @@ def run_server(
     tcp: Optional[Tuple[str, int]] = None,
     unix_path: Optional[str] = None,
     max_pending: int = 64,
-    workers: int = 1,
     preload: Optional[str] = None,
     announce=None,
 ) -> int:
@@ -484,7 +477,6 @@ def run_server(
             engine_name=engine_name,
             jobs=jobs,
             max_pending=max_pending,
-            workers=workers,
             preload=preload,
         )
         host, port = tcp if tcp is not None else (None, None)

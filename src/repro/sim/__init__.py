@@ -9,10 +9,8 @@ from .logic_sim import (
     settle_outputs,
 )
 from .wordsim import (
-    WordKernel,
     batch_settle,
     batch_settle_outputs,
-    kernel_for,
     pack_vectors,
     simulate_words,
     unpack_word,
@@ -38,10 +36,8 @@ __all__ = [
     "settle",
     "settle_outputs",
     "simulate_words",
-    "WordKernel",
     "batch_settle",
     "batch_settle_outputs",
-    "kernel_for",
     "pack_vectors",
     "unpack_word",
     "all_input_vectors",

@@ -99,10 +99,6 @@ class TransitionResult:
     def output_values(self) -> Dict[str, bool]:
         return {name: self.waveforms[name].final for name in self.outputs}
 
-    def settled_by(self, time: int) -> bool:
-        """True if no node transitions after ``time``."""
-        return self.waveforms.last_event_time() <= time
-
 
 @dataclass
 class ClockedResult:
@@ -308,31 +304,26 @@ class TimingSession:
 
 class LaneReplay:
     """Vector pairs packed once as the bit lanes of event-loop runs
-    (:meth:`EventSimulator.worst_pair_delay`): the settled ``v_-1`` words
-    and the ``v_0`` words injected at t = 0, over the simulator's current
-    program.  Neither depends on delays, so one packing serves runs
-    under any per-slot delays of that program (the Monte Carlo samples
-    of one worker call, :mod:`repro.core.statistical`).
+    (:meth:`EventSimulator.worst_pair_delay`): the ``v_-1`` words settled
+    in one pass of the word-level kernel
+    (:meth:`~repro.sim.wordsim.CircuitProgram.simulate`) and the ``v_0``
+    words injected at t = 0, over the simulator's current program.
+    Neither depends on delays, so one packing serves runs under any
+    per-slot delays of that program (the Monte Carlo samples of one
+    worker call, :mod:`repro.core.statistical`).
     """
 
-    def __init__(
-        self,
-        simulator: "EventSimulator",
-        pairs: Sequence,
-        settled: Optional[Mapping[str, int]] = None,
-    ):
+    def __init__(self, simulator: "EventSimulator", pairs: Sequence):
         if not pairs:
             raise ValueError("need at least one vector pair")
         program, __ = simulator._compiled()
         self.program = program
         self._simulator = simulator
         self._lanes = len(pairs)
-        if settled is None:
-            settled = program.kernel().simulate(
-                pack_vectors([pair.v_prev for pair in pairs], program.inputs),
-                width=self._lanes,
-            )
-        self._settled = settled
+        self._settled = program.simulate(
+            pack_vectors([pair.v_prev for pair in pairs], program.inputs),
+            width=self._lanes,
+        )
         words = pack_vectors([pair.v_next for pair in pairs], program.inputs)
         self._stimulus = dict(zip(
             program.input_slots, map(words.__getitem__, program.inputs)
@@ -363,7 +354,10 @@ class EventSimulator:
     def __init__(
         self, circuit: Circuit, delays: Optional[Mapping[str, int]] = None
     ):
-        circuit.validate()
+        if circuit._program is None:
+            # A compiled revision was validated by its compile; compiling
+            # here instead would only move that work to construction.
+            circuit.validate()
         self.circuit = circuit
         self._annotation = dict(delays or {})
         for name, delay in self._annotation.items():
@@ -406,11 +400,11 @@ class EventSimulator:
         the late-arriving ``i4`` of Fig. 3.
 
         ``initial`` optionally supplies the settled per-node state under
-        ``v_prev`` (it must equal ``settle(self.circuit, v_prev)``) —
-        batch consumers precompute it for many pairs in one pass of the
-        word-level kernel (:mod:`repro.sim.wordsim`) instead of one scalar
-        settle per replay.  Settled values are delay-independent, so one
-        precomputed state also serves replays under re-annotated delays.
+        ``v_prev`` (it must equal ``settle(self.circuit, v_prev)``).
+        Settled values are delay-independent, so one state serves replays
+        of the same pair under any re-annotated delays (the fault-injection
+        validation of :mod:`repro.core.delay_fault` settles each test
+        once for its baseline and every slowed replay).
         """
         if initial is None:
             initial = settle(self.circuit, v_prev)
@@ -432,19 +426,12 @@ class EventSimulator:
         return TransitionResult(session)
 
     def measure_pair_delay(
-        self,
-        v_prev: Dict[str, bool],
-        v_next: Dict[str, bool],
-        initial: Optional[Dict[str, bool]] = None,
+        self, v_prev: Dict[str, bool], v_next: Dict[str, bool]
     ) -> int:
         """Shorthand: the transition delay observed for one vector pair."""
-        return self.simulate_transition(v_prev, v_next, initial=initial).delay
+        return self.simulate_transition(v_prev, v_next).delay
 
-    def worst_pair_delay(
-        self,
-        pairs: Sequence,
-        settled: Optional[Mapping[str, int]] = None,
-    ) -> int:
+    def worst_pair_delay(self, pairs: Sequence) -> int:
         """The largest :meth:`measure_pair_delay` over ``pairs`` (objects
         with ``v_prev`` and ``v_next``, like :class:`repro.core.VectorPair`),
         from one event-loop run whose bit lane ``i`` replays ``pairs[i]``.
@@ -454,17 +441,11 @@ class EventSimulator:
         latest output event over all lanes.  A word changes at t exactly
         when one of its lanes does, so that is the worst pair's delay; no
         slot of this one-batch run changes twice in one timestamp, so the
-        loop's flip-back rule never fires.
-
-        ``settled`` optionally supplies that pass's node words, as
-        :func:`repro.sim.wordsim.simulate_words` returns them for the
-        packed ``v_-1`` vectors at ``width=len(pairs)``.  Settled values
-        are delay-independent, so one pass serves replays under any
-        re-annotated delays; a :class:`LaneReplay` keeps the whole packing
-        for many runs (the Monte Carlo samples of a worker call share
-        one).
+        loop's flip-back rule never fires.  A :class:`LaneReplay` keeps
+        the whole packing for many runs (the Monte Carlo samples of a
+        worker call share one).
         """
-        return LaneReplay(self, pairs, settled).worst_delay()
+        return LaneReplay(self, pairs).worst_delay()
 
     def simulate_clocked(
         self,

@@ -1,10 +1,9 @@
-"""Zero-delay functional simulation.
+"""Zero-delay functional simulation, one vector at a time.
 
 The *settle* step of the single-stepping transition mode (Sec. III): before
 ``v_0`` is applied, every node carries its stable value under ``v_-1``.
-Bit-parallel (word-level) simulation lives in :mod:`repro.sim.wordsim` —
-``simulate_words`` is re-exported from there so this module keeps its
-historical public surface while there is exactly one word-level evaluator.
+Many vectors at once settle as the bit lanes of the word-level kernel,
+:mod:`repro.sim.wordsim`.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..network.circuit import Circuit
-from .wordsim import simulate_words  # noqa: F401 - re-exported kernel entry
 
 
 def settle(circuit: Circuit, input_values: Dict[str, bool]) -> Dict[str, bool]:

@@ -1,30 +1,26 @@
 """The vectorized Boolean kernel: bit-parallel word-level simulation.
 
-This is the repository's single word-level evaluator (the historical
-``simulate_words`` of :mod:`repro.sim.logic_sim` now delegates here).  A
-*word* is an integer whose bit lanes are independent input vectors: one
-pass over the gates evaluates every lane at once, so N vectors cost one
-traversal of the circuit plus O(N) bitwise work instead of N scalar
-``settle`` traversals.
+This is the repository's single word-level evaluator.  A *word* is an
+integer whose bit lanes are independent input vectors: one pass over the
+gates evaluates every lane at once, so N vectors cost one traversal of
+the circuit plus O(N) bitwise work instead of N scalar ``settle``
+traversals.
 
 Each signal is one arbitrary-width Python int; CPython's big-int bitwise
 ops are C loops over 30-bit limbs, so even a batch of thousands of lanes
 costs one pass of C-level word operations per gate.
 
-Consumers: witness/vector-pair validation (:mod:`repro.core.vectors`,
-:mod:`repro.core.transition`), the lane replays of the event simulator
-(:meth:`repro.sim.event_sim.EventSimulator.worst_pair_delay`, which
-settles every pair's ``v_-1`` state here and then runs its event loop
-over the same lane words: :mod:`repro.core.certify`'s step-3 replays and
-the Monte Carlo samples of :mod:`repro.core.statistical`, where the
-settled states are delay-independent, so one batch pass serves every
-sample), and fault-coverage validation (:mod:`repro.core.delay_fault`).
-
-The compiled form of a circuit, :class:`CircuitProgram`, is shared: the
-event-driven timing simulator (:mod:`repro.sim.event_sim`) runs its event
-loop over the same integer slots and gate table, plus the program's
-fanout lists and delays, and the symbolic analyses of :mod:`repro.core`
-walk it too, so each circuit revision is compiled once for all of them.
+The kernel is the circuit's compiled form, :class:`CircuitProgram`
+(:meth:`CircuitProgram.simulate`), and it is shared: the event-driven
+timing simulator (:mod:`repro.sim.event_sim`) runs its event loop over
+the same integer slots and gate table, plus the program's fanout lists
+and delays, and settles the ``v_-1`` states of its lane replays here
+(:class:`repro.sim.event_sim.LaneReplay`: ``certify``'s step-3 replays
+and the Monte Carlo samples of :mod:`repro.core.statistical`); the
+symbolic analyses of :mod:`repro.core` walk it too, so each circuit
+revision is compiled once for all of them.  :func:`simulate_words`,
+:func:`batch_settle` and :func:`batch_settle_outputs` are the
+circuit-level entry points.
 """
 
 from __future__ import annotations
@@ -92,14 +88,17 @@ class CircuitProgram:
 
     Slot ``i`` is the ``i``-th node of ``circuit.topological_order()``, so
     every gate's fanins have smaller slots than the gate.  Gate dispatch
-    is resolved here, and every gate's arity is validated up front with
+    is resolved here, and compiling validates the circuit
+    (``circuit.validate()``): every gate's arity is checked up front with
     the same errors :class:`~repro.network.circuit.Node` raises at
     construction — a corrupted zero-fanin gate is rejected, never folded
-    into a constant.
+    into a constant — so whatever holds a revision's program holds a
+    validated revision.
 
     * ``gates`` — ``(kind, inverting, fanin slots)`` per slot (None for
-      primary inputs): what the word-level kernel (:meth:`run`) and the
-      event loop of :mod:`repro.sim.event_sim` evaluate;
+      primary inputs): what the word-level kernel (:meth:`simulate`,
+      :meth:`run`) and the event loop of :mod:`repro.sim.event_sim`
+      evaluate;
     * ``fanouts`` — the distinct fanout slots per slot, and ``delays`` —
       the gate delay per slot: the rest of the event loop's view;
     * ``nodes`` — ``(gate type, fanin slots)`` per slot — ``num_gates``,
@@ -145,13 +144,6 @@ class CircuitProgram:
         self.input_slots = [slots[name] for name in self.inputs]
         self.input_order = canonical_input_order(circuit)
         self.early, self.late = self.windows(delays, delays, {})
-        self._kernel: Optional["WordKernel"] = None
-
-    def kernel(self) -> "WordKernel":
-        """The word-level kernel over this program."""
-        if self._kernel is None:
-            self._kernel = WordKernel(self.circuit)
-        return self._kernel
 
     def windows(self, lo: Sequence[int], hi: Sequence[int],
                 input_times: Dict[str, int]) -> Tuple[List[int], List[int]]:
@@ -203,6 +195,41 @@ class CircuitProgram:
             values[slot] = 1 if vector[input_name] else 0
         self.run(values, 1)
         return bool(values[self.slots[name]])
+
+    def simulate(
+        self, input_words: Dict[str, int], width: int = WORD_BITS
+    ) -> Dict[str, int]:
+        """Word value of every node: bit lane ``i`` of each word is the
+        settled value under the vector in lane ``i`` of the inputs.
+
+        ``width`` is the number of live lanes; input and result words are
+        masked to it (the historical 64-bit ``simulate_words`` contract).
+        Missing or unknown input names raise a ValueError naming them.
+        """
+        if width < 1:
+            raise ValueError("width must be at least 1")
+        mask = (1 << width) - 1
+        values = [0] * len(self.order)
+        for name, slot in zip(self.inputs, self.input_slots):
+            try:
+                values[slot] = int(input_words[name]) & mask
+            except KeyError:
+                raise ValueError(
+                    f"missing value for primary input {name!r} of "
+                    f"circuit {self.circuit.name!r}"
+                ) from None
+        if len(input_words) > len(self.input_slots):
+            extra = sorted(set(input_words) - set(self.inputs))
+            if extra:
+                raise ValueError(
+                    f"unknown inputs {extra} for circuit "
+                    f"{self.circuit.name!r}: not primary inputs"
+                )
+        self.run(values, mask)
+        METRICS.incr("wordsim.batches")
+        METRICS.incr("wordsim.lanes", width)
+        METRICS.incr("wordsim.gate_ops", len(self.order) - len(self.inputs))
+        return dict(zip(self.order, values))
 
 
 def program_for(circuit: Circuit) -> CircuitProgram:
@@ -257,148 +284,41 @@ def canonical_input_order(circuit: Circuit) -> List[str]:
     return order
 
 
-class WordKernel:
-    """A circuit's compiled program evaluated bit-parallel.
-
-    The program (:class:`CircuitProgram`) is the circuit's shared cached
-    compilation; compiling validates the circuit.
-    """
-
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        self.program = program_for(circuit)
-
-    def _load_inputs(
-        self, input_words: Dict[str, int], mask: int
-    ) -> List[int]:
-        program = self.program
-        values: List[Optional[int]] = [0] * len(program.order)
-        for name, slot in zip(program.inputs, program.input_slots):
-            try:
-                values[slot] = int(input_words[name]) & mask
-            except KeyError:
-                raise ValueError(
-                    f"missing value for primary input {name!r} of "
-                    f"circuit {self.circuit.name!r}"
-                ) from None
-        if len(input_words) > len(program.input_slots):
-            extra = sorted(set(input_words) - set(program.inputs))
-            if extra:
-                raise ValueError(
-                    f"unknown inputs {extra} for circuit "
-                    f"{self.circuit.name!r}: not primary inputs"
-                )
-        return values
-
-    # ------------------------------------------------------------------
-    def simulate(
-        self, input_words: Dict[str, int], width: int = WORD_BITS
-    ) -> Dict[str, int]:
-        """Word value of every node: bit lane ``i`` of each word is the
-        settled value under the vector in lane ``i`` of the inputs.
-
-        ``width`` is the number of live lanes; input and result words are
-        masked to it (the historical 64-bit ``simulate_words`` contract).
-        Missing or unknown input names raise a ValueError naming them.
-        """
-        if width < 1:
-            raise ValueError("width must be at least 1")
-        mask = (1 << width) - 1
-        values = self._load_inputs(input_words, mask)
-        self.program.run(values, mask)
-        METRICS.incr("wordsim.batches")
-        METRICS.incr("wordsim.lanes", width)
-        METRICS.incr(
-            "wordsim.gate_ops",
-            len(self.program.order) - len(self.program.inputs),
-        )
-        return dict(zip(self.program.order, values))
-
-    # ------------------------------------------------------------------
-    def settle_batch(
-        self,
-        vectors: Sequence[Dict[str, bool]],
-        names: Optional[Sequence[str]] = None,
-        check: bool = False,
-    ) -> List[Dict[str, bool]]:
-        """Settled values for each scalar vector, in one bit-parallel pass.
-
-        Equivalent (bit for bit) to ``[settle(circuit, v) for v in
-        vectors]`` — restricted to ``names`` when given.  ``check=True``
-        replays every vector on the scalar evaluator and raises on any
-        lane divergence; the validation consumers run with the check on.
-        """
-        vectors = list(vectors)
-        if not vectors:
-            return []
-        width = len(vectors)
-        words = self.simulate(
-            pack_vectors(vectors, self.program.inputs),
-            width=width,
-        )
-        if names is None:
-            names = self.program.order
-        per_name = {name: unpack_word(words[name], width) for name in names}
-        result = [
-            {name: per_name[name][lane] for name in names}
-            for lane in range(width)
-        ]
-        if check:
-            for lane, (vector, got) in enumerate(zip(vectors, result)):
-                expected = self.circuit.evaluate(vector)
-                for name in names:
-                    if got[name] != expected[name]:
-                        raise RuntimeError(
-                            f"word-level settle diverged from scalar "
-                            f"settle at node {name!r}, lane {lane} of "
-                            f"circuit {self.circuit.name!r}"
-                        )
-        return result
-
-    def settle_outputs_batch(
-        self,
-        vectors: Sequence[Dict[str, bool]],
-        check: bool = False,
-    ) -> List[Dict[str, bool]]:
-        """Settled primary-output values per vector, one pass."""
-        return self.settle_batch(
-            vectors, names=self.circuit.outputs, check=check
-        )
-
-
-def kernel_for(circuit: Circuit) -> WordKernel:
-    """The word-level kernel for a circuit over its cached program, so it
-    too is rebuilt after any journalled edit."""
-    return program_for(circuit).kernel()
-
-
 def simulate_words(
     circuit: Circuit, input_words: Dict[str, int], width: int = WORD_BITS
 ) -> Dict[str, int]:
     """Bit-parallel simulation: each input carries a ``width``-bit word
-    (64 by default); every bit lane is an independent vector.
-
-    The unified kernel entry point — this is the public name historically
-    exported by :mod:`repro.sim.logic_sim`, now validated (gate arity,
-    missing/unknown inputs).
-    """
-    return kernel_for(circuit).simulate(input_words, width=width)
+    (64 by default); every bit lane is an independent vector.  Runs
+    :meth:`CircuitProgram.simulate` on the circuit's current program."""
+    return program_for(circuit).simulate(input_words, width=width)
 
 
 def batch_settle(
     circuit: Circuit,
     vectors: Sequence[Dict[str, bool]],
     names: Optional[Sequence[str]] = None,
-    check: bool = False,
 ) -> List[Dict[str, bool]]:
-    """``[settle(circuit, v) for v in vectors]`` in one kernel pass."""
-    return kernel_for(circuit).settle_batch(vectors, names=names, check=check)
+    """``[settle(circuit, v) for v in vectors]`` in one kernel pass, bit
+    for bit, restricted to ``names`` when given."""
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    program = program_for(circuit)
+    width = len(vectors)
+    words = program.simulate(
+        pack_vectors(vectors, program.inputs), width=width
+    )
+    if names is None:
+        names = program.order
+    per_name = {name: unpack_word(words[name], width) for name in names}
+    return [
+        {name: per_name[name][lane] for name in names}
+        for lane in range(width)
+    ]
 
 
 def batch_settle_outputs(
-    circuit: Circuit,
-    vectors: Sequence[Dict[str, bool]],
-    check: bool = False,
+    circuit: Circuit, vectors: Sequence[Dict[str, bool]]
 ) -> List[Dict[str, bool]]:
     """``[settle_outputs(circuit, v) for v in vectors]`` in one pass."""
-    return kernel_for(circuit).settle_outputs_batch(vectors, check=check)
+    return batch_settle(circuit, vectors, names=circuit.outputs)

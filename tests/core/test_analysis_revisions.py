@@ -81,3 +81,25 @@ def test_clocked_query_leaves_the_plain_windows_alone(engine):
     assert clocked != plain
     assert plain == certificates(circuit.copy(), engine)
     assert clocked == certificates(circuit.copy(), engine, input_times=times)
+
+
+def corrupted_c17():
+    """A c17 whose gate ``G16`` names a missing fanin, never compiled."""
+    circuit = c17()
+    circuit.node("G16").fanins = ("G2", "G99")
+    return circuit
+
+
+@pytest.mark.parametrize("compute", (
+    compute_floating_delay,
+    compute_transition_delay,
+    compute_bounded_transition_delay,
+))
+def test_an_invalid_circuit_raises_its_validation_error(compute):
+    """An analysis validates its revision by compiling the program: on a
+    corrupted circuit it raises what ``circuit.validate()`` raises."""
+    with pytest.raises(ValueError) as expected:
+        corrupted_c17().validate()
+    with pytest.raises(ValueError) as raised:
+        compute(corrupted_c17(), cache=NO_CACHE)
+    assert str(raised.value) == str(expected.value)

@@ -12,6 +12,7 @@ from repro.fuzz.oracle import (
 from repro.fuzz.runner import run_sweep
 from repro.fuzz.scenario import Scenario, scenario_for
 from repro.runtime import metrics_scope
+from repro.sim.wordsim import CircuitProgram
 
 from tests.helpers import counted_checks, result_cache_off
 
@@ -121,6 +122,26 @@ class TestPlantedDivergence:
                 assert isinstance(verdict.metrics, dict)
                 return
         pytest.fail("no planted failure in the first 8 scenarios")
+
+    def test_wordsim_oracle_names_a_diverging_lane(
+        self, scenario, monkeypatch
+    ):
+        """The ``wordsim`` oracle's own loop is the fuzzer's one
+        lane-vs-scalar check: a kernel that flips lane 0 of one output
+        word fails it with ``lane=0`` and both states."""
+        simulate = CircuitProgram.simulate
+
+        def flipped(self, input_words, width):
+            words = simulate(self, input_words, width)
+            words[self.outputs[0]] ^= 1
+            return words
+
+        monkeypatch.setattr(CircuitProgram, "simulate", flipped)
+        verdict = run_oracle(scenario, "wordsim")
+        assert not verdict.ok
+        assert verdict.detail == "lane=0"
+        assert verdict.expected and verdict.actual
+        assert verdict.expected != verdict.actual
 
     def test_plant_does_not_leak_into_other_oracles(self):
         scenario = scenario_for(42, 0)

@@ -124,7 +124,7 @@ def test_busy_backpressure_consumes_no_request_id(monkeypatch):
     monkeypatch.setattr(QueryService, "handle_line", gated)
 
     async def scenario():
-        server = TimingServer(max_pending=1, workers=1)
+        server = TimingServer(max_pending=1)
         await server.start(host="127.0.0.1", port=0)
         try:
             host, port = server.tcp_address
@@ -184,7 +184,7 @@ def test_identical_inflight_queries_coalesce(monkeypatch):
     monkeypatch.setattr(QueryService, "handle_line", gated)
 
     async def scenario():
-        server = TimingServer(workers=1)
+        server = TimingServer()
         await server.start(host="127.0.0.1", port=0)
         try:
             host, port = server.tcp_address

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import Circuit, CircuitBuilder
-from repro.sim import EventSimulator, all_input_vectors, kernel_for
+from repro.sim import EventSimulator, all_input_vectors, batch_settle
 from repro.sim.wordsim import program_for
 
 from tests.helpers import c17, random_circuit
@@ -118,7 +118,7 @@ class TestSharedProgram:
     def test_one_program_serves_both_simulators(self):
         circuit = c17()
         program = program_for(circuit)
-        assert kernel_for(circuit).program is program
+        batch_settle(circuit, all_input_vectors(circuit))
         simulator = EventSimulator(circuit)
         simulator.measure_pair_delay(
             {n: False for n in circuit.inputs},
@@ -166,6 +166,4 @@ class TestSharedProgram:
         clone.__setstate__(state)
         assert program_for(clone).order == program_for(circuit).order
         vectors = all_input_vectors(circuit)
-        assert kernel_for(clone).settle_batch(vectors) == kernel_for(
-            circuit
-        ).settle_batch(vectors)
+        assert batch_settle(clone, vectors) == batch_settle(circuit, vectors)

@@ -8,7 +8,7 @@ import pytest
 import repro.sim
 import repro.sim.wordsim as wordsim
 from repro.circuits import build_circuit
-from repro.core import sample_delay_once, uniform_variation
+from repro.core import monte_carlo_delay, uniform_variation
 from repro.core.statistical import _nominal_delays
 from repro.core.vectors import VectorPair
 from repro.network import CircuitBuilder
@@ -17,12 +17,12 @@ from repro.sim import (
     EventSimulator,
     batch_settle,
     batch_settle_outputs,
-    kernel_for,
     pack_vectors,
     settle,
     simulate_words,
     unpack_word,
 )
+from repro.sim.wordsim import program_for
 
 from tests.helpers import c17, counted_checks, random_circuit, tiny_and_or
 
@@ -65,9 +65,7 @@ class TestBatchSettle:
     def test_check_mode_passes_on_agreement(self):
         c = tiny_and_or()
         vectors = random_vectors(c, 9)
-        assert batch_settle(c, vectors, check=True) == [
-            settle(c, v) for v in vectors
-        ]
+        assert batch_settle(c, vectors) == [settle(c, v) for v in vectors]
 
 
 class TestPackUnpack:
@@ -138,10 +136,10 @@ class TestErrorContracts:
 class TestKernelCache:
     def test_cache_reuse_and_invalidation(self):
         c = tiny_and_or()
-        first = kernel_for(c)
-        assert kernel_for(c) is first
+        first = program_for(c)
+        assert program_for(c) is first
         c.set_delay("g", 5)  # journalled edit bumps the revision
-        second = kernel_for(c)
+        second = program_for(c)
         assert second is not first
 
     def test_rewire_changes_results(self):
@@ -178,17 +176,12 @@ class TestPublicSurface:
             assert getattr(repro.sim, name) is not None, name
 
     def test_simulate_words_is_the_kernel(self):
-        import repro.sim.logic_sim as logic_sim
-
         assert repro.sim.simulate_words is wordsim.simulate_words
-        assert logic_sim.simulate_words is wordsim.simulate_words
 
     def test_kernel_names_exported(self):
         for name in (
-            "WordKernel",
             "batch_settle",
             "batch_settle_outputs",
-            "kernel_for",
             "pack_vectors",
             "unpack_word",
             "simulate_words",
@@ -201,9 +194,7 @@ class TestRandomCircuits:
         for seed in range(8):
             c = random_circuit(seed, num_inputs=4, num_gates=8)
             vectors = random_vectors(c, 70, seed=seed)
-            assert batch_settle(c, vectors, check=True) == [
-                settle(c, v) for v in vectors
-            ]
+            assert batch_settle(c, vectors) == [settle(c, v) for v in vectors]
 
 
 def random_pairs(circuit, count, seed=577):
@@ -250,8 +241,9 @@ class TestBatchThroughput:
     def test_monte_carlo_settle_hoist_on_csa16(self):
         """Each sample replays its pairs as the bit lanes of one event-loop
         run, from one word-kernel settle of their ``v_-1`` states that all
-        samples share; the samples equal those of per-pair scalar settles
-        and per-pair replays, sample for sample."""
+        samples of a ``monte_carlo_delay`` call share; the samples equal
+        those of per-pair scalar settles and per-pair replays drawn from
+        the same sub-streams, sample for sample."""
         circuit = build_circuit("csa16")
         pairs = random_pairs(circuit, 64)
         num_samples = 8
@@ -272,18 +264,10 @@ class TestBatchThroughput:
             return samples
 
         def lane_samples():
-            settled = simulate_words(
-                circuit,
-                pack_vectors([pair.v_prev for pair in pairs], circuit.inputs),
-                width=len(pairs),
-            )
-            return [
-                sample_delay_once(
-                    circuit, pairs, model,
-                    random.Random(sample_seed(13, index)), nominal, settled,
-                )
-                for index in range(num_samples)
-            ]
+            return monte_carlo_delay(
+                circuit, pairs, num_samples=num_samples, delay_model=model,
+                seed=13,
+            ).samples
 
         with counted_checks() as checks:
             reference, per_pair_s = timed(per_pair_samples)

@@ -62,8 +62,7 @@ class TestLaneScalarEquivalence:
             {name: bool(rng.getrandbits(1)) for name in circuit.inputs}
             for __ in range(37)
         ]
-        # check=True raises internally on any lane-vs-scalar divergence.
-        assert batch_settle(circuit, vectors, check=True) == [
+        assert batch_settle(circuit, vectors) == [
             settle(circuit, v) for v in vectors
         ]
 
