@@ -97,6 +97,21 @@ class FloatingAnalysis(SymbolicAnalysis):
 
     predicate = unsettled
 
+    def settle_time(self, name: str, upper: int) -> int:
+        """The time ``name`` has settled by under every vector, capped at
+        ``upper``: the latest ``t <= upper`` at which some vector still
+        leaves it unsettled at ``t - 1``.  An event at ``t`` needs the
+        signal unsettled at ``t - 1``, so none comes later: the floating
+        delay of one output, which bounds its transition delay (Sec. VII).
+
+        Descends from ``upper`` with one tautology check per step, on the
+        memoised settle functions a floating search already built."""
+        t = min(upper, self.latest(name))
+        # Below the window the settle function is const0, so this stops.
+        while self.engine.is_tautology(self.settled(name, t - 1)):
+            t -= 1
+        return t
+
 
 def compute_floating_delay(
     circuit: Circuit,
@@ -106,6 +121,7 @@ def compute_floating_delay(
     input_times: Optional[Dict[str, int]] = None,
     upper: Optional[int] = None,
     search: str = "auto",
+    analysis: Optional[FloatingAnalysis] = None,
     cache=None,
 ) -> DelayCertificate:
     """The exact floating delay and its witness vector.
@@ -126,12 +142,17 @@ def compute_floating_delay(
     Returns a :class:`DelayCertificate` with ``mode="floating"``; its
     ``checks`` field counts satisfiability checks (the '#check' column).
 
-    Results are served from the runtime cache (``repro.runtime.cache``)
+    A caller that passes its own ``analysis`` (whose engine, engine name
+    and input times then apply) keeps its settle functions for later
+    queries, such as :meth:`FloatingAnalysis.settle_time`; otherwise
+    results are served from the runtime cache (``repro.runtime.cache``)
     when no explicit ``engine`` instance is passed and the constraint is
     absent or carries a ``cache_id``; ``cache`` overrides the process
     global (pass a disabled :class:`~repro.runtime.cache.DelayCache` to
     opt out for one call).
     """
+    if analysis is not None:
+        return _floating_delay(analysis, constraint, upper, search)
     return cached_delay(
         FloatingAnalysis,
         lambda eng: _floating_delay(

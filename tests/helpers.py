@@ -97,9 +97,11 @@ def exhaustive_floating_delay(circuit: Circuit) -> int:
     the latest time any output can still change over all *integer* delay
     assignments (each gate in [0, d]) and all vector pairs.
 
-    This equals the exact floating delay for circuits whose critical event
-    is achievable with integer delays (true for unit-delay circuits); used
-    on tiny circuits only.
+    A lower bound on the floating delay, met per output on c17, fig1 and
+    fig5.  Floating mode also starts from an unknown state, which no
+    settled ``v_-1`` reproduces, so it can settle later: Fig. 2, with
+    unit delays, has floating delay 5 and this oracle 2.  Used on tiny
+    circuits only.
     """
     from repro.network.transform import apply_speedup
 
