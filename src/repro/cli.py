@@ -357,13 +357,8 @@ def cmd_fuzz(args) -> int:
                 stats = registry.circuit_stats(name)
                 rows.append((name, "registry", stats))
         else:
-            names = []
-            if args.register:
-                names = fuzz.register_corpus(
-                    args.seed, args.count, args.size
-                )
-            for index, profile in enumerate(
-                fuzz.corpus_profiles(args.seed, args.count, args.size)
+            for profile in fuzz.corpus_profiles(
+                args.seed, args.count, args.size
             ):
                 circuit = fuzz.random_dag(profile)
                 rows.append(
@@ -382,11 +377,6 @@ def cmd_fuzz(args) -> int:
                             registry.circuit_stats(name),
                         )
                     )
-            if names:
-                print(
-                    f"registered {len(names)} corpus circuits: "
-                    f"{', '.join(names)}"
-                )
         header = ("name", "source", "in", "out", "gates", "lits", "delay")
         widths = [
             max(
@@ -445,19 +435,17 @@ def cmd_serve(args) -> int:
         )
 
     from .incremental import QueryService, serve_stdio
-    from .runtime.transport import LocalPoolTransport
+    from .runtime import WorkerPool
 
-    transport = LocalPoolTransport(args.jobs) if args.jobs != 1 else None
+    pool = WorkerPool(args.jobs) if args.jobs != 1 else None
     try:
-        service = QueryService(
-            engine_name=args.engine, jobs=args.jobs, transport=transport
-        )
+        service = QueryService(engine_name=args.engine, pool=pool)
         if args.netlist:
             service.preload(args.netlist)
         return serve_stdio(service)
     finally:
-        if transport is not None:
-            transport.close()
+        if pool is not None:
+            pool.close()
 
 
 def cmd_loadgen(args) -> int:
@@ -802,20 +790,13 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_runtime_flags(f)
 
     f = fuzz_sub.add_parser(
-        "corpus",
-        help="list (and optionally register) corpus circuits with "
-        "structural stats",
+        "corpus", help="list corpus circuits with structural stats"
     )
     f.add_argument("--seed", type=int, default=0, metavar="N")
     f.add_argument("--count", type=int, default=8, metavar="N")
     f.add_argument(
         "--size", default="small",
         help="corpus size class: small/medium/large (default: small)",
-    )
-    f.add_argument(
-        "--register", action="store_true",
-        help="register the listed corpus slice with the circuit "
-        "registry for this process",
     )
     f.add_argument(
         "--netlists", default=None, metavar="DIR",

@@ -5,9 +5,9 @@ The methodology:
 1. derive the upper bound ``delta`` on circuit delay by a *floating delay*
    calculation (it bounds the transition delay from above);
 2. pass ``delta`` to the symbolic transition-delay procedure, obtaining the
-   transition delay and a certification vector pair (or one pair per
-   output, each searched downward from that output's own floating settle
-   time, which bounds its transition delay the same way);
+   transition delay and a certification vector pair per output, each
+   searched downward from that output's own floating settle time, which
+   bounds its transition delay the same way;
 3. replay the vectors on the timing simulator of choice — here the
    event-driven simulator, optionally under a more accurate ("post-layout")
    delay annotation;
@@ -32,7 +32,7 @@ from ..runtime.cache import resolve_cache
 from ..runtime.fingerprint import circuit_fingerprint
 from ..runtime.metrics import METRICS
 from ..sim.event_sim import EventSimulator
-from .analysis import with_bdd_fallback
+from .analysis import cached, with_bdd_fallback
 from .clocking import theorem31_min_period
 from .floating import FloatingAnalysis, compute_floating_delay
 from .statistical import StatisticalTimingResult, monte_carlo_delay
@@ -186,7 +186,6 @@ def certify(
     engine_name: str = "auto",
     constraint: Optional[PairConstraintBuilder] = None,
     floating_constraint=None,
-    per_output_pairs: bool = True,
     statistical_samples: int = 0,
     seed: int = 97,
     jobs: int = 1,
@@ -198,7 +197,8 @@ def certify(
     post-layout) delay annotation; when omitted the replay happens on the
     verifier's own model only.  ``constraint``/``floating_constraint``
     restrict the vector spaces (FSM benchmarks).  ``statistical_samples``
-    > 0 enables the Monte Carlo follow-up when the verdict is conservative.
+    > 0 runs the Monte Carlo follow-up over the certification pairs,
+    whatever the verdict.
 
     ``jobs`` shards the Monte Carlo follow-up across worker processes
     (``1`` = serial; ``0`` = all cores) — the report is result-identical
@@ -213,51 +213,50 @@ def certify(
     flow parameters); the floating and transition steps themselves do not
     go through the cache.
     """
-    circuit.validate()
     store = None
-    token = None
     if constraint is None and floating_constraint is None:
         store = resolve_cache(cache)
-        token = store.token(
-            circuit,
-            "certify",
-            engine_name,
-            None,
-            {
-                "accurate": (
-                    circuit_fingerprint(accurate_circuit)
-                    if accurate_circuit is not None
-                    else None
-                ),
-                "per_output_pairs": per_output_pairs,
-                "samples": statistical_samples,
-                "seed": seed,
-                # jobs deliberately absent: the report (including the
-                # Monte Carlo samples) is the same for every jobs value.
-            },
-        )
-        cached = store.get(token)
-        if cached is not None:
-            return cached
-    omega = circuit.topological_delay()
+    params = {
+        "accurate": (
+            circuit_fingerprint(accurate_circuit)
+            if accurate_circuit is not None
+            else None
+        ),
+        "samples": statistical_samples,
+        "seed": seed,
+        # jobs deliberately absent: the report (including the Monte Carlo
+        # samples) is the same for every jobs value.
+    }
+    return cached(
+        store, circuit, "certify", engine_name, None, params,
+        lambda: _run_flow(
+            circuit, accurate_circuit, engine_name, constraint,
+            floating_constraint, statistical_samples, seed, jobs,
+        ),
+    )
+
+
+def _run_flow(circuit: Circuit, accurate_circuit, engine_name: str,
+              constraint, floating_constraint, statistical_samples: int,
+              seed: int, jobs: int) -> CertificationReport:
+    """The four steps of :func:`certify`, uncached."""
 
     # Step 1: the upper bound delta by floating-delay computation, and
     # each output's settle time for the pair step, read off the same
-    # analysis before it goes.
+    # analysis before it goes.  Building the analysis validates the
+    # circuit.
     def floating_step(engine):
         analysis = FloatingAnalysis(circuit, engine, engine_name)
         floating = compute_floating_delay(
             circuit, constraint=floating_constraint, analysis=analysis
         )
-        settle = None
-        if per_output_pairs:
-            settle = _settle_times(analysis, floating.delay)
-        return floating, settle
+        return floating, _settle_times(analysis, floating.delay)
 
     with METRICS.span("core.floating"):
         floating, settle = with_bdd_fallback(
             floating_step, None, engine_name
         )
+    omega = circuit.topological_delay()
 
     # Step 2: transition delay, queried downward from delta, plus vectors
     # — on one analysis, under the auto BDD->SAT overflow fallback.
@@ -266,32 +265,24 @@ def certify(
         transition = _transition_certificate(
             circuit, floating, analysis, constraint
         )
-        pairs: Dict[str, Tuple[int, VectorPair]] = {}
-        if per_output_pairs:
-            # Every probe above an output's settle time is UNSAT.  BDD
-            # witnesses are canonical, so skipping them keeps the pairs;
-            # on SAT fewer probes renumber the AIG and CDCL may find
-            # another pair, so there each search spans its whole window.
-            upper = None
-            if settle is not None and isinstance(analysis.engine, BddEngine):
-                upper = {
-                    out: min(t, transition.delay)
-                    for out, t in settle.items()
-                }
-            care = analysis.care_set(constraint)
-            with METRICS.span("core.certification_pairs"):
-                pairs = pairs_for_outputs(
-                    analysis, care, circuit.outputs, upper
-                )
+        # Every probe above an output's settle time is UNSAT.  BDD
+        # witnesses are canonical, so skipping them keeps the pairs; on
+        # SAT fewer probes renumber the AIG and CDCL may find another
+        # pair, so there each search spans its whole window.
+        upper = None
+        if settle is not None and isinstance(analysis.engine, BddEngine):
+            upper = {
+                out: min(t, transition.delay) for out, t in settle.items()
+            }
+        care = analysis.care_set(constraint)
+        with METRICS.span("core.certification_pairs"):
+            pairs = pairs_for_outputs(analysis, care, circuit.outputs, upper)
         return transition, pairs
 
     transition, pairs = with_bdd_fallback(transition_step, None, engine_name)
-    if not per_output_pairs and transition.pair is not None:
-        pairs = {transition.output: (transition.delay, transition.pair)}
 
-    notes: List[str] = []
     if not pairs:
-        report = CertificationReport(
+        return CertificationReport(
             circuit_name=circuit.name,
             topological_delay=omega,
             floating=floating,
@@ -303,14 +294,12 @@ def certify(
             certified_min_period=theorem31_min_period(circuit, 0),
             notes=["no vector pair produces any output transition"],
         )
-        if store is not None:
-            store.put(token, report)
-        return report
 
     # Step 3: replay on the verifier's model (an internal self-check: the
     # event simulator must observe exactly the computed transition delay).
     # Only the worst delay over the pairs counts, so they replay as the
     # bit lanes of one event-loop run, settled in one word-kernel pass.
+    notes: List[str] = []
     pair_list = [pair for __, pair in pairs.values()]
     with METRICS.span("certify.replay"):
         model_replay = EventSimulator(circuit).worst_pair_delay(pair_list)
@@ -359,7 +348,7 @@ def certify(
                 jobs=jobs,
             )
 
-    report = CertificationReport(
+    return CertificationReport(
         circuit_name=circuit.name,
         topological_delay=omega,
         floating=floating,
@@ -372,6 +361,3 @@ def certify(
         statistics=statistics,
         notes=notes,
     )
-    if store is not None:
-        store.put(token, report)
-    return report

@@ -41,10 +41,10 @@ re-analysing only what an edit could have changed:
 
 4. **Fan-out** — the dirty cones run through the fault-tolerant sharded
    runtime (:func:`~repro.runtime.parallel.shard_map`, label ``cones``):
-   in-process at ``jobs=1``, otherwise on a per-query pool or on a
-   caller-owned :class:`~repro.runtime.transport.LocalPoolTransport`
-   (the long-lived query service's warm workers).  All execution routes
-   are result-identical and record the same counters.
+   on a caller-owned :class:`~repro.runtime.parallel.WorkerPool` (the
+   long-lived query service's warm workers) when the engine is given
+   one, in-process otherwise.  Both routes are result-identical and
+   record the same counters.
 
 The *record* returned by :meth:`IncrementalTimingEngine.query` is
 deterministic and byte-comparable: an incremental re-query equals a cold
@@ -58,7 +58,7 @@ Observability here goes through the ``METRICS`` context proxy
 :func:`~repro.runtime.metrics.metrics_scope`, so per-session counters and
 span trees never interleave even though every engine shares one process
 (and, optionally, one :class:`~repro.runtime.cache.DelayCache` and one
-:class:`~repro.runtime.transport.LocalPoolTransport`).
+:class:`~repro.runtime.parallel.WorkerPool`).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from ..runtime.fingerprint import (
     node_cone_hash,
 )
 from ..runtime.metrics import METRICS
-from ..runtime.parallel import shard_map
+from ..runtime.parallel import WorkerPool, shard_map
 from ..sim.wordsim import program_for
 from .cones import KINDS, ConeResult, extract_cone
 
@@ -107,21 +107,19 @@ class IncrementalTimingEngine:
         self,
         circuit: Circuit,
         engine_name: str = "auto",
-        jobs: int = 1,
         cache: Optional[DelayCache] = None,
-        transport=None,
+        pool: Optional[WorkerPool] = None,
     ):
         circuit.validate()
         self.circuit = circuit
         self.engine_name = engine_name
-        self.jobs = jobs
         #: Cone-level result cache.  Defaults to a private in-memory cache
         #: (the process-global cache is disabled by default and keyed for
         #: whole-circuit results anyway).
         self.cache = cache if cache is not None else DelayCache()
-        #: Where sharded cone rounds run: ``None`` builds a pool per
-        #: query; a caller-owned transport keeps its workers warm.
-        self.transport = transport
+        #: The caller-owned pool dirty cones shard over, its workers
+        #: warm across queries; ``None`` evaluates them in-process.
+        self.pool = pool
         self._cursor = circuit.journal_length
         #: Per-kind memo: output -> (cone fingerprint, ConeResult).
         self._memo: Dict[str, Dict[str, Tuple[str, ConeResult]]] = {
@@ -359,10 +357,10 @@ class IncrementalTimingEngine:
 
     def _run_cones(self, cones, kind: str) -> Dict[str, ConeResult]:
         """Evaluate ``(cone, upper)`` pairs as the ``cones`` fan-out of
-        :mod:`repro.runtime.parallel` (in-process at ``jobs=1``)."""
+        :mod:`repro.runtime.parallel` (in-process without a pool)."""
+        jobs = self.pool.jobs if self.pool is not None else 1
         results = shard_map(
-            "cones", (kind, self.engine_name), cones, self.jobs,
-            transport=self.transport,
+            "cones", (kind, self.engine_name), cones, jobs, pool=self.pool
         )
         return {result.output: result for result in results}
 
@@ -400,18 +398,15 @@ def cold_query(
     circuit: Circuit,
     kind: str,
     engine_name: str = "auto",
-    jobs: int = 1,
 ) -> IncrementalResult:
-    """A from-scratch reference query: fresh engine, caching disabled.
+    """A from-scratch reference query: fresh in-process engine, caching
+    disabled.
 
     This is the baseline the incremental path must match byte for byte —
     the acceptance and property tests compare ``record_json()`` of the
     two.
     """
     engine = IncrementalTimingEngine(
-        circuit,
-        engine_name=engine_name,
-        jobs=jobs,
-        cache=DelayCache(enabled=False),
+        circuit, engine_name=engine_name, cache=DelayCache(enabled=False)
     )
     return engine.query(kind)

@@ -29,8 +29,8 @@ serve-protocol job does.
 The service keeps an :class:`~repro.incremental.engine.IncrementalTimingEngine`
 attached to the loaded circuit across requests, so an edit/query session
 pays only for dirty cones, and a caller-owned
-:class:`~repro.runtime.transport.LocalPoolTransport` (``--jobs N``) keeps
-worker processes warm between requests.  Signals (SIGINT/SIGTERM) and
+:class:`~repro.runtime.parallel.WorkerPool` (``--jobs N``) keeps worker
+processes warm between requests.  Signals (SIGINT/SIGTERM) and
 the ``shutdown`` op both end the stdio loop gracefully: the in-flight
 request completes before the loop returns.
 """
@@ -49,7 +49,7 @@ from ..network.circuit import Circuit
 from ..network.gates import GateType
 from ..runtime.cache import DelayCache
 from ..runtime.metrics import METRICS
-from ..runtime.transport import LocalPoolTransport
+from ..runtime.parallel import WorkerPool
 from ..serve.framing import (
     ProtocolError,
     iter_request_lines,
@@ -79,21 +79,19 @@ ServiceError = ProtocolError
 class QueryService:
     """Request dispatch and session state for one serve loop.
 
-    With ``jobs != 1`` dirty cones shard over ``transport`` (``None``
-    builds a pool per query) under the process-wide execution policy,
-    as every sharded run does: a failed round's cones finish in-process.
+    Given a caller-owned ``pool``, dirty cones shard over it under the
+    process-wide execution policy, as every sharded run does: a failed
+    round's cones finish in-process.  Without one they run in-process.
     """
 
     def __init__(
         self,
         engine_name: str = "auto",
-        jobs: int = 1,
-        transport: Optional[LocalPoolTransport] = None,
+        pool: Optional[WorkerPool] = None,
         cache: Optional[DelayCache] = None,
     ):
         self.engine_name = engine_name
-        self.jobs = jobs
-        self.transport = transport
+        self.pool = pool
         #: Cone-result cache handed to every engine this service builds.
         #: ``None`` keeps the engine's private per-load default; the
         #: multi-client server passes one shared content-addressed cache
@@ -184,22 +182,15 @@ class QueryService:
         else:
             raise ServiceError("load needs 'netlist' (path) or 'bench' (text)")
         if self.engine is not None:
-            # Reloading replaces the engine while warm-pool rounds for the
-            # previous circuit could still be in flight (the async server
-            # shares one pool across sessions): drain the pool so no
-            # worker is left computing cones of the detached circuit, and
-            # drop the old engine's memo so its references die with it.
-            if self.transport is not None:
-                self.transport.drain()
+            # Drop the old engine's memo so its references die with it.
             self.engine.invalidate()
             self._reloads += 1
             METRICS.incr("service.reloads")
         self.engine = IncrementalTimingEngine(
             circuit,
             engine_name=self.engine_name,
-            jobs=self.jobs,
             cache=self.cache,
-            transport=self.transport,
+            pool=self.pool,
         )
         return {
             "circuit": circuit.name,
@@ -285,7 +276,7 @@ class QueryService:
             # fresh circuit revision), so without this the accounting
             # would silently restart from zero mid-session.
             "reloads": self._reloads,
-            "jobs": self.jobs,
+            "jobs": self.pool.jobs if self.pool is not None else 1,
             "engine_name": self.engine_name,
             "counters": {
                 name: METRICS.counter(name)
@@ -302,8 +293,8 @@ class QueryService:
         if self.engine is not None:
             result["circuit"] = self.engine.circuit.name
             result["revision"] = self.engine.circuit.revision
-        if self.transport is not None:
-            result["pool"] = self.transport.stats()
+        if self.pool is not None:
+            result["pool"] = self.pool.stats()
         return result
 
     def _op_shutdown(self, request):

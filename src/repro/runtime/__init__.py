@@ -8,11 +8,9 @@ circuit content plus a handful of parameters.  This package exploits that:
 * :mod:`repro.runtime.cache` — two-tier (memory LRU + optional disk)
   result cache keyed by ``(fingerprint, kind, engine, constraint, params)``;
 * :mod:`repro.runtime.parallel` — :func:`shard_map`, the one
-  fault-tolerant sharder for every per-item fan-out (one pool round
-  under a timeout; failed chunks finish in-process) over the
-  :data:`TASK_KINDS` registry;
-* :mod:`repro.runtime.transport` — :class:`LocalPoolTransport`, the
-  in-host process pool every sharded round runs on;
+  fault-tolerant sharder for every per-item fan-out (one round on a
+  :class:`WorkerPool` under a timeout; failed chunks finish in-process)
+  over the :data:`TASK_KINDS` registry;
 * :mod:`repro.runtime.metrics` — the one recorder threaded through the
   cores: counters, gauges and timed spans, kept both as flat totals
   (``--metrics``, the e2e harness's layer records) and as the span
@@ -48,11 +46,12 @@ from .metrics import (
 )
 from .parallel import (
     TASK_KINDS,
+    WorkerPool,
     execution_policy,
+    resolve_jobs,
     set_execution_policy,
     shard_map,
 )
-from .transport import ChunkResult, LocalPoolTransport, resolve_jobs
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -75,10 +74,9 @@ __all__ = [
     "current_metrics",
     "metrics_scope",
     "TASK_KINDS",
+    "WorkerPool",
     "execution_policy",
+    "resolve_jobs",
     "set_execution_policy",
     "shard_map",
-    "ChunkResult",
-    "LocalPoolTransport",
-    "resolve_jobs",
 ]

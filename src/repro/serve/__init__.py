@@ -4,8 +4,8 @@
 :mod:`repro.incremental.service` answers one client over stdio.  This
 package puts an asyncio front-end on the same JSON-lines protocol so
 *many* concurrent sessions multiplex over one process — and over one
-shared :class:`~repro.runtime.transport.LocalPoolTransport` and one
-shared content-addressed :class:`~repro.runtime.cache.DelayCache`:
+shared :class:`~repro.runtime.parallel.WorkerPool` and one shared
+content-addressed :class:`~repro.runtime.cache.DelayCache`:
 
 * :mod:`repro.serve.server` — :class:`TimingServer`: per-session circuit
   namespaces (each connection owns a

@@ -14,13 +14,13 @@ exactly the single-client one in :mod:`repro.incremental.service`; see
 
 * **Bounded admission with backpressure.**  Requests that need compute
   enter a FIFO queue drained by one executor thread, so no two requests
-  run at once on the shared :class:`~repro.runtime.cache.DelayCache`:
-  parallelism lives *inside* a request, across the dirty cones sharded
-  over the shared :class:`~repro.runtime.transport.LocalPoolTransport`.
-  When ``max_pending`` requests are already queued or executing, new
-  compute requests are rejected immediately with ``{"ok": false,
-  "error": "busy", "busy": true}`` — no request id is consumed, so a
-  client can simply retry.  This is the bounded-concurrency manager
+  run at once on the shared :class:`~repro.runtime.cache.DelayCache` or
+  the shared :class:`~repro.runtime.parallel.WorkerPool`, which runs one
+  round at a time: parallelism lives *inside* a request, across the
+  dirty cones sharded over that pool.  When ``max_pending`` requests
+  are already queued or executing, new compute requests are rejected
+  immediately with ``{"ok": false, "error": "busy", "busy": true}`` —
+  no request id is consumed, so a client can simply retry.  This is the bounded-concurrency manager
   shape: admit, queue, run-behind-a-semaphore, shed load explicitly
   instead of stalling the socket.
 
@@ -34,7 +34,7 @@ exactly the single-client one in :mod:`repro.incremental.service`; see
   waiter would have computed itself.
 
 Shutdown: the ``shutdown`` op (from any session) stops the whole server
-gracefully — in-flight requests complete, the pool drains, sockets
+gracefully — in-flight requests complete, the pool closes, sockets
 close, a unix socket file is unlinked (stale files from a hard-killed
 predecessor are probe-detected and removed at bind time, see
 :func:`~repro.serve.framing.prepare_unix_socket_path`).
@@ -56,7 +56,7 @@ from ..incremental.service import QueryService
 from ..runtime.cache import DelayCache
 from ..runtime.fingerprint import circuit_fingerprint
 from ..runtime.metrics import Metrics, metrics_scope
-from ..runtime.transport import LocalPoolTransport
+from ..runtime.parallel import WorkerPool
 from .framing import MAX_LINE_BYTES, prepare_unix_socket_path
 
 
@@ -114,21 +114,15 @@ class TimingServer:
         jobs: int = 1,
         max_pending: int = 64,
         cache: Optional[DelayCache] = None,
-        transport: Optional[LocalPoolTransport] = None,
         preload: Optional[str] = None,
     ) -> None:
         self.engine_name = engine_name
-        self.jobs = jobs
         self.max_pending = max(1, int(max_pending))
         #: Shared across sessions: cone results are content-addressed, so
         #: one client's computation warms every other client's cache.
         self.cache = cache if cache is not None else DelayCache()
-        #: The pool every session's dirty cones shard over (``jobs != 1``);
-        #: built here unless the caller passes (and then owns) one.
-        self._owns_transport = transport is None and jobs != 1
-        if self._owns_transport:
-            transport = LocalPoolTransport(jobs)
-        self.transport = transport
+        #: The pool every session's dirty cones shard over (``jobs != 1``).
+        self.pool = WorkerPool(jobs) if jobs != 1 else None
         self.preload = preload
         self.stats_counters = ServerStats()
         self._pending = 0
@@ -222,8 +216,8 @@ class TimingServer:
             except OSError:
                 pass
             self._unix_path = None
-        if self._owns_transport:
-            self.transport.close()
+        if self.pool is not None:
+            self.pool.close()
 
     # ------------------------------------------------------------------
     # Sessions
@@ -233,10 +227,7 @@ class TimingServer:
         self.stats_counters.sessions_opened += 1
         self.stats_counters.sessions_active += 1
         service = QueryService(
-            engine_name=self.engine_name,
-            jobs=self.jobs,
-            transport=self.transport,
-            cache=self.cache,
+            engine_name=self.engine_name, pool=self.pool, cache=self.cache
         )
         return _Session(f"session-{self._session_count:04d}", service)
 
@@ -451,8 +442,8 @@ class TimingServer:
             "max_pending": self.max_pending,
         }
         result["coalesce_in_flight"] = len(self._inflight)
-        if self.transport is not None:
-            result["pool"] = self.transport.stats()
+        if self.pool is not None:
+            result["pool"] = self.pool.stats()
         return result
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
+    certify,
     compute_bounded_transition_delay,
     compute_floating_delay,
     compute_transition_delay,
@@ -94,10 +95,12 @@ def corrupted_c17():
     compute_floating_delay,
     compute_transition_delay,
     compute_bounded_transition_delay,
+    certify,
 ))
 def test_an_invalid_circuit_raises_its_validation_error(compute):
-    """An analysis validates its revision by compiling the program: on a
-    corrupted circuit it raises what ``circuit.validate()`` raises."""
+    """An analysis validates its revision by compiling the program, and
+    certify's first step is an analysis: on a corrupted circuit each
+    raises what ``circuit.validate()`` raises."""
     with pytest.raises(ValueError) as expected:
         corrupted_c17().validate()
     with pytest.raises(ValueError) as raised:

@@ -75,10 +75,6 @@ class TestCertifyFlow:
         report = certify(c17())
         assert set(report.pairs) == set(c17().outputs)
 
-    def test_single_pair_mode(self):
-        report = certify(c17(), per_output_pairs=False)
-        assert len(report.pairs) == 1
-
     def test_statistical_follow_up(self):
         c = carry_skip_adder(8, 4)
         estimated = scale_delays(c, 2)
@@ -102,8 +98,10 @@ class TestCheckAccounting:
     def test_reported_checks_equal_engine_checks(self, name, monkeypatch):
         """Every satisfiability check the flow makes — the mode-agreement
         fast path's included, whether or not it succeeds — is reported in
-        the floating or the transition certificate."""
+        the floating or the transition certificate, or is a probe of the
+        per-output pair step."""
         result_cache_off(monkeypatch)
+        probes = TestPairsFromSettleTimes.count_pair_probes(monkeypatch)
         calls = []
         for cls in (BddEngine, SatEngine):
             def counted(engine, f, original=cls.sat_one):
@@ -111,10 +109,10 @@ class TestCheckAccounting:
                 return original(engine, f)
 
             monkeypatch.setattr(cls, "sat_one", counted)
-        report = certify(
-            scale_delays(build_circuit(name), 2), per_output_pairs=False
+        report = certify(scale_delays(build_circuit(name), 2))
+        assert len(calls) == (
+            report.floating.checks + report.transition.checks + sum(probes)
         )
-        assert len(calls) == report.floating.checks + report.transition.checks
 
 
 class TestPairsFromSettleTimes:

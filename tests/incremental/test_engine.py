@@ -9,7 +9,7 @@ from repro.incremental import (
     cold_query,
 )
 from repro.network import Circuit, GateType
-from repro.runtime import DelayCache, LocalPoolTransport, metrics_scope
+from repro.runtime import DelayCache, WorkerPool, metrics_scope
 
 from tests.helpers import c17, counted_checks, result_cache_off
 
@@ -261,12 +261,15 @@ def test_sharded_and_warm_pool_routes_are_result_identical():
         num_inputs=8, num_gates=60, num_outputs=5, seed=11
     )
     serial = cold_query(circuit, "transition").record_json()
-    assert cold_query(circuit, "transition", jobs=2).record_json() == serial
-    pool = LocalPoolTransport(jobs=2)
+    pool = WorkerPool(jobs=2)
     try:
-        engine = IncrementalTimingEngine(circuit, jobs=2, transport=pool)
+        cold = IncrementalTimingEngine(
+            circuit, cache=DelayCache(enabled=False), pool=pool
+        )
+        assert cold.query("transition").record_json() == serial
+        engine = IncrementalTimingEngine(circuit, pool=pool)
         assert engine.query("transition").record_json() == serial
-        assert pool.stats()["rounds"] >= 1
+        assert pool.stats()["rounds"] == 2
     finally:
         pool.close()
 

@@ -15,6 +15,7 @@ from repro.circuits.generators import random_logic
 from repro.fuzz.generate import random_gate_circuit
 from repro.fuzz.scenario import apply_edits, random_edit
 from repro.incremental import IncrementalTimingEngine, KINDS, cold_query
+from repro.runtime import WorkerPool
 from repro.runtime.fingerprint import node_cone_fingerprints
 
 
@@ -68,8 +69,16 @@ def test_random_edit_sequences_match_cold_rebuild(
         assert_cone_maps_current(engine, circuit)
 
 
+@pytest.fixture
+def pool4():
+    """A caller-owned pool of 4 workers, as the query service keeps."""
+    pool = WorkerPool(jobs=4)
+    yield pool
+    pool.close()
+
+
 @pytest.mark.parametrize("kind", ["floating", "transition"])
-def test_fixed_edit_sequence_matches_cold_rebuild_at_jobs_4(kind):
+def test_fixed_edit_sequence_matches_cold_rebuild_at_jobs_4(kind, pool4):
     """The sharded route under a fixed what-if session: jobs=4 equals the
     serial from-scratch rebuild byte for byte, and after delay-only edits
     (which bound the floating searches) it makes the serial engine's
@@ -77,7 +86,7 @@ def test_fixed_edit_sequence_matches_cold_rebuild_at_jobs_4(kind):
     circuit = random_logic(
         num_inputs=8, num_gates=80, num_outputs=6, seed=23
     )
-    engine = IncrementalTimingEngine(circuit, jobs=4)
+    engine = IncrementalTimingEngine(circuit, pool=pool4)
     serial = IncrementalTimingEngine(circuit)
     engine.query(kind)
     serial.query(kind)

@@ -16,7 +16,7 @@ from repro.incremental import (
     serve_stream,
 )
 from repro.incremental.service import ServiceError
-from repro.runtime import METRICS, LocalPoolTransport
+from repro.runtime import METRICS, WorkerPool
 
 from tests.helpers import C17_BENCH
 
@@ -123,9 +123,9 @@ def test_degraded_warm_pool_round_preserves_records():
     os.environ["REPRO_FAULT_INJECT"] = "crash:0"
     try:
         session = (SERVICE_DIR / "session.jsonl").read_text().splitlines()
-        pool = LocalPoolTransport(jobs=2)
+        pool = WorkerPool(jobs=2)
         try:
-            service = QueryService(jobs=2, transport=pool)
+            service = QueryService(pool=pool)
             writer = io.StringIO()
             serve_stream(service, iter(session), writer)
         finally:
@@ -186,13 +186,13 @@ def test_final_line_without_trailing_newline_over_subprocess_cli():
     assert responses[1]["result"]["record"]["delay"] == 3
 
 
-def test_reload_drains_pool_and_counts():
-    """Regression: 'load' on an already-loaded session replaces the
-    engine without draining warm-pool state; now it drains the pool,
-    invalidates the engine, and 'stats' reports the reload."""
-    pool = LocalPoolTransport(jobs=2)
+def test_reload_on_a_warm_pool_answers_again_and_counts():
+    """'load' on an already-loaded session replaces the engine on the
+    same warm pool: the reloaded circuit answers as before, and 'stats'
+    reports the reload."""
+    pool = WorkerPool(jobs=2)
     try:
-        service = QueryService(jobs=2, transport=pool)
+        service = QueryService(pool=pool)
         responses = []
         reader = iter(
             [
@@ -213,7 +213,8 @@ def test_reload_drains_pool_and_counts():
             responses[1]["result"]["record"]
         )
         assert responses[4]["result"]["reloads"] == 1
-        assert pool.stats()["drains"] == 1
+        assert responses[4]["result"]["jobs"] == 2
+        assert responses[4]["result"]["pool"] == pool.stats()
     finally:
         pool.close()
 

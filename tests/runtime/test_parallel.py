@@ -23,7 +23,7 @@ from repro.incremental import IncrementalTimingEngine
 from repro.runtime import (
     TASK_KINDS,
     DelayCache,
-    LocalPoolTransport,
+    WorkerPool,
     metrics_scope,
     resolve_jobs,
 )
@@ -128,13 +128,13 @@ def test_consecutive_runs_number_their_tasks_from_zero(monkeypatch):
     context = c17_monte_carlo_context()
     serial = shard_map("monte-carlo", context, range(6), 1)
     monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
-    pool = LocalPoolTransport(2)
+    pool = WorkerPool(2)
     try:
         for __ in range(2):
             rounds = pool.stats()["rounds"]
             with metrics_scope() as metrics:
                 assert shard_map(
-                    "monte-carlo", context, range(6), 2, transport=pool
+                    "monte-carlo", context, range(6), 2, pool=pool
                 ) == serial
             # Numbering carried over from the first run would give the
             # second run tasks 2 and 3, and the fault would not fire.
@@ -153,10 +153,10 @@ def test_unknown_label_is_rejected_before_any_round_runs():
     """`shard_map` only runs registered task kinds, so an unknown label
     is a caller error raised in the parent: the pool runs no round and
     starts no worker."""
-    pool = LocalPoolTransport(jobs=2)
+    pool = WorkerPool(jobs=2)
     try:
         with pytest.raises(ValueError, match="unknown shard task kind"):
-            shard_map("not-a-real-label", None, [1, 2, 3], 2, transport=pool)
+            shard_map("not-a-real-label", None, [1, 2, 3], 2, pool=pool)
         assert pool.stats()["rounds"] == 0
         assert pool.builds == 0
     finally:
@@ -167,10 +167,10 @@ def test_caller_owned_pool_is_neither_closed_nor_rebuilt():
     """A pool the caller passes in serves each run and is left open for
     the next one (the query service keeps one for its lifetime)."""
     context = c17_monte_carlo_context()
-    pool = LocalPoolTransport(jobs=2)
+    pool = WorkerPool(jobs=2)
     try:
-        first = shard_map("monte-carlo", context, range(6), 2, transport=pool)
-        second = shard_map("monte-carlo", context, range(6), 2, transport=pool)
+        first = shard_map("monte-carlo", context, range(6), 2, pool=pool)
+        second = shard_map("monte-carlo", context, range(6), 2, pool=pool)
         assert first == second
         stats = pool.stats()
         assert stats["rounds"] == 2
@@ -187,10 +187,16 @@ def _run_label(label: str, jobs: int) -> None:
             4, jobs=jobs
         )
     elif label == "cones":
-        IncrementalTimingEngine(
-            build_circuit("rand210"), jobs=jobs,
-            cache=DelayCache(enabled=False),
-        ).query("transition")
+        # The engine shards only over a pool its caller owns.
+        pool = WorkerPool(jobs) if jobs != 1 else None
+        try:
+            IncrementalTimingEngine(
+                build_circuit("rand210"), cache=DelayCache(enabled=False),
+                pool=pool,
+            ).query("transition")
+        finally:
+            if pool is not None:
+                pool.close()
     elif label == "monte-carlo":
         pairs = [p for __, p in collect_certification_pairs(c17()).values()]
         monte_carlo_delay(c17(), pairs, num_samples=8, jobs=jobs)

@@ -1,10 +1,11 @@
-"""The local process pool every sharded round runs on
-(`runtime/transport.py`).
+"""The worker pool every sharded round runs on (`WorkerPool` in
+`runtime/parallel.py`).
 
-The pool owns *where* a round of chunk tasks runs; the sharded runner
-owns everything that makes sharding safe.  These tests pin the pool's
-side of that split: per-task outcome coverage, reuse after failure,
-sizing, and its accounting.
+A round runs each chunk as one pool task and, on the caller's thread,
+folds every completed chunk into the recorder and counts and traces
+every failed one.  These tests pin that round: per-chunk outcome
+coverage, the failure events and counters, reuse after failure, sizing,
+the SIGTERM mask its workers are forked under, and its accounting.
 """
 
 import multiprocessing
@@ -13,9 +14,10 @@ import signal
 
 import pytest
 
-from repro.runtime import METRICS
-from repro.runtime import transport as transport_module
-from repro.runtime.transport import TIMEOUT, WORKER_DIED, LocalPoolTransport
+from repro.runtime import METRICS, WorkerPool, metrics_scope
+from repro.runtime import parallel as parallel_module
+
+from tests.helpers import sharding_policy
 
 
 def _square_worker(context, values):
@@ -23,65 +25,67 @@ def _square_worker(context, values):
     return [v * v for v in values]
 
 
-def _payload(chunk):
-    return None, chunk
+def _run(pool, chunks, worker=_square_worker):
+    return pool.run_round("sq", worker, None, chunks)
 
 
-def _run(transport, tasks, timeout=None, fault=None):
-    return transport.run_round(
-        _square_worker, _payload, tasks, timeout, fault
-    )
+def _events(metrics):
+    return metrics.root.events
 
 
-# ----------------------------------------------------------------------
-# LocalPoolTransport
-# ----------------------------------------------------------------------
 def test_local_round_covers_every_task_exactly_once():
-    transport = LocalPoolTransport(jobs=2)
+    pool = WorkerPool(jobs=2)
     try:
-        tasks = [(0, [1, 2]), (1, [3]), (2, [4, 5, 6])]
-        completed, failed = _run(transport, tasks)
+        chunks = [[(0, 1), (3, 2)], [(1, 3)], [(2, 4), (4, 5), (5, 6)]]
+        with metrics_scope() as metrics:
+            results, failed = _run(pool, chunks)
         assert failed == []
-        assert sorted(c.index for c in completed) == [0, 1, 2]
-        by_index = {c.index: c for c in completed}
-        assert by_index[2].result == [16, 25, 36]
-        assert by_index[2].counters == {"sq.items": 3}
-        assert by_index[2].worker > 0
+        assert sorted(results) == [
+            (0, 1), (1, 9), (2, 16), (3, 4), (4, 25), (5, 36)
+        ]
+        spans = metrics.root.children
+        assert [span.name for span in spans] == ["sq.chunk"] * 3
+        assert [span.attrs["chunk"] for span in spans] == [0, 1, 2]
+        assert [span.attrs["items"] for span in spans] == [2, 1, 3]
+        assert spans[2].counters == {"sq.items": 3}
+        assert spans[2].attrs["worker"] > 0
+        assert metrics.counter("sq.items") == 6
+        assert _events(metrics) == []
     finally:
-        transport.close()
+        pool.close()
 
 
 def test_local_pool_is_reused_across_rounds():
-    transport = LocalPoolTransport(jobs=1)
+    pool = WorkerPool(jobs=1)
     try:
-        _run(transport, [(0, [1])])
-        pool = transport._pool
-        _run(transport, [(1, [2])])
-        assert transport._pool is pool
+        _run(pool, [[(0, 1)]])
+        executor = pool._executor
+        _run(pool, [[(0, 2)]])
+        assert pool._executor is executor
     finally:
-        transport.close()
+        pool.close()
 
 
 def test_local_jobs_zero_means_all_cores():
-    """`LocalPoolTransport(0)` follows `--jobs 0`: one worker per core."""
-    assert LocalPoolTransport(jobs=0).jobs == (os.cpu_count() or 1)
-    assert LocalPoolTransport(jobs=-3).jobs == (os.cpu_count() or 1)
-    assert LocalPoolTransport(jobs=2).jobs == 2
+    """`WorkerPool(0)` follows `--jobs 0`: one worker per core."""
+    assert WorkerPool(jobs=0).jobs == (os.cpu_count() or 1)
+    assert WorkerPool(jobs=-3).jobs == (os.cpu_count() or 1)
+    assert WorkerPool(jobs=2).jobs == 2
 
 
 def test_local_pool_is_sized_to_jobs_not_to_the_first_round():
-    """A long-lived transport whose first round has one task still runs
+    """A long-lived pool whose first round has one task still runs
     `jobs` workers, so later, wider rounds get them all."""
-    transport = LocalPoolTransport(jobs=3)
+    pool = WorkerPool(jobs=3)
     try:
-        _run(transport, [(0, [1])])
-        assert transport._pool._max_workers == 3
+        _run(pool, [[(0, 1)]])
+        assert pool._executor._max_workers == 3
     finally:
-        transport.close()
+        pool.close()
 
 
 #: The real initializer, kept before any test swaps the module's name.
-_DETACH = transport_module._detach_worker_signals
+_DETACH = parallel_module._detach_worker_signals
 _STARTUP_MASK = None
 
 
@@ -113,78 +117,83 @@ def test_local_workers_are_forked_with_sigterm_blocked_until_detached(
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers are not forked from the caller")
     monkeypatch.setattr(
-        transport_module, "_detach_worker_signals", _recording_initializer
+        parallel_module, "_detach_worker_signals", _recording_initializer
     )
     caller_mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
-    transport = LocalPoolTransport(jobs=1)
+    pool = WorkerPool(jobs=1)
     try:
-        completed, failed = transport.run_round(
-            _signal_state_worker, _payload, [(0, [])], None, None,
+        results, failed = _run(
+            pool, [[(0, "a"), (1, "b"), (2, "c")]], _signal_state_worker
         )
         assert failed == []
-        assert completed[0].result == [True, False, True]
+        assert sorted(results) == [(0, True), (1, False), (2, True)]
         assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == caller_mask
     finally:
-        transport.close()
+        pool.close()
 
 
-def test_local_stats_count_rounds_failures_restarts_and_drains():
-    from repro.runtime.faults import parse_fault_spec
-
-    transport = LocalPoolTransport(jobs=1)
+def test_local_stats_count_rounds_failures_and_restarts(monkeypatch):
+    pool = WorkerPool(jobs=1)
     try:
-        assert transport.stats() == {
+        assert pool.stats() == {
             "jobs": 1, "live": False, "rounds": 0, "restarts": 0,
-            "degraded_rounds": 0, "drains": 0,
+            "degraded_rounds": 0,
         }
-        _run(transport, [(0, [1])], fault=parse_fault_spec("crash:0"))
-        _run(transport, [(0, [2])])
-        transport.drain()
-        assert transport.stats() == {
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
+        _run(pool, [[(0, 1)]])
+        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        _run(pool, [[(0, 2)]])
+        assert pool.stats() == {
             "jobs": 1, "live": True, "rounds": 2, "restarts": 1,
-            "degraded_rounds": 1, "drains": 1,
+            "degraded_rounds": 1,
         }
     finally:
-        transport.close()
-    assert transport.stats()["live"] is False
+        pool.close()
+    assert pool.stats()["live"] is False
 
 
 def test_local_crash_reports_worker_died_and_rebuilds(monkeypatch):
     """A crashed worker yields `worker-died`, never a partial result,
-    and the next round runs on a rebuilt pool."""
+    kills the executor, and the next round runs on a rebuilt one."""
     monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0")
-    from repro.runtime.faults import parse_fault_spec
-
-    fault = parse_fault_spec("crash:0")
-    transport = LocalPoolTransport(jobs=1)
+    pool = WorkerPool(jobs=1)
     try:
-        completed, failed = _run(transport, [(0, [1])], fault=fault)
-        assert completed == []
-        assert [(i, reason) for i, __, reason in failed] == [
-            (0, WORKER_DIED)
+        with metrics_scope() as metrics:
+            results, failed = _run(pool, [[(0, 1)]])
+        assert results == []
+        assert failed == [[(0, 1)]]
+        assert _events(metrics) == [
+            {"event": "worker-died", "label": "sq", "chunk": 0, "items": 1}
         ]
-        assert transport._pool is None  # condemned, rebuilt lazily
-        completed, failed = _run(transport, [(1, [7])])
+        assert metrics.counter("parallel.chunk_failures") == 1
+        assert metrics.counter("parallel.pool_restarts") == 1
+        assert metrics.root.children == []
+        assert pool._executor is None  # killed, rebuilt lazily
+        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        results, failed = _run(pool, [[(1, 7)]])
         assert failed == []
-        assert completed[0].result == [49]
+        assert results == [(1, 49)]
     finally:
-        transport.close()
+        pool.close()
 
 
 def test_local_timeout_reports_timeout(monkeypatch):
+    monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:0")
     monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "5")
-    from repro.runtime.faults import parse_fault_spec
-
-    fault = parse_fault_spec("hang:0")
-    transport = LocalPoolTransport(jobs=1)
+    pool = WorkerPool(jobs=1)
     try:
-        completed, failed = _run(
-            transport, [(0, [1])], timeout=0.5, fault=fault
-        )
-        assert completed == []
-        assert [(i, reason) for i, __, reason in failed] == [(0, TIMEOUT)]
+        with sharding_policy(0.5), metrics_scope() as metrics:
+            results, failed = _run(pool, [[(0, 1)]])
+        assert results == []
+        assert failed == [[(0, 1)]]
+        assert _events(metrics) == [
+            {"event": "chunk-timeout", "label": "sq", "chunk": 0, "items": 1}
+        ]
+        assert metrics.counter("parallel.chunk_timeouts") == 1
+        assert metrics.counter("parallel.pool_restarts") == 1
+        assert pool._executor is None
     finally:
-        transport.close()
+        pool.close()
 
 
 def _explosive_worker(context, items):
@@ -194,20 +203,25 @@ def _explosive_worker(context, items):
 
 
 def test_local_worker_exception_fails_only_that_chunk():
-    transport = LocalPoolTransport(jobs=2)
+    """A worker that raises fails its own chunk as a `chunk-error` that
+    carries the error text; the workers are alive, so the executor is
+    kept."""
+    pool = WorkerPool(jobs=2)
     try:
-        completed, failed = transport.run_round(
-            _explosive_worker,
-            _payload,
-            [(0, ["ok"]), (1, ["boom"])],
-            None,
-            None,
-        )
-        assert [c.index for c in completed] == [0]
-        assert len(failed) == 1
-        index, __, reason = failed[0]
-        assert index == 1
-        assert "boom payload" in reason
-        assert reason not in (TIMEOUT, WORKER_DIED)
+        with metrics_scope() as metrics:
+            results, failed = _run(
+                pool, [[(0, "ok")], [(1, "boom")]], _explosive_worker
+            )
+        assert results == [(0, "ok")]
+        assert failed == [[(1, "boom")]]
+        (event,) = _events(metrics)
+        assert {key: event[key] for key in ("event", "label", "chunk")} == {
+            "event": "chunk-error", "label": "sq", "chunk": 1,
+        }
+        assert "boom payload" in event["error"]
+        assert metrics.counter("parallel.chunk_failures") == 1
+        assert metrics.counter("parallel.pool_restarts") == 0
+        assert [span.attrs["chunk"] for span in metrics.root.children] == [0]
+        assert pool.stats()["live"] is True
     finally:
-        transport.close()
+        pool.close()

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.incremental import QueryService, serve_stream
-from repro.runtime import LocalPoolTransport
+from repro.runtime import WorkerPool
 from repro.runtime.metrics import metrics_scope
 from repro.serve import TimingServer
 
@@ -83,12 +83,8 @@ def golden_run(script, jobs):
     under a throwaway observability scope (exactly what each server
     session gets)."""
     with metrics_scope():
-        if jobs == 1:
-            service = QueryService(jobs=1)
-            pool = None
-        else:
-            pool = LocalPoolTransport(jobs=jobs)
-            service = QueryService(jobs=jobs, transport=pool)
+        pool = WorkerPool(jobs) if jobs != 1 else None
+        service = QueryService(pool=pool)
         writer = io.StringIO()
         try:
             serve_stream(
