@@ -213,9 +213,18 @@ def certify(
     flow parameters); the floating and transition steps themselves do not
     go through the cache.
     """
+    def produce():
+        return _run_flow(
+            circuit, accurate_circuit, engine_name, constraint,
+            floating_constraint, statistical_samples, seed, jobs,
+        )
+
     store = None
     if constraint is None and floating_constraint is None:
         store = resolve_cache(cache)
+    if store is None or not store.enabled:
+        # No live store: nothing to key, so no fingerprint either.
+        return produce()
     params = {
         "accurate": (
             circuit_fingerprint(accurate_circuit)
@@ -227,13 +236,8 @@ def certify(
         # jobs deliberately absent: the report (including the Monte Carlo
         # samples) is the same for every jobs value.
     }
-    return cached(
-        store, circuit, "certify", engine_name, None, params,
-        lambda: _run_flow(
-            circuit, accurate_circuit, engine_name, constraint,
-            floating_constraint, statistical_samples, seed, jobs,
-        ),
-    )
+    return cached(store, circuit, "certify", engine_name, None, params,
+                  produce)
 
 
 def _run_flow(circuit: Circuit, accurate_circuit, engine_name: str,

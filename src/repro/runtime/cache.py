@@ -13,6 +13,10 @@ Tiers:
 * an optional on-disk pickle store under ``cache_dir`` for cross-process
   reuse (warm benchmark reruns, CLI ``--cache DIR``).
 
+Both tiers hold one encoding: ``put`` pickles a value once and hands the
+same bytes to each tier, and every hit unpickles, so each caller gets a
+fresh object it may mutate without reaching the stored entry.
+
 Constraints are opaque callables, so a result computed under a constraint
 is cacheable only when the callable carries a ``cache_id`` attribute that
 identifies it; otherwise :meth:`DelayCache.token` returns ``None`` and the
@@ -21,7 +25,6 @@ callers skip the cache entirely (miss-safe by construction).
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import os
 import pickle
@@ -29,7 +32,7 @@ import tempfile
 import warnings
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from .faults import should_corrupt_cache_entry
 from .fingerprint import circuit_fingerprint, params_token
@@ -42,7 +45,11 @@ from .metrics import METRICS
 #: embeds a sample list from the old serial stream is orphaned.  "3":
 #: certify's transition certificate counts every check of the
 #: mode-agreement fast path (it used to report 1 whatever it spent).
-CACHE_SCHEMA = "3"
+#: "4": cone fingerprints hash a fixed, length-prefixed layout instead of
+#: JSON (:func:`~repro.runtime.fingerprint.node_cone_hash`), so every
+#: cone key changed with the encoding; the bump orphans every entry
+#: stored before it at once.
+CACHE_SCHEMA = "4"
 
 
 def constraint_cache_id(constraint) -> Optional[str]:
@@ -69,7 +76,7 @@ class DelayCache:
         cache_dir: Optional[str] = None,
         enabled: bool = True,
     ) -> None:
-        self._memory: "OrderedDict[str, Any]" = OrderedDict()
+        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
         self._memory_items = max(0, int(memory_items))
         self._dir = Path(cache_dir) if cache_dir else None
         self._enabled = bool(enabled)
@@ -139,16 +146,16 @@ class DelayCache:
     def get(self, token: Optional[str]) -> Any:
         if token is None or not self._enabled:
             return None
-        if token in self._memory:
+        data = self._memory.get(token)
+        if data is not None:
             self._memory.move_to_end(token)
             METRICS.incr("cache.memory_hits")
-            # Deep-copied so callers may mutate results freely.
-            return copy.deepcopy(self._memory[token])
-        value = self._disk_get(token)
-        if value is not None:
+            return pickle.loads(data)
+        data, value = self._disk_get(token)
+        if data is not None:
             METRICS.incr("cache.disk_hits")
-            self._memory_put(token, value)
-            return copy.deepcopy(value)
+            self._memory_put(token, data)
+            return value
         METRICS.incr("cache.misses")
         return None
 
@@ -156,14 +163,19 @@ class DelayCache:
         if token is None or not self._enabled or value is None:
             return
         METRICS.incr("cache.stores")
-        self._memory_put(token, value)
-        self._disk_put(token, value)
+        try:
+            data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+        except pickle.PickleError:
+            # A value that does not pickle is not cached.
+            return
+        self._memory_put(token, data)
+        self._disk_put(token, data)
 
     # -- memory tier --------------------------------------------------
-    def _memory_put(self, token: str, value: Any) -> None:
+    def _memory_put(self, token: str, data: bytes) -> None:
         if self._memory_items == 0:
             return
-        self._memory[token] = copy.deepcopy(value)
+        self._memory[token] = data
         self._memory.move_to_end(token)
         while len(self._memory) > self._memory_items:
             self._memory.popitem(last=False)
@@ -173,27 +185,30 @@ class DelayCache:
         # Two-level fan-out keeps directories small on big stores.
         return self._dir / token[:2] / (token + ".pkl")
 
-    def _disk_get(self, token: str) -> Any:
+    def _disk_get(self, token: str) -> Tuple[Optional[bytes], Any]:
+        """The entry's file bytes and their value, or ``(None, None)`` on
+        a miss.  Unpickling the bytes is their check, and its value is the
+        one the hit returns."""
         if self._dir is None:
-            return None
+            return None, None
         path = self._disk_path(token)
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
             # Genuinely missing — the ordinary miss.
-            return None
+            return None, None
         except OSError:
             # Unreadable (permissions, I/O error): a miss, but not
             # corruption — the entry may be perfectly fine for others.
-            return None
+            return None, None
         if should_corrupt_cache_entry(token):
             # Deterministic fault injection (REPRO_FAULT_INJECT=
             # corrupt-cache:<prefix>): pretend the read returned garbage
             # so the quarantine path below is exercised.
             data = b"\x00repro-fault-injection\x00"
         try:
-            return pickle.loads(data)
+            return data, pickle.loads(data)
         except Exception:
             # Corrupt entry (truncated write, garbage bytes, payload from
             # an incompatible class layout): unpickling garbage can raise
@@ -202,7 +217,7 @@ class DelayCache:
             # re-read (and re-failing) forever.
             METRICS.incr("cache.disk_corrupt")
             self._quarantine(path)
-            return None
+            return None, None
 
     @staticmethod
     def _quarantine(path: Path) -> None:
@@ -216,7 +231,7 @@ class DelayCache:
             except OSError:
                 pass
 
-    def _disk_put(self, token: str, value: Any) -> None:
+    def _disk_put(self, token: str, data: bytes) -> None:
         if self._dir is None:
             return
         path = self._disk_path(token)
@@ -227,7 +242,7 @@ class DelayCache:
             )
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(value, handle, pickle.HIGHEST_PROTOCOL)
+                    handle.write(data)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:
@@ -235,7 +250,7 @@ class DelayCache:
                 except OSError:
                     pass
                 raise
-        except (OSError, pickle.PickleError):
+        except OSError:
             # A read-only or full disk must never fail the analysis.
             pass
 

@@ -25,10 +25,6 @@ import hashlib
 import json
 from typing import Dict, Iterable, Optional
 
-#: The encoder of the cone hash payloads: ``json.dumps`` with these
-#: separators gives the same bytes but builds a new encoder per call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
 
 def circuit_signature(circuit) -> str:
     """Canonical, deterministic serialisation of a circuit's content.
@@ -59,11 +55,16 @@ def node_cone_hash(node, fps: Dict[str, str]) -> str:
 
     It covers the node's name, gate type, delay, and — in fanin order —
     the cone hashes of its fanins, so it identifies the *entire* cone DAG
-    feeding the node.
+    feeding the node.  The payload has a fixed layout,
+    ``len(name):name:gate:delay:len(fanins):`` and then the fanins'
+    64-digit hashes, which reads back one way only: the length prefix
+    ends the name, gate types and integer delays hold no ``:``, and the
+    fanin count fixes how many fixed-width hashes follow.
     """
-    payload = _ENCODER.encode(
-        [node.name, node.gate_type.value, node.delay,
-         [fps[f] for f in node.fanins]]
+    name, fanins = node.name, node.fanins
+    payload = (
+        f"{len(name)}:{name}:{node.gate_type.value}:{node.delay}:"
+        f"{len(fanins)}:" + "".join([fps[f] for f in fanins])
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -100,7 +101,11 @@ def cone_fingerprint(
     if cone_inputs is None:
         members = set(circuit.transitive_fanin([output]))
         cone_inputs = [i for i in circuit.inputs if i in members]
-    payload = _ENCODER.encode([node_fps[output], list(cone_inputs)])
+    # The output's 64-digit hash, then each input name length-prefixed
+    # (``len(name):name``), so no two input lists give one payload.
+    payload = node_fps[output] + "".join(
+        [f"{len(name)}:{name}" for name in cone_inputs]
+    )
     return "cone:" + hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -93,6 +93,39 @@ class TestCertifyFlow:
         assert report.accurate_replay_delay == report.model_replay_delay
 
 
+class TestReportCache:
+    def test_a_disabled_cache_fingerprints_nothing(self, monkeypatch):
+        """With no live store there is no key, so certify does not hash
+        the accurate circuit."""
+        # ``repro.core.certify`` names the function; the module is here.
+        certify_mod = sys.modules["repro.core.certify"]
+        calls = []
+
+        def counted(circuit):
+            calls.append(circuit.name)
+            return "unused"
+
+        monkeypatch.setattr(certify_mod, "circuit_fingerprint", counted)
+        c = c17()
+        certify(c, accurate_circuit=scale_delays(c, 4), cache=NO_CACHE)
+        assert calls == []
+
+    def test_accurate_circuits_key_separate_reports(self):
+        c = c17()
+        cache = DelayCache()
+        slower = scale_delays(c, 4)
+        same = certify(c, accurate_circuit=c, cache=cache)
+        gap = certify(c, accurate_circuit=slower, cache=cache)
+        assert same == certify(c, accurate_circuit=c, cache=NO_CACHE)
+        assert gap == certify(c, accurate_circuit=slower, cache=NO_CACHE)
+        assert same.verdict == Verdict.CERTIFIED
+        assert gap.verdict == Verdict.MODEL_NOT_PESSIMISTIC
+        assert len(cache) == 2
+        # Each accurate circuit is now served its own report.
+        assert certify(c, accurate_circuit=slower, cache=cache) == gap
+        assert certify(c, accurate_circuit=c, cache=cache) == same
+
+
 class TestCheckAccounting:
     @pytest.mark.parametrize("name", ["fig2", "csa12", "csa16"])
     def test_reported_checks_equal_engine_checks(self, name, monkeypatch):

@@ -1,15 +1,71 @@
 """Cone fingerprints, cone extraction, and cone-level cache keys."""
 
+import hashlib
+from types import SimpleNamespace
+
+import pytest
+
 from repro.core import compute_floating_delay, compute_transition_delay
 from repro.incremental import evaluate_cone, extract_cone
+from repro.network import GateType, Node
 from repro.runtime import (
     DelayCache,
     circuit_fingerprint,
     cone_fingerprint,
     node_cone_fingerprints,
 )
+from repro.runtime.fingerprint import node_cone_hash
 
 from tests.helpers import c17
+
+#: Stand-in cone hashes of the fanins the nodes below read.
+FANIN_FPS = {
+    name: hashlib.sha256(name.encode()).hexdigest() for name in "abc"
+}
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [
+        Node("h", GateType.AND, ("a", "b"), 1),
+        Node("g", GateType.OR, ("a", "b"), 1),
+        Node("g", GateType.AND, ("a", "b"), 2),
+        Node("g", GateType.AND, ("b", "a"), 1),
+        Node("g", GateType.AND, ("a", "b", "c"), 1),
+    ],
+    ids=["name", "gate", "delay", "fanin-order", "fanin-count"],
+)
+def test_node_cone_hash_covers_every_field(changed):
+    base = Node("g", GateType.AND, ("a", "b"), 1)
+    assert node_cone_hash(changed, FANIN_FPS) != node_cone_hash(
+        base, FANIN_FPS
+    )
+
+
+def test_node_cone_hash_keeps_run_together_fields_apart():
+    """Joined with bare separators, the name ``a:AND`` with gate ``OR``
+    and the name ``a`` with a gate field ``AND:OR`` would both read
+    ``a:AND:OR:1``; the name's length prefix keeps them apart."""
+
+    def node(name, gate):
+        return SimpleNamespace(
+            name=name, gate_type=SimpleNamespace(value=gate), delay=1,
+            fanins=(),
+        )
+
+    assert node_cone_hash(node("a:AND", "OR"), {}) != node_cone_hash(
+        node("a", "AND:OR"), {}
+    )
+
+
+def test_cone_fingerprint_keeps_input_names_apart():
+    fps = {"out": "0" * 64}
+    assert cone_fingerprint(None, "out", fps, ["a,b"]) != cone_fingerprint(
+        None, "out", fps, ["a", "b"]
+    )
+    assert cone_fingerprint(None, "out", fps, ["a", "b"]) != (
+        cone_fingerprint(None, "out", fps, ["b", "a"])
+    )
 
 
 def test_node_cone_fingerprints_change_exactly_downstream():

@@ -9,6 +9,7 @@ import pickle
 
 from repro.circuits import build_circuit
 from repro.core import compute_floating_delay, compute_transition_delay
+from repro.incremental import ConeResult, evaluate_cone, extract_cone
 from repro.runtime import (
     DelayCache,
     configure_cache,
@@ -70,6 +71,63 @@ def test_memory_roundtrip_returns_copies():
     assert first == payload
     first["witness"]["a"] = False
     assert cache.get(token)["witness"]["a"] is True
+
+
+def _stored_result(kind):
+    """A result the cache stores whole: a transition ``ConeResult`` (its
+    ``VectorPair`` and cone input list) or a floating ``DelayCertificate``
+    (its witness and ``extra`` dict)."""
+    if kind == "cone":
+        return evaluate_cone(extract_cone(c17(), "G22"), "transition")
+    return compute_floating_delay(c17(), cache=DelayCache(enabled=False))
+
+
+def _scribble(result):
+    """Change, in place, every field and nested container of a result."""
+    result.delay += 100
+    result.checks += 100
+    if isinstance(result, ConeResult):
+        result.cone_inputs.append("scribbled")
+    else:
+        result.extra["scribbled"] = True
+    vectors = [result.witness]
+    if result.pair is not None:
+        vectors += [result.pair.v_prev, result.pair.v_next]
+    for vector in vectors:
+        if vector is not None:
+            for name in vector:
+                vector[name] = not vector[name]
+            vector["scribbled"] = True
+
+
+@pytest.mark.parametrize("kind", ["cone", "certificate"])
+def test_a_hit_cannot_be_changed_through_an_earlier_hit(tmp_path, kind):
+    """Every hit is a fresh object: scribbling over the stored value or
+    over any earlier hit, from either tier, leaves the next hit as
+    stored."""
+    expected = _stored_result(kind)
+    assert (expected.pair if kind == "cone" else expected.witness)
+    stored = _stored_result(kind)
+    cache = DelayCache(cache_dir=str(tmp_path))
+    token = cache.token_for("cone:" + "0" * 64, "transition")
+    cache.put(token, stored)
+    _scribble(stored)
+    with metrics_scope() as metrics:
+        memory_hit = cache.get(token)
+        assert memory_hit == expected
+        _scribble(memory_hit)
+        assert cache.get(token) == expected
+        # A fresh instance reads the disk tier, then refills its memory.
+        reader = DelayCache(cache_dir=str(tmp_path))
+        disk_hit = reader.get(token)
+        assert disk_hit == expected
+        _scribble(disk_hit)
+        refill_hit = reader.get(token)
+        assert refill_hit == expected
+        _scribble(refill_hit)
+        assert reader.get(token) == expected
+    assert metrics.counter("cache.memory_hits") == 4
+    assert metrics.counter("cache.disk_hits") == 1
 
 
 def test_lru_eviction_drops_the_oldest():
