@@ -13,10 +13,6 @@ from .registry import (
     available_fsm_logic,
     build_circuit,
     build_fsm_logic,
-    circuit_stats,
-    register_circuit,
-    registry_stats,
-    unregister_circuit,
 )
 from .figures import (
     FIG2_CRITICAL_PATH,
@@ -45,10 +41,6 @@ __all__ = [
     "available_fsm_logic",
     "build_circuit",
     "build_fsm_logic",
-    "circuit_stats",
-    "register_circuit",
-    "registry_stats",
-    "unregister_circuit",
     "fig1_circuit",
     "fig1_vector_pair",
     "fig2_circuit",

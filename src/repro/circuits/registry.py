@@ -1,4 +1,4 @@
-"""One catalog of named benchmark circuits.
+"""One closed catalog of named benchmark circuits.
 
 The benchmark suites used to construct their circuits ad hoc —
 ``carry_skip_adder(16, 4)`` here, ``iscas.build("c880")`` there — so the
@@ -10,13 +10,11 @@ place a *named* benchmark input is defined: every suite builds through
 means one :func:`~repro.runtime.fingerprint.circuit_fingerprint` — the
 key the result cache uses.
 
-The catalog is closed against *implicit* extension (no parameter
-smuggling through the name): a new built-in benchmark gets a new named
+The catalog is closed: nothing registers circuits at run time, and no
+parameter is smuggled through a name.  A new benchmark gets a new named
 entry here, which keeps fingerprint identity reviewable in one diff.
-Programmatic extension goes through the explicit
-:func:`register_circuit` hook — the fuzz corpus
-(:mod:`repro.fuzz.netlist`) registers imported netlists that way, under
-names that encode their full parameterisation.
+Netlist files are read by path (:func:`repro.network.load_circuit`),
+never through the registry.
 """
 
 from __future__ import annotations
@@ -108,70 +106,6 @@ FSM_LOGIC: Dict[str, Callable] = {
     for name in mcnc.available()
 }
 FSM_LOGIC["sticky"] = lambda: mcnc.sticky_bit_controller(chain_len=6)
-
-
-#: Per-circuit structural stats, filled lazily by :func:`circuit_stats`.
-_STATS_CACHE: Dict[str, Dict[str, int]] = {}
-
-
-def register_circuit(
-    name: str, builder: Callable, replace: bool = False
-) -> str:
-    """Register a zero-argument circuit builder under ``name``.
-
-    The explicit extension point for generated corpora and imported
-    netlists.  Registering an existing name raises unless ``replace=True``
-    (a replaced entry's cached stats are dropped).  Returns ``name``.
-    """
-    if not name:
-        raise ValueError("circuit name must be non-empty")
-    if name in CIRCUITS and not replace:
-        raise ValueError(
-            f"circuit {name!r} is already registered; "
-            "pass replace=True to overwrite"
-        )
-    CIRCUITS[name] = builder
-    _STATS_CACHE.pop(name, None)
-    return name
-
-
-def unregister_circuit(name: str) -> None:
-    """Drop a registered entry (missing names are tolerated)."""
-    CIRCUITS.pop(name, None)
-    _STATS_CACHE.pop(name, None)
-
-
-def circuit_stats(name: str) -> Dict[str, int]:
-    """Structural stats of a named circuit: inputs / outputs / gates /
-    literals / topological delay.
-
-    Built once per name and cached — corpus stratification and
-    ``trued fuzz corpus`` listings sweep the whole catalog, and stats
-    are pure functions of the (deterministic) builder.
-    """
-    cached = _STATS_CACHE.get(name)
-    if cached is not None:
-        return dict(cached)
-    circuit = build_circuit(name)
-    stats = {
-        "inputs": len(circuit.inputs),
-        "outputs": len(circuit.outputs),
-        "gates": circuit.num_gates,
-        "literals": circuit.literal_count(),
-        "delay": circuit.topological_delay(),
-    }
-    _STATS_CACHE[name] = stats
-    return dict(stats)
-
-
-def registry_stats(
-    names: List[str] = None,
-) -> Dict[str, Dict[str, int]]:
-    """Stats for the named circuits (default: the whole catalog)."""
-    return {
-        name: circuit_stats(name)
-        for name in (available_circuits() if names is None else names)
-    }
 
 
 def available_circuits() -> List[str]:

@@ -46,6 +46,7 @@ Netlist format is inferred from the extension: ``.bench``, ``.blif``,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -62,10 +63,9 @@ from .core import (
     theorem31_min_period,
 )
 from .network import (
+    NETLIST_FORMATS,
     Circuit,
-    dumps_bench,
-    dumps_blif,
-    dumps_verilog,
+    dump_circuit,
     lint,
     load_circuit,
     render_cone,
@@ -73,21 +73,7 @@ from .network import (
 )
 from .runtime import METRICS, configure_cache, set_execution_policy
 from .sim import EventSimulator, dumps_vcd
-from .sta import render_table, statistics_row, timing_report
-
-
-def _dump_circuit(circuit: Circuit, path: str) -> None:
-    lowered = path.lower()
-    if lowered.endswith(".bench"):
-        text = dumps_bench(circuit)
-    elif lowered.endswith(".blif"):
-        text = dumps_blif(circuit)
-    elif lowered.endswith((".v", ".verilog")):
-        text = dumps_verilog(circuit)
-    else:
-        raise ValueError(f"cannot infer output format of {path!r}")
-    with open(path, "w") as handle:
-        handle.write(text)
+from .sta import circuit_stats, render_table, statistics_row, timing_report
 
 
 def _parse_vector(bits: str, circuit: Circuit) -> Dict[str, bool]:
@@ -96,6 +82,9 @@ def _parse_vector(bits: str, circuit: Circuit) -> Dict[str, bool]:
             f"vector {bits!r} has {len(bits)} bits; circuit has "
             f"{len(circuit.inputs)} inputs ({', '.join(circuit.inputs)})"
         )
+    bad = next((ch for ch in bits if ch not in "01"), None)
+    if bad is not None:
+        raise ValueError(f"vector {bits!r} has bit {bad!r}; bits are 0 or 1")
     return {name: ch == "1" for name, ch in zip(circuit.inputs, bits)}
 
 
@@ -242,6 +231,8 @@ def cmd_estimate(args) -> int:
 def cmd_show(args) -> int:
     circuit = load_circuit(args.netlist)
     if args.cone:
+        if args.cone not in circuit:
+            raise ValueError(f"no signal {args.cone!r} in {args.netlist}")
         print(render_cone(circuit, args.cone, max_depth=args.depth))
     else:
         print(render_levels(circuit))
@@ -250,7 +241,7 @@ def cmd_show(args) -> int:
 
 def cmd_convert(args) -> int:
     circuit = load_circuit(args.netlist)
-    _dump_circuit(circuit, args.output)
+    dump_circuit(circuit, args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -349,51 +340,44 @@ def cmd_fuzz(args) -> int:
         return 0
 
     if args.fuzz_command == "corpus":
-        from .circuits import registry
+        from .circuits import available_circuits, build_circuit
 
-        rows = []
         if args.registry:
-            for name in registry.available_circuits():
-                stats = registry.circuit_stats(name)
-                rows.append((name, "registry", stats))
+            rows = [
+                (name, "registry", circuit_stats(build_circuit(name)))
+                for name in available_circuits()
+            ]
         else:
-            for profile in fuzz.corpus_profiles(
-                args.seed, args.count, args.size
-            ):
-                circuit = fuzz.random_dag(profile)
-                rows.append(
-                    (
-                        profile.circuit_name(),
-                        f"dag seed={profile.seed}",
-                        fuzz.netlist_stats(circuit),
-                    )
+            rows = [
+                (
+                    profile.circuit_name(),
+                    f"dag seed={profile.seed}",
+                    circuit_stats(fuzz.random_dag(profile)),
                 )
+                for profile in fuzz.corpus_profiles(
+                    args.seed, args.count, args.size
+                )
+            ]
             if args.netlists:
-                for name in fuzz.register_netlist_dir(args.netlists):
-                    rows.append(
-                        (
-                            name,
-                            "netlist",
-                            registry.circuit_stats(name),
+                for filename in sorted(os.listdir(args.netlists)):
+                    if filename.lower().endswith(tuple(NETLIST_FORMATS)):
+                        path = os.path.join(args.netlists, filename)
+                        stats = circuit_stats(load_circuit(path))
+                        rows.append(
+                            (os.path.splitext(filename)[0], "netlist", stats)
                         )
-                    )
-        header = ("name", "source", "in", "out", "gates", "lits", "delay")
-        widths = [
-            max(
-                len(header[0]), max((len(r[0]) for r in rows), default=0)
-            ),
-            max(
-                len(header[1]), max((len(r[1]) for r in rows), default=0)
-            ),
-        ]
-        print(
-            f"{header[0]:<{widths[0]}}  {header[1]:<{widths[1]}}  "
-            f"{header[2]:>5} {header[3]:>5} {header[4]:>6} "
-            f"{header[5]:>6} {header[6]:>6}"
+        header = (
+            "name",
+            "source",
+            dict(inputs="in", outputs="out", gates="gates",
+                 literals="lits", delay="delay"),
         )
+        rows.insert(0, header)
+        name_width = max(len(name) for name, __, __ in rows)
+        source_width = max(len(source) for __, source, __ in rows)
         for name, source, stats in rows:
             print(
-                f"{name:<{widths[0]}}  {source:<{widths[1]}}  "
+                f"{name:<{name_width}}  {source:<{source_width}}  "
                 f"{stats['inputs']:>5} {stats['outputs']:>5} "
                 f"{stats['gates']:>6} {stats['literals']:>6} "
                 f"{stats['delay']:>6}"
@@ -800,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     f.add_argument(
         "--netlists", default=None, metavar="DIR",
-        help="also import and register every .bench/.blif under DIR",
+        help="also list every .bench/.blif/.v netlist under DIR",
     )
     f.add_argument(
         "--registry", action="store_true",

@@ -1,10 +1,9 @@
-"""Scenario fuzzer and scalable circuit corpus.
+"""Scenario fuzzer and its random-DAG circuit corpus.
 
 Four layers (see ``docs/FUZZING.md``):
 
-* **corpus**    — :mod:`.generate` (seeded random DAGs, deep arithmetic
-  families, tiling) and :mod:`.netlist` (BLIF/BENCH import/export with
-  round-trip identity), both feeding :mod:`repro.circuits.registry`;
+* **corpus**    — :mod:`.generate` (seeded random DAGs under structural
+  profiles, in three size classes);
 * **scenarios** — :mod:`.scenario` (circuit × delay-model corner ×
   journalled edit sequence, as deterministic seeded streams);
 * **oracles**   — :mod:`.oracle` (differential checks: serial vs
@@ -18,27 +17,9 @@ Four layers (see ``docs/FUZZING.md``):
 from .generate import (
     DagProfile,
     GenerationError,
-    adder_tower,
     corpus_profiles,
-    corpus_sizes,
-    multiplier_ladder,
     random_dag,
     random_gate_circuit,
-    register_corpus,
-    tile_circuit,
-    xor_spine,
-)
-from .netlist import (
-    NetlistError,
-    export_netlist,
-    import_netlist,
-    load_netlist,
-    loads_netlist,
-    netlist_stats,
-    register_netlist,
-    register_netlist_dir,
-    round_trip_fixpoint,
-    structurally_equal,
 )
 from .oracle import ORACLES, OracleVerdict, run_oracle, run_scenario
 from .runner import (
@@ -65,32 +46,19 @@ __all__ = [
     "Corner",
     "DagProfile",
     "GenerationError",
-    "NetlistError",
     "ORACLES",
     "OracleVerdict",
     "Scenario",
     "ShrinkResult",
     "SweepReport",
-    "adder_tower",
     "apply_edits",
     "corpus_profiles",
-    "corpus_sizes",
-    "export_netlist",
-    "import_netlist",
-    "load_netlist",
     "load_repro",
-    "loads_netlist",
     "materialize",
-    "multiplier_ladder",
-    "netlist_stats",
     "random_dag",
     "random_edit",
     "random_gate_circuit",
-    "register_corpus",
-    "register_netlist",
-    "register_netlist_dir",
     "replay_repro",
-    "round_trip_fixpoint",
     "run_oracle",
     "run_scenario",
     "run_sweep",
@@ -98,8 +66,5 @@ __all__ = [
     "scenario_size",
     "scenario_stream",
     "shrink_scenario",
-    "structurally_equal",
-    "tile_circuit",
     "write_repro",
-    "xor_spine",
 ]

@@ -1,11 +1,11 @@
-"""Seeded, parameterized random-circuit generation for the fuzz corpus.
+"""Seeded, parameterized random DAGs: the fuzz corpus.
 
 The workload-diversity layer of the scenario fuzzer
 (``docs/FUZZING.md``): everything here is a *pure function of its
 parameters* — the same :class:`DagProfile` or ``(seed, index)`` always
 yields the same circuit on every platform, which is what lets scenario
-streams, shrunk repros and corpus registry entries reference circuits by
-their generation parameters alone.
+streams, shrunk repros and corpus listings name circuits by their
+generation parameters alone.
 
 Construction follows the attempt-and-retry shape of structure
 generators: draw a candidate DAG, measure it against the profile's
@@ -13,12 +13,6 @@ structural targets (depth window, fanout cap, full input/gate
 liveness), and redraw from the same seeded stream until a candidate
 passes or the attempt budget runs out (:class:`GenerationError`).  The
 rejected attempts consume rng state, so retries stay deterministic.
-
-Besides the random-DAG core the module carries the deep structured
-families (adder towers, multiplier ladders, XOR spines) whose long
-arithmetic carry chains stress the delay cores very differently from
-random control logic, and :func:`tile_circuit`, which scales any seed
-netlist to 10-100x its size by stitching disjoint copies.
 """
 
 from __future__ import annotations
@@ -34,15 +28,9 @@ from ..network.gates import GateType
 __all__ = [
     "DagProfile",
     "GenerationError",
-    "adder_tower",
     "corpus_profiles",
-    "corpus_sizes",
-    "multiplier_ladder",
     "random_dag",
-    "register_corpus",
     "random_gate_circuit",
-    "tile_circuit",
-    "xor_spine",
 ]
 
 
@@ -270,129 +258,7 @@ def random_gate_circuit(
 
 
 # ----------------------------------------------------------------------
-# Deep structured families
-# ----------------------------------------------------------------------
-def _chain_full_adder(
-    b: CircuitBuilder, x: str, y: str, cin: str, tag: str
-) -> Tuple[str, str]:
-    p = b.xor_(x, y, name=f"{tag}p")
-    s = b.xor_(p, cin, name=f"{tag}s")
-    g1 = b.and_(x, y, name=f"{tag}g")
-    g2 = b.and_(p, cin, name=f"{tag}h")
-    return s, b.or_(g1, g2, name=f"{tag}c")
-
-
-def adder_tower(width: int, stages: int, name: str = "addtower") -> Circuit:
-    """``stages`` ripple-carry adders stacked so each stage's sums feed
-    the next stage's first operand: depth grows with ``width * stages``,
-    the deep-carry-chain stress the random DAGs never produce."""
-    if width < 1 or stages < 1:
-        raise ValueError("adder_tower needs width >= 1 and stages >= 1")
-    b = CircuitBuilder(name)
-    acc = [b.input(f"a{i}") for i in range(width)]
-    for stage in range(stages):
-        operand = [b.input(f"b{stage}_{i}") for i in range(width)]
-        carry = b.const0(name=f"t{stage}cin")
-        sums: List[str] = []
-        for i in range(width):
-            s, carry = _chain_full_adder(
-                b, acc[i], operand[i], carry, f"t{stage}_{i}"
-            )
-            sums.append(s)
-        acc = sums
-    for i, s in enumerate(acc):
-        b.output(b.buf(s, name=f"sum{i}", delay=0))
-    b.output(b.buf(carry, name="cout", delay=0))
-    return b.build()
-
-
-def multiplier_ladder(
-    width: int, stages: int, name: str = "multladder"
-) -> Circuit:
-    """Cascaded partial-product reductions: each stage ANDs the running
-    word against a fresh operand and folds it through a carry-save row,
-    approximating a deep multiplier array one rung at a time."""
-    if width < 2 or stages < 1:
-        raise ValueError("multiplier_ladder needs width >= 2, stages >= 1")
-    b = CircuitBuilder(name)
-    acc = [b.input(f"a{i}") for i in range(width)]
-    for stage in range(stages):
-        operand = [b.input(f"m{stage}_{i}") for i in range(width)]
-        partial = [
-            b.and_(acc[i], operand[i], name=f"pp{stage}_{i}")
-            for i in range(width)
-        ]
-        carry = b.const0(name=f"l{stage}cin")
-        folded: List[str] = []
-        for i in range(width):
-            s, carry = _chain_full_adder(
-                b, partial[i], acc[(i + 1) % width], carry, f"l{stage}_{i}"
-            )
-            folded.append(s)
-        acc = folded
-    for i, s in enumerate(acc):
-        b.output(b.buf(s, name=f"p{i}", delay=0))
-    return b.build()
-
-
-def xor_spine(width: int, rungs: int, name: str = "xorspine") -> Circuit:
-    """A serial XOR chain ``width * rungs`` long — maximal depth per gate,
-    the degenerate extreme of the parity-tree family."""
-    if width < 1 or rungs < 1:
-        raise ValueError("xor_spine needs width >= 1 and rungs >= 1")
-    b = CircuitBuilder(name)
-    acc = b.input("x0")
-    index = 1
-    for rung in range(rungs):
-        for step in range(width):
-            leaf = b.input(f"x{index}")
-            acc = b.xor_(acc, leaf, name=f"sp{rung}_{step}")
-            index += 1
-    b.output(b.buf(acc, name="spine_out", delay=0))
-    return b.build()
-
-
-def tile_circuit(circuit: Circuit, copies: int, name: str = "") -> Circuit:
-    """Scale a seed netlist to ``copies`` stitched instances.
-
-    Copy ``k``'s inputs are driven by copy ``k-1``'s outputs (cycled);
-    inputs beyond the previous copy's output count stay primary.  The
-    result is a valid circuit roughly ``copies`` times the seed's gate
-    count with genuinely deeper logic, not ``copies`` independent islands.
-    """
-    if copies < 1:
-        raise ValueError("tile_circuit needs copies >= 1")
-    tiled = Circuit(name or f"{circuit.name}_x{copies}")
-    previous_outputs: List[str] = []
-    order = circuit.topological_order()
-    for copy in range(copies):
-        prefix = f"t{copy}_"
-        mapping: Dict[str, str] = {}
-        for index, node_name in enumerate(circuit.inputs):
-            if previous_outputs:
-                mapping[node_name] = previous_outputs[
-                    index % len(previous_outputs)
-                ]
-            else:
-                mapping[node_name] = tiled.add_input(prefix + node_name)
-        for node_name in order:
-            node = circuit.node(node_name)
-            if node.gate_type == GateType.INPUT:
-                continue
-            mapping[node_name] = tiled.add_gate(
-                prefix + node_name,
-                node.gate_type,
-                [mapping[f] for f in node.fanins],
-                delay=node.delay,
-            )
-        previous_outputs = [mapping[out] for out in circuit.outputs]
-    tiled.set_outputs(previous_outputs)
-    tiled.validate()
-    return tiled
-
-
-# ----------------------------------------------------------------------
-# Corpus definition (consumed by the registry and `trued fuzz corpus`)
+# Corpus definition (consumed by scenario streams and `trued fuzz corpus`)
 # ----------------------------------------------------------------------
 #: size class -> (num_inputs, num_gates, num_outputs, min_depth)
 _SIZE_CLASSES: Dict[str, Tuple[int, int, int, int]] = {
@@ -408,9 +274,8 @@ def corpus_profiles(
     """The deterministic corpus slice ``(seed, count, size)`` names.
 
     Entry ``i``'s profile (and therefore its circuit) depends only on
-    ``(seed, i, size)``; its registry name ``fz<size[0]><seed>x<i>``
-    encodes that full parameterisation, keeping fingerprint identity
-    reviewable even though the entries are generated.
+    ``(seed, i, size)``; its name ``fz<size[0]><seed>x<i>`` encodes
+    that full parameterisation.
     """
     try:
         inputs, gates, outputs, min_depth = _SIZE_CLASSES[size]
@@ -434,29 +299,3 @@ def corpus_profiles(
             )
         )
     return profiles
-
-
-def corpus_sizes() -> List[str]:
-    return sorted(_SIZE_CLASSES)
-
-
-def register_corpus(
-    seed: int, count: int, size: str = "small"
-) -> List[str]:
-    """Register the ``(seed, count, size)`` corpus slice with
-    :mod:`repro.circuits.registry`, so characterize specs, bench suites
-    and the timing server can name fuzz circuits like built-ins.
-    Re-registration is idempotent (same name -> same profile -> same
-    circuit).  Returns the registered names."""
-    from ..circuits import registry
-
-    names = []
-    for profile in corpus_profiles(seed, count, size):
-        names.append(
-            registry.register_circuit(
-                profile.circuit_name(),
-                lambda p=profile: random_dag(p),
-                replace=True,
-            )
-        )
-    return names

@@ -22,10 +22,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..network.bench_io import dumps_bench, loads_bench
 from ..network.circuit import Circuit
 from ..network.gates import GateType, SOURCE_GATES, validate_arity
 from .generate import corpus_profiles, random_dag
-from .netlist import export_netlist, loads_netlist
 
 __all__ = [
     "CORNER_KINDS",
@@ -132,11 +132,8 @@ def materialize(scenario: Scenario) -> Circuit:
     :class:`~repro.incremental.engine.IncrementalTimingEngine` created on
     the result starts from journal position 0, exactly like a cold build.
     """
-    parsed = loads_netlist(
-        scenario.bench_text,
-        "bench",
-        source=f"<{scenario.scenario_id}>",
-        name=scenario.circuit_name,
+    parsed = loads_bench(
+        scenario.bench_text, source=f"<{scenario.scenario_id}>"
     )
     circuit = Circuit(scenario.circuit_name)
     for name in parsed.inputs:
@@ -158,7 +155,7 @@ def materialize(scenario: Scenario) -> Circuit:
 
 def snapshot_circuit(circuit: Circuit) -> Tuple[str, Dict[str, int]]:
     """Render a circuit as ``(bench_text, delays)`` for embedding."""
-    bench_text = export_netlist(circuit, "bench")
+    bench_text = dumps_bench(circuit)
     delays = {
         node.name: node.delay
         for node in circuit.nodes()

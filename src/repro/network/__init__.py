@@ -35,20 +35,34 @@ from .transform import (
 )
 
 
-def load_circuit(path: str) -> Circuit:
-    """Load a netlist, dispatching on the file extension (``.bench``,
-    ``.blif``, ``.v``/``.verilog``)."""
+#: The one netlist format table: file extension -> (reader, writer).
+NETLIST_FORMATS = {
+    ".bench": (load_bench, dump_bench),
+    ".blif": (load_blif, dump_blif),
+    ".v": (load_verilog, dump_verilog),
+    ".verilog": (load_verilog, dump_verilog),
+}
+
+
+def _netlist_format(path: str):
     lowered = path.lower()
-    if lowered.endswith(".bench"):
-        return load_bench(path)
-    if lowered.endswith(".blif"):
-        return load_blif(path)
-    if lowered.endswith((".v", ".verilog")):
-        return load_verilog(path)
+    for suffix, reader_writer in NETLIST_FORMATS.items():
+        if lowered.endswith(suffix):
+            return reader_writer
     raise ValueError(
         f"cannot infer netlist format of {path!r} "
         "(expected .bench, .blif or .v)"
     )
+
+
+def load_circuit(path: str) -> Circuit:
+    """Load a netlist, choosing the reader by the file extension."""
+    return _netlist_format(path)[0](path)
+
+
+def dump_circuit(circuit: Circuit, path: str) -> None:
+    """Write a netlist, choosing the writer by the file extension."""
+    _netlist_format(path)[1](circuit, path)
 
 
 __all__ = [
@@ -63,7 +77,9 @@ __all__ = [
     "evaluate_gate",
     "gate_function",
     "gate_settle",
+    "NETLIST_FORMATS",
     "load_circuit",
+    "dump_circuit",
     "loads_bench",
     "load_bench",
     "dumps_bench",

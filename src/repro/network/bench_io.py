@@ -131,5 +131,6 @@ def dumps_bench(circuit: Circuit) -> str:
 
 
 def dump_bench(circuit: Circuit, path: str) -> None:
+    text = dumps_bench(circuit)
     with open(path, "w") as handle:
-        handle.write(dumps_bench(circuit))
+        handle.write(text)

@@ -261,5 +261,6 @@ def dumps_blif(circuit: Circuit) -> str:
 
 
 def dump_blif(circuit: Circuit, path: str) -> None:
+    text = dumps_blif(circuit)
     with open(path, "w") as handle:
-        handle.write(dumps_blif(circuit))
+        handle.write(text)

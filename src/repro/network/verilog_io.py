@@ -39,14 +39,18 @@ _PRIMITIVES = {
 
 _REVERSE_PRIMITIVES = {v: k for k, v in _PRIMITIVES.items()}
 
+_IDENTIFIER = r"[A-Za-z_][\w$]*"
+# A module name is a plain identifier or an escaped one: a backslash,
+# then any non-blank characters, ended by a blank.
 _MODULE_RE = re.compile(
-    r"module\s+([A-Za-z_][\w$]*)\s*(?:\(([^)]*)\))?\s*;", re.S
+    rf"module\s+(?:\\(\S+)\s|({_IDENTIFIER}))\s*(?:\(([^)]*)\))?\s*;",
+    re.S,
 )
 _DECL_RE = re.compile(r"\b(input|output|wire)\b([^;]*);", re.S)
 _INSTANCE_RE = re.compile(
     r"\b(and|nand|or|nor|xor|xnor|not|buf)\b"
     r"(?:\s*#\s*(\d+))?"
-    r"(?:\s+([A-Za-z_][\w$]*))?"
+    rf"(?:\s+({_IDENTIFIER}))?"
     r"\s*\(([^)]*)\)\s*;",
     re.S,
 )
@@ -68,7 +72,7 @@ def loads_verilog(text: str) -> Circuit:
     module = _MODULE_RE.search(text)
     if module is None:
         raise ValueError("no module declaration found")
-    name = module.group(1)
+    name = module.group(1) or module.group(2)
     body = text[module.end():]
     end = body.find("endmodule")
     if end < 0:
@@ -113,6 +117,18 @@ def load_verilog(path: str) -> Circuit:
         return loads_verilog(handle.read())
 
 
+def _module_name(name: str) -> str:
+    """``name`` as written after ``module``: a name that is not a plain
+    identifier (a BENCH file is named by its path) is escaped."""
+    if re.fullmatch(_IDENTIFIER, name):
+        return name
+    if not name or re.search(r"\s|//|/\*", name):
+        raise ValueError(
+            f"cannot emit Verilog: module name {name!r} is not representable"
+        )
+    return f"\\{name} "
+
+
 def dumps_verilog(circuit: Circuit) -> str:
     """Render the circuit as a structural Verilog module (with ``#delay``
     annotations preserving the timing model)."""
@@ -127,7 +143,7 @@ def dumps_verilog(circuit: Circuit) -> str:
             f"gates without a Verilog primitive: {unsupported[:3]}"
         )
     ports = circuit.inputs + circuit.outputs
-    lines = [f"module {circuit.name} ({', '.join(ports)});"]
+    lines = [f"module {_module_name(circuit.name)} ({', '.join(ports)});"]
     if circuit.inputs:
         lines.append(f"  input {', '.join(circuit.inputs)};")
     if circuit.outputs:
@@ -153,5 +169,6 @@ def dumps_verilog(circuit: Circuit) -> str:
 
 
 def dump_verilog(circuit: Circuit, path: str) -> None:
+    text = dumps_verilog(circuit)
     with open(path, "w") as handle:
-        handle.write(dumps_verilog(circuit))
+        handle.write(text)

@@ -7,7 +7,12 @@ from .graph_delay import (
     gate_depth,
     topological_delay,
 )
-from .report import render_table, statistics_row, timing_report
+from .report import (
+    circuit_stats,
+    render_table,
+    statistics_row,
+    timing_report,
+)
 
 __all__ = [
     "TimingAnalysis",
@@ -15,6 +20,7 @@ __all__ = [
     "arrival_times",
     "gate_depth",
     "topological_delay",
+    "circuit_stats",
     "render_table",
     "statistics_row",
     "timing_report",

@@ -6,7 +6,7 @@ paper's layout; :func:`timing_report` mirrors a conventional STA report.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..network.circuit import Circuit
 from .graph_delay import analyze
@@ -68,12 +68,25 @@ def timing_report(
     return "\n".join(lines)
 
 
+def circuit_stats(circuit: Circuit) -> Dict[str, int]:
+    """Structural stats: inputs, outputs, gates, literals and the
+    longest (topological) path delay."""
+    return {
+        "inputs": len(circuit.inputs),
+        "outputs": len(circuit.outputs),
+        "gates": circuit.num_gates,
+        "literals": circuit.literal_count(),
+        "delay": circuit.topological_delay(),
+    }
+
+
 def statistics_row(circuit: Circuit) -> List[object]:
     """One Table I row: name, inputs, outputs, literals, longest path."""
+    stats = circuit_stats(circuit)
     return [
         circuit.name,
-        len(circuit.inputs),
-        len(circuit.outputs),
-        circuit.literal_count(),
-        circuit.topological_delay(),
+        stats["inputs"],
+        stats["outputs"],
+        stats["literals"],
+        stats["delay"],
     ]

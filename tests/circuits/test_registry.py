@@ -75,44 +75,12 @@ def test_builders_ignore_global_random_state():
 
 class TestStatsAndRegistration:
     def test_circuit_stats_shape(self):
-        from repro.circuits.registry import circuit_stats
+        from repro.sta import circuit_stats
 
-        stats = circuit_stats("c17")
         circuit = build_circuit("c17")
+        stats = circuit_stats(circuit)
         assert stats["inputs"] == len(circuit.inputs)
         assert stats["outputs"] == len(circuit.outputs)
         assert stats["gates"] == circuit.num_gates
         assert stats["delay"] == circuit.topological_delay()
         assert stats["literals"] >= stats["gates"]
-
-    def test_registry_stats_covers_catalog(self):
-        from repro.circuits.registry import registry_stats
-
-        table = registry_stats(["c17", "fig1"])
-        assert set(table) == {"c17", "fig1"}
-        assert all("gates" in row for row in table.values())
-
-    def test_register_and_unregister(self):
-        from repro.circuits.registry import (
-            circuit_stats,
-            register_circuit,
-            unregister_circuit,
-        )
-
-        register_circuit("tmp_test_circ", lambda: build_circuit("fig1"))
-        try:
-            assert "tmp_test_circ" in available_circuits()
-            assert circuit_stats("tmp_test_circ")["gates"] > 0
-            with pytest.raises(ValueError):
-                register_circuit(
-                    "tmp_test_circ", lambda: build_circuit("fig2")
-                )
-        finally:
-            unregister_circuit("tmp_test_circ")
-        assert "tmp_test_circ" not in available_circuits()
-
-    def test_register_rejects_empty_name(self):
-        from repro.circuits.registry import register_circuit
-
-        with pytest.raises(ValueError):
-            register_circuit("", lambda: build_circuit("fig1"))

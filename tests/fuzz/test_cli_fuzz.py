@@ -116,3 +116,40 @@ class TestFuzzCorpus:
         assert result.returncode == 0
         assert "c17" in result.stdout
         assert "fig1" in result.stdout
+
+    @staticmethod
+    def netlist_rows(result):
+        return [
+            line.split() for line in result.stdout.splitlines()
+            if " netlist " in line
+        ]
+
+    def test_netlists_list_each_file_by_stem(self, tmp_path):
+        from repro.circuits import build_circuit
+        from repro.network import dump_bench, dump_blif
+
+        dump_bench(build_circuit("c17"), str(tmp_path / "a.bench"))
+        dump_blif(build_circuit("fig1"), str(tmp_path / "b.blif"))
+        result = run_cli(
+            "fuzz", "corpus", "--count", "0", "--netlists", str(tmp_path)
+        )
+        assert result.returncode == 0
+        assert self.netlist_rows(result) == [
+            ["a", "netlist", "5", "2", "6", "12", "3"],
+            ["b", "netlist", "4", "1", "11", "17", "3"],
+        ]
+
+    def test_netlists_with_one_stem_keep_their_own_stats(self, tmp_path):
+        from repro.circuits import build_circuit
+        from repro.network import dump_bench, dump_blif
+
+        dump_bench(build_circuit("c17"), str(tmp_path / "x.bench"))
+        dump_blif(build_circuit("fig1"), str(tmp_path / "x.blif"))
+        result = run_cli(
+            "fuzz", "corpus", "--count", "0", "--netlists", str(tmp_path)
+        )
+        assert result.returncode == 0
+        assert self.netlist_rows(result) == [
+            ["x", "netlist", "5", "2", "6", "12", "3"],
+            ["x", "netlist", "4", "1", "11", "17", "3"],
+        ]

@@ -1,58 +1,88 @@
-"""Netlist layer: located parse errors, round-trip identity on every
+"""Netlist readers: located parse errors, round-trip identity on every
 registry circuit, and CircuitBuilder-identical structural rejection."""
 
 import pytest
 
 from repro.circuits import available_circuits, build_circuit
-from repro.fuzz.netlist import (
-    NetlistError,
-    export_netlist,
-    load_netlist,
-    loads_netlist,
-    register_netlist,
-    round_trip_fixpoint,
-    structurally_equal,
+from repro.network import (
+    CircuitBuilder,
+    GateType,
+    dump_circuit,
+    dumps_bench,
+    dumps_blif,
+    load_circuit,
+    loads_bench,
+    loads_blif,
 )
-from repro.network import CircuitBuilder, GateType
+
+#: format -> (parse text under a circuit name, render)
+FORMATS = {
+    "bench": (lambda text, name: loads_bench(text, name), dumps_bench),
+    "blif": (lambda text, name: loads_blif(text), dumps_blif),
+}
+
+
+def structurally_equal(left, right) -> bool:
+    """Same inputs, outputs, gates, fanins and delays (names included)."""
+    if left.inputs != right.inputs or left.outputs != right.outputs:
+        return False
+    left_nodes = {n.name: n for n in left.nodes()}
+    right_nodes = {n.name: n for n in right.nodes()}
+    if left_nodes.keys() != right_nodes.keys():
+        return False
+    for name, node in left_nodes.items():
+        other = right_nodes[name]
+        if (
+            node.gate_type != other.gate_type
+            or node.fanins != other.fanins
+            or node.delay != other.delay
+        ):
+            return False
+    return True
+
+
+def round_trip_fixpoint(circuit, fmt):
+    """Import -> export -> import is the identity on the imported form.
+
+    ``first`` is the circuit after one export+import (the format's
+    canonical form: BLIF synthesises covers, BENCH resets delays to
+    unit), ``second`` after another round; the two must be structurally
+    identical and render to the same text.
+    """
+    loads, dumps = FORMATS[fmt]
+    first = loads(dumps(circuit), circuit.name)
+    second = loads(dumps(first), circuit.name)
+    assert dumps(second) == dumps(first)
+    return first, second
 
 
 class TestLocatedErrors:
     def test_bench_unknown_gate_names_file_and_line(self):
-        with pytest.raises(NetlistError) as err:
-            loads_netlist(
-                "INPUT(a)\nOUTPUT(f)\nf = FROB(a)\n",
-                "bench",
-                source="bad.bench",
+        with pytest.raises(ValueError) as err:
+            loads_bench(
+                "INPUT(a)\nOUTPUT(f)\nf = FROB(a)\n", source="bad.bench"
             )
-        assert str(err.value).startswith("bad.bench:3: ")
-        assert err.value.source == "bad.bench"
-        assert err.value.line == 3
+        assert str(err.value) == "bad.bench:3: unknown gate type 'FROB'"
 
     def test_bench_garbage_line_names_file_and_line(self):
-        with pytest.raises(NetlistError) as err:
-            loads_netlist(
-                "INPUT(a)\n\n# comment\nwhat is this\n",
-                "bench",
-                source="g.bench",
+        with pytest.raises(ValueError) as err:
+            loads_bench(
+                "INPUT(a)\n\n# comment\nwhat is this\n", source="g.bench"
             )
         assert str(err.value).startswith("g.bench:4: ")
 
     def test_blif_unsupported_construct_names_file_and_line(self):
-        with pytest.raises(NetlistError) as err:
-            loads_netlist(
+        with pytest.raises(ValueError) as err:
+            loads_blif(
                 ".model m\n.inputs a\n.outputs f\n.latch a f\n.end\n",
-                "blif",
                 source="m.blif",
             )
         assert str(err.value).startswith("m.blif:4: ")
-        assert err.value.line == 4
 
     def test_blif_cover_row_outside_names(self):
-        with pytest.raises(NetlistError) as err:
-            loads_netlist(
-                ".model m\n.inputs a\n.outputs f\n1 1\n",
-                "blif",
-                source="m.blif",
+        with pytest.raises(ValueError) as err:
+            loads_blif(
+                ".model m\n.inputs a\n.outputs f\n1 1\n", source="m.blif"
             )
         assert str(err.value).startswith("m.blif:4: ")
 
@@ -61,24 +91,25 @@ class TestLocatedErrors:
             ".model m\n.inputs a b\n.outputs f\n"
             ".names a b f\n111 1\n.end\n"
         )
-        with pytest.raises(NetlistError) as err:
-            loads_netlist(text, "blif", source="m.blif")
+        with pytest.raises(ValueError) as err:
+            loads_blif(text, source="m.blif")
         assert str(err.value).startswith("m.blif:4: ")
 
     def test_file_loader_uses_path_as_source(self, tmp_path):
         path = tmp_path / "broken.bench"
         path.write_text("INPUT(a)\nf = FROB(a)\n")
-        with pytest.raises(NetlistError) as err:
-            load_netlist(str(path))
+        with pytest.raises(ValueError) as err:
+            load_circuit(str(path))
         assert str(err.value).startswith(f"{path}:2: ")
 
     def test_unknown_format_and_extension(self, tmp_path):
-        with pytest.raises(NetlistError):
-            loads_netlist("x", "verilog")
-        path = tmp_path / "c.v"
-        path.write_text("module c; endmodule\n")
-        with pytest.raises(NetlistError):
-            load_netlist(str(path))
+        path = tmp_path / "c.xyz"
+        path.write_text("x")
+        with pytest.raises(ValueError, match="cannot infer netlist format"):
+            load_circuit(str(path))
+        with pytest.raises(ValueError, match="cannot infer netlist format"):
+            dump_circuit(build_circuit("c17"), str(tmp_path / "out.xyz"))
+        assert not (tmp_path / "out.xyz").exists()
 
 
 class TestStructuralRejection:
@@ -104,8 +135,8 @@ class TestStructuralRejection:
             "INPUT(a)\nOUTPUT(g1)\n"
             "g1 = AND(a, g2)\ng2 = NOT(g1)\n"
         )
-        with pytest.raises(NetlistError) as err:
-            loads_netlist(text, "bench", source="cyc.bench")
+        with pytest.raises(ValueError) as err:
+            loads_bench(text, source="cyc.bench")
         assert str(err.value) == message
         assert "cycle" in message
 
@@ -119,8 +150,8 @@ class TestStructuralRejection:
 
         message = self.builder_error(build_undriven)
         text = "INPUT(a)\nOUTPUT(f)\nf = AND(a, ghost)\n"
-        with pytest.raises(NetlistError) as err:
-            loads_netlist(text, "bench", source="und.bench")
+        with pytest.raises(ValueError) as err:
+            loads_bench(text, source="und.bench")
         assert str(err.value) == message
 
     def test_missing_output_matches_builder(self):
@@ -133,8 +164,8 @@ class TestStructuralRejection:
 
         message = self.builder_error(build_missing)
         text = "INPUT(a)\nOUTPUT(nothere)\nf = NOT(a)\n"
-        with pytest.raises(NetlistError) as err:
-            loads_netlist(text, "bench", source="mo.bench")
+        with pytest.raises(ValueError) as err:
+            loads_bench(text, source="mo.bench")
         assert str(err.value) == message
 
 
@@ -148,8 +179,7 @@ class TestRoundTrip:
 
     def test_bench_round_trip_preserves_structure(self):
         circuit = build_circuit("fig2")
-        text = export_netlist(circuit, "bench")
-        back = loads_netlist(text, "bench", name=circuit.name)
+        back = loads_bench(dumps_bench(circuit), circuit.name)
         assert back.inputs == circuit.inputs
         assert back.outputs == circuit.outputs
         assert {n.name for n in back.nodes()} == {
@@ -162,29 +192,3 @@ class TestRoundTrip:
         assert structurally_equal(a, b)
         b.set_delay(b.gate_names()[0], 7)
         assert not structurally_equal(a, b)
-
-
-class TestRegistryFeeding:
-    def test_register_netlist_roundtrip(self, tmp_path):
-        from repro.circuits import registry
-
-        circuit = build_circuit("c17")
-        path = tmp_path / "c17copy.bench"
-        path.write_text(export_netlist(circuit, "bench"))
-        name = register_netlist(str(path))
-        try:
-            assert name == "c17copy"
-            built = registry.build_circuit(name)
-            assert built.num_gates == circuit.num_gates
-            stats = registry.circuit_stats(name)
-            assert stats["inputs"] == len(circuit.inputs)
-        finally:
-            registry.unregister_circuit(name)
-
-    def test_register_collision_requires_replace(self, tmp_path):
-        from repro.circuits import registry
-
-        with pytest.raises(ValueError):
-            registry.register_circuit(
-                "c17", lambda: build_circuit("fig1")
-            )

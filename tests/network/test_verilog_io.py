@@ -117,3 +117,21 @@ class TestRoundTrip:
         b.output(k)
         with pytest.raises(ValueError):
             dumps_verilog(b.build())
+
+    @pytest.mark.parametrize("name", ["c17", "dir/c17.bench", "cone#G22"])
+    def test_module_name_reads_back(self, name):
+        circuit = c17()
+        circuit.name = name
+        assert loads_verilog(dumps_verilog(circuit)).name == name
+
+    def test_escaped_module_name(self):
+        circuit = c17()
+        circuit.name = "c17.bench"
+        text = dumps_verilog(circuit)
+        assert text.startswith("module \\c17.bench  (G1, ")
+
+    def test_module_name_with_blank_rejected(self):
+        circuit = c17()
+        circuit.name = "my c17"
+        with pytest.raises(ValueError, match="'my c17'"):
+            dumps_verilog(circuit)

@@ -96,6 +96,23 @@ class TestCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_simulate_rejects_a_bit_other_than_0_or_1(
+        self, bench_file, capsys
+    ):
+        code = main(
+            ["simulate", bench_file, "--prev", "0000z", "--next", "11111"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: vector '0000z' has bit 'z'; bits are 0 or 1\n"
+        )
+
+    def test_show_unknown_cone_is_an_error(self, bench_file, capsys):
+        assert main(["show", bench_file, "--cone", "NOPE"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no signal 'NOPE' in {bench_file}\n"
+        )
+
     def test_convert_roundtrip(self, bench_file, tmp_path, capsys):
         out_file = tmp_path / "c17.blif"
         assert main(["convert", bench_file, "-o", str(out_file)]) == 0
@@ -104,6 +121,26 @@ class TestCommands:
         circuit = load_blif(str(out_file))
         vec = {n: True for n in circuit.inputs}
         assert circuit.evaluate_outputs(vec) == c17().evaluate_outputs(vec)
+
+    def test_convert_refused_netlist_writes_no_file(self, tmp_path, capsys):
+        path = tmp_path / "k.bench"
+        path.write_text("INPUT(a)\nOUTPUT(f)\nk = CONST1()\nf = AND(a, k)\n")
+        out_file = tmp_path / "k.v"
+        assert main(["convert", str(path), "-o", str(out_file)]) == 2
+        assert "without a Verilog primitive" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_convert_bench_to_verilog_reads_back(
+        self, bench_file, tmp_path, capsys
+    ):
+        out_file = str(tmp_path / "c17.v")
+        assert main(["stats", bench_file]) == 0
+        bench_row = capsys.readouterr().out.splitlines()[-1]
+        assert main(["convert", bench_file, "-o", out_file]) == 0
+        capsys.readouterr()
+        assert main(["stats", out_file]) == 0
+        # The module keeps the BENCH circuit's name, its path.
+        assert capsys.readouterr().out.splitlines()[-1] == bench_row
 
     def test_missing_file(self, capsys):
         assert main(["stats", "/nonexistent/file.bench"]) == 2
