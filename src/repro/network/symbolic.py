@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional
 
+from ..sim.wordsim import program_for
 from .circuit import Circuit
 from .gates import GateType, gate_function
 
@@ -34,19 +35,34 @@ def circuit_functions(
     roots: Iterable[str],
     input_var: Optional[Callable[[str], int]] = None,
 ) -> Dict[str, int]:
-    """Functions for several roots, sharing the traversal."""
+    """Functions for several roots, sharing the traversal.
+
+    The walk runs over the circuit's compiled program: the roots' cone is
+    marked over the fanin slots, then built in slot order, which is
+    ``circuit.topological_order()``.
+    """
     if input_var is None:
         input_var = engine.var
-    memo: Dict[str, int] = {}
-    for name in circuit.transitive_fanin(list(roots)):
-        node = circuit.node(name)
-        if node.gate_type == GateType.INPUT:
-            memo[name] = input_var(name)
+    roots = list(roots)
+    program = program_for(circuit)
+    nodes = program.nodes
+    cone = set()
+    stack = [program.slots[root] for root in roots]
+    while stack:
+        slot = stack.pop()
+        if slot not in cone:
+            cone.add(slot)
+            stack.extend(nodes[slot][1])
+    memo: Dict[int, int] = {}
+    for slot in sorted(cone):
+        gate_type, fanins = nodes[slot]
+        if gate_type == GateType.INPUT:
+            memo[slot] = input_var(program.order[slot])
         else:
-            memo[name] = gate_function(
-                engine, node.gate_type, [memo[f] for f in node.fanins]
+            memo[slot] = gate_function(
+                engine, gate_type, [memo[f] for f in fanins]
             )
-    return {root: memo[root] for root in roots}
+    return {root: memo[program.slots[root]] for root in roots}
 
 
 def circuits_equivalent(engine, left: Circuit, right: Circuit) -> bool:
