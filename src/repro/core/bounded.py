@@ -20,6 +20,21 @@ which keeps the analysis conservative, i.e. safe).  The output may still be
 and the bounded transition delay is the largest ``t`` with ``possible_t``
 satisfiable.  With degenerate bounds ``[d, d]`` this reduces exactly to the
 fixed-delay analysis of :mod:`repro.core.transition` (tested property).
+
+Monotone speedup.  When every lower bound is 0 and every input switches at
+0, a signal's guarantees only tighten from ``t = 0`` on (by induction in
+topological order: the inputs are constant from 0, and the gate functions
+are monotone in the information order).  With ``F_tau`` the pair the
+gate's inputs force at ``tau``, the window AND then collapses to one term,
+
+    ``U_t = F_{t-d}``  for ``t >= d``,
+    ``U_t = (F1_0 AND init, F0_0 AND NOT init)``  for ``0 <= t < d``,
+
+and ``U_{t-1}`` implies ``U_t`` for ``t >= 1``, so
+``possible_t = NOT (U1_{t-1} + U0_{t-1})``.  The functions are the same
+(on BDDs, the same handles) as the window AND's; bounds with some
+``d_l > 0`` and clocked inputs keep the window AND.  See
+``docs/ALGORITHMS.md`` ("Bounded delays").
 """
 
 from __future__ import annotations
@@ -104,6 +119,11 @@ class BoundedAnalysis(SymbolicAnalysis):
                 self._lo[slot], self._hi[slot] = lo, hi
         super().__init__(circuit, engine, engine_name, input_times)
         self._force_memo: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        # The monotone-speedup lemma (module docstring) holds when every
+        # lower bound is 0 and every input switches at 0.
+        self._monotone = not any(self._lo) and not any(
+            self.input_times.values()
+        )
 
     def _windows(self) -> Tuple[List[int], List[int]]:
         """Under the default ``[0, d]`` every window opens at 0 and closes
@@ -132,6 +152,18 @@ class BoundedAnalysis(SymbolicAnalysis):
         if self.program.nodes[slot][0] == GateType.INPUT:
             final = self._settled_function(slot, self._final, cur_var)
             result = (final, engine.not_(final))
+        elif self._monotone:
+            # Guarantees tighten from 0 on: the latest term of the window
+            # implies the others, and the terms before 0 are the settled
+            # v_-1 value.
+            delay = self._hi[slot]
+            if t >= delay:
+                result = self._forced_pair(slot, t - delay)
+            else:
+                f1, f0 = self._forced_pair(slot, 0)
+                init = self._settled_function(slot, self._initial, prev_var)
+                result = (engine.and_(f1, init),
+                          engine.and_(f0, engine.not_(init)))
         else:
             u1 = engine.const1
             u0 = engine.const1
@@ -161,6 +193,9 @@ class BoundedAnalysis(SymbolicAnalysis):
         (not guaranteed stable across the ``t-1 | t`` boundary)."""
         engine = self.engine
         u1_prev, u0_prev = self.guaranteed_pair(name, t - 1)
+        if self._monotone and t >= 1:
+            # U_{t-1} implies U_t: stable wherever U_{t-1} holds a value.
+            return engine.not_(engine.or_(u1_prev, u0_prev))
         u1_now, u0_now = self.guaranteed_pair(name, t)
         stable = engine.or_(
             engine.and_(u1_prev, u1_now), engine.and_(u0_prev, u0_now)
