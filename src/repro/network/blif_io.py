@@ -236,16 +236,23 @@ def _gate_rows(gate: GateType, arity: int) -> List[str]:
     raise ValueError(f"cannot emit BLIF for {gate}")
 
 
+def _check_name(kind: str, name: str) -> None:
+    """Refuse a name that cannot survive a round trip rather than corrupt
+    it silently: on re-read a blank splits it, '#' starts a comment, a
+    trailing backslash continues the line, and an empty name is no
+    token at all."""
+    if (not name or "#" in name or name.endswith("\\")
+            or any(ch.isspace() for ch in name)):
+        raise ValueError(
+            f"cannot emit BLIF: {kind} name {name!r} is not representable"
+        )
+
+
 def dumps_blif(circuit: Circuit) -> str:
     """Render the circuit as BLIF (delays are not representable)."""
+    _check_name("model", circuit.name)
     for node in circuit.nodes():
-        # '#' starts a comment on re-read; such names cannot survive a
-        # round trip, so refuse to emit them rather than corrupt silently.
-        if "#" in node.name or any(ch.isspace() for ch in node.name):
-            raise ValueError(
-                f"cannot emit BLIF: node name {node.name!r} is not "
-                f"representable"
-            )
+        _check_name("node", node.name)
     lines = [f".model {circuit.name}"]
     lines.append(".inputs " + " ".join(circuit.inputs))
     lines.append(".outputs " + " ".join(circuit.outputs))

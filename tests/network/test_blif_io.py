@@ -1,6 +1,6 @@
 import pytest
 
-from repro.network import dumps_blif, loads_blif
+from repro.network import GateType, dumps_blif, loads_blif
 
 from tests.helpers import assert_same_function, c17
 
@@ -88,6 +88,33 @@ class TestRoundTrip:
         again = loads_blif(dumps_blif(c))
         vec = {name: (i % 2 == 0) for i, name in enumerate(c.inputs)}
         assert again.evaluate_outputs(vec) == c.evaluate_outputs(vec)
+
+    @pytest.mark.parametrize("name", ["c17", "dir/c17.bench"])
+    def test_model_name_reads_back(self, name):
+        circuit = c17()
+        circuit.name = name
+        assert loads_blif(dumps_blif(circuit)).name == name
+
+    @pytest.mark.parametrize(
+        "name", ["my dir/c17.bench", "cone#G22", "", "c17\\"]
+    )
+    def test_unrepresentable_model_name_rejected(self, name):
+        circuit = c17()
+        circuit.name = name
+        with pytest.raises(ValueError) as error:
+            dumps_blif(circuit)
+        assert str(error.value) == (
+            f"cannot emit BLIF: model name {name!r} is not representable"
+        )
+
+    def test_node_name_with_trailing_backslash_rejected(self):
+        from repro.network import CircuitBuilder
+
+        b = CircuitBuilder("k")
+        a = b.input("a\\")
+        b.output(b.gate(GateType.NOT, [a], name="f"))
+        with pytest.raises(ValueError, match="node name"):
+            dumps_blif(b.build())
 
     def test_intermediate_signals_preserved(self):
         c = c17()

@@ -130,6 +130,23 @@ class TestCommands:
         assert "without a Verilog primitive" in capsys.readouterr().err
         assert not out_file.exists()
 
+    def test_convert_unrepresentable_model_name_writes_no_file(
+        self, tmp_path, capsys
+    ):
+        # A BENCH circuit is named by its path; a blank in it would read
+        # back from BLIF as a shorter model name.
+        directory = tmp_path / "my dir"
+        directory.mkdir()
+        path = directory / "c17.bench"
+        path.write_text(C17_BENCH)
+        out_file = tmp_path / "c17.blif"
+        assert main(["convert", str(path), "-o", str(out_file)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot emit BLIF: model name {str(path)!r} is not "
+            "representable\n"
+        )
+        assert not out_file.exists()
+
     def test_convert_bench_to_verilog_reads_back(
         self, bench_file, tmp_path, capsys
     ):
