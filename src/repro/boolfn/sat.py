@@ -233,10 +233,6 @@ class SatSolver:
         self._reason[var] = reason
         self._trail.append(ilit)
 
-    @property
-    def decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _propagate(self) -> Optional[List[int]]:
         """Unit propagation; returns the conflicting clause or None.
 

@@ -80,9 +80,6 @@ class Fsm:
                     raise ValueError(f"bad pattern character {ch!r}")
 
     # ------------------------------------------------------------------
-    def rows_for_state(self, state: str) -> List[FsmTransition]:
-        return [row for row in self.transitions if row.state == state]
-
     def step(
         self, state: str, input_bits: Sequence[bool]
     ) -> Tuple[str, List[bool]]:

@@ -72,7 +72,6 @@ class Circuit:
         self._program = None
         self._journal: List[Edit] = []
         self._revision: int = 0
-        self._node_revisions: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -198,7 +197,6 @@ class Circuit:
                 f"{self.fanouts()[name]}"
             )
         del self._nodes[name]
-        self._node_revisions.pop(name, None)
         self._record("remove_gate", name, ())
         self._invalidate()
 
@@ -227,7 +225,6 @@ class Circuit:
 
     def _record(self, op: str, name: str, detail: Tuple) -> None:
         self._revision += 1
-        self._node_revisions[name] = self._revision
         self._journal.append(Edit(op, name, detail, self._revision))
 
     # ------------------------------------------------------------------
@@ -248,10 +245,6 @@ class Circuit:
     def edits_since(self, index: int) -> Tuple[Edit, ...]:
         """Journal entries recorded at or after position ``index``."""
         return tuple(self._journal[index:])
-
-    def node_revision(self, name: str) -> int:
-        """Revision of the last direct edit to ``name`` (0 = never)."""
-        return self._node_revisions.get(name, 0)
 
     def _invalidate(self) -> None:
         """Structural invalidation: the graph itself changed, so every

@@ -24,8 +24,8 @@ def test_set_delay_is_journalled():
     assert edit.name == "G10"
     assert edit.detail == (3,)
     assert edit.revision == 1
-    assert circuit.node_revision("G10") == 1
-    assert circuit.node_revision("G11") == 0
+    assert [e.revision for e in circuit.journal() if e.name == "G10"] == [1]
+    assert not [e for e in circuit.journal() if e.name == "G11"]
 
 
 def test_set_delay_same_value_is_a_no_op():
