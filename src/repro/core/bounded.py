@@ -44,8 +44,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..network.circuit import Circuit
 from ..network.gates import GateType, gate_settle
 from ..sim.wordsim import program_for
-from .analysis import SymbolicAnalysis, cached_delay, pair_delay_certificate
-from .transition import PairConstraintBuilder
+from .analysis import (
+    ConstraintBuilder,
+    SymbolicAnalysis,
+    cached_delay,
+    pair_delay_certificate,
+)
 from .vectors import DelayCertificate, VectorPair, cur_var, prev_var
 
 Bounds = Callable[[str], Tuple[int, int]]
@@ -214,7 +218,7 @@ def compute_bounded_transition_delay(
     engine=None,
     engine_name: str = "auto",
     upper: Optional[int] = None,
-    constraint: Optional[PairConstraintBuilder] = None,
+    constraint: Optional[ConstraintBuilder] = None,
     input_times: Optional[Dict[str, int]] = None,
     analysis: Optional[BoundedAnalysis] = None,
     cache=None,

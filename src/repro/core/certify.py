@@ -32,12 +32,11 @@ from ..runtime.cache import resolve_cache
 from ..runtime.fingerprint import circuit_fingerprint
 from ..runtime.metrics import METRICS
 from ..sim.event_sim import EventSimulator
-from .analysis import cached, with_bdd_fallback
+from .analysis import ConstraintBuilder, cached, with_bdd_fallback
 from .clocking import theorem31_min_period
 from .floating import FloatingAnalysis, compute_floating_delay
 from .statistical import StatisticalTimingResult, monte_carlo_delay
 from .transition import (
-    PairConstraintBuilder,
     TransitionAnalysis,
     compute_transition_delay,
     pairs_for_outputs,
@@ -123,7 +122,7 @@ def _transition_certificate(
     circuit: Circuit,
     floating: DelayCertificate,
     analysis: TransitionAnalysis,
-    constraint: Optional[PairConstraintBuilder],
+    constraint: Optional[ConstraintBuilder],
 ) -> DelayCertificate:
     """Step 2's transition certificate, on one analysis.
 
@@ -184,7 +183,7 @@ def certify(
     circuit: Circuit,
     accurate_circuit: Optional[Circuit] = None,
     engine_name: str = "auto",
-    constraint: Optional[PairConstraintBuilder] = None,
+    constraint: Optional[ConstraintBuilder] = None,
     floating_constraint=None,
     statistical_samples: int = 0,
     seed: int = 97,

@@ -41,7 +41,8 @@ from ..network.circuit import Circuit
 from ..network.gates import GateType, controlling_value
 from ..network.paths import k_longest_paths, path_length
 from ..runtime.parallel import shard_map
-from .transition import PairConstraintBuilder, TransitionAnalysis
+from .analysis import ConstraintBuilder
+from .transition import TransitionAnalysis
 from .vectors import VectorPair, cur_var, prev_var
 
 
@@ -82,7 +83,7 @@ class PathFaultGenerator:
         circuit: Circuit,
         engine=None,
         engine_name: str = "auto",
-        constraint: Optional[PairConstraintBuilder] = None,
+        constraint: Optional[ConstraintBuilder] = None,
     ):
         circuit.validate()
         self.circuit = circuit

@@ -24,13 +24,14 @@ explicit ``w_g`` accounting).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.circuit import Circuit
 from ..network.gates import GateType, gate_function
 from ..runtime.cache import resolve_cache
 from ..runtime.metrics import METRICS, record_sat_probes
 from .analysis import (
+    ConstraintBuilder,
     Query,
     SymbolicAnalysis,
     cached,
@@ -45,11 +46,6 @@ from .vectors import (
     cur_var,
     prev_var,
 )
-
-#: Optional constraint builder over the doubled space: called with the
-#: engine and its ``var`` function; returns a function handle restricting
-#: admissible vector pairs (e.g. the FSM reachability/next-state condition).
-PairConstraintBuilder = Callable[[object, Callable[[str], int]], int]
 
 
 class TransitionAnalysis(SymbolicAnalysis):
@@ -142,7 +138,7 @@ def compute_transition_delay(
     engine=None,
     engine_name: str = "auto",
     upper: Optional[int] = None,
-    constraint: Optional[PairConstraintBuilder] = None,
+    constraint: Optional[ConstraintBuilder] = None,
     input_times: Optional[Dict[str, int]] = None,
     analysis: Optional[TransitionAnalysis] = None,
     cache=None,
@@ -178,7 +174,7 @@ def query_delay_at_least(
     delta: int,
     engine=None,
     engine_name: str = "auto",
-    constraint: Optional[PairConstraintBuilder] = None,
+    constraint: Optional[ConstraintBuilder] = None,
     input_times: Optional[Dict[str, int]] = None,
     analysis: Optional[TransitionAnalysis] = None,
 ) -> Optional[VectorPair]:
@@ -207,7 +203,7 @@ def extend_floating_witness(
     floating_cert,
     analysis: Optional[TransitionAnalysis] = None,
     engine_name: str = "auto",
-    constraint: Optional[PairConstraintBuilder] = None,
+    constraint: Optional[ConstraintBuilder] = None,
 ) -> Optional[VectorPair]:
     """Try to extend a floating-delay witness into a vector pair that
     excites an output transition at exactly the floating delay.
@@ -228,7 +224,7 @@ def witness_extension(
     floating_cert,
     analysis: Optional[TransitionAnalysis] = None,
     engine_name: str = "auto",
-    constraint: Optional[PairConstraintBuilder] = None,
+    constraint: Optional[ConstraintBuilder] = None,
 ) -> Tuple[Optional[VectorPair], int]:
     """:func:`extend_floating_witness` with its cost: ``(pair or None,
     checks)``.  One check per output in window, the floating witness's
@@ -331,7 +327,7 @@ def validate_certification_pairs(
 def collect_certification_pairs(
     circuit: Circuit,
     engine_name: str = "auto",
-    constraint: Optional[PairConstraintBuilder] = None,
+    constraint: Optional[ConstraintBuilder] = None,
     input_times: Optional[Dict[str, int]] = None,
     cache=None,
 ) -> Dict[str, Tuple[int, VectorPair]]:

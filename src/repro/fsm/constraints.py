@@ -8,7 +8,10 @@ pairs ``<i1@s1, i2@s2>`` were applied such that ``s1`` is reachable with
 
 These builders plug into the ``constraint=`` parameters of
 :func:`repro.core.floating.compute_floating_delay` and
-:func:`repro.core.transition.compute_transition_delay`.
+:func:`repro.core.transition.compute_transition_delay`.  Each is called
+with the analysis it restricts (``build(analysis) -> handle``); the
+next-state logic of the pair constraint is that analysis's own ``v_-1``
+settle functions.
 """
 
 from __future__ import annotations
@@ -18,17 +21,16 @@ import json
 from typing import Callable, List
 
 from ..core.vectors import cur_var, prev_var
-from ..network.symbolic import circuit_functions
 from ..runtime.fingerprint import circuit_fingerprint
 from .synth import FsmLogic
 
 
-def _state_code_function(engine, var, logic: FsmLogic, state: str,
+def _state_code_function(engine, logic: FsmLogic, state: str,
                          rename: Callable[[str], str]) -> int:
     """Characteristic function of one state's code over (renamed) state vars."""
     result = engine.const1
     for name, bit in zip(logic.state_names, logic.encoding.code(state)):
-        literal = var(rename(name))
+        literal = engine.var(rename(name))
         if not bit:
             literal = engine.not_(literal)
         result = engine.and_(result, literal)
@@ -61,9 +63,10 @@ def reachable_states_constraint(logic: FsmLogic):
     state's code (single-vector space, plain variable names)."""
     reachable: List[str] = logic.fsm.reachable_states()
 
-    def build(engine, var) -> int:
+    def build(analysis) -> int:
+        engine = analysis.engine
         terms = [
-            _state_code_function(engine, var, logic, state, lambda n: n)
+            _state_code_function(engine, logic, state, lambda n: n)
             for state in reachable
         ]
         return engine.or_many(terms)
@@ -74,27 +77,30 @@ def reachable_states_constraint(logic: FsmLogic):
 
 def transition_pair_constraint(logic: FsmLogic):
     """Transition-mode constraint over the doubled space:
-    ``s@-`` reachable AND ``s@0 == next_state_logic(i@-, s@-)``."""
-    reachable: List[str] = logic.fsm.reachable_states()
-    circuit = logic.circuit
+    ``s@-`` reachable AND ``s@0 == next_state_logic(i@-, s@-)``.
 
-    def build(engine, var) -> int:
+    The next-state logic over the ``@-`` variables is the analysis's own
+    ``v_-1`` settle function of each next-state output
+    (:meth:`~repro.core.analysis.SymbolicAnalysis.initial_function`), read
+    by name off the circuit under analysis: ``logic.circuit``, or a copy
+    with other delays, whose settled values are the same."""
+    reachable: List[str] = logic.fsm.reachable_states()
+
+    def build(analysis) -> int:
+        engine = analysis.engine
         reach = engine.or_many(
-            _state_code_function(engine, var, logic, state, prev_var)
+            _state_code_function(engine, logic, state, prev_var)
             for state in reachable
-        )
-        ns_functions = circuit_functions(
-            engine,
-            circuit,
-            logic.next_state_names,
-            input_var=lambda name: var(prev_var(name)),
         )
         consistent = engine.const1
         for s_name, ns_name in zip(
             logic.state_names, logic.next_state_names
         ):
             same = engine.not_(
-                engine.xor_(var(cur_var(s_name)), ns_functions[ns_name])
+                engine.xor_(
+                    engine.var(cur_var(s_name)),
+                    analysis.initial_function(ns_name),
+                )
             )
             consistent = engine.and_(consistent, same)
         return engine.and_(reach, consistent)

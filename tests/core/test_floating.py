@@ -118,7 +118,7 @@ class TestComputeFloatingDelay:
         cert = compute_floating_delay(
             c17(),
             engine=BddEngine(),
-            constraint=lambda eng, var: eng.const0,
+            constraint=lambda analysis: analysis.engine.const0,
         )
         assert cert.delay == 0
 
@@ -134,7 +134,9 @@ class TestComputeFloatingDelay:
         restricted = compute_floating_delay(
             c,
             engine=BddEngine(),
-            constraint=lambda eng, var: eng.not_(var("x")),
+            constraint=lambda analysis: analysis.engine.not_(
+                analysis.engine.var("x")
+            ),
         )
         assert unrestricted.delay == 7
         assert restricted.delay < unrestricted.delay

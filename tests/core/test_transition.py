@@ -3,12 +3,14 @@ import pytest
 from repro.boolfn import BddEngine, SatEngine
 from repro.core import (
     TransitionAnalysis,
+    VectorPair,
     collect_certification_pairs,
     compute_floating_delay,
     compute_transition_delay,
 )
 from repro.network import CircuitBuilder
 from repro.sim import EventSimulator
+from repro.sim.logic_sim import all_input_vectors
 from repro.circuits import fig2_circuit, fig3_circuit
 
 from tests.helpers import (
@@ -42,6 +44,29 @@ class TestWindows:
         assert analysis.function_at("G22", 99) == analysis.final_function(
             "G22"
         )
+
+
+class TestSettleFunctions:
+    """The ``v_-1`` and ``v_0`` settle functions of every node equal
+    concrete evaluation of the vector under the ``@-`` and ``@0`` names
+    respectively, the other half holding the complement vector."""
+
+    @pytest.mark.parametrize("engine_cls", [BddEngine, SatEngine])
+    @pytest.mark.parametrize("build", [c17, tiny_and_or])
+    def test_match_evaluation(self, build, engine_cls):
+        circuit = build()
+        analysis = TransitionAnalysis(circuit, engine_cls())
+        engine = analysis.engine
+        for vector in all_input_vectors(circuit):
+            values = circuit.evaluate(vector)
+            flipped = {name: not bit for name, bit in vector.items()}
+            as_prev = VectorPair(vector, flipped).to_model()
+            as_next = VectorPair(flipped, vector).to_model()
+            for name in circuit.topological_order():
+                initial = analysis.initial_function(name)
+                final = analysis.final_function(name)
+                assert engine.evaluate(initial, as_prev) == values[name]
+                assert engine.evaluate(final, as_next) == values[name]
 
 
 class TestFig3Windows:
@@ -105,8 +130,11 @@ class TestComputeTransitionDelay:
         free = compute_transition_delay(c, engine=BddEngine())
         assert free.delay == 7
 
-        def freeze_a(engine, var):
-            return engine.not_(engine.xor_(var("a@-"), var("a@0")))
+        def freeze_a(analysis):
+            engine = analysis.engine
+            return engine.not_(
+                engine.xor_(engine.var("a@-"), engine.var("a@0"))
+            )
 
         frozen = compute_transition_delay(
             c, engine=BddEngine(), constraint=freeze_a

@@ -2,6 +2,8 @@
 
 from repro.boolfn import BddEngine
 from repro.core import (
+    FloatingAnalysis,
+    TransitionAnalysis,
     compute_floating_delay,
     compute_transition_delay,
     cur_var,
@@ -39,8 +41,9 @@ class TestReachableConstraint:
     def test_characteristic_function(self):
         fsm = loads_kiss(KISS_UNREACHABLE, "u")
         logic = synthesize(fsm)
-        engine = BddEngine()
-        care = reachable_states_constraint(logic)(engine, engine.var)
+        analysis = FloatingAnalysis(logic.circuit, BddEngine())
+        engine = analysis.engine
+        care = reachable_states_constraint(logic)(analysis)
         # Only the reset state 'a' is reachable; its code is all-zero.
         code_a = logic.encoding.code("a")
         env = dict(zip(logic.state_names, code_a))
@@ -52,8 +55,9 @@ class TestReachableConstraint:
     def test_all_reachable_machine(self):
         fsm = loads_kiss(KISS, "k")
         logic = synthesize(fsm)
-        engine = BddEngine()
-        care = reachable_states_constraint(logic)(engine, engine.var)
+        analysis = FloatingAnalysis(logic.circuit, BddEngine())
+        engine = analysis.engine
+        care = reachable_states_constraint(logic)(analysis)
         for state in fsm.states:
             env = dict(zip(logic.state_names, logic.encoding.code(state)))
             assert engine.evaluate(care, env)
@@ -63,8 +67,9 @@ class TestPairConstraint:
     def test_admits_exactly_table_edges(self):
         fsm = loads_kiss(KISS, "k")
         logic = synthesize(fsm)
-        engine = BddEngine()
-        constraint = transition_pair_constraint(logic)(engine, engine.var)
+        analysis = TransitionAnalysis(logic.circuit, BddEngine())
+        engine = analysis.engine
+        constraint = transition_pair_constraint(logic)(analysis)
         for state in fsm.states:
             for bit in (False, True):
                 nxt = fsm.next_state(state, [bit])
@@ -87,8 +92,9 @@ class TestPairConstraint:
     def test_unreachable_prev_state_excluded(self):
         fsm = loads_kiss(KISS_UNREACHABLE, "u")
         logic = synthesize(fsm)
-        engine = BddEngine()
-        constraint = transition_pair_constraint(logic)(engine, engine.var)
+        analysis = TransitionAnalysis(logic.circuit, BddEngine())
+        engine = analysis.engine
+        constraint = transition_pair_constraint(logic)(analysis)
         env = {prev_var("i0"): False, cur_var("i0"): False}
         for name, value in zip(
             logic.state_names, logic.encoding.code("island")

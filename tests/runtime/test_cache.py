@@ -45,16 +45,16 @@ def test_token_distinguishes_kind_engine_and_params():
 
 
 def test_untagged_constraint_is_uncacheable():
-    def constraint(engine, var):
-        return engine.const1
+    def constraint(analysis):
+        return analysis.engine.const1
 
     assert constraint_cache_id(constraint) is None
     assert DelayCache().token(c17(), "floating", constraint=constraint) is None
 
 
 def test_tagged_constraint_is_keyable():
-    def constraint(engine, var):
-        return engine.const1
+    def constraint(analysis):
+        return analysis.engine.const1
 
     constraint.cache_id = "unit-test"
     assert constraint_cache_id(constraint) == "c:unit-test"
