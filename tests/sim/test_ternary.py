@@ -1,7 +1,7 @@
 import itertools
 
 
-from repro.network import GateType
+from repro.network import CircuitBuilder, GateType
 from repro.sim import (
     ONE,
     X,
@@ -105,6 +105,15 @@ class TestBoundedAnalysis:
         # The interval analysis cannot see the x3/b correlation, so it
         # reports the conservative bound 5 — the floating delay.
         assert worst == 5
+
+    def test_constant_gates_hold_their_value(self):
+        b = CircuitBuilder("k")
+        a = b.input("a")
+        b.output(b.and_(a, b.const1(name="one"), name="g"))
+        c = b.build()
+        grid = bounded_transition_analysis(c, {"a": False}, {"a": True})
+        assert grid["one"] == [ONE] * len(grid["one"])
+        assert pair_bounded_delay(c, {"a": False}, {"a": True}) == 1
 
     def test_stable_pair_has_zero_delay(self):
         c = tiny_and_or()
