@@ -136,6 +136,32 @@ def test_cone_result_record_renders_full_width_vectors():
     assert prev[circuit.inputs.index("G7")] == "0"
 
 
+#: Every per-output record of c17's two cones, over all five inputs
+#: (G1, G2, G3, G6, G7): the keys in wire order, G7 pinned to 0 in G22's.
+C17_CONE_RECORDS = {
+    ("G22", "topological"): {"delay": 3},
+    ("G22", "floating"): {"delay": 3, "value": 1, "witness": "11000"},
+    ("G22", "transition"): {
+        "delay": 3, "value": 1, "pair": ["00110", "11000"],
+    },
+    ("G23", "topological"): {"delay": 3},
+    ("G23", "floating"): {"delay": 3, "value": 1, "witness": "01000"},
+    ("G23", "transition"): {
+        "delay": 3, "value": 1, "pair": ["00110", "01100"],
+    },
+}
+
+
+@pytest.mark.parametrize("output, kind", sorted(C17_CONE_RECORDS))
+def test_cone_records_are_pinned(output, kind):
+    circuit = c17()
+    result = evaluate_cone(extract_cone(circuit, output), kind)
+    record = result.record(circuit.inputs)
+    want = C17_CONE_RECORDS[output, kind]
+    assert record == want
+    assert list(record) == list(want)
+
+
 def test_token_for_keys_are_kind_and_engine_specific():
     cache = DelayCache()
     fp = "cone:" + "0" * 64
