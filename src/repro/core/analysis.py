@@ -150,6 +150,7 @@ class SymbolicAnalysis:
         self._memo: Dict[Tuple[int, int], object] = {}
         self._initial: Dict[int, int] = {}
         self._final: Dict[int, int] = {}
+        self._care: Dict[ConstraintBuilder, int] = {}
 
     def _windows(self) -> Tuple[List[int], List[int]]:
         """The program's fixed-delay windows, unless inputs are clocked."""
@@ -196,11 +197,14 @@ class SymbolicAnalysis:
         if gate_type == GateType.INPUT:
             result = self.engine.var(var_name(self.program.order[slot]))
         else:
-            result = gate_function(
-                self.engine,
-                gate_type,
-                [self._settled_function(f, memo, var_name) for f in fanins],
-            )
+            # Recurse only on a fanin the memo lacks (a handle may be 0).
+            args = []
+            for fanin in fanins:
+                fn = memo.get(fanin)
+                if fn is None:
+                    fn = self._settled_function(fanin, memo, var_name)
+                args.append(fn)
+            result = gate_function(self.engine, gate_type, args)
         memo[slot] = result
         return result
 
@@ -213,10 +217,14 @@ class SymbolicAnalysis:
         """The function a constraint builder restricts the admissible
         vectors (or pairs) to; ``const1`` without one.  The builder is
         handed this analysis, so it builds over the analysis's engine and
-        can read its settle functions instead of building them again."""
+        can read its settle functions instead of building them again; it
+        is called once per analysis, and later calls return its handle."""
         if constraint is None:
             return self.engine.const1
-        return constraint(self)
+        care = self._care.get(constraint)
+        if care is None:
+            care = self._care[constraint] = constraint(self)
+        return care
 
     def completion(self, model: Model) -> Model:
         """A model completed the way certificates report it: every input

@@ -127,3 +127,21 @@ class DelayCertificate:
             lines.append(f"  vector pair     : {self.pair.render(inputs)}")
         lines.append(f"  checks          : {self.checks}")
         return "\n".join(lines)
+
+    def record(self, inputs: Sequence[str]) -> Dict[str, object]:
+        """The answer as a deterministic JSON-able record: ``delay``, then
+        ``value``, ``witness`` and ``pair`` where present, the vectors
+        rendered over ``inputs`` with an input they do not cover pinned
+        to 0.  ``checks`` is accounting and stays out of it."""
+
+        def bits(vector: Dict[str, bool]) -> str:
+            return "".join("1" if vector.get(name) else "0" for name in inputs)
+
+        data: Dict[str, object] = {"delay": self.delay}
+        if self.value is not None:
+            data["value"] = int(self.value)
+        if self.witness is not None:
+            data["witness"] = bits(self.witness)
+        if self.pair is not None:
+            data["pair"] = [bits(self.pair.v_prev), bits(self.pair.v_next)]
+        return data

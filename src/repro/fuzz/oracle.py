@@ -111,25 +111,6 @@ def edited_circuit(scenario: Scenario) -> Circuit:
     return circuit
 
 
-def _canonical_certificate(cert) -> str:
-    record = {
-        "mode": cert.mode,
-        "delay": cert.delay,
-        "output": cert.output,
-        "value": None if cert.value is None else int(cert.value),
-        "witness": None
-        if cert.witness is None
-        else {k: int(v) for k, v in sorted(cert.witness.items())},
-        "pair": None
-        if cert.pair is None
-        else {
-            "prev": {k: int(v) for k, v in sorted(cert.pair.v_prev.items())},
-            "next": {k: int(v) for k, v in sorted(cert.pair.v_next.items())},
-        },
-    }
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def _no_cache() -> DelayCache:
     return DelayCache(enabled=False)
 
@@ -253,8 +234,13 @@ def _oracle_cache(scenario: Scenario, plant):
     warm = _counters_since(before)
     hits = warm.get("cache.memory_hits", 0) + warm.get("cache.disk_hits", 0)
     checks = cold_t.checks + cold_f.checks
-    expected = _canonical_certificate(cold_t) + _canonical_certificate(cold_f)
-    actual = _canonical_certificate(warm_t) + _canonical_certificate(warm_f)
+    inputs = circuit.inputs
+
+    def canonical(*certs) -> str:
+        return json.dumps([[c.mode, c.output, c.record(inputs)] for c in certs])
+
+    expected = canonical(cold_t, cold_f)
+    actual = canonical(warm_t, warm_f)
     if expected != actual:
         return False, "cold-vs-warm", expected, actual, checks
     if hits < 2:

@@ -36,7 +36,10 @@ __all__ = [
 ]
 
 REPRO_FORMAT = "trued-fuzz-repro"
-REPRO_VERSION = 1
+#: Version 2 writes edits as ``trued serve`` reads them, ``replace_gate``'s
+#: type under ``gate_type``.  Version 1 wrote it under ``gate``, which
+#: would now replay silently as an edit of fanins and delay alone.
+REPRO_VERSION = 2
 
 
 @dataclass
@@ -106,10 +109,10 @@ def load_repro(path: str) -> Dict[str, object]:
             f"{path}: not a {REPRO_FORMAT} file "
             f"(format={envelope.get('format')!r})"
         )
-    if int(envelope.get("version", 0)) > REPRO_VERSION:
+    if envelope.get("version") != REPRO_VERSION:
         raise ValueError(
-            f"{path}: repro version {envelope.get('version')} is newer "
-            f"than this tool (understands <= {REPRO_VERSION})"
+            f"{path}: repro version {envelope.get('version')} is not "
+            f"version {REPRO_VERSION}; re-run the sweep to file it again"
         )
     return envelope
 

@@ -214,7 +214,7 @@ def random_edit(
     return {
         "op": "replace_gate",
         "name": target,
-        "gate": gate.value,
+        "gate_type": gate.value,
         "fanins": [rng.choice(names) for _ in range(arity)],
         "delay": rng.randint(0, max_delay),
     }
@@ -223,36 +223,22 @@ def random_edit(
 def apply_edits(
     circuit: Circuit, edits: Sequence[Dict[str, object]]
 ) -> int:
-    """Apply an edit list in order, skipping inapplicable entries.
+    """Apply an edit list in order with
+    :meth:`~repro.network.circuit.Circuit.apply_edit`, skipping
+    inapplicable entries.
 
     An edit is *inapplicable* when its target no longer exists or the
-    mutation is rejected by the circuit's own validation (cycle, live
-    fanout on a removal, ...).  Skipping — rather than failing — keeps
-    replay deterministic under shrinking, where dropping one edit can
-    invalidate a later one.  Returns the number of edits applied.
+    edit raises ValueError (a cycle, live fanout on a removal, ...).
+    Skipping — rather than failing — keeps replay deterministic under
+    shrinking, where dropping one edit can invalidate a later one.
+    Returns the number of edits applied.
     """
     applied = 0
     for edit in edits:
-        name = str(edit["name"])
-        if name not in circuit:
+        if edit["name"] not in circuit:
             continue
         try:
-            op = edit["op"]
-            if op == "set_delay":
-                circuit.set_delay(name, int(edit["delay"]))
-            elif op == "rewire":
-                circuit.rewire(name, [str(f) for f in edit["fanins"]])
-            elif op == "replace_gate":
-                circuit.replace_gate(
-                    name,
-                    gate_type=GateType(str(edit["gate"])),
-                    fanins=[str(f) for f in edit["fanins"]],
-                    delay=int(edit["delay"]),
-                )
-            elif op == "remove_gate":
-                circuit.remove_gate(name)
-            else:
-                raise ValueError(f"unknown edit op {op!r}")
+            circuit.apply_edit(edit)
         except ValueError:
             continue
         applied += 1

@@ -20,27 +20,18 @@ results (design reference: ``docs/INCREMENTAL.md``):
   :class:`~repro.incremental.service.QueryService` per connection).
 """
 
-from .cones import KINDS, ConeResult, evaluate_cone, extract_cone
+from .cones import KINDS, evaluate_cone, extract_cone
 from .engine import IncrementalResult, IncrementalTimingEngine, cold_query
-from .service import (
-    QueryService,
-    iter_request_lines,
-    prepare_unix_socket_path,
-    serve_stdio,
-    serve_stream,
-)
+from .service import QueryService, serve_stdio, serve_stream
 
 __all__ = [
     "KINDS",
-    "ConeResult",
     "evaluate_cone",
     "extract_cone",
     "IncrementalResult",
     "IncrementalTimingEngine",
     "cold_query",
     "QueryService",
-    "iter_request_lines",
-    "prepare_unix_socket_path",
     "serve_stdio",
     "serve_stream",
 ]

@@ -22,12 +22,11 @@ supported kind:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from ..core.floating import compute_floating_delay
 from ..core.transition import compute_transition_delay
-from ..core.vectors import VectorPair, format_vector
+from ..core.vectors import DelayCertificate
 from ..network.circuit import Circuit
 from ..network.gates import GateType
 from ..runtime.cache import DelayCache
@@ -62,59 +61,13 @@ def extract_cone(circuit: Circuit, output: str,
     return cone
 
 
-@dataclass
-class ConeResult:
-    """The delay of one output's cone, plus its certification witness.
-
-    ``witness``/``pair`` cover the *cone's* inputs only; callers render
-    them over the full circuit input list with absent inputs pinned to
-    False (:meth:`record`) so the wire format is total and deterministic.
-    ``checks`` is accounting (the '#check' column), reported separately
-    from the byte-compared record — a cached replay performs zero checks
-    but must compare equal to a fresh evaluation.
-    """
-
-    output: str
-    kind: str
-    delay: int
-    checks: int = 0
-    value: Optional[bool] = None
-    witness: Optional[Dict[str, bool]] = None
-    pair: Optional[VectorPair] = None
-    cone_inputs: List[str] = field(default_factory=list)
-
-    def record(self, inputs: Sequence[str]) -> Dict[str, object]:
-        """Deterministic JSON-able record (no volatile accounting)."""
-        data: Dict[str, object] = {"delay": self.delay}
-        if self.value is not None:
-            data["value"] = int(self.value)
-        if self.witness is not None:
-            total = {
-                name: bool(self.witness.get(name, False)) for name in inputs
-            }
-            data["witness"] = format_vector(total, inputs)
-        if self.pair is not None:
-            prev = {
-                name: bool(self.pair.v_prev.get(name, False))
-                for name in inputs
-            }
-            nxt = {
-                name: bool(self.pair.v_next.get(name, False))
-                for name in inputs
-            }
-            data["pair"] = [
-                format_vector(prev, inputs), format_vector(nxt, inputs)
-            ]
-        return data
-
-
 def evaluate_cone(
     cone: Circuit,
     kind: str,
     engine_name: str = "auto",
     upper: Optional[int] = None,
-) -> ConeResult:
-    """Compute one cone's delay of the given kind.
+) -> DelayCertificate:
+    """Compute one cone's delay of the given kind, as its certificate.
 
     Runs the ordinary cores with a disabled per-call cache — the
     incremental engine caches at the cone level itself, and double
@@ -124,42 +77,26 @@ def evaluate_cone(
     the floating search starts from (the topological delay when None);
     any bound at least the floating delay yields the same certificate,
     with fewer checks the tighter it is.  Other kinds ignore it.
+
+    The witness or pair covers the cone's inputs only; the engine renders
+    it over the whole circuit's inputs with
+    :meth:`~repro.core.vectors.DelayCertificate.record`, which leaves out
+    ``checks``: a cached replay makes no checks but must compare equal to
+    a fresh evaluation.
     """
     if kind not in KINDS:
         raise ValueError(
             f"unknown delay kind {kind!r} (expected one of {KINDS})"
         )
-    output = cone.outputs[0]
     if kind == "topological":
-        return ConeResult(
-            output=output,
-            kind=kind,
-            delay=cone.topological_delay(),
-            cone_inputs=cone.inputs,
+        return DelayCertificate(
+            mode=kind, delay=cone.topological_delay(), output=cone.outputs[0]
         )
     no_cache = DelayCache(enabled=False)
     if kind == "floating":
-        cert = compute_floating_delay(
+        return compute_floating_delay(
             cone, engine_name=engine_name, upper=upper, cache=no_cache
         )
-        return ConeResult(
-            output=output,
-            kind=kind,
-            delay=cert.delay,
-            checks=cert.checks,
-            value=cert.value,
-            witness=cert.witness,
-            cone_inputs=cone.inputs,
-        )
-    cert = compute_transition_delay(
+    return compute_transition_delay(
         cone, engine_name=engine_name, cache=no_cache
-    )
-    return ConeResult(
-        output=output,
-        kind=kind,
-        delay=cert.delay,
-        checks=cert.checks,
-        value=cert.value,
-        pair=cert.pair,
-        cone_inputs=cone.inputs,
     )

@@ -67,6 +67,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.vectors import DelayCertificate
 from ..network.circuit import Circuit
 from ..runtime.cache import DelayCache
 from ..runtime.fingerprint import (
@@ -77,7 +78,7 @@ from ..runtime.fingerprint import (
 from ..runtime.metrics import METRICS
 from ..runtime.parallel import WorkerPool, shard_map
 from ..sim.wordsim import program_for
-from .cones import KINDS, ConeResult, extract_cone
+from .cones import KINDS, extract_cone
 
 
 @dataclass
@@ -121,8 +122,8 @@ class IncrementalTimingEngine:
         #: warm across queries; ``None`` evaluates them in-process.
         self.pool = pool
         self._cursor = circuit.journal_length
-        #: Per-kind memo: output -> (cone fingerprint, ConeResult).
-        self._memo: Dict[str, Dict[str, Tuple[str, ConeResult]]] = {
+        #: Per-kind memo: output -> (cone fingerprint, certificate).
+        self._memo: Dict[str, Dict[str, Tuple[str, DelayCertificate]]] = {
             kind: {} for kind in KINDS
         }
         #: Dirty nodes awaiting their first post-edit query, per kind.
@@ -318,9 +319,13 @@ class IncrementalTimingEngine:
 
     def _evaluate(
         self, kind: str, outs, stats: Dict[str, int]
-    ) -> Dict[str, Tuple[str, ConeResult]]:
-        """Fingerprint, cache-probe, and (re)compute the given outputs."""
-        results: Dict[str, Tuple[str, ConeResult]] = {}
+    ) -> Dict[str, Tuple[str, DelayCertificate]]:
+        """Fingerprint, cache-probe, and (re)compute the given outputs.
+
+        Dirty cones run as the ``cones`` fan-out of
+        :mod:`repro.runtime.parallel` (in-process without a pool), whose
+        results come back in item order."""
+        results: Dict[str, Tuple[str, DelayCertificate]] = {}
         to_compute = []
         for out in outs:
             fanin, cone_inputs = self._cone_members(out)
@@ -347,22 +352,16 @@ class IncrementalTimingEngine:
             self._floating_bound(cone) if kind == "floating" else None
             for cone in cones
         ]
-        computed = self._run_cones(list(zip(cones, bounds)), kind)
-        for out, fp, token, __ in to_compute:
-            result = computed[out]
+        jobs = self.pool.jobs if self.pool is not None else 1
+        computed = shard_map(
+            "cones", (kind, self.engine_name), list(zip(cones, bounds)),
+            jobs, pool=self.pool,
+        )
+        for (out, fp, token, __), result in zip(to_compute, computed):
             stats["checks"] += result.checks
             self.cache.put(token, result)
             results[out] = (fp, result)
         return results
-
-    def _run_cones(self, cones, kind: str) -> Dict[str, ConeResult]:
-        """Evaluate ``(cone, upper)`` pairs as the ``cones`` fan-out of
-        :mod:`repro.runtime.parallel` (in-process without a pool)."""
-        jobs = self.pool.jobs if self.pool is not None else 1
-        results = shard_map(
-            "cones", (kind, self.engine_name), cones, jobs, pool=self.pool
-        )
-        return {result.output: result for result in results}
 
     def _aggregate(self, kind, outputs, memo) -> Dict[str, object]:
         per_output = {out: memo[out][1] for out in outputs}

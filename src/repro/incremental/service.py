@@ -12,7 +12,7 @@ Requests (``op`` selects the action)::
     {"op": "edit", "edits": [{"op": "set_delay", "name": "g1", "delay": 3},
                              {"op": "rewire", "name": "g2", "fanins": ["a"]},
                              {"op": "replace_gate", "name": "g3",
-                              "gate_type": "nand"},
+                              "gate_type": "NAND"},
                              {"op": "remove_gate", "name": "g4"}]}
     {"op": "query", "kind": "floating"}              # or transition/topological
     {"op": "certify"}                                # per-output vector pairs
@@ -44,36 +44,15 @@ import time
 from typing import Dict, Optional
 
 from ..core.transition import collect_certification_pairs
+from ..core.vectors import format_vector
 from ..network import load_circuit, loads_bench
-from ..network.circuit import Circuit
-from ..network.gates import GateType
 from ..runtime.cache import DelayCache
 from ..runtime.metrics import METRICS
 from ..runtime.parallel import WorkerPool
-from ..serve.framing import (
-    ProtocolError,
-    iter_request_lines,
-    prepare_unix_socket_path,
-    send_json_line,
-)
-from .cones import KINDS
+from ..serve.framing import ProtocolError, iter_request_lines, send_json_line
 from .engine import IncrementalTimingEngine
 
-__all__ = [
-    "QueryService",
-    "ServiceError",
-    "iter_request_lines",
-    "prepare_unix_socket_path",
-    "serve_stream",
-    "serve_stdio",
-]
-
-
-# A malformed or unserviceable request (reported, never fatal).  This is
-# the framing layer's exception type so endpoint-lifecycle failures (a
-# live socket refusing takeover in prepare_unix_socket_path) and bad
-# requests surface through one catchable class.
-ServiceError = ProtocolError
+__all__ = ["QueryService", "serve_stream", "serve_stdio"]
 
 
 class QueryService:
@@ -139,14 +118,14 @@ class QueryService:
         try:
             request = json.loads(line)
             if not isinstance(request, dict):
-                raise ServiceError("request must be a JSON object")
+                raise ProtocolError("request must be a JSON object")
             op = request.get("op")
             with METRICS.span("service.request", id=trace_id, op=str(op)):
                 result = self._dispatch(request)
             response: Dict[str, object] = {
                 "id": trace_id, "ok": True, "result": result,
             }
-        except (ServiceError, ValueError, KeyError, OSError) as error:
+        except (ValueError, KeyError, OSError) as error:
             METRICS.incr("service.errors")
             response = {"id": trace_id, "ok": False, "error": str(error)}
         response["elapsed_ms"] = round(
@@ -165,12 +144,12 @@ class QueryService:
             "shutdown": self._op_shutdown,
         }.get(op)
         if handler is None:
-            raise ServiceError(f"unknown op {op!r}")
+            raise ProtocolError(f"unknown op {op!r}")
         return handler(request)
 
     def _require_engine(self) -> IncrementalTimingEngine:
         if self.engine is None:
-            raise ServiceError("no circuit loaded (send a 'load' first)")
+            raise ProtocolError("no circuit loaded (send a 'load' first)")
         return self.engine
 
     # -- ops -----------------------------------------------------------
@@ -180,7 +159,7 @@ class QueryService:
         elif "bench" in request:
             circuit = loads_bench(str(request["bench"]))
         else:
-            raise ServiceError("load needs 'netlist' (path) or 'bench' (text)")
+            raise ProtocolError("load needs 'netlist' (path) or 'bench' (text)")
         if self.engine is not None:
             # Drop the old engine's memo so its references die with it.
             self.engine.invalidate()
@@ -203,49 +182,15 @@ class QueryService:
         engine = self._require_engine()
         edits = request.get("edits")
         if not isinstance(edits, list):
-            raise ServiceError("edit needs an 'edits' list")
+            raise ProtocolError("edit needs an 'edits' list")
         circuit = engine.circuit
-        applied = 0
         for edit in edits:
-            self._apply_edit(circuit, edit)
-            applied += 1
-        return {"applied": applied, "revision": circuit.revision}
-
-    @staticmethod
-    def _apply_edit(circuit: Circuit, edit) -> None:
-        if not isinstance(edit, dict):
-            raise ServiceError("each edit must be a JSON object")
-        op = edit.get("op")
-        name = edit.get("name")
-        if not isinstance(name, str):
-            raise ServiceError("each edit needs a 'name'")
-        if op == "set_delay":
-            circuit.set_delay(name, int(edit["delay"]))
-        elif op == "rewire":
-            circuit.rewire(name, [str(f) for f in edit["fanins"]])
-        elif op == "replace_gate":
-            gate_type = edit.get("gate_type")
-            fanins = edit.get("fanins")
-            delay = edit.get("delay")
-            circuit.replace_gate(
-                name,
-                gate_type=None if gate_type is None else GateType(gate_type),
-                fanins=None if fanins is None else [str(f) for f in fanins],
-                delay=None if delay is None else int(delay),
-            )
-        elif op == "remove_gate":
-            circuit.remove_gate(name)
-        else:
-            raise ServiceError(f"unknown edit op {op!r}")
+            circuit.apply_edit(edit)
+        return {"applied": len(edits), "revision": circuit.revision}
 
     def _op_query(self, request):
         engine = self._require_engine()
-        kind = request.get("kind", "transition")
-        if kind not in KINDS:
-            raise ServiceError(
-                f"unknown delay kind {kind!r} (expected one of {KINDS})"
-            )
-        result = engine.query(kind)
+        result = engine.query(request.get("kind", "transition"))
         return {"record": result.record, "stats": result.stats}
 
     def _op_certify(self, request):
@@ -263,8 +208,8 @@ class QueryService:
             rendered[out] = {
                 "time": t,
                 "pair": [
-                    "".join("1" if pair.v_prev[n] else "0" for n in inputs),
-                    "".join("1" if pair.v_next[n] else "0" for n in inputs),
+                    format_vector(pair.v_prev, inputs),
+                    format_vector(pair.v_next, inputs),
                 ],
             }
         return {"pairs": rendered}

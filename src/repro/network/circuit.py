@@ -200,6 +200,46 @@ class Circuit:
         self._record("remove_gate", name, ())
         self._invalidate()
 
+    def apply_edit(self, edit) -> None:
+        """Apply one edit written as a JSON object, the form a ``trued
+        serve`` ``edit`` request and a fuzz scenario both carry::
+
+            {"op": "set_delay", "name": "g1", "delay": 3}
+            {"op": "rewire", "name": "g2", "fanins": ["a", "b"]}
+            {"op": "replace_gate", "name": "g3", "gate_type": "NAND",
+             "fanins": ["a", "b"], "delay": 2}
+            {"op": "remove_gate", "name": "g4"}
+
+        ``replace_gate`` keeps whichever of ``gate_type``, ``fanins`` and
+        ``delay`` it is not given.  A malformed edit, or one the circuit
+        rejects, raises ValueError (a missing node or field, KeyError)
+        and leaves the circuit as it was.
+        """
+        if not isinstance(edit, dict):
+            raise ValueError("each edit must be a JSON object")
+        op = edit.get("op")
+        name = edit.get("name")
+        if not isinstance(name, str):
+            raise ValueError("each edit needs a 'name'")
+        if op == "set_delay":
+            self.set_delay(name, int(edit["delay"]))
+        elif op == "rewire":
+            self.rewire(name, [str(f) for f in edit["fanins"]])
+        elif op == "replace_gate":
+            gate_type = edit.get("gate_type")
+            fanins = edit.get("fanins")
+            delay = edit.get("delay")
+            self.replace_gate(
+                name,
+                gate_type=None if gate_type is None else GateType(gate_type),
+                fanins=None if fanins is None else [str(f) for f in fanins],
+                delay=None if delay is None else int(delay),
+            )
+        elif op == "remove_gate":
+            self.remove_gate(name)
+        else:
+            raise ValueError(f"unknown edit op {op!r}")
+
     def _replace_node(
         self, name: str, gate_type: GateType, fanins: Tuple[str, ...],
         delay: int,

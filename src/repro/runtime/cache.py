@@ -48,8 +48,9 @@ from .metrics import METRICS
 #: "4": cone fingerprints hash a fixed, length-prefixed layout instead of
 #: JSON (:func:`~repro.runtime.fingerprint.node_cone_hash`), so every
 #: cone key changed with the encoding; the bump orphans every entry
-#: stored before it at once.
-CACHE_SCHEMA = "4"
+#: stored before it at once.  "5": a cone entry holds the cone's own
+#: ``DelayCertificate`` instead of a second result type copied from it.
+CACHE_SCHEMA = "5"
 
 
 def constraint_cache_id(constraint) -> Optional[str]:

@@ -420,7 +420,7 @@ def _cone_worker(context, cones):
     upper)``: an extracted single-output cone circuit
     (:func:`repro.incremental.cones.extract_cone`) and the floating-delay
     bound its search starts from (None for none); a result is the cone's
-    :class:`~repro.incremental.cones.ConeResult`."""
+    :class:`~repro.core.vectors.DelayCertificate`."""
     kind, engine_name = context
     from ..incremental.cones import evaluate_cone
 

@@ -37,8 +37,8 @@ MAX_LINE_BYTES = 4 * 1024 * 1024
 class ProtocolError(ValueError):
     """A malformed or unserviceable request / endpoint state.
 
-    Reported to the peer (or the caller), never fatal to the process —
-    the query service aliases this as ``ServiceError``.
+    Reported to the peer (or the caller), never fatal to the process;
+    the query service raises it for a bad request.
     """
 
 

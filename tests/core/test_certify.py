@@ -195,6 +195,26 @@ class TestPairsFromSettleTimes:
             cache=NO_CACHE,
         )
 
+    @pytest.mark.parametrize("engine", ["bdd", "sat"])
+    def test_constrained_certify_builds_its_care_set_once(self, engine):
+        """The witness extension, the transition search and the pair step
+        each ask the transition analysis for the pair care set; the
+        analysis calls the builder once."""
+        logic = build_fsm_logic("sticky")
+        pair_constraint = transition_pair_constraint(logic)
+        builds = []
+
+        def counted(analysis):
+            builds.append(analysis)
+            return pair_constraint(analysis)
+
+        certify(
+            logic.circuit, engine_name=engine, constraint=counted,
+            floating_constraint=reachable_states_constraint(logic),
+            cache=NO_CACHE,
+        )
+        assert len(builds) == 1
+
     @staticmethod
     def count_pair_probes(monkeypatch):
         """Record the satisfiability checks of each per-output pair loop

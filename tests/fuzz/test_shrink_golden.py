@@ -7,6 +7,7 @@ import pytest
 
 from repro.fuzz.oracle import edited_circuit, run_oracle
 from repro.fuzz.runner import (
+    REPRO_VERSION,
     load_repro,
     replay_repro,
     run_sweep,
@@ -82,7 +83,7 @@ class TestReproEnvelope:
         for path in report.repro_paths:
             envelope = json.loads(open(path).read())
             assert envelope["format"] == "trued-fuzz-repro"
-            assert envelope["version"] == 1
+            assert envelope["version"] == REPRO_VERSION == 2
             assert envelope["failure"]["ok"] is False
             reproduced, verdicts = replay_repro(path)
             assert reproduced
@@ -113,13 +114,20 @@ class TestReproEnvelope:
         envelope = _repro_envelope(
             scenario, verdict, ("incremental",), "xor", None
         )
-        assert "oracle_jobs" not in envelope
-        # Older files also recorded an oracle worker count; replay
-        # ignores it.
-        write_repro(path, dict(envelope, oracle_jobs=1))
+        write_repro(path, envelope)
         loaded = load_repro(path)
         assert loaded["scenario"]["scenario_id"] == scenario.scenario_id
         assert replay_repro(path)[0]
+
+    def test_load_rejects_version_1(self, tmp_path):
+        """Version 1 wrote ``replace_gate``'s type as ``gate``, which the
+        serve edit format would replay as another edit."""
+        path = tmp_path / "old.repro.json"
+        path.write_text(
+            json.dumps({"format": "trued-fuzz-repro", "version": 1})
+        )
+        with pytest.raises(ValueError, match="repro version 1 .*re-run"):
+            load_repro(str(path))
 
     def test_load_rejects_foreign_format(self, tmp_path):
         path = tmp_path / "bad.repro.json"

@@ -9,7 +9,7 @@ import pickle
 
 from repro.circuits import build_circuit
 from repro.core import compute_floating_delay, compute_transition_delay
-from repro.incremental import ConeResult, evaluate_cone, extract_cone
+from repro.incremental import evaluate_cone, extract_cone
 from repro.runtime import (
     DelayCache,
     configure_cache,
@@ -74,9 +74,9 @@ def test_memory_roundtrip_returns_copies():
 
 
 def _stored_result(kind):
-    """A result the cache stores whole: a transition ``ConeResult`` (its
-    ``VectorPair`` and cone input list) or a floating ``DelayCertificate``
-    (its witness and ``extra`` dict)."""
+    """A result the cache stores whole: a cone's transition
+    ``DelayCertificate`` (its ``VectorPair``) or a whole circuit's
+    floating one (its witness); both carry an ``extra`` dict."""
     if kind == "cone":
         return evaluate_cone(extract_cone(c17(), "G22"), "transition")
     return compute_floating_delay(c17(), cache=DelayCache(enabled=False))
@@ -86,10 +86,7 @@ def _scribble(result):
     """Change, in place, every field and nested container of a result."""
     result.delay += 100
     result.checks += 100
-    if isinstance(result, ConeResult):
-        result.cone_inputs.append("scribbled")
-    else:
-        result.extra["scribbled"] = True
+    result.extra["scribbled"] = True
     vectors = [result.witness]
     if result.pair is not None:
         vectors += [result.pair.v_prev, result.pair.v_next]

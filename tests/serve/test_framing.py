@@ -8,6 +8,7 @@ file but refuses to take over a live one.
 """
 
 import io
+import os
 import socket
 
 import pytest
@@ -54,8 +55,6 @@ def test_stale_socket_file_is_unlinked(tmp_path):
     corpse.bind(path)
     corpse.close()  # bound but never listening -> probe is refused
     prepare_unix_socket_path(path)
-    import os
-
     assert not os.path.exists(path)
 
 
@@ -66,12 +65,4 @@ def test_live_listener_refuses_takeover(tmp_path):
         server.listen(1)
         with pytest.raises(ProtocolError, match="listening"):
             prepare_unix_socket_path(path)
-
-
-def test_service_error_is_the_shared_protocol_error():
-    """The query service's ServiceError and the framing ProtocolError
-    are one exception type — a hoisted raise is still caught by old
-    handlers on both sides."""
-    from repro.incremental.service import ServiceError
-
-    assert ServiceError is ProtocolError
+        assert os.path.exists(path)  # the live server keeps its socket
