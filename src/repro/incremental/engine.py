@@ -16,8 +16,8 @@ re-analysing only what an edit could have changed:
    the engine replays the entries recorded since its cursor and marks the
    *forward closure* of the edited nodes (via ``Circuit.fanouts()``) dirty.
    An output outside the dirty region provably has an unchanged fanin
-   cone, so its memoised result is reused verbatim.  The same closure is
-   all the cone hashes the engine keeps lack (step 2).
+   cone, so its memoised result is reused verbatim.  The same closure
+   names the kept cone keys that went stale (step 2).
 
 2. **Cone evaluation** — dirty outputs are re-analysed on extracted
    fanin-cone subcircuits (:mod:`repro.incremental.cones`).  Per-cone
@@ -25,11 +25,12 @@ re-analysing only what an edit could have changed:
    cached under :func:`~repro.runtime.fingerprint.cone_fingerprint`
    content keys in a :class:`~repro.runtime.cache.DelayCache` — reverting
    an edit (or loading a different circuit sharing a cone) hits the cache
-   without recomputation.  The keys come from per-node Merkle cone hashes
-   and per-output cone memberships that the engine keeps between
-   queries: a query rehashes only the nodes its new edits reached
-   (``incremental.rehashed_nodes``) and walks no fanin; a structural
-   change to the circuit, journalled or not, rebuilds both from scratch.
+   without recomputation.  Each output's cone membership and shape digest
+   are kept per circuit structure, and its key and cache tokens until an
+   edit reaches it: after a delay edit a query computes one key per
+   output the edit reached (``incremental.cone_keys``) and walks no
+   fanin; a structural change to the circuit, journalled or not, drops
+   them all.
 
 3. **Floating bounds** — floating delay is monotone in gate delays
    (paper Secs. II and IV), so a dirty cone whose output was last served
@@ -68,17 +69,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.vectors import DelayCertificate
-from ..network.circuit import Circuit
+from ..network.circuit import Circuit, Node
 from ..runtime.cache import DelayCache
-from ..runtime.fingerprint import (
-    cone_fingerprint,
-    node_cone_fingerprints,
-    node_cone_hash,
-)
+from ..runtime.fingerprint import cone_key, cone_shape
 from ..runtime.metrics import METRICS
 from ..runtime.parallel import WorkerPool, shard_map
 from ..sim.wordsim import program_for
 from .cones import KINDS, extract_cone
+
+#: An output's fanin list (what ``extract_cone`` copies), shape digest
+#: and gates in walk order (what ``cone_key`` reads).
+ConeMembers = Tuple[List[str], str, Tuple[Node, ...]]
 
 
 @dataclass
@@ -122,8 +123,8 @@ class IncrementalTimingEngine:
         #: warm across queries; ``None`` evaluates them in-process.
         self.pool = pool
         self._cursor = circuit.journal_length
-        #: Per-kind memo: output -> (cone fingerprint, certificate).
-        self._memo: Dict[str, Dict[str, Tuple[str, DelayCertificate]]] = {
+        #: Per-kind memo: output -> certificate.
+        self._memo: Dict[str, Dict[str, DelayCertificate]] = {
             kind: {} for kind in KINDS
         }
         #: Dirty nodes awaiting their first post-edit query, per kind.
@@ -141,22 +142,23 @@ class IncrementalTimingEngine:
             node.name: node.delay for node in circuit.nodes()
         }
         self._served_cursor = circuit.journal_length
-        #: The cone maps kept between queries: every node's Merkle cone
-        #: hash, and per output its fanin list and cone inputs.  They hold
-        #: for the structure whose topological order is ``_order`` (the
-        #: circuit hands out one cached list until a structural
-        #: invalidation drops it) and each query brings them up to date.
+        #: The cone maps kept between queries.  Per output: its fanin
+        #: list, shape digest and gates in walk order (``_members``),
+        #: which hold for the structure whose topological order is
+        #: ``_order`` (the circuit hands out one cached list until a
+        #: structural invalidation drops it); and its cone key with the
+        #: per-kind cache tokens (``_keys``), which hold until an edit
+        #: reaches the output.
         self._order: Optional[List[str]] = None
-        self._position: Dict[str, int] = {}
-        self._node_fps: Dict[str, str] = {}
-        self._members: Dict[str, Tuple[List[str], List[str]]] = {}
+        self._members: Dict[str, ConeMembers] = {}
+        self._keys: Dict[str, Tuple[str, Dict[str, Optional[str]]]] = {}
 
     # ------------------------------------------------------------------
     # Journal consumption / dirty marking
     # ------------------------------------------------------------------
-    def _consume_journal(self) -> Set[str]:
+    def _consume_journal(self) -> None:
         """Mark the forward closure of all newly journalled edits dirty
-        for every kind's memo, and return it (empty when there are none).
+        for every kind's memo, and drop the kept keys of the outputs in it.
 
         Soundness: an output's cone content can only change if some node
         in its *current* cone was directly edited, or some structural
@@ -168,9 +170,11 @@ class IncrementalTimingEngine:
         """
         edits = self.circuit.edits_since(self._cursor)
         if not edits:
-            return set()
+            return
         self._cursor = self.circuit.journal_length
         dirty = self._forward_closure(edit.name for edit in edits)
+        for out in [out for out in self._keys if out in dirty]:
+            del self._keys[out]
         for kind in KINDS:
             memo = self._memo[kind]
             for out in list(memo):
@@ -181,7 +185,6 @@ class IncrementalTimingEngine:
         if restructured and self._served_floating:
             for out in self._forward_closure(restructured):
                 self._served_floating.pop(out, None)
-        return dirty
 
     def _forward_closure(self, names) -> Set[str]:
         """The live ``names`` and every node they reach."""
@@ -196,43 +199,48 @@ class IncrementalTimingEngine:
             stack.extend(fanouts.get(name, ()))
         return closure
 
-    def _refresh_cone_maps(self, dirty: Set[str]) -> None:
-        """Bring the kept cone maps up to date, given the ``dirty``
-        closure of the edits this query consumed.
+    def _refresh_cone_maps(self) -> None:
+        """Drop the kept cone maps when the circuit was restructured.
 
         A circuit whose topological order is no longer the kept one was
         restructured — by a journalled ``rewire``, structural
         ``replace_gate`` or ``remove_gate``, or by an ``add_gate`` or
-        ``add_input`` the journal never sees — so both maps are rebuilt.
-        Otherwise only delays changed since the last query, and only on
-        ``dirty`` nodes: a node's hash reads its own delay and its
-        fanins' hashes, so rehashing them fanins-first restores exactly
-        :func:`~repro.runtime.fingerprint.node_cone_fingerprints`.
+        ``add_input`` the journal never sees — so every output's
+        membership, shape and key is walked again when next needed.
+        Delay edits keep the structure: each keeps the shapes (whose gate
+        nodes the circuit edits in place) and drops only the keys of the
+        outputs it reaches (:meth:`_consume_journal`).
         """
         order = self.circuit.topological_order()
         if order is not self._order:
             self._order = order
-            self._position = {name: i for i, name in enumerate(order)}
-            self._node_fps = node_cone_fingerprints(self.circuit)
             self._members.clear()
-            rehashed = len(order)
-        else:
-            node, fps = self.circuit.node, self._node_fps
-            for name in sorted(dirty, key=self._position.__getitem__):
-                fps[name] = node_cone_hash(node(name), fps)
-            rehashed = len(dirty)
-        METRICS.incr("incremental.rehashed_nodes", rehashed)
+            self._keys.clear()
 
-    def _cone_members(self, out: str) -> Tuple[List[str], List[str]]:
-        """``out``'s fanin list and cone inputs, walked once per structure
-        (:meth:`_refresh_cone_maps` drops them on a rebuild)."""
+    def _cone_members(self, out: str) -> ConeMembers:
+        """``out``'s fanin list, shape digest and gates in walk order
+        (:func:`~repro.runtime.fingerprint.cone_shape`), walked once per
+        structure."""
         members = self._members.get(out)
         if members is None:
             fanin = self.circuit.transitive_fanin([out])
-            inside = set(fanin)
-            members = (fanin, [i for i in self.circuit.inputs if i in inside])
+            members = (fanin, *cone_shape(self.circuit, out))
             self._members[out] = members
         return members
+
+    def _token(self, out: str, kind: str) -> Optional[str]:
+        """``out``'s cache token for ``kind``, from the cone key kept
+        until an edit reaches ``out`` (computed, and counted as
+        ``incremental.cone_keys``, when there is none)."""
+        kept = self._keys.get(out)
+        if kept is None:
+            __, shape, gates = self._cone_members(out)
+            kept = self._keys[out] = (cone_key(shape, gates), {})
+            METRICS.incr("incremental.cone_keys")
+        key, tokens = kept
+        if kind not in tokens:
+            tokens[kind] = self.cache.token_for(key, kind, self.engine_name)
+        return tokens[kind]
 
     # ------------------------------------------------------------------
     # Queries
@@ -249,7 +257,8 @@ class IncrementalTimingEngine:
         with METRICS.span(
             "incremental.query", kind=kind, circuit=self.circuit.name
         ):
-            self._refresh_cone_maps(self._consume_journal())
+            self._consume_journal()
+            self._refresh_cone_maps()
             dirty_nodes = len(self._pending_dirty[kind])
             self._pending_dirty[kind].clear()
             METRICS.incr("incremental.dirty_nodes", dirty_nodes)
@@ -285,7 +294,7 @@ class IncrementalTimingEngine:
             else:
                 delays.pop(edit.name, None)
         self._served_cursor = circuit.journal_length
-        self._served_floating = {out: memo[out][1].delay for out in outputs}
+        self._served_floating = {out: memo[out].delay for out in outputs}
 
     def _floating_bound(self, cone: Circuit) -> Optional[int]:
         """An upper bound on the cone's floating delay from its output's
@@ -319,34 +328,30 @@ class IncrementalTimingEngine:
 
     def _evaluate(
         self, kind: str, outs, stats: Dict[str, int]
-    ) -> Dict[str, Tuple[str, DelayCertificate]]:
-        """Fingerprint, cache-probe, and (re)compute the given outputs.
+    ) -> Dict[str, DelayCertificate]:
+        """Key, cache-probe, and (re)compute the given outputs.
 
         Dirty cones run as the ``cones`` fan-out of
         :mod:`repro.runtime.parallel` (in-process without a pool), whose
         results come back in item order."""
-        results: Dict[str, Tuple[str, DelayCertificate]] = {}
+        results: Dict[str, DelayCertificate] = {}
         to_compute = []
         for out in outs:
-            fanin, cone_inputs = self._cone_members(out)
-            fp = cone_fingerprint(
-                self.circuit, out, self._node_fps, cone_inputs
-            )
-            token = self.cache.token_for(fp, kind, self.engine_name)
+            token = self._token(out, kind)
             cached = self.cache.get(token)
             if cached is not None:
                 stats["cone_cache_hits"] += 1
                 METRICS.incr("incremental.cone_cache_hits")
-                results[out] = (fp, cached)
+                results[out] = cached
             else:
-                to_compute.append((out, fp, token, fanin))
+                to_compute.append((out, token))
         if not to_compute:
             return results
         stats["evaluated_cones"] += len(to_compute)
         METRICS.incr("incremental.evaluated_cones", len(to_compute))
         cones = [
-            extract_cone(self.circuit, out, fanin)
-            for out, __, __, fanin in to_compute
+            extract_cone(self.circuit, out, self._cone_members(out)[0])
+            for out, __ in to_compute
         ]
         bounds = [
             self._floating_bound(cone) if kind == "floating" else None
@@ -357,18 +362,15 @@ class IncrementalTimingEngine:
             "cones", (kind, self.engine_name), list(zip(cones, bounds)),
             jobs, pool=self.pool,
         )
-        for (out, fp, token, __), result in zip(to_compute, computed):
+        for (out, token), result in zip(to_compute, computed):
             stats["checks"] += result.checks
             self.cache.put(token, result)
-            results[out] = (fp, result)
+            results[out] = result
         return results
 
     def _aggregate(self, kind, outputs, memo) -> Dict[str, object]:
-        per_output = {out: memo[out][1] for out in outputs}
-        delay = max(result.delay for result in per_output.values())
-        critical = next(
-            out for out in outputs if per_output[out].delay == delay
-        )
+        delay = max(memo[out].delay for out in outputs)
+        critical = next(out for out in outputs if memo[out].delay == delay)
         inputs = self.circuit.inputs
         return {
             "circuit": self.circuit.name,
@@ -376,15 +378,15 @@ class IncrementalTimingEngine:
             "delay": delay,
             "critical_output": critical,
             "outputs": {
-                out: per_output[out].record(inputs) for out in outputs
+                out: memo[out].record(inputs) for out in outputs
             },
         }
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
         """Drop every memoised result, served floating delay and kept cone
-        map (the cone cache survives — it is content-addressed and can
-        never serve a stale entry)."""
+        map and key (the cone cache survives — it is content-addressed
+        and can never serve a stale entry)."""
         for kind in KINDS:
             self._memo[kind].clear()
             self._pending_dirty[kind].clear()

@@ -33,7 +33,6 @@ from .fingerprint import (
     circuit_fingerprint,
     circuit_signature,
     cone_fingerprint,
-    node_cone_fingerprints,
     params_token,
 )
 from .metrics import (
@@ -65,7 +64,6 @@ __all__ = [
     "circuit_fingerprint",
     "circuit_signature",
     "cone_fingerprint",
-    "node_cone_fingerprints",
     "params_token",
     "GLOBAL_METRICS",
     "METRICS",

@@ -46,11 +46,13 @@ from .metrics import METRICS
 #: certify's transition certificate counts every check of the
 #: mode-agreement fast path (it used to report 1 whatever it spent).
 #: "4": cone fingerprints hash a fixed, length-prefixed layout instead of
-#: JSON (:func:`~repro.runtime.fingerprint.node_cone_hash`), so every
-#: cone key changed with the encoding; the bump orphans every entry
-#: stored before it at once.  "5": a cone entry holds the cone's own
-#: ``DelayCertificate`` instead of a second result type copied from it.
-CACHE_SCHEMA = "5"
+#: JSON, so every cone key changed with the encoding; the bump orphans
+#: every entry stored before it at once.  "5": a cone entry holds the
+#: cone's own ``DelayCertificate`` instead of a second result type copied
+#: from it.  "6": a cone key is a shape digest plus the cone's delays
+#: (:func:`~repro.runtime.fingerprint.cone_key`) instead of a Merkle
+#: hash over per-node cone hashes, so every cone key changed again.
+CACHE_SCHEMA = "6"
 
 
 def constraint_cache_id(constraint) -> Optional[str]:

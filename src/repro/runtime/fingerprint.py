@@ -8,22 +8,25 @@ cache key: a cached certificate can never go stale, because any edit to the
 circuit changes the key (content-addressed invalidation — see
 ``docs/RUNTIME.md``).
 
-Beyond the whole-circuit fingerprint, this module computes *per-node
-transitive-fanin cone* hashes (:func:`node_cone_fingerprints`): each node's
-hash folds its own record with its fanins' cone hashes, Merkle-style, so
-two nodes share a cone hash exactly when their fanin cones are identical
-trees.  An edit anywhere in a circuit changes the cone hashes of precisely
-the nodes downstream of the edit — the foundation of the incremental
-engine's clean-cone reuse (:mod:`repro.incremental`), which keeps the
-hashes between queries and re-derives only those nodes
-(:func:`node_cone_hash`).
+Beyond the whole-circuit fingerprint, this module keys each output's
+transitive-fanin *cone* (:func:`cone_fingerprint`) in two parts: a
+*shape digest* of everything but the delays (:func:`cone_shape`), which
+holds while the circuit's structure does, and the cone's gate delays
+(:func:`cone_key`).  Two outputs share a key exactly when their cones
+are the same, whichever circuit they sit in and in whatever order its
+nodes were added.  The incremental engine (:mod:`repro.incremental`)
+keeps each output's shape and, after a delay edit, computes one key per
+output the edit reached.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional, Sequence, Tuple
+
+from ..network.circuit import Node
+from ..network.gates import GateType
 
 
 def circuit_signature(circuit) -> str:
@@ -50,63 +53,74 @@ def circuit_fingerprint(circuit) -> str:
     return hashlib.sha256(circuit_signature(circuit).encode()).hexdigest()
 
 
-def node_cone_hash(node, fps: Dict[str, str]) -> str:
-    """The Merkle cone hash of one node, given its fanins' in ``fps``.
+def cone_shape(circuit, output: str) -> Tuple[str, Tuple[Node, ...]]:
+    """The shape digest of ``output``'s fanin cone, and its gates in walk
+    order.
 
-    It covers the node's name, gate type, delay, and — in fanin order —
-    the cone hashes of its fanins, so it identifies the *entire* cone DAG
-    feeding the node.  The payload has a fixed layout,
-    ``len(name):name:gate:delay:len(fanins):`` and then the fanins'
-    64-digit hashes, which reads back one way only: the length prefix
-    ends the name, gate types and integer delays hold no ``:``, and the
-    fanin count fixes how many fixed-width hashes follow.
+    The walk starts at ``output`` and visits each member once, breadth
+    first, taking every member's fanins in fanin order, so it follows
+    from the cone itself: the order in which the circuit's nodes were
+    added cannot move it.  The digest is the SHA-256 of a fixed layout:
+    the member count, then per member in walk order ``len(name):name``,
+    ``gate:``, ``len(fanins):`` and each fanin as ``len(fanin):fanin``,
+    then the cone inputs in *declaration order*
+    (the per-cone analyses declare engine variables in that order, so it
+    co-determines witnesses), counted and length-prefixed the same way.
+    Every name carries its length and every list its count, and gate
+    types (enum values) hold no ``:``, so the layout reads back one way
+    only and no two cones share it.  Delays are left out: they are the
+    key's second part (:func:`cone_key`).
+
+    The gates are the circuit's own :class:`~repro.network.circuit.Node`
+    objects, whose delays a delay edit changes in place; a structural
+    edit swaps nodes and so needs a new shape.
     """
-    name, fanins = node.name, node.fanins
-    payload = (
-        f"{len(name)}:{name}:{node.gate_type.value}:{node.delay}:"
-        f"{len(fanins)}:" + "".join([fps[f] for f in fanins])
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    node = circuit.node
+    walk = [output]
+    seen = {output}
+    for name in walk:  # grows while it is read: breadth first
+        for fanin in node(name).fanins:
+            if fanin not in seen:
+                seen.add(fanin)
+                walk.append(fanin)
+    parts = [f"{len(walk)}:"]
+    gates = []
+    for name in walk:
+        member = node(name)
+        fanins = member.fanins
+        parts.append(
+            f"{len(name)}:{name}{member.gate_type.value}:{len(fanins)}:"
+        )
+        parts.extend([f"{len(fanin)}:{fanin}" for fanin in fanins])
+        if member.gate_type is not GateType.INPUT:
+            gates.append(member)
+    inputs = [name for name in circuit.inputs if name in seen]
+    parts.append(f"{len(inputs)}:")
+    parts.extend([f"{len(name)}:{name}" for name in inputs])
+    digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+    return digest, tuple(gates)
 
 
-def node_cone_fingerprints(circuit) -> Dict[str, str]:
-    """Merkle-style transitive-fanin cone hash for every node.
+def cone_key(shape: str, gates: Sequence[Node]) -> str:
+    """Cache key for a cone: its shape digest (:func:`cone_shape`) and its
+    gates' delays, read in the shape's walk order.
 
-    Computed in one topological pass (linear in circuit size).  After
-    delay edits only the edited nodes' forward closure needs rehashing,
-    in topological order (:func:`node_cone_hash`): the incremental engine
-    keeps the map between queries and does just that.
+    The shape fixes how many gates there are, so the delays, joined by
+    ``,`` after the 64-digit digest, read back one way only.  The key is
+    namespaced ``cone:`` so it never collides with a whole-circuit
+    fingerprint.  One SHA-256 per key, whatever the cone's size: a delay
+    edit costs each output it reaches one key, not one hash per node.
     """
-    fps: Dict[str, str] = {}
-    for name in circuit.topological_order():
-        fps[name] = node_cone_hash(circuit.node(name), fps)
-    return fps
-
-
-def cone_fingerprint(
-    circuit,
-    output: str,
-    node_fps: Optional[Dict[str, str]] = None,
-    cone_inputs: Optional[Iterable[str]] = None,
-) -> str:
-    """Cache key for the fanin cone of ``output``.
-
-    Folds the output's Merkle cone hash with the cone's primary inputs in
-    *declaration order* — the per-cone analyses declare engine variables in
-    that order, so it co-determines witnesses and must be part of the key.
-    Precomputed ``node_fps``/``cone_inputs`` avoid rework in batch loops.
-    """
-    if node_fps is None:
-        node_fps = node_cone_fingerprints(circuit)
-    if cone_inputs is None:
-        members = set(circuit.transitive_fanin([output]))
-        cone_inputs = [i for i in circuit.inputs if i in members]
-    # The output's 64-digit hash, then each input name length-prefixed
-    # (``len(name):name``), so no two input lists give one payload.
-    payload = node_fps[output] + "".join(
-        [f"{len(name)}:{name}" for name in cone_inputs]
-    )
+    payload = shape + ":" + ",".join([str(gate.delay) for gate in gates])
     return "cone:" + hashlib.sha256(payload.encode()).hexdigest()
+
+
+def cone_fingerprint(circuit, output: str) -> str:
+    """Cache key for the fanin cone of ``output``, computed from scratch
+    (:func:`cone_shape`, then :func:`cone_key`).  The incremental engine
+    keeps each output's shape per circuit structure and computes only
+    the key after a delay edit; both routes give this key."""
+    return cone_key(*cone_shape(circuit, output))
 
 
 def params_token(params: Optional[Dict[str, object]]) -> str:
@@ -117,4 +131,6 @@ def params_token(params: Optional[Dict[str, object]]) -> str:
     which is safe because a collision then only costs a cache miss on
     re-keying, never a wrong hit (``repr`` differences separate keys).
     """
-    return json.dumps(params or {}, sort_keys=True, default=repr)
+    if not params:
+        return "{}"  # what ``json.dumps({})`` gives, without the call
+    return json.dumps(params, sort_keys=True, default=repr)

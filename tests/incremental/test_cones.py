@@ -1,81 +1,132 @@
 """Cone fingerprints, cone extraction, and cone-level cache keys."""
 
-import hashlib
-from types import SimpleNamespace
-
 import pytest
 
 from repro.core import compute_floating_delay, compute_transition_delay
 from repro.incremental import evaluate_cone, extract_cone
-from repro.network import GateType, Node
-from repro.runtime import (
-    DelayCache,
-    circuit_fingerprint,
-    cone_fingerprint,
-    node_cone_fingerprints,
-)
-from repro.runtime.fingerprint import node_cone_hash
+from repro.network import Circuit, GateType
+from repro.runtime import DelayCache, circuit_fingerprint, cone_fingerprint
+from repro.runtime.fingerprint import cone_key, cone_shape
 
 from tests.helpers import c17
 
-#: Stand-in cone hashes of the fanins the nodes below read.
-FANIN_FPS = {
-    name: hashlib.sha256(name.encode()).hexdigest() for name in "abc"
-}
+
+def small_cone(
+    gate_name="g", gate=GateType.AND, fanins=("a", "b"), delay=1,
+    inputs=("a", "b", "c"),
+):
+    """``out = OR(g, c)`` over ``g = gate(fanins)``: one field at a time
+    differs from the default cone."""
+    circuit = Circuit("small")
+    for name in inputs:
+        circuit.add_input(name)
+    circuit.add_gate(gate_name, gate, fanins, delay)
+    circuit.add_gate("out", GateType.OR, [gate_name, "c"], 1)
+    circuit.set_outputs(["out"])
+    return circuit
 
 
 @pytest.mark.parametrize(
     "changed",
     [
-        Node("h", GateType.AND, ("a", "b"), 1),
-        Node("g", GateType.OR, ("a", "b"), 1),
-        Node("g", GateType.AND, ("a", "b"), 2),
-        Node("g", GateType.AND, ("b", "a"), 1),
-        Node("g", GateType.AND, ("a", "b", "c"), 1),
+        {"gate_name": "h"},
+        {"gate": GateType.OR},
+        {"delay": 2},
+        {"fanins": ("b", "a")},
+        {"fanins": ("a", "b", "c")},
+        {"inputs": ("b", "a", "c")},
     ],
-    ids=["name", "gate", "delay", "fanin-order", "fanin-count"],
+    ids=[
+        "name", "gate", "delay", "fanin-order", "fanin-count", "input-order",
+    ],
 )
-def test_node_cone_hash_covers_every_field(changed):
-    base = Node("g", GateType.AND, ("a", "b"), 1)
-    assert node_cone_hash(changed, FANIN_FPS) != node_cone_hash(
-        base, FANIN_FPS
+def test_cone_fingerprint_covers_every_field(changed):
+    assert cone_fingerprint(small_cone(**changed), "out") != (
+        cone_fingerprint(small_cone(), "out")
     )
 
 
-def test_node_cone_hash_keeps_run_together_fields_apart():
-    """Joined with bare separators, the name ``a:AND`` with gate ``OR``
-    and the name ``a`` with a gate field ``AND:OR`` would both read
-    ``a:AND:OR:1``; the name's length prefix keeps them apart."""
+def test_cone_fingerprint_keeps_run_together_names_apart():
+    """Joined without lengths, ``AND(ab, c)`` over inputs ``ab, c`` and
+    ``AND(a, bc)`` over inputs ``a, bc`` would both read ``abc`` twice,
+    and an ``AND`` named ``gN`` and a ``NAND`` named ``g`` would both
+    read ``gNAND``; the length prefixes keep them apart."""
 
-    def node(name, gate):
-        return SimpleNamespace(
-            name=name, gate_type=SimpleNamespace(value=gate), delay=1,
-            fanins=(),
-        )
+    def cone(left, right, out="out", gate=GateType.AND):
+        circuit = Circuit("run-together")
+        circuit.add_input(left)
+        circuit.add_input(right)
+        circuit.add_gate(out, gate, [left, right], 1)
+        circuit.set_outputs([out])
+        return cone_fingerprint(circuit, out)
 
-    assert node_cone_hash(node("a:AND", "OR"), {}) != node_cone_hash(
-        node("a", "AND:OR"), {}
+    assert cone("ab", "c") != cone("a", "bc")
+    assert cone("a", "b", "gN", GateType.AND) != (
+        cone("a", "b", "g", GateType.NAND)
     )
 
 
 def test_cone_fingerprint_keeps_input_names_apart():
-    fps = {"out": "0" * 64}
-    assert cone_fingerprint(None, "out", fps, ["a,b"]) != cone_fingerprint(
-        None, "out", fps, ["a", "b"]
-    )
-    assert cone_fingerprint(None, "out", fps, ["a", "b"]) != (
-        cone_fingerprint(None, "out", fps, ["b", "a"])
-    )
+    def cone(inputs):
+        circuit = Circuit("inputs")
+        for name in inputs:
+            circuit.add_input(name)
+        circuit.add_gate("out", GateType.OR, list(inputs), 1)
+        circuit.set_outputs(["out"])
+        return cone_fingerprint(circuit, "out")
+
+    assert cone(["a,b", "c"]) != cone(["a", "b,c"])
+    assert cone(["a", "b"]) != cone(["b", "a"])
 
 
-def test_node_cone_fingerprints_change_exactly_downstream():
+def test_cone_fingerprint_ignores_insertion_order_and_the_rest_of_the_circuit():
+    """One cone, built with its gates added in two orders, and once more
+    inside a larger circuit of another name with an input, a gate and an
+    output of its own: one shape, one key."""
+    gates = [
+        ("g1", GateType.NAND, ["a", "b"], 2),
+        ("g2", GateType.NOR, ["b", "c"], 1),
+        ("g3", GateType.XOR, ["g1", "g2"], 3),
+        ("out", GateType.AND, ["g3", "g1"], 1),
+    ]
+
+    def build(order, extra=False):
+        circuit = Circuit("big" if extra else "cone")
+        for name in (["x"] if extra else []) + ["a", "b", "c"]:
+            circuit.add_input(name)
+        for index in order:
+            name, gate, fanins, delay = gates[index]
+            circuit.add_gate(name, gate, fanins, delay)
+        outputs = ["out"]
+        if extra:
+            circuit.add_gate("other", GateType.OR, ["x", "g2"], 5)
+            outputs.append("other")
+        circuit.set_outputs(outputs)
+        circuit.validate()
+        return circuit
+
+    circuits = [build([0, 1, 2, 3]), build([3, 2, 1, 0]),
+                build([1, 3, 0, 2], extra=True)]
+    insertion = [[node.name for node in c.nodes()] for c in circuits]
+    assert insertion[0] != insertion[1]
+    shapes = {cone_shape(circuit, "out")[0] for circuit in circuits}
+    assert len(shapes) == 1
+    assert len({cone_fingerprint(c, "out") for c in circuits}) == 1
+
+
+def test_cone_key_reads_the_delays_in_walk_order():
+    """The key is the shape plus the gates' delays: it follows a delay
+    edit, and the same shape with the same delays gives the same key."""
     circuit = c17()
-    before = node_cone_fingerprints(circuit)
-    circuit.set_delay("G10", 3)
-    after = node_cone_fingerprints(circuit)
-    # G10 feeds only G22: exactly {G10, G22} moves.
-    changed = {name for name in before if before[name] != after[name]}
-    assert changed == {"G10", "G22"}
+    shape, gates = cone_shape(circuit, "G22")
+    assert [gate.name for gate in gates] == ["G22", "G10", "G16", "G11"]
+    before = cone_key(shape, gates)
+    assert before == cone_fingerprint(circuit, "G22")
+    circuit.set_delay("G11", 4)
+    assert cone_key(shape, gates) == cone_fingerprint(circuit, "G22")
+    assert cone_key(shape, gates) != before
+    circuit.set_delay("G11", 1)
+    assert cone_key(shape, gates) == before
 
 
 def test_cone_fingerprint_ignores_edits_outside_the_cone():

@@ -1,5 +1,8 @@
 """The incremental engine: byte-identity, reuse, and check savings."""
 
+import hashlib
+from types import SimpleNamespace
+
 import pytest
 
 from repro.circuits.generators import random_logic
@@ -8,8 +11,9 @@ from repro.incremental import (
     KINDS,
     cold_query,
 )
+from repro.incremental import engine as engine_module
 from repro.network import Circuit, GateType
-from repro.runtime import DelayCache, WorkerPool, metrics_scope
+from repro.runtime import DelayCache, WorkerPool, fingerprint, metrics_scope
 
 from tests.helpers import c17, counted_checks, result_cache_off
 
@@ -193,24 +197,35 @@ def test_gate_added_outside_the_journal_gets_no_floating_bound():
     )
 
 
-def rehashed_by(engine, kind):
-    """Run one query; return how many cone hashes it recomputed."""
+def keyed_by(engine, kind):
+    """Run one query; return how many cone keys it computed."""
     with metrics_scope() as metrics:
         engine.query(kind)
-    return metrics.counter("incremental.rehashed_nodes")
+    return metrics.counter("incremental.cone_keys")
+
+
+def reached_outputs(circuit, name):
+    """The outputs whose cones hold ``name``."""
+    return [
+        out for out in circuit.outputs
+        if name in circuit.transitive_fanin([out])
+    ]
 
 
 def test_gate_and_output_added_outside_the_journal_rebuild_the_cone_maps():
     """``add_gate`` and ``add_output`` record no journal entry, yet the
-    new output's cone needs hashes: the circuit's structural invalidation
-    alone must make the engine rebuild the cone maps it keeps."""
+    new output's cone needs a shape and a key: the circuit's structural
+    invalidation alone must make the engine drop the cone maps it keeps,
+    and only the new output, which no memo holds, is keyed."""
     circuit = slow_buffer_circuit()
     engine = IncrementalTimingEngine(circuit)
     engine.query("floating")
+    assert set(engine._members) == set(engine._keys) == {"y"}
     circuit.add_gate("tap", GateType.OR, ["slow", "b"], 2)
     circuit.add_output("tap")
     assert circuit.journal_length == 0
-    assert rehashed_by(engine, "floating") == len(circuit)
+    assert keyed_by(engine, "floating") == 1
+    assert set(engine._members) == set(engine._keys) == {"tap"}
     requery = engine.query("floating")
     assert requery.delay == 7
     assert requery.record_json() == (
@@ -218,42 +233,79 @@ def test_gate_and_output_added_outside_the_journal_rebuild_the_cone_maps():
     )
 
 
-def test_a_query_rehashes_only_what_its_edits_reached():
-    """The engine keeps its cone hashes between queries: a re-query with
-    no new edits rehashes none, of any kind, a ``set_delay`` rehashes
-    exactly the edited gate's forward closure, once, and a ``rewire``
-    rebuilds every hash."""
+def test_a_query_keys_only_the_outputs_its_edits_reached():
+    """The engine keeps each output's cone key until an edit reaches it:
+    a re-query with no new edits computes none, of any kind; a
+    ``set_delay`` costs one key per output it reaches, and the other
+    kind's query that follows none; a ``rewire`` drops every kept map,
+    but only the outputs it reached need keys again."""
     circuit = large_circuit()
+    outputs = len(circuit.outputs)
     engine = IncrementalTimingEngine(circuit)
-    assert rehashed_by(engine, "floating") == len(circuit)
-    assert rehashed_by(engine, "floating") == 0
-    assert rehashed_by(engine, "transition") == 0
+    assert keyed_by(engine, "floating") == outputs
+    assert keyed_by(engine, "floating") == 0
+    assert keyed_by(engine, "transition") == 0
 
     edited = circuit.gate_names()[17]
-    closure = [
-        name for name in circuit.topological_order()
-        if edited in circuit.transitive_fanin([name])
-    ]
-    assert 1 < len(closure) < len(circuit)
+    reached = reached_outputs(circuit, edited)
+    assert 1 < len(reached) < outputs
     circuit.set_delay(edited, circuit.node(edited).delay + 2)
-    assert rehashed_by(engine, "floating") == len(closure)
-    assert rehashed_by(engine, "transition") == 0
+    assert keyed_by(engine, "floating") == len(reached)
+    assert keyed_by(engine, "transition") == 0
 
     gate = circuit.gate_names()[10]
     fanins = list(circuit.node(gate).fanins)
     fanins[0] = circuit.inputs[0]
     circuit.rewire(gate, fanins)
-    assert rehashed_by(engine, "transition") == len(circuit)
-    assert rehashed_by(engine, "floating") == 0
+    rewired = reached_outputs(circuit, gate)
+    assert 0 < len(rewired) < outputs
+    assert keyed_by(engine, "transition") == len(rewired)
+    assert keyed_by(engine, "floating") == 0
 
     # ``invalidate`` skips the journal, so the edit it skips is only
-    # seen through a rebuild.
+    # seen through keys computed afresh for every output.
     circuit.set_delay(edited, circuit.node(edited).delay + 3)
     engine.invalidate()
-    assert rehashed_by(engine, "floating") == len(circuit)
+    assert keyed_by(engine, "floating") == outputs
     assert engine.query("floating").record_json() == (
         cold_query(circuit, "floating").record_json()
     )
+
+
+def test_a_revert_hashes_one_key_per_reached_output(monkeypatch):
+    """Reverting a delay edit walks no cone and hashes no node: its query
+    computes one SHA-256 per output the edit reached, for that output's
+    key, and serves each of them from the cone cache."""
+    circuit = large_circuit()
+    engine = IncrementalTimingEngine(circuit)
+    first = engine.query("floating")
+    edited = circuit.gate_names()[17]
+    reached = reached_outputs(circuit, edited)
+    base = circuit.node(edited).delay
+    circuit.set_delay(edited, base + 2)
+    engine.query("floating")
+    circuit.set_delay(edited, base)
+
+    def no_walk(circuit, output):
+        raise AssertionError(f"walked the cone of {output!r}")
+
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(engine_module, "cone_shape", no_walk)
+    monkeypatch.setattr(
+        fingerprint, "hashlib", SimpleNamespace(sha256=sha256)
+    )
+    with metrics_scope() as metrics:
+        reverted = engine.query("floating")
+    assert len(hashed) == len(reached)
+    assert metrics.counter("incremental.cone_keys") == len(reached)
+    assert reverted.stats["cone_cache_hits"] == len(reached)
+    assert reverted.stats["evaluated_cones"] == 0
+    assert reverted.record_json() == first.record_json()
 
 
 def test_sharded_and_warm_pool_routes_are_result_identical():

@@ -16,16 +16,20 @@ from repro.fuzz.generate import random_gate_circuit
 from repro.fuzz.scenario import apply_edits, random_edit
 from repro.incremental import IncrementalTimingEngine, KINDS, cold_query
 from repro.runtime import WorkerPool
-from repro.runtime.fingerprint import node_cone_fingerprints
+from repro.runtime.fingerprint import cone_fingerprint, cone_shape
 
 
 def assert_cone_maps_current(engine, circuit):
-    """The cone hashes and memberships the engine keeps between queries
-    are those a from-scratch walk of the edited circuit gives."""
-    assert engine._node_fps == node_cone_fingerprints(circuit)
-    for out, (fanin, cone_inputs) in engine._members.items():
+    """The cone memberships, shapes and keys the engine keeps between
+    queries are those a from-scratch walk of the edited circuit gives."""
+    for out, (fanin, shape, gates) in engine._members.items():
         assert fanin == circuit.transitive_fanin([out])
-        assert cone_inputs == [i for i in circuit.inputs if i in fanin]
+        assert (shape, gates) == cone_shape(circuit, out)
+        assert all(gate is circuit.node(gate.name) for gate in gates)
+    for out, (key, tokens) in engine._keys.items():
+        assert key == cone_fingerprint(circuit, out)
+        for kind, token in tokens.items():
+            assert token == engine.cache.token_for(key, kind)
 
 
 @settings(
