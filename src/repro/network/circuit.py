@@ -56,6 +56,33 @@ class Node:
             raise ValueError(f"node {self.name!r} has negative delay")
 
 
+def _edit_field(edit: dict, field: str, optional: bool = False):
+    """The value of ``field`` in a JSON edit, checked for its type: a
+    ``delay`` is an integer (not a bool), ``fanins`` a list of strings and
+    a ``gate_type`` a string.  A value of another type raises a ValueError
+    naming the field; a missing one, KeyError unless ``optional`` (then
+    it and null read as None)."""
+    value = edit.get(field) if optional else edit[field]
+    if value is None and optional:
+        return None
+    if field == "delay":
+        valid = isinstance(value, int) and not isinstance(value, bool)
+        wanted = "an integer"
+    elif field == "fanins":
+        valid = isinstance(value, list) and all(
+            isinstance(fanin, str) for fanin in value
+        )
+        wanted = "a list of node names"
+    else:
+        valid = isinstance(value, str)
+        wanted = "a gate type name"
+    if not valid:
+        raise ValueError(
+            f"edit field {field!r} must be {wanted}, not {value!r}"
+        )
+    return value
+
+
 class Circuit:
     """A combinational logic network with per-gate fixed delays."""
 
@@ -211,9 +238,11 @@ class Circuit:
             {"op": "remove_gate", "name": "g4"}
 
         ``replace_gate`` keeps whichever of ``gate_type``, ``fanins`` and
-        ``delay`` it is not given.  A malformed edit, or one the circuit
-        rejects, raises ValueError (a missing node or field, KeyError)
-        and leaves the circuit as it was.
+        ``delay`` it is not given (or is given as null).  ``delay`` must
+        be an integer, ``fanins`` a list of node names and ``gate_type``
+        a gate type name.  A malformed edit, or one the circuit rejects,
+        raises ValueError (a missing node or field, KeyError) and leaves
+        the circuit as it was.
         """
         if not isinstance(edit, dict):
             raise ValueError("each edit must be a JSON object")
@@ -222,18 +251,16 @@ class Circuit:
         if not isinstance(name, str):
             raise ValueError("each edit needs a 'name'")
         if op == "set_delay":
-            self.set_delay(name, int(edit["delay"]))
+            self.set_delay(name, _edit_field(edit, "delay"))
         elif op == "rewire":
-            self.rewire(name, [str(f) for f in edit["fanins"]])
+            self.rewire(name, _edit_field(edit, "fanins"))
         elif op == "replace_gate":
-            gate_type = edit.get("gate_type")
-            fanins = edit.get("fanins")
-            delay = edit.get("delay")
+            gate_type = _edit_field(edit, "gate_type", optional=True)
             self.replace_gate(
                 name,
                 gate_type=None if gate_type is None else GateType(gate_type),
-                fanins=None if fanins is None else [str(f) for f in fanins],
-                delay=None if delay is None else int(delay),
+                fanins=_edit_field(edit, "fanins", optional=True),
+                delay=_edit_field(edit, "delay", optional=True),
             )
         elif op == "remove_gate":
             self.remove_gate(name)

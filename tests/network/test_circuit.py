@@ -1,6 +1,6 @@
 import pytest
 
-from repro.network import Circuit, CircuitBuilder, GateType
+from repro.network import Circuit, CircuitBuilder, GateType, Node
 
 from tests.helpers import c17
 
@@ -146,3 +146,57 @@ class TestEvaluation:
 
     def test_repr(self):
         assert "c17" in repr(c17())
+
+
+class TestApplyEdit:
+    """``Circuit.apply_edit`` reads a JSON edit: each field of the wrong
+    type raises a ValueError naming it, and leaves the circuit as it
+    was."""
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            ({"op": "set_delay", "name": "G10", "delay": None}, "delay"),
+            ({"op": "set_delay", "name": "G10", "delay": 2.7}, "delay"),
+            ({"op": "set_delay", "name": "G10", "delay": True}, "delay"),
+            ({"op": "set_delay", "name": "G10", "delay": "3"}, "delay"),
+            ({"op": "rewire", "name": "G10", "fanins": 5}, "fanins"),
+            ({"op": "rewire", "name": "G10", "fanins": "G1"}, "fanins"),
+            ({"op": "rewire", "name": "G10", "fanins": ["G1", 3]}, "fanins"),
+            ({"op": "replace_gate", "name": "G10", "gate_type": 7},
+             "gate_type"),
+            ({"op": "replace_gate", "name": "G10", "delay": 2.5}, "delay"),
+            ({"op": "replace_gate", "name": "G10", "fanins": {"G1": 1}},
+             "fanins"),
+        ],
+        ids=[
+            "delay-null", "delay-float", "delay-bool", "delay-string",
+            "fanins-int", "fanins-string", "fanins-item", "gate-int",
+            "replace-delay-float", "replace-fanins-object",
+        ],
+    )
+    def test_a_value_of_the_wrong_type_names_its_field(self, edit, field):
+        c = c17()
+        before = c.node("G10")
+        with pytest.raises(ValueError, match=f"edit field '{field}'"):
+            c.apply_edit(edit)
+        assert c.journal_length == 0
+        assert c.node("G10") == before
+
+    def test_well_typed_edits_apply(self):
+        c = c17()
+        c.apply_edit({"op": "set_delay", "name": "G10", "delay": 3})
+        c.apply_edit({"op": "rewire", "name": "G16", "fanins": ["G2", "G3"]})
+        # Null fields of a replace_gate keep what the gate had.
+        c.apply_edit({"op": "replace_gate", "name": "G19",
+                      "gate_type": "NOR", "fanins": None, "delay": None})
+        assert c.node("G10").delay == 3
+        assert c.node("G16").fanins == ("G2", "G3")
+        assert c.node("G19") == Node("G19", GateType.NOR, ("G11", "G7"), 1)
+        assert [edit.op for edit in c.journal()] == [
+            "set_delay", "rewire", "replace_gate",
+        ]
+
+    def test_a_missing_field_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            c17().apply_edit({"op": "set_delay", "name": "G10"})
