@@ -32,10 +32,24 @@ DelayModel = Callable[[random.Random, int], int]
 
 def uniform_variation(spread: int = 1) -> DelayModel:
     """Uniform integer variation of +/- ``spread`` around nominal,
-    clipped at 0."""
+    clipped at 0.
+
+    A draw is ``rng.randint(-spread, spread)`` taken the way ``randint``
+    takes it: ``getrandbits(k)`` for the ``k`` bits that ``2 * spread +
+    1`` needs, drawn again while it is out of range.  So it consumes the
+    same stream and gives the same value, without ``randint``'s chain of
+    three calls per draw.
+    """
+    if not isinstance(spread, int) or spread < 0:
+        raise ValueError(f"spread must be an integer >= 0, not {spread!r}")
+    width = 2 * spread + 1
+    bits = width.bit_length()
 
     def model(rng: random.Random, nominal: int) -> int:
-        return max(0, nominal + rng.randint(-spread, spread))
+        draw = rng.getrandbits(bits)
+        while draw >= width:
+            draw = rng.getrandbits(bits)
+        return max(0, nominal - spread + draw)
 
     # Closures do not cross process boundaries; the spec tuple lets the
     # parallel sharder rebuild this model inside a worker.

@@ -32,6 +32,27 @@ class TestDelayModels:
         assert min(samples) >= 0
         assert max(samples) <= 4
 
+    @pytest.mark.parametrize("spread", [0, 1, 2, 3])
+    def test_uniform_variation_draws_what_randint_draws(self, spread):
+        """The model takes ``randint(-spread, spread)``'s bits itself: the
+        same values, and the generator left in the same state, so every
+        Monte Carlo sample stays what it was."""
+        import random
+
+        model = uniform_variation(spread)
+        for seed in range(5):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for nominal in (0, 1, 5) * 40:
+                assert model(ours, nominal) == max(
+                    0, nominal + theirs.randint(-spread, spread)
+                )
+                assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("spread", [-1, 1.5, "1"])
+    def test_uniform_variation_refuses_a_bad_spread(self, spread):
+        with pytest.raises(ValueError, match="spread"):
+            uniform_variation(spread)
+
     def test_speedup_only_never_exceeds_nominal(self):
         import random
 
