@@ -135,14 +135,17 @@ class QueryService:
 
     def _dispatch(self, request: Dict[str, object]):
         op = request.get("op")
-        handler = {
+        handlers = {
             "load": self._op_load,
             "edit": self._op_edit,
             "query": self._op_query,
             "certify": self._op_certify,
             "stats": self._op_stats,
             "shutdown": self._op_shutdown,
-        }.get(op)
+        }
+        # A non-string op (a list, say) may be unhashable: it names no
+        # handler, and must not reach the lookup.
+        handler = handlers.get(op) if isinstance(op, str) else None
         if handler is None:
             raise ProtocolError(f"unknown op {op!r}")
         return handler(request)
