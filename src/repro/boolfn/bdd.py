@@ -22,6 +22,17 @@ edges' parity bookkeeping; in pure Python that cost more per step than the
 fewer steps saved, and the what-if, Table II/III and certification workloads
 all ran slower with them.  Without them a negation is one memoised walk,
 whose entries are stored both ways (``not_`` is an involution).
+
+A manager can be returned to an earlier state: :meth:`BddManager.checkpoint`
+records the lengths of the node arrays, the variable table, the unique table
+and the computed tables, and :meth:`BddManager.rollback` drops everything
+added since.  Nodes are only ever appended and table entries only ever
+added, never changed, and dicts keep insertion order, so truncating the
+arrays and popping the newest entries restores the recorded state exactly.  An ROBDD is canonical for a
+fixed variable order, so functions built after a rollback have the same
+graphs, ``sat_one`` paths and sizes as in a fresh manager with that order;
+only their node numbers differ.  The what-if engine re-searches a cone on
+one kept manager this way (``docs/INCREMENTAL.md`` §3).
 """
 
 from __future__ import annotations
@@ -58,6 +69,38 @@ class BddManager:
         self._names: List[str] = []
         self._name_to_index: Dict[str, int] = {}
         self.max_nodes = max_nodes
+        #: Table lengths :meth:`rollback` returns to (see :meth:`checkpoint`).
+        self._checkpoint: Optional[Tuple[int, ...]] = None
+
+    # ------------------------------------------------------------------
+    # Checkpoint / rollback
+    # ------------------------------------------------------------------
+    def _tables(self) -> Tuple[dict, ...]:
+        """The tables rollback pops: variable index, unique, computed."""
+        return (
+            self._name_to_index, self._unique, self._not_cache,
+            self._and_cache, self._or_cache, self._xor_cache,
+        )
+
+    def checkpoint(self) -> None:
+        """Record the current state for :meth:`rollback`: the lengths of
+        the node arrays, the variable table, the unique table and the four
+        computed tables."""
+        self._checkpoint = (
+            len(self._var), len(self._names),
+            *(len(table) for table in self._tables()),
+        )
+
+    def rollback(self) -> None:
+        """Drop every node, variable and table entry added since the last
+        :meth:`checkpoint` (see the module docstring)."""
+        nodes, names, *lengths = self._checkpoint
+        for array in (self._var, self._lo, self._hi):
+            del array[nodes:]
+        del self._names[names:]
+        for table, length in zip(self._tables(), lengths):
+            for __ in range(len(table) - length):
+                table.popitem()
 
     # ------------------------------------------------------------------
     # Construction

@@ -282,3 +282,62 @@ def test_random_expressions_match_truth_table(expr, budget):
         assert capped.num_nodes == budget
     else:
         assert capped.num_nodes == reference.num_nodes <= budget
+
+
+def tables(mgr):
+    """Copies of the node arrays, the variable table, the unique table
+    and the computed tables, each dict as its items in insertion order."""
+    return (
+        list(mgr._var), list(mgr._lo), list(mgr._hi), list(mgr._names),
+        *(list(table.items()) for table in (
+            mgr._name_to_index, mgr._unique, mgr._not_cache,
+            mgr._and_cache, mgr._or_cache, mgr._xor_cache,
+        )),
+    )
+
+
+def fresh_manager():
+    mgr = BddManager()
+    for name in NAMES:
+        mgr.var(name)
+    return mgr
+
+
+class TestCheckpoint:
+    def test_rollback_restores_the_checkpoint(self):
+        mgr = fresh_manager()
+        a, b, c = (mgr.var(name) for name in "abc")
+        kept = mgr.or_(mgr.and_(a, b), mgr.not_(c))
+        mgr.checkpoint()
+        checkpointed = tables(mgr)
+        for attempt in range(2):
+            late = mgr.var(f"late{attempt}")
+            mgr.xor_(mgr.and_(kept, late), mgr.or_(a, mgr.not_(late)))
+            # Entries over old nodes only, and not_ entries both ways.
+            mgr.and_(kept, mgr.not_(a))
+            mgr.not_(mgr.not_(kept))
+            assert tables(mgr) != checkpointed
+            mgr.rollback()
+            assert tables(mgr) == checkpointed
+            assert not mgr.has_var(f"late{attempt}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(expressions, expressions)
+def test_functions_rebuilt_after_rollback_match_a_fresh_manager(kept, expr):
+    """A manager holding ``kept`` at its checkpoint and rolled back after
+    building ``expr`` builds ``expr`` again into the graph a fresh manager
+    builds: the same ``sat_one`` path, size and support (only node numbers
+    differ)."""
+    mgr = fresh_manager()
+    build(mgr, kept)
+    mgr.checkpoint()
+    build(mgr, expr)
+    mgr.rollback()
+    again = build(mgr, expr)
+    reference = fresh_manager()
+    f = build(reference, expr)
+    assert mgr.sat_one(again) == reference.sat_one(f)
+    assert mgr.size(again) == reference.size(f)
+    assert mgr.support(again) == reference.support(f)
+    assert table_of(mgr, again) == table_of(reference, f)
