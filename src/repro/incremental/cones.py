@@ -66,6 +66,7 @@ def evaluate_cone(
     kind: str,
     engine_name: str = "auto",
     upper: Optional[int] = None,
+    engine=None,
 ) -> DelayCertificate:
     """Compute one cone's delay of the given kind, as its certificate.
 
@@ -77,6 +78,10 @@ def evaluate_cone(
     the floating search starts from (the topological delay when None);
     any bound at least the floating delay yields the same certificate,
     with fewer checks the tighter it is.  Other kinds ignore it.
+    ``engine``, if given, is the function engine a floating search runs
+    on instead of a fresh one (the incremental engine passes the BDD
+    engine it keeps for the cone); a BDD overflow on it propagates, with
+    no fallback.
 
     The witness or pair covers the cone's inputs only; the engine renders
     it over the whole circuit's inputs with
@@ -95,7 +100,8 @@ def evaluate_cone(
     no_cache = DelayCache(enabled=False)
     if kind == "floating":
         return compute_floating_delay(
-            cone, engine_name=engine_name, upper=upper, cache=no_cache
+            cone, engine=engine, engine_name=engine_name, upper=upper,
+            cache=no_cache,
         )
     return compute_transition_delay(
         cone, engine_name=engine_name, cache=no_cache

@@ -347,3 +347,147 @@ def test_query_rejects_unknown_kind_and_empty_outputs():
     circuit.set_outputs([])
     with pytest.raises(ValueError):
         engine.query("floating")
+
+
+#: (gate index, delay increase) on ``large_circuit``: each edit is queried
+#: (the write), reverted and queried again, as a what-if session does;
+#: the last two are stacked before both are reverted.
+KEPT_STREAM = [(17, 2), (10, 1), (40, 2), (17, 1), (60, 2), (10, 2)]
+#: Bounded searches the stream runs on a kept BDD manager.
+KEPT_SEARCHES = 17
+
+
+def run_kept_stream(drop_kept, check_cold=False):
+    """Run ``KEPT_STREAM`` on a fresh engine; return each query's record
+    and stats, and the ``incremental.kept_searches`` count.  With
+    ``drop_kept`` the kept engines are dropped before every query, so
+    every search runs fresh; ``check_cold`` compares every write with
+    ``cold_query``."""
+    circuit = large_circuit()
+    names = circuit.gate_names()
+    engine = IncrementalTimingEngine(circuit)
+    answers = []
+
+    def query(kind):
+        if drop_kept:
+            engine._kept.clear()
+        result = engine.query(kind)
+        answers.append((result.record_json(), result.stats))
+        # Every kept manager is back at its checkpoint.
+        for kept in engine._kept.values():
+            assert kept.manager.num_nodes == kept.manager._checkpoint[0]
+        return result
+
+    def write(gate, step):
+        circuit.set_delay(gate, circuit.node(gate).delay + step)
+        result = query("floating")
+        if check_cold:
+            assert result.record_json() == (
+                cold_query(circuit, "floating").record_json()
+            )
+
+    with metrics_scope() as metrics:
+        query("floating")
+        query("transition")
+        for position, (index, step) in enumerate(KEPT_STREAM):
+            gate = names[index]
+            write(gate, step)
+            if position < len(KEPT_STREAM) - 2:
+                circuit.set_delay(gate, circuit.node(gate).delay - step)
+                query("floating")
+            query("transition")
+        for index, step in KEPT_STREAM[-2:]:
+            gate = names[index]
+            circuit.set_delay(gate, circuit.node(gate).delay - step)
+        query("floating")
+        query("transition")
+    return answers, metrics.counter("incremental.kept_searches")
+
+
+def test_kept_engines_answer_as_fresh_ones(monkeypatch):
+    """Bounded floating searches on kept, rolled-back BDD managers give
+    every write the cold record, and every query the record and stats of
+    the same stream searched on fresh managers only."""
+    result_cache_off(monkeypatch)
+    kept, kept_searches = run_kept_stream(drop_kept=False, check_cold=True)
+    fresh, fresh_searches = run_kept_stream(drop_kept=True)
+    assert kept == fresh
+    assert (kept_searches, fresh_searches) == (KEPT_SEARCHES, 0)
+
+
+def edited_engine(circuit, **options):
+    """An engine that has served floating delay, and one slower gate
+    whose write it has searched; returns the engine and that gate."""
+    engine = IncrementalTimingEngine(circuit, **options)
+    engine.query("floating")
+    gate = circuit.gate_names()[17]
+    circuit.set_delay(gate, circuit.node(gate).delay + 1)
+    engine.query("floating")
+    return engine, gate
+
+
+def test_an_overflow_on_a_kept_manager_reruns_the_search_cold():
+    """Kept nodes count against the node budget, so a search that
+    overflows on a kept manager runs again on a fresh one: the record is
+    the cold one, and the overflowed engine is not kept."""
+    circuit = large_circuit()
+    engine, gate = edited_engine(circuit)
+    reached = set(reached_outputs(circuit, gate))
+    assert set(engine._kept) == reached
+    # The largest kept manager, capped at the nodes it holds.
+    big = max(reached, key=lambda out: engine._kept[out].manager.num_nodes)
+    capped = engine._kept[big].manager
+    capped.max_nodes = capped.num_nodes
+    circuit.set_delay(gate, circuit.node(gate).delay + 1)
+    with metrics_scope() as metrics:
+        requery = engine.query("floating")
+    assert metrics.counter("incremental.kept_searches") == len(reached)
+    assert requery.record_json() == (
+        cold_query(circuit, "floating").record_json()
+    )
+    assert set(engine._kept) == reached - {big}
+
+
+def test_kept_engines_last_until_the_next_searching_query():
+    """A floating query that searches cones keeps the engines of the
+    outputs it searched, bounded, and no other; a query that searches
+    none keeps them; a rewire and ``invalidate`` drop them all."""
+    circuit = large_circuit()
+    names = circuit.gate_names()
+    engine, gate = edited_engine(circuit)
+    first = set(reached_outputs(circuit, gate))
+    assert set(engine._kept) == first
+    circuit.set_delay(gate, circuit.node(gate).delay - 1)
+    engine.query("floating")  # served from the cone cache
+    engine.query("transition")
+    assert set(engine._kept) == first
+    other = names[40]
+    circuit.set_delay(other, circuit.node(other).delay + 2)
+    engine.query("floating")
+    assert set(engine._kept) == set(reached_outputs(circuit, other)) != first
+
+    engine.invalidate()
+    assert engine._kept == {}
+    circuit.set_delay(other, circuit.node(other).delay - 1)
+    engine.query("floating")  # unbounded after invalidate: keeps none
+    assert engine._kept == {}
+    circuit.set_delay(other, circuit.node(other).delay + 2)
+    engine.query("floating")
+    assert set(engine._kept) == set(reached_outputs(circuit, other))
+
+    rewired = names[10]
+    fanins = list(circuit.node(rewired).fanins)
+    fanins[0] = circuit.inputs[0]
+    circuit.rewire(rewired, fanins)
+    engine.query("transition")
+    assert engine._kept == {}
+
+
+def test_an_engine_with_a_pool_keeps_no_manager():
+    circuit = large_circuit()
+    pool = WorkerPool(jobs=2)
+    try:
+        engine, __ = edited_engine(circuit, pool=pool)
+    finally:
+        pool.close()
+    assert engine._kept == {}
