@@ -227,19 +227,19 @@ def apply_edits(
     :meth:`~repro.network.circuit.Circuit.apply_edit`, skipping
     inapplicable entries.
 
-    An edit is *inapplicable* when its target no longer exists or the
-    edit raises ValueError (a cycle, live fanout on a removal, ...).
-    Skipping — rather than failing — keeps replay deterministic under
-    shrinking, where dropping one edit can invalidate a later one.
-    Returns the number of edits applied.
+    An edit is *inapplicable* when ``apply_edit`` refuses it: its target
+    or a field is missing (KeyError), or it is malformed or the circuit
+    rejects it (ValueError: not an object, a name that is not a string,
+    a cycle, live fanout on a removal, ...).  Skipping — rather than
+    failing — keeps replay deterministic under shrinking, where dropping
+    one edit can invalidate a later one, and lets a hand-edited
+    ``.repro.json`` replay.  Returns the number of edits applied.
     """
     applied = 0
     for edit in edits:
-        if edit["name"] not in circuit:
-            continue
         try:
             circuit.apply_edit(edit)
-        except ValueError:
+        except (KeyError, ValueError):
             continue
         applied += 1
     return applied

@@ -15,6 +15,8 @@ from repro.fuzz.scenario import (
 )
 from repro.runtime.fingerprint import circuit_fingerprint
 
+from tests.helpers import c17
+
 
 class TestDeterminism:
     def test_same_seed_same_scenario(self):
@@ -111,6 +113,21 @@ class TestEdits:
         circuit = materialize(scenario_for(5, 1))
         bad = {"op": "set_delay", "name": "no_such_gate", "delay": 3}
         assert apply_edits(circuit, [bad]) == 0
+
+    def test_apply_edits_skips_malformed_entries(self):
+        """A hand-edited ``.repro.json`` may hold an entry with a list
+        name, none at all, or one that is not an object: each is skipped
+        as inapplicable, the circuit keeps its delays, and the valid edit
+        after them still applies."""
+        circuit = c17()
+        edit = {"op": "set_delay", "name": ["G10"], "delay": 1}
+        nameless = {"op": "set_delay", "delay": 1}
+        delays = {node.name: node.delay for node in circuit.nodes()}
+        assert apply_edits(circuit, [edit, nameless, "set_delay"]) == 0
+        assert {node.name: node.delay for node in circuit.nodes()} == delays
+        valid = {"op": "set_delay", "name": "G10", "delay": 4}
+        assert apply_edits(circuit, [edit, valid, nameless]) == 1
+        assert circuit.node("G10").delay == 4
 
     def test_scenario_edits_apply_to_materialised(self):
         # Every edit recorded in a scenario was drawn against the same
