@@ -13,8 +13,11 @@ must leave both numbers as they are; one that reorders a fanin list, or
 builds one more function, does not.
 
 The cases are c17, c432, c880, csa8, alu8skip and mult4 on the ``bdd``
-and ``sat`` engines, and c17 with staggered ``input_times`` and the
-planet controller under its Sec. VI constraints on all three engines.
+and ``sat`` engines, c17 with staggered ``input_times`` and the planet
+controller under its Sec. VI constraints on all three engines, and a
+small hand-built circuit whose longest path runs through CONST0 and
+CONST1 gates on ``bdd`` and ``sat`` (no registry circuit has a constant
+gate, and a constant must cost no engine call).
 
 Re-record only on a commit whose analyses are trusted::
 
@@ -38,6 +41,7 @@ from repro.core import (
     compute_transition_delay,
 )
 from repro.fsm import reachable_states_constraint, transition_pair_constraint
+from repro.network import Circuit, GateType
 from repro.runtime.cache import DelayCache
 
 GOLDEN_PATH = Path(__file__).with_name("golden_engine_calls.json")
@@ -142,6 +146,26 @@ def planet_case(engine: str):
     return build
 
 
+def constants_circuit():
+    """``out = OR(NAND(OR(AND(a, 1), 0), b), c)``: the constants sit on
+    the longest path."""
+    circuit = Circuit("constants")
+    for name in ("a", "b", "c"):
+        circuit.add_input(name)
+    circuit.add_gate("one", GateType.CONST1)
+    circuit.add_gate("zero", GateType.CONST0)
+    circuit.add_gate("t1", GateType.AND, ("a", "one"))
+    circuit.add_gate("t2", GateType.OR, ("t1", "zero"))
+    circuit.add_gate("t3", GateType.NAND, ("t2", "b"))
+    circuit.add_gate("out", GateType.OR, ("t3", "c"))
+    circuit.set_outputs(["out"])
+    return circuit
+
+
+def constants_case(engine: str):
+    return lambda: engine_calls(constants_circuit(), engine)
+
+
 CASES = {}
 for _name in CIRCUITS:
     for _engine in ("bdd", "sat"):
@@ -151,6 +175,8 @@ for _engine in ("bdd", "sat", "auto"):
         "c17", _engine, input_times=C17_INPUT_TIMES
     )
     CASES[f"planet/constrained/{_engine}"] = planet_case(_engine)
+for _engine in ("bdd", "sat"):
+    CASES[f"constants/{_engine}"] = constants_case(_engine)
 
 
 @pytest.fixture(scope="module")
