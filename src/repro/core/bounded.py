@@ -42,13 +42,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..network.circuit import Circuit
-from ..network.gates import GateType, gate_settle
 from ..sim.wordsim import program_for
 from .analysis import (
     ConstraintBuilder,
     SymbolicAnalysis,
     cached_delay,
     pair_delay_certificate,
+    settle_kernel,
 )
 from .vectors import DelayCertificate, VectorPair, cur_var, prev_var
 
@@ -153,7 +153,7 @@ class BoundedAnalysis(SymbolicAnalysis):
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        if self.program.nodes[slot][0] == GateType.INPUT:
+        if self.program.gates[slot] is None:
             final = self._settled_function(slot, self._final, cur_var)
             result = (final, engine.not_(final))
         elif self._monotone:
@@ -186,9 +186,11 @@ class BoundedAnalysis(SymbolicAnalysis):
         cached = self._force_memo.get(key)
         if cached is not None:
             return cached
-        gate_type, fanins = self.program.nodes[slot]
-        fanin_pairs = [self._guaranteed_pair(f, tau) for f in fanins]
-        result = gate_settle(self.engine, gate_type, fanin_pairs)
+        kind, inverting, fanins = self.program.gates[slot]
+        result = settle_kernel(
+            self.engine, kind, inverting,
+            [self._guaranteed_pair(f, tau) for f in fanins],
+        )
         self._force_memo[key] = result
         return result
 

@@ -18,8 +18,9 @@ over the (single) input-vector space:
 Inputs settle at their clock time.  A gate's output settles to its
 *controlled* value as soon as one input settles to the controlling value,
 and to the *noncontrolled* value once all inputs have settled
-noncontrolling (``repro.network.gates.gate_settle``), each seen through the
-gate's delay.  The floating delay is the least ``t`` at which
+noncontrolling, each seen through the gate's delay: the settle kernel
+(:func:`repro.core.analysis.settle_kernel`) applied to each gate of the
+circuit's compiled program.  The floating delay is the least ``t`` at which
 ``S1_t + S0_t`` is a tautology for every output; a satisfying assignment of
 the negation one step earlier is the floating-delay witness vector.
 """
@@ -29,9 +30,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.circuit import Circuit
-from ..network.gates import GateType, gate_settle
 from ..runtime.metrics import record_engine_metrics
-from .analysis import ConstraintBuilder, Query, SymbolicAnalysis, cached_delay
+from .analysis import (
+    ConstraintBuilder,
+    Query,
+    SymbolicAnalysis,
+    cached_delay,
+    settle_kernel,
+)
 from .vectors import DelayCertificate
 
 
@@ -61,16 +67,19 @@ class FloatingAnalysis(SymbolicAnalysis):
         if cached is not None:
             return cached
         engine = self.engine
-        gate_type, fanins = self.program.nodes[slot]
+        gate = self.program.gates[slot]
         if t < early:
             result = (engine.const0, engine.const0)
-        elif gate_type == GateType.INPUT:
+        elif gate is None:
             var = engine.var(self.program.order[slot])
             result = (var, engine.not_(var))
-        else:  # a gate; a constant's pair is gate_settle's, fanin-free
+        else:  # a gate; a constant's pair is the kernel's, fanin-free
+            kind, inverting, fanins = gate
             t -= self.program.delays[slot]
-            fanin_pairs = [self._settled_pair(f, t) for f in fanins]
-            result = gate_settle(engine, gate_type, fanin_pairs)
+            result = settle_kernel(
+                engine, kind, inverting,
+                [self._settled_pair(f, t) for f in fanins],
+            )
         self._memo[key] = result
         return result
 

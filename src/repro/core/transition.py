@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.circuit import Circuit
-from ..network.gates import GateType, gate_function
 from ..runtime.cache import resolve_cache
 from ..runtime.metrics import METRICS, record_sat_probes
 from .analysis import (
@@ -36,6 +35,7 @@ from .analysis import (
     SymbolicAnalysis,
     cached,
     cached_delay,
+    function_kernel,
     pair_delay_certificate,
     with_bdd_fallback,
 )
@@ -66,16 +66,16 @@ class TransitionAnalysis(SymbolicAnalysis):
         cached_fn = self._memo.get(key)
         if cached_fn is not None:
             return cached_fn
-        gate_type, fanins = self.program.nodes[slot]
-        if gate_type == GateType.INPUT:
+        gate = self.program.gates[slot]
+        if gate is None:
             # Inside the window only for clocked inputs at exactly t_clk,
             # which the clamps above already handle.
             result = self._settled_function(slot, self._final, cur_var)
         else:
+            kind, inverting, fanins = gate
             t -= self.program.delays[slot]
-            result = gate_function(
-                self.engine,
-                gate_type,
+            result = function_kernel(
+                self.engine, kind, inverting,
                 [self._function_at(f, t) for f in fanins],
             )
         self._memo[key] = result

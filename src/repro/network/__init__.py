@@ -6,8 +6,6 @@ from .gates import (
     GateType,
     controlling_value,
     evaluate_gate,
-    gate_function,
-    gate_settle,
     is_inverting,
     noncontrolling_value,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "noncontrolling_value",
     "is_inverting",
     "evaluate_gate",
-    "gate_function",
-    "gate_settle",
     "NETLIST_FORMATS",
     "load_circuit",
     "dump_circuit",

@@ -97,89 +97,3 @@ def evaluate_gate(gate_type: GateType, inputs: Sequence[bool]) -> bool:
     if gate_type == GateType.XNOR:
         return sum(map(bool, inputs)) % 2 == 0
     raise ValueError(f"cannot evaluate gate type {gate_type}")
-
-
-def gate_function(engine, gate_type: GateType, fanins: Sequence[int]) -> int:
-    """Build the gate's output function from fanin function handles.
-
-    ``engine`` is any object with the :mod:`repro.boolfn.interface` facade.
-    """
-    if gate_type == GateType.CONST0:
-        return engine.const0
-    if gate_type == GateType.CONST1:
-        return engine.const1
-    if gate_type == GateType.BUF:
-        return fanins[0]
-    if gate_type == GateType.NOT:
-        return engine.not_(fanins[0])
-    if gate_type == GateType.AND:
-        return engine.and_many(fanins)
-    if gate_type == GateType.NAND:
-        return engine.not_(engine.and_many(fanins))
-    if gate_type == GateType.OR:
-        return engine.or_many(fanins)
-    if gate_type == GateType.NOR:
-        return engine.not_(engine.or_many(fanins))
-    if gate_type == GateType.XOR:
-        result = engine.const0
-        for f in fanins:
-            result = engine.xor_(result, f)
-        return result
-    if gate_type == GateType.XNOR:
-        result = engine.const0
-        for f in fanins:
-            result = engine.xor_(result, f)
-        return engine.not_(result)
-    raise ValueError(f"cannot build function for gate type {gate_type}")
-
-
-def gate_settle(engine, gate_type: GateType, fanins) -> tuple:
-    """Floating-mode settling recurrence (see ``core/floating.py``).
-
-    ``fanins`` is a sequence of ``(S1, S0)`` pairs — the fanins'
-    guaranteed-settled-to-1 / settled-to-0 characteristic functions at time
-    ``t - d``.  Returns the gate's ``(S1, S0)`` pair at time ``t``.
-
-    For a gate with a controlling value, the output settles to the
-    *controlled* value as soon as any input settles to the controlling value,
-    but settles to the *noncontrolled* value only after every input has
-    settled to the noncontrolling value.  XOR requires all inputs settled
-    either way.
-    """
-    if gate_type == GateType.CONST0:
-        return engine.const0, engine.const1
-    if gate_type == GateType.CONST1:
-        return engine.const1, engine.const0
-    if gate_type == GateType.BUF:
-        return fanins[0]
-    if gate_type == GateType.NOT:
-        s1, s0 = fanins[0]
-        return s0, s1
-    if gate_type in (GateType.AND, GateType.NAND):
-        all_one = engine.and_many([pair[0] for pair in fanins])
-        any_zero = engine.or_many([pair[1] for pair in fanins])
-        if gate_type == GateType.AND:
-            return all_one, any_zero
-        return any_zero, all_one
-    if gate_type in (GateType.OR, GateType.NOR):
-        any_one = engine.or_many([pair[0] for pair in fanins])
-        all_zero = engine.and_many([pair[1] for pair in fanins])
-        if gate_type == GateType.OR:
-            return any_one, all_zero
-        return all_zero, any_one
-    if gate_type in (GateType.XOR, GateType.XNOR):
-        # Every input must have settled; the output value is the parity.
-        parity1 = engine.const0  # settled and parity is 1
-        parity0 = engine.const1  # settled and parity is 0
-        for s1, s0 in fanins:
-            new_parity1 = engine.or_(
-                engine.and_(parity1, s0), engine.and_(parity0, s1)
-            )
-            new_parity0 = engine.or_(
-                engine.and_(parity0, s0), engine.and_(parity1, s1)
-            )
-            parity1, parity0 = new_parity1, new_parity0
-        if gate_type == GateType.XOR:
-            return parity1, parity0
-        return parity0, parity1
-    raise ValueError(f"cannot build settle functions for gate type {gate_type}")

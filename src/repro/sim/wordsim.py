@@ -97,13 +97,13 @@ class CircuitProgram:
 
     * ``gates`` — ``(kind, inverting, fanin slots)`` per slot (None for
       primary inputs): what the word-level kernel (:meth:`simulate`,
-      :meth:`run`) and the event loop of :mod:`repro.sim.event_sim`
-      evaluate;
+      :meth:`run`), the event loop of :mod:`repro.sim.event_sim` and the
+      symbolic analyses of :mod:`repro.core` evaluate;
     * ``fanouts`` — the distinct fanout slots per slot, and ``delays`` —
       the gate delay per slot: the rest of the event loop's view;
-    * ``nodes`` — ``(gate type, fanin slots)`` per slot — ``num_gates``,
-      ``input_order`` and the fixed-delay ``early``/``late`` windows
-      (:meth:`windows`): what the symbolic analyses walk and read.
+    * ``num_gates``, ``input_order`` and the fixed-delay
+      ``early``/``late`` windows (:meth:`windows`): what the symbolic
+      analyses read besides.
     """
 
     def __init__(self, circuit: Circuit):
@@ -114,13 +114,10 @@ class CircuitProgram:
         gates: List[Optional[tuple]] = []
         fanouts: List[List[int]] = [[] for __ in self.order]
         delays: List[int] = []
-        nodes: List[Tuple[GateType, Tuple[int, ...]]] = []
         for slot, name in enumerate(self.order):
             node = circuit.node(name)
             validate_arity(node.gate_type, name, len(node.fanins))
             delays.append(node.delay)
-            fanins = tuple(slots[f] for f in node.fanins)
-            nodes.append((node.gate_type, fanins))
             if node.gate_type == GateType.INPUT:
                 gates.append(None)
                 continue
@@ -129,6 +126,7 @@ class CircuitProgram:
                 raise ValueError(
                     f"cannot simulate gate type {node.gate_type}"
                 )
+            fanins = tuple(slots[f] for f in node.fanins)
             gates.append(kind + (fanins,))
             for fanin in dict.fromkeys(fanins):
                 fanouts[fanin].append(slot)
@@ -136,7 +134,6 @@ class CircuitProgram:
         self.gates = gates
         self.fanouts = [tuple(slots_out) for slots_out in fanouts]
         self.delays = delays
-        self.nodes = nodes
         self.num_gates = len(gates) - gates.count(None)
         self.outputs = circuit.outputs
         self.output_slots = [slots[name] for name in self.outputs]
@@ -151,12 +148,13 @@ class CircuitProgram:
         ``[lo, hi]``, each input clocked at its ``input_times`` entry or 0."""
         early: List[int] = []
         late: List[int] = []
-        for slot, (gate_type, fanins) in enumerate(self.nodes):
-            if gate_type == GateType.INPUT:
+        for slot, gate in enumerate(self.gates):
+            if gate is None:
                 first = last = input_times.get(self.order[slot], 0)
-            elif not fanins:
+            elif not gate[2]:  # a constant
                 first = last = 0
             else:
+                fanins = gate[2]
                 first = lo[slot] + min([early[f] for f in fanins])
                 last = hi[slot] + max([late[f] for f in fanins])
             early.append(first)

@@ -2,16 +2,17 @@ import itertools
 
 import pytest
 
-from repro.boolfn import BddEngine
+from repro.boolfn import BddEngine, SatEngine
+from repro.core.analysis import function_kernel, settle_kernel
 from repro.network import (
+    Circuit,
     GateType,
     controlling_value,
     evaluate_gate,
-    gate_function,
-    gate_settle,
     is_inverting,
     noncontrolling_value,
 )
+from repro.sim.wordsim import program_for
 
 BINARY_GATES = [
     GateType.AND,
@@ -21,6 +22,42 @@ BINARY_GATES = [
     GateType.XOR,
     GateType.XNOR,
 ]
+#: Every gate type the compiled program holds.
+KERNEL_GATES = BINARY_GATES + [
+    GateType.NOT, GateType.BUF, GateType.CONST0, GateType.CONST1,
+]
+ENGINES = [BddEngine, SatEngine]
+
+
+def arities(gate):
+    """The fanin counts the kernel tests build ``gate`` with."""
+    if gate in (GateType.CONST0, GateType.CONST1):
+        return (0,)
+    if gate in (GateType.NOT, GateType.BUF):
+        return (1,)
+    return (1, 2, 3)
+
+
+def compiled(gate, arity):
+    """``(kind, inverting)`` of a ``gate`` with ``arity`` fanins, read off
+    the gate table of a one-gate circuit's compiled program."""
+    circuit = Circuit("one-gate")
+    fanins = [circuit.add_input(name) for name in "abc"[:arity]]
+    circuit.add_gate("g", gate, fanins)
+    circuit.set_outputs(["g"])
+    program = program_for(circuit)
+    kind, inverting, __ = program.gates[program.slots["g"]]
+    return kind, inverting
+
+
+def kernel_cases(gate):
+    """A fresh engine, the compiled gate and its fanin variables, per
+    engine and fanin count."""
+    for engine_cls, arity in itertools.product(ENGINES, arities(gate)):
+        engine = engine_cls()
+        kind, inverting = compiled(gate, arity)
+        fanins = [engine.var(name) for name in "abc"[:arity]]
+        yield engine, kind, inverting, fanins
 
 
 class TestControllingValues:
@@ -77,31 +114,59 @@ class TestEvaluateGate:
 
 
 class TestGateFunction:
-    @pytest.mark.parametrize("gate", BINARY_GATES + [GateType.NOT, GateType.BUF])
+    """The function kernel on every gate type of the compiled program,
+    checked against :func:`evaluate_gate` on both engines."""
+
+    @pytest.mark.parametrize("gate", KERNEL_GATES)
     def test_symbolic_matches_concrete(self, gate):
-        engine = BddEngine()
-        a, b = engine.var("a"), engine.var("b")
-        arity = 1 if gate in (GateType.NOT, GateType.BUF) else 2
-        f = gate_function(engine, gate, [a, b][:arity])
-        for va, vb in itertools.product([False, True], repeat=2):
-            env = {"a": va, "b": vb}
-            assert engine.evaluate(f, env) == evaluate_gate(
-                gate, [va, vb][:arity]
-            )
+        for engine, kind, inverting, fanins in kernel_cases(gate):
+            f = function_kernel(engine, kind, inverting, fanins)
+            for values in itertools.product([False, True], repeat=len(fanins)):
+                env = dict(zip("abc", values))
+                assert engine.evaluate(f, env) == evaluate_gate(
+                    gate, values
+                ), (engine.name, values)
 
 
 class TestGateSettle:
-    @pytest.mark.parametrize("gate", BINARY_GATES)
+    """The settle kernel on every gate type of the compiled program."""
+
+    @pytest.mark.parametrize("gate", KERNEL_GATES)
     def test_settled_inputs_partition(self, gate):
         """With fully settled inputs (S1, S0 = f, ~f) the settle pair is
         exactly (onset, offset) of the gate function."""
-        engine = BddEngine()
-        a, b = engine.var("a"), engine.var("b")
-        pairs = [(a, engine.not_(a)), (b, engine.not_(b))]
-        s1, s0 = gate_settle(engine, gate, pairs)
-        f = gate_function(engine, gate, [a, b])
-        assert engine.equiv(s1, f)
-        assert engine.equiv(s0, engine.not_(f))
+        for engine, kind, inverting, fanins in kernel_cases(gate):
+            pairs = [(f, engine.not_(f)) for f in fanins]
+            s1, s0 = settle_kernel(engine, kind, inverting, pairs)
+            for values in itertools.product([False, True], repeat=len(fanins)):
+                env = dict(zip("abc", values))
+                value = evaluate_gate(gate, values)
+                assert engine.evaluate(s1, env) == value, (engine.name, values)
+                assert engine.evaluate(s0, env) != value, (engine.name, values)
+
+    @pytest.mark.parametrize("gate", KERNEL_GATES)
+    def test_settles_where_every_completion_agrees(self, gate):
+        """Each fanin settled to 1, settled to 0 or unsettled: the gate
+        has settled to a value exactly when every value of its unsettled
+        fanins makes :func:`evaluate_gate` give that value."""
+        for engine, kind, inverting, fanins in kernel_cases(gate):
+            pair = {
+                True: (engine.const1, engine.const0),
+                False: (engine.const0, engine.const1),
+                None: (engine.const0, engine.const0),
+            }
+            for states in itertools.product(pair, repeat=len(fanins)):
+                s1, s0 = settle_kernel(
+                    engine, kind, inverting, [pair[s] for s in states]
+                )
+                outcomes = {
+                    evaluate_gate(gate, values)
+                    for values in itertools.product(*[
+                        (False, True) if s is None else (s,) for s in states
+                    ])
+                }
+                assert engine.evaluate(s1, {}) == (outcomes == {True}), states
+                assert engine.evaluate(s0, {}) == (outcomes == {False}), states
 
     def test_controlling_input_settles_alone(self):
         """An AND gate with one input settled to 0 is settled to 0 even if
@@ -110,7 +175,9 @@ class TestGateSettle:
         a = engine.var("a")
         settled_zero = (engine.const0, engine.not_(a))
         unsettled = (engine.const0, engine.const0)
-        s1, s0 = gate_settle(engine, GateType.AND, [settled_zero, unsettled])
+        s1, s0 = settle_kernel(
+            engine, *compiled(GateType.AND, 2), [settled_zero, unsettled]
+        )
         assert engine.equiv(s0, engine.not_(a))
         assert s1 == engine.const0
 
@@ -119,7 +186,9 @@ class TestGateSettle:
         a = engine.var("a")
         settled_one = (a, engine.const0)
         unsettled = (engine.const0, engine.const0)
-        s1, s0 = gate_settle(engine, GateType.AND, [settled_one, unsettled])
+        s1, s0 = settle_kernel(
+            engine, *compiled(GateType.AND, 2), [settled_one, unsettled]
+        )
         assert s1 == engine.const0
         assert s0 == engine.const0
 
@@ -128,12 +197,70 @@ class TestGateSettle:
         a = engine.var("a")
         settled = (a, engine.not_(a))
         unsettled = (engine.const0, engine.const0)
-        s1, s0 = gate_settle(engine, GateType.XOR, [settled, unsettled])
+        s1, s0 = settle_kernel(
+            engine, *compiled(GateType.XOR, 2), [settled, unsettled]
+        )
         assert s1 == engine.const0 and s0 == engine.const0
 
     def test_not_swaps(self):
         engine = BddEngine()
         a = engine.var("a")
-        s1, s0 = gate_settle(engine, GateType.NOT, [(a, engine.not_(a))])
+        s1, s0 = settle_kernel(
+            engine, *compiled(GateType.NOT, 1), [(a, engine.not_(a))]
+        )
         assert engine.equiv(s1, engine.not_(a))
         assert engine.equiv(s0, a)
+
+
+class Recorder:
+    """An engine that logs the name of every facade call it forwards."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.const0, self.const1 = engine.const0, engine.const1
+        self.calls = []
+
+    def __getattr__(self, method):
+        forward = getattr(self._engine, method)
+
+        def call(*args):
+            self.calls.append(method)
+            return forward(*args)
+
+        return call
+
+
+PARITY_STEP = ["and_", "and_", "or_"] * 2
+
+
+class TestKernelCalls:
+    """The engine calls each kernel makes for a two-fanin gate (a
+    constant has none), in order: an AND-kind gate builds its S1 before
+    its S0, an OR-kind gate too, and an inverting gate's function ends in
+    one ``not_``.  The engine-call golden pins the same order end to end,
+    where BDD node numbers and AIG literals depend on it."""
+
+    @pytest.mark.parametrize("gate, settle, function", [
+        (GateType.AND, ["and_many", "or_many"], ["and_many"]),
+        (GateType.NAND, ["and_many", "or_many"], ["and_many", "not_"]),
+        (GateType.OR, ["or_many", "and_many"], ["or_many"]),
+        (GateType.NOR, ["or_many", "and_many"], ["or_many", "not_"]),
+        (GateType.XOR, PARITY_STEP * 2, ["xor_", "xor_"]),
+        (GateType.XNOR, PARITY_STEP * 2, ["xor_", "xor_", "not_"]),
+        (GateType.NOT, [], ["not_"]),
+        (GateType.BUF, [], []),
+        (GateType.CONST0, [], []),
+        (GateType.CONST1, [], []),
+    ])
+    def test_calls_in_order(self, gate, settle, function):
+        arity = min(2, max(arities(gate)))
+        kind, inverting = compiled(gate, arity)
+        engine = BddEngine()
+        fanins = [engine.var(name) for name in "ab"[:arity]]
+        pairs = [(f, engine.not_(f)) for f in fanins]
+        recorder = Recorder(engine)
+        settle_kernel(recorder, kind, inverting, pairs)
+        assert recorder.calls == settle
+        recorder.calls.clear()
+        function_kernel(recorder, kind, inverting, fanins)
+        assert recorder.calls == function
