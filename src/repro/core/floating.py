@@ -76,10 +76,18 @@ class FloatingAnalysis(SymbolicAnalysis):
         else:  # a gate; a constant's pair is the kernel's, fanin-free
             kind, inverting, fanins = gate
             t -= self.program.delays[slot]
-            result = settle_kernel(
-                engine, kind, inverting,
-                [self._settled_pair(f, t) for f in fanins],
-            )
+            # Recurse only on a fanin the memo lacks, at the time the
+            # callee would clamp ``t`` to.
+            memo, lows, highs = self._memo, self._early, self._late
+            pairs = []
+            for fanin in fanins:
+                pair = memo.get(
+                    (fanin, max(min(t, highs[fanin]), lows[fanin] - 1))
+                )
+                if pair is None:
+                    pair = self._settled_pair(fanin, t)
+                pairs.append(pair)
+            result = settle_kernel(engine, kind, inverting, pairs)
         self._memo[key] = result
         return result
 

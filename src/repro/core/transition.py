@@ -74,10 +74,21 @@ class TransitionAnalysis(SymbolicAnalysis):
         else:
             kind, inverting, fanins = gate
             t -= self.program.delays[slot]
-            result = function_kernel(
-                self.engine, kind, inverting,
-                [self._function_at(f, t) for f in fanins],
-            )
+            # Recurse only on a fanin whose memo (the one the callee's
+            # branch for ``t`` reads) lacks it; a handle may be 0.
+            memo, lows, highs = self._memo, self._early, self._late
+            fs = []
+            for fanin in fanins:
+                if t < lows[fanin]:
+                    fn = self._initial.get(fanin)
+                elif t >= highs[fanin]:
+                    fn = self._final.get(fanin)
+                else:
+                    fn = memo.get((fanin, t))
+                if fn is None:
+                    fn = self._function_at(fanin, t)
+                fs.append(fn)
+            result = function_kernel(self.engine, kind, inverting, fs)
         self._memo[key] = result
         return result
 
