@@ -11,7 +11,8 @@ predicate differs; everything else lives here:
   of the recurrences, keyed on the compiled program's gate kinds: a
   settle pair from its fanins' pairs, a function from its fanins';
 * :class:`SymbolicAnalysis` — circuit validation, the engine, and from
-  the circuit's compiled program (one per revision) the gate table it
+  the circuit's compiled program (one per revision, retimed rather than
+  recompiled after a delay-only edit) the gate table it
   walks, the canonical variable order and the windows ``[earliest,
   latest]`` under fixed (or, per analysis, clocked or ``[d_l, d_u]``)
   gate delays, and the ``v_-1``/``v_0`` settle functions;
@@ -178,8 +179,9 @@ class SymbolicAnalysis:
         input_times: Optional[Dict[str, int]] = None,
     ):
         self.circuit = circuit
-        # Compiling the revision's program validates the circuit; a
-        # revision that is already compiled is not walked again.
+        # Compiling a structure's program validates the circuit; a
+        # revision already compiled, or retimed after delay edits, is not
+        # walked again.
         self.program = program = program_for(circuit)
         self.engine = engine or make_engine(engine_name, program.num_gates)
         # Declare the input variables up front, in canonical cone order, so

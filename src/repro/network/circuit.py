@@ -94,9 +94,13 @@ class Circuit:
         self._topo_cache: Optional[List[str]] = None
         self._fanout_cache: Optional[Dict[str, List[str]]] = None
         # The compiled simulation program of this revision
-        # (repro.sim.wordsim.program_for): derived like the two caches
-        # above, dropped by every invalidation, never pickled.
+        # (repro.sim.wordsim.program_for), and the latest program of this
+        # structure, which a delay-only revision's program is retimed
+        # from: derived like the two caches above, never pickled.  Every
+        # invalidation drops the first; a structural one or a change of
+        # outputs drops both.
         self._program = None
+        self._program_base = None
         self._journal: List[Edit] = []
         self._revision: int = 0
 
@@ -130,20 +134,21 @@ class Circuit:
 
     def set_outputs(self, names: Sequence[str]) -> None:
         self._outputs = list(names)
-        self._program = None
+        self._program = self._program_base = None
 
     def add_output(self, name: str) -> None:
         if name not in self._outputs:
             self._outputs.append(name)
-            self._program = None
+            self._program = self._program_base = None
 
     def set_delay(self, name: str, delay: int) -> None:
         """Change one gate's delay (journalled; delay-only invalidation).
 
         Delays do not enter the graph structure, so the cached
-        ``topological_order``/``fanouts`` survive — only derived *timing*
-        (``levels``, analyses) is affected, which consumers detect through
-        the journal/revision counters.
+        ``topological_order``/``fanouts`` survive and the compiled program
+        is retimed, not recompiled — only derived *timing* (``levels``,
+        analyses) is affected, which consumers detect through the
+        journal/revision counters.
         """
         if delay < 0:
             raise ValueError("delay must be non-negative")
@@ -318,28 +323,32 @@ class Circuit:
         derived structure (topological order, fanout map) is stale."""
         self._topo_cache = None
         self._fanout_cache = None
-        self._program = None
+        self._program = self._program_base = None
 
     def _invalidate_delays(self) -> None:
         """Delay-only invalidation: gate delays changed but the graph did
         not, so ``topological_order``/``fanouts`` stay valid.  Derived
         timing is recomputed on demand (``levels`` is never cached), the
         compiled simulation program (which carries the delays) is
-        dropped, and analysis consumers key off the revision counters."""
+        dropped, and analysis consumers key off the revision counters.
+        The structure's latest program stays: the next ``program_for``
+        retimes it, sharing its tables and recomputing only the delays
+        and windows, and leaves the dropped program as it was."""
         self._program = None
 
     def __getstate__(self) -> dict:
-        # The compiled program is per-process derived state: pickled
-        # circuits (worker payloads, cache entries) travel without it.
+        # The compiled programs are per-process derived state: pickled
+        # circuits (worker payloads, cache entries) travel without them.
         state = dict(self.__dict__)
         state.pop("_program", None)
+        state.pop("_program_base", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         # Pickles from before the compiled program existed carry no
-        # ``_program`` either, so both kinds unpickle the same way.
+        # program either, so both kinds unpickle the same way.
         self.__dict__.update(state)
-        self._program = None
+        self._program = self._program_base = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -562,8 +571,9 @@ class Circuit:
         clone.set_outputs(self._outputs)
         # The clone is structurally identical, so the derived graph
         # structures transfer verbatim — a delay-only transform chain
-        # (copy + set_delay) never recomputes them.  The journal does NOT
-        # transfer: a copy is a fresh circuit with no edit history.
+        # (copy + set_delay) never recomputes them, and retimes the
+        # structure's program instead of compiling it.  The journal does
+        # NOT transfer: a copy is a fresh circuit with no edit history.
         if self._topo_cache is not None:
             clone._topo_cache = list(self._topo_cache)
         if self._fanout_cache is not None:
@@ -571,6 +581,7 @@ class Circuit:
                 fanin: list(fanouts)
                 for fanin, fanouts in self._fanout_cache.items()
             }
+        clone._program_base = self._program_base
         return clone
 
     def transitive_fanin(self, names: Iterable[str]) -> List[str]:

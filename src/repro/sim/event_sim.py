@@ -354,9 +354,11 @@ class EventSimulator:
     def __init__(
         self, circuit: Circuit, delays: Optional[Mapping[str, int]] = None
     ):
-        if circuit._program is None:
-            # A compiled revision was validated by its compile; compiling
-            # here instead would only move that work to construction.
+        if circuit._program_base is None:
+            # A compiled structure was validated by its compile, and a
+            # delay edit since leaves it valid (its program is retimed);
+            # compiling here instead would only move that work to
+            # construction.
             circuit.validate()
         self.circuit = circuit
         self._annotation = dict(delays or {})

@@ -18,13 +18,15 @@ and delays, and settles the ``v_-1`` states of its lane replays here
 (:class:`repro.sim.event_sim.LaneReplay`: ``certify``'s step-3 replays
 and the Monte Carlo samples of :mod:`repro.core.statistical`); the
 symbolic analyses of :mod:`repro.core` walk it too, so each circuit
-revision is compiled once for all of them.  :func:`simulate_words`,
+structure is compiled once for all of them, and a delay-only revision
+retimes its structure's program (:meth:`CircuitProgram.retimed`).  :func:`simulate_words`,
 :func:`batch_settle` and :func:`batch_settle_outputs` are the
 circuit-level entry points.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.circuit import Circuit
@@ -84,7 +86,7 @@ def unpack_word(word: int, count: int) -> List[bool]:
 
 
 class CircuitProgram:
-    """A circuit compiled over integer slots, once per revision.
+    """A circuit compiled over integer slots, once per structure.
 
     Slot ``i`` is the ``i``-th node of ``circuit.topological_order()``, so
     every gate's fanins have smaller slots than the gate.  Gate dispatch
@@ -104,6 +106,10 @@ class CircuitProgram:
     * ``num_gates``, ``input_order`` and the fixed-delay
       ``early``/``late`` windows (:meth:`windows`): what the symbolic
       analyses read besides.
+
+    A program never changes once built.  A revision that changed only
+    delays gets a new one from :meth:`retimed`, which shares every table
+    but ``delays``, ``early`` and ``late``.
     """
 
     def __init__(self, circuit: Circuit):
@@ -142,6 +148,18 @@ class CircuitProgram:
         self.input_order = canonical_input_order(circuit)
         self.early, self.late = self.windows(delays, delays, {})
 
+    def retimed(self, circuit: Circuit) -> "CircuitProgram":
+        """The program of ``circuit``, a revision with this program's
+        structure, outputs and input declaration order that may differ
+        in gate delays: the structural tables are shared, and only the
+        delays and the windows are read and computed again."""
+        program = copy.copy(self)
+        program.circuit = circuit
+        node = circuit.node
+        program.delays = delays = [node(name).delay for name in self.order]
+        program.early, program.late = self.windows(delays, delays, {})
+        return program
+
     def windows(self, lo: Sequence[int], hi: Sequence[int],
                 input_times: Dict[str, int]) -> Tuple[List[int], List[int]]:
         """The Lemma 5.1 windows ``(early, late)`` per slot: gate delays in
@@ -155,8 +173,8 @@ class CircuitProgram:
                 first = last = 0
             else:
                 fanins = gate[2]
-                first = lo[slot] + min([early[f] for f in fanins])
-                last = hi[slot] + max([late[f] for f in fanins])
+                first = lo[slot] + min(map(early.__getitem__, fanins))
+                last = hi[slot] + max(map(late.__getitem__, fanins))
             early.append(first)
             late.append(last)
         return early, late
@@ -236,12 +254,22 @@ def program_for(circuit: Circuit) -> CircuitProgram:
     Compilation is O(gates); batch callers such as the Monte Carlo loop
     and every event replay reuse the program.  The circuit keeps it next
     to its other derived structures (topological order, fanout map), and
-    every journalled edit — like any structural change outside the
-    journal — drops it, so the next call compiles the new revision.
+    every journalled edit drops it.  After a delay-only revision
+    (``set_delay``, a delay-only ``replace_gate``, or a transform that
+    calls ``_invalidate_delays``) the next call retimes the latest
+    program of the structure (:meth:`CircuitProgram.retimed`); after a
+    structural change, journalled or not, or a change of outputs (which
+    fix ``output_slots`` and the canonical input order), it compiles the
+    new revision from scratch.
     """
     program = circuit._program
     if program is None:
-        program = circuit._program = CircuitProgram(circuit)
+        base = circuit._program_base
+        if base is None:
+            program = CircuitProgram(circuit)
+        else:
+            program = base.retimed(circuit)
+        circuit._program = circuit._program_base = program
     return program
 
 

@@ -154,6 +154,9 @@ class TestSharedProgram:
         clone = pickle.loads(pickle.dumps(circuit))
         assert clone._program is None
         assert program_for(clone).order == program_for(circuit).order
+        # Nor with the program a delay-only revision is retimed from.
+        circuit.set_delay("G16", 2)
+        assert "_program_base" not in circuit.__getstate__()
 
     def test_pickles_without_a_program_entry_unpickle(self):
         # A circuit pickled before circuits kept a compiled program has

@@ -1,9 +1,12 @@
 """Unit tests for the vectorized Boolean kernel (repro.sim.wordsim)."""
 
+import pickle
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sim
 import repro.sim.wordsim as wordsim
@@ -11,7 +14,8 @@ from repro.circuits import build_circuit
 from repro.core import monte_carlo_delay, uniform_variation
 from repro.core.statistical import _nominal_delays
 from repro.core.vectors import VectorPair
-from repro.network import CircuitBuilder
+from repro.network import CircuitBuilder, GateType
+from repro.network.transform import refined_delay_annotation, scale_delays
 from repro.runtime.parallel import sample_seed
 from repro.sim import (
     EventSimulator,
@@ -22,7 +26,7 @@ from repro.sim import (
     simulate_words,
     unpack_word,
 )
-from repro.sim.wordsim import program_for
+from repro.sim.wordsim import CircuitProgram, program_for
 
 from tests.helpers import c17, counted_checks, random_circuit, tiny_and_or
 
@@ -153,6 +157,115 @@ class TestKernelCache:
         c.rewire("g", ["a", "a"])
         after = simulate_words(c, {"a": 0b1100, "b": 0b1010})
         assert after["g"] & 0b1111 == 0b1100
+
+
+def timing(program):
+    """Copies of what a retime recomputes: delays and windows."""
+    return list(program.delays), list(program.early), list(program.late)
+
+
+def assert_retimed(before, timed_before, circuit):
+    """``circuit``'s program shares ``before``'s structural tables, times
+    the circuit as a fresh compile does, and left ``before`` as it was."""
+    after = program_for(circuit)
+    assert after is not before and after.circuit is circuit
+    for table in ("gates", "order", "input_order", "slots", "fanouts",
+                  "output_slots", "input_slots"):
+        assert getattr(after, table) is getattr(before, table), table
+    assert timing(after) == timing(CircuitProgram(circuit))
+    assert timing(before) == timed_before
+
+
+#: Delay edits: (gate pick, delay step, how the delay is set).
+DELAY_EDITS = st.lists(
+    st.tuples(st.integers(0, 1_000), st.integers(1, 4),
+              st.sampled_from(["set_delay", "replace_gate"])),
+    min_size=1, max_size=4,
+)
+
+
+class TestRetimedPrograms:
+    """A delay-only revision retimes its structure's latest program;
+    anything else compiles from scratch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 500), edits=DELAY_EDITS)
+    def test_delay_edits_retime(self, seed, edits):
+        circuit = random_circuit(seed, num_inputs=4, num_gates=10,
+                                 max_delay=3)
+        gates = circuit.gate_names()
+        for pick, step, how in edits:
+            before = program_for(circuit)
+            timed_before = timing(before)
+            name = gates[pick % len(gates)]
+            delay = (circuit.node(name).delay + step) % 5  # a new delay
+            if how == "set_delay":
+                circuit.set_delay(name, delay)
+            else:
+                circuit.replace_gate(name, delay=delay)
+            assert_retimed(before, timed_before, circuit)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 500), factor=st.integers(1, 3),
+           load=st.integers(0, 2))
+    def test_delay_transforms_retime(self, seed, factor, load):
+        circuit = random_circuit(seed, num_inputs=4, num_gates=10,
+                                 max_delay=3)
+        before = program_for(circuit)
+        timed_before = timing(before)
+        assert_retimed(before, timed_before, scale_delays(circuit, factor))
+        assert_retimed(
+            before, timed_before,
+            refined_delay_annotation(circuit, load_per_fanout=load),
+        )
+        assert program_for(circuit) is before
+
+    def test_an_older_program_keeps_its_delays(self):
+        c = c17()
+        simulator = EventSimulator(c)
+        before, __ = simulator._compiled()
+        c.set_delay("G16", 4)
+        after, delays = simulator._compiled()
+        assert before.delays[before.slots["G16"]] == 1
+        assert delays[after.slots["G16"]] == 4
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.rewire("G16", ["G11", "G2"]),
+        lambda c: c.replace_gate("G16", gate_type=GateType.AND),
+        lambda c: c.add_gate("dead", GateType.AND, ["G1", "G2"]),
+        lambda c: c.set_outputs(["G23", "G22"]),
+        lambda c: c.add_output("G19"),
+    ], ids=["rewire", "replace_gate", "add_gate", "set_outputs",
+            "add_output"])
+    def test_other_changes_compile_from_scratch(self, edit):
+        c = c17()
+        before = program_for(c)
+        c.set_delay("G10", 3)  # a retime would start from ``before``
+        edit(c)
+        self.assert_compiled(before, c)
+
+    def test_a_pickled_circuit_compiles_from_scratch(self):
+        c = c17()
+        before = program_for(c)
+        c.set_delay("G10", 3)
+        self.assert_compiled(before, pickle.loads(pickle.dumps(c)))
+
+    @staticmethod
+    def assert_compiled(before, circuit):
+        after = program_for(circuit)
+        assert after.gates is not before.gates
+        fresh = CircuitProgram(circuit)
+        for table in ("gates", "order", "input_order", "output_slots",
+                      "delays", "early", "late"):
+            assert getattr(after, table) == getattr(fresh, table), table
+
+    def test_removing_a_gate_compiles_from_scratch(self):
+        c = c17()
+        c.add_gate("dead", GateType.AND, ["G1", "G2"])
+        before = program_for(c)
+        c.remove_gate("dead")
+        assert program_for(c).gates is not before.gates
+        assert len(program_for(c).order) == len(before.order) - 1
 
 
 class TestMetrics:
