@@ -22,7 +22,7 @@ supported kind:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..core.floating import compute_floating_delay
 from ..core.transition import compute_transition_delay
@@ -35,19 +35,16 @@ from ..runtime.cache import DelayCache
 KINDS = ("topological", "floating", "transition")
 
 
-def extract_cone(circuit: Circuit, output: str,
-                 fanin: Optional[List[str]] = None) -> Circuit:
+def extract_cone(circuit: Circuit, output: str) -> Circuit:
     """The fanin cone of ``output`` as a standalone single-output circuit.
 
     The cone is named ``cone#<output>`` — deliberately *not* derived from
     the parent circuit's name, so two circuits containing an identical
     cone extract identical subcircuits (content-addressed caching depends
     on it).  Cone inputs keep the parent's input declaration order, which
-    fixes vector rendering and the engines' variable order.  ``fanin`` is
-    ``circuit.transitive_fanin([output])`` if the caller has walked it.
+    fixes vector rendering and the engines' variable order.
     """
-    if fanin is None:
-        fanin = circuit.transitive_fanin([output])
+    fanin = circuit.transitive_fanin([output])
     members = set(fanin)
     cone = Circuit(f"cone#{output}")
     for name in circuit.inputs:

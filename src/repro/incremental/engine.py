@@ -27,12 +27,13 @@ re-analysing only what an edit could have changed:
    cached under :func:`~repro.runtime.fingerprint.cone_fingerprint`
    content keys in a :class:`~repro.runtime.cache.DelayCache` — reverting
    an edit (or loading a different circuit sharing a cone) hits the cache
-   without recomputation.  Each output's cone membership and shape digest
+   without recomputation.  Each output's extracted cone and shape digest
    are kept per circuit structure, and its key and cache tokens until an
-   edit reaches it: after a delay edit a query computes one key per
-   output the edit reached (``incremental.cone_keys``) and walks no
-   fanin; a structural change to the circuit, journalled or not, drops
-   them all.
+   edit reaches it: after a delay edit a query sets the edited gates'
+   delays in the kept cones, so a cone's compiled program is retimed,
+   not recompiled, computes one key per output the edit reached
+   (``incremental.cone_keys``) and walks no fanin; a structural change
+   to the circuit, journalled or not, drops them all.
 
 3. **Floating bounds** — floating delay is monotone in gate delays
    (paper Secs. II and IV), so a dirty cone whose output was last served
@@ -85,9 +86,9 @@ from ..runtime.parallel import WorkerPool, shard_map
 from ..sim.wordsim import program_for
 from .cones import KINDS, evaluate_cone, extract_cone
 
-#: An output's fanin list (what ``extract_cone`` copies), shape digest
+#: An output's extracted cone (what evaluation analyses), shape digest
 #: and gates in walk order (what ``cone_key`` reads).
-ConeMembers = Tuple[List[str], str, Tuple[Node, ...]]
+ConeMembers = Tuple[Circuit, str, Tuple[Node, ...]]
 
 
 @dataclass
@@ -150,11 +151,12 @@ class IncrementalTimingEngine:
             node.name: node.delay for node in circuit.nodes()
         }
         self._served_cursor = circuit.journal_length
-        #: The cone maps kept between queries.  Per output: its fanin
-        #: list, shape digest and gates in walk order (``_members``),
+        #: The cone maps kept between queries.  Per output: its extracted
+        #: cone, shape digest and gates in walk order (``_members``),
         #: which hold for the structure whose topological order is
         #: ``_order`` (the circuit hands out one cached list until a
-        #: structural invalidation drops it); and its cone key with the
+        #: structural invalidation drops it; each delay edit is copied
+        #: into the cones holding its gate); and its cone key with the
         #: per-kind cache tokens (``_keys``), which hold until an edit
         #: reaches the output.
         self._order: Optional[List[str]] = None
@@ -173,7 +175,8 @@ class IncrementalTimingEngine:
     # ------------------------------------------------------------------
     def _consume_journal(self) -> None:
         """Mark the forward closure of all newly journalled edits dirty
-        for every kind's memo, and drop the kept keys of the outputs in it.
+        for every kind's memo, drop the kept keys of the outputs in it,
+        and set the edited gates' delays in the kept cones holding them.
 
         Soundness: an output's cone content can only change if some node
         in its *current* cone was directly edited, or some structural
@@ -182,14 +185,31 @@ class IncrementalTimingEngine:
         over ``Circuit.fanouts()`` covers every possibly-stale output.
         Removed gates are skipped: removal requires a fanout-free gate,
         which no output cone can contain.
+
+        Kept cones survive only delay edits (any other drops them in
+        :meth:`_refresh_cone_maps`, which runs first), so each edited
+        gate is still a node.  A cone holding it takes its delay as a
+        delay transform does: the node is set in place and the cone's
+        delay-only invalidation leaves its program to be retimed, not
+        recompiled.  ``set_delay`` would journal every copy, and a
+        cone's journal, which nothing reads, would grow with the session
+        and travel with the cone to every pool worker.
         """
-        edits = self.circuit.edits_since(self._cursor)
+        circuit = self.circuit
+        edits = circuit.edits_since(self._cursor)
         if not edits:
             return
-        self._cursor = self.circuit.journal_length
+        self._cursor = circuit.journal_length
         dirty = self._forward_closure(edit.name for edit in edits)
         for out in [out for out in self._keys if out in dirty]:
             del self._keys[out]
+        for out, (cone, __, __) in self._members.items():
+            if out in dirty:
+                for edit in edits:
+                    if edit.name in cone:
+                        delay = circuit.node(edit.name).delay
+                        cone.node(edit.name).delay = delay
+                        cone._invalidate_delays()
         for kind in KINDS:
             memo = self._memo[kind]
             for out in list(memo):
@@ -231,12 +251,13 @@ class IncrementalTimingEngine:
         A circuit whose topological order is no longer the kept one was
         restructured — by a journalled ``rewire``, structural
         ``replace_gate`` or ``remove_gate``, or by an ``add_gate`` or
-        ``add_input`` the journal never sees — so every output's
-        membership, shape and key, and every edited node's closure, is
-        walked again when next needed.
-        Delay edits keep the structure: each keeps the shapes (whose gate
+        ``add_input`` the journal never sees — so every output's cone,
+        shape and key, and every edited node's closure, is built again
+        when next needed.
+        Delay edits keep the structure: each keeps the cones (whose
+        delays :meth:`_consume_journal` sets) and shapes (whose gate
         nodes the circuit edits in place) and drops only the keys of the
-        outputs it reaches (:meth:`_consume_journal`).
+        outputs it reaches.
         """
         order = self.circuit.topological_order()
         if order is not self._order:
@@ -247,13 +268,13 @@ class IncrementalTimingEngine:
             self._closures.clear()
 
     def _cone_members(self, out: str) -> ConeMembers:
-        """``out``'s fanin list, shape digest and gates in walk order
-        (:func:`~repro.runtime.fingerprint.cone_shape`), walked once per
+        """``out``'s extracted cone, shape digest and gates in walk order
+        (:func:`~repro.runtime.fingerprint.cone_shape`), built once per
         structure."""
         members = self._members.get(out)
         if members is None:
-            fanin = self.circuit.transitive_fanin([out])
-            members = (fanin, *cone_shape(self.circuit, out))
+            cone = extract_cone(self.circuit, out)
+            members = (cone, *cone_shape(self.circuit, out))
             self._members[out] = members
         return members
 
@@ -379,10 +400,7 @@ class IncrementalTimingEngine:
             return results
         stats["evaluated_cones"] += len(to_compute)
         METRICS.incr("incremental.evaluated_cones", len(to_compute))
-        cones = [
-            extract_cone(self.circuit, out, self._cone_members(out)[0])
-            for out, __ in to_compute
-        ]
+        cones = [self._cone_members(out)[0] for out, __ in to_compute]
         bounds = [
             self._floating_bound(cone) if kind == "floating" else None
             for cone in cones
@@ -471,9 +489,9 @@ class IncrementalTimingEngine:
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop every memoised result, served floating delay, kept cone
-        map and key and kept BDD engine (the cone cache survives — it is
-        content-addressed and can never serve a stale entry)."""
+        """Drop every memoised result, served floating delay, kept cone,
+        cone map and key and kept BDD engine (the cone cache survives —
+        it is content-addressed and can never serve a stale entry)."""
         for kind in KINDS:
             self._memo[kind].clear()
             self._pending_dirty[kind].clear()

@@ -1,6 +1,7 @@
 """The incremental engine: byte-identity, reuse, and check savings."""
 
 import hashlib
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ from repro.incremental import (
 from repro.incremental import engine as engine_module
 from repro.network import Circuit, GateType
 from repro.runtime import DelayCache, WorkerPool, fingerprint, metrics_scope
+from repro.sim.wordsim import CircuitProgram
 
 from tests.helpers import c17, counted_checks, result_cache_off
 
@@ -441,7 +443,7 @@ KEPT_SEARCHES = 17
 
 def run_kept_stream(drop_kept, check_cold=False):
     """Run ``KEPT_STREAM`` on a fresh engine; return each query's record
-    and stats, and the ``incremental.kept_searches`` count.  With
+    and stats, the ``incremental.kept_searches`` count and the engine.  With
     ``drop_kept`` the kept engines are dropped before every query, so
     every search runs fresh; ``check_cold`` compares every write with
     ``cold_query``."""
@@ -483,7 +485,7 @@ def run_kept_stream(drop_kept, check_cold=False):
             circuit.set_delay(gate, circuit.node(gate).delay - step)
         query("floating")
         query("transition")
-    return answers, metrics.counter("incremental.kept_searches")
+    return answers, metrics.counter("incremental.kept_searches"), engine
 
 
 def test_kept_engines_answer_as_fresh_ones(monkeypatch):
@@ -491,10 +493,49 @@ def test_kept_engines_answer_as_fresh_ones(monkeypatch):
     every write the cold record, and every query the record and stats of
     the same stream searched on fresh managers only."""
     result_cache_off(monkeypatch)
-    kept, kept_searches = run_kept_stream(drop_kept=False, check_cold=True)
-    fresh, fresh_searches = run_kept_stream(drop_kept=True)
+    kept, kept_searches, __ = run_kept_stream(
+        drop_kept=False, check_cold=True
+    )
+    fresh, fresh_searches, __ = run_kept_stream(drop_kept=True)
     assert kept == fresh
     assert (kept_searches, fresh_searches) == (KEPT_SEARCHES, 0)
+
+
+def test_kept_cones_compile_once_per_structure(monkeypatch):
+    """Each output's kept cone compiles its program once: the delay edits
+    of ``KEPT_STREAM`` only retime it.  A rewire drops the kept cones, so
+    each output evaluated after it, for the rewire or a later delay edit,
+    compiles once more, and only once."""
+    result_cache_off(monkeypatch)
+    compiled = Counter()
+    compile_program = CircuitProgram.__init__
+
+    def counting(program, circuit):
+        compiled[circuit.name] += 1
+        compile_program(program, circuit)
+
+    monkeypatch.setattr(CircuitProgram, "__init__", counting)
+    __, __, engine = run_kept_stream(drop_kept=False)
+    circuit = engine.circuit
+    assert compiled == {f"cone#{out}": 1 for out in circuit.outputs}
+
+    rewired = circuit.gate_names()[10]
+    fanins = list(circuit.node(rewired).fanins)
+    fanins[0] = circuit.inputs[0]
+    circuit.rewire(rewired, fanins)
+    for kind in ("floating", "transition"):
+        engine.query(kind)
+    gate = circuit.gate_names()[17]
+    for step in (1, -1):
+        circuit.set_delay(gate, circuit.node(gate).delay + step)
+        for kind in ("floating", "transition"):
+            engine.query(kind)
+    evaluated = set(reached_outputs(circuit, rewired))
+    evaluated |= set(reached_outputs(circuit, gate))
+    assert 0 < len(evaluated) < len(circuit.outputs)
+    assert compiled == {
+        f"cone#{out}": 1 + (out in evaluated) for out in circuit.outputs
+    }
 
 
 def edited_engine(circuit, **options):

@@ -14,16 +14,35 @@ from hypothesis import strategies as st
 from repro.circuits.generators import random_logic
 from repro.fuzz.generate import random_gate_circuit
 from repro.fuzz.scenario import apply_edits, random_edit
-from repro.incremental import IncrementalTimingEngine, KINDS, cold_query
+from repro.incremental import (
+    IncrementalTimingEngine,
+    KINDS,
+    cold_query,
+    extract_cone,
+)
 from repro.runtime import WorkerPool
 from repro.runtime.fingerprint import cone_fingerprint, cone_shape
+from repro.sim.wordsim import CircuitProgram, program_for
 
 
 def assert_cone_maps_current(engine, circuit):
-    """The cone memberships, shapes and keys the engine keeps between
-    queries are those a from-scratch walk of the edited circuit gives."""
-    for out, (fanin, shape, gates) in engine._members.items():
-        assert fanin == circuit.transitive_fanin([out])
+    """The cones, shapes and keys the engine keeps between queries are
+    those a from-scratch walk of the edited circuit gives, and each kept
+    cone's program times it as a fresh compile does."""
+    for out, (cone, shape, gates) in engine._members.items():
+        fresh = extract_cone(circuit, out)
+        assert (cone.inputs, cone.outputs) == (fresh.inputs, fresh.outputs)
+        assert [
+            (node.name, node.gate_type, node.fanins, node.delay)
+            for node in cone.nodes()
+        ] == [
+            (node.name, node.gate_type, node.fanins, node.delay)
+            for node in fresh.nodes()
+        ]
+        program, compiled = program_for(cone), CircuitProgram(fresh)
+        assert (program.delays, program.early, program.late) == (
+            compiled.delays, compiled.early, compiled.late
+        )
         assert (shape, gates) == cone_shape(circuit, out)
         assert all(gate is circuit.node(gate.name) for gate in gates)
     for out, (key, tokens) in engine._keys.items():
