@@ -213,7 +213,7 @@ class IncrementalTimingEngine:
         for kind in KINDS:
             memo = self._memo[kind]
             for out in list(memo):
-                if out in dirty or out not in self.circuit:
+                if out in dirty or out not in circuit:
                     del memo[out]
             self._pending_dirty[kind] |= dirty
         restructured = [edit.name for edit in edits if edit.op != "set_delay"]
